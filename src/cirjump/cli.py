@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from .coefficients import validate
-from .config import RunConfig, load_config
+from .config import RunConfig, check_run, load_config
 from .errors import CirJumpError, ConfigError
 from .jumps import atoms
 from .kernels import get_kernels
@@ -38,6 +38,9 @@ from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1
 COMPONENTS = ("K", "H", "I", "Itilde")
+# largest Poisson mean numpy's generator accepts
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
+                         - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def _fmt(x) -> str:
@@ -49,7 +52,11 @@ def _default_workers(args, cfg: RunConfig) -> int:
         return args.workers
     if cfg.workers != 1:
         return cfg.workers
-    return int(os.environ.get("CIRJUMP_THREADS", "1"))
+    env = os.environ.get("CIRJUMP_THREADS", "1")
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ConfigError(f"CIRJUMP_THREADS must be a positive integer, "
+                          f"got {env!r}")
+    return int(env)
 
 
 def _override_run(cfg: RunConfig, args) -> RunConfig:
@@ -61,10 +68,18 @@ def _override_run(cfg: RunConfig, args) -> RunConfig:
             changes[field] = v
     if getattr(args, "workers", None) is not None:
         changes["workers"] = args.workers
-    cfg = replace(cfg, **changes) if changes else cfg
-    if not (0.0 <= cfg.s < cfg.t <= cfg.coeffs.t_max):
-        raise ConfigError("need 0 <= s < t <= t_max")
-    return cfg
+    return check_run(replace(cfg, **changes)) if changes else cfg
+
+
+def _check_drawable(sampler, grid, y) -> None:
+    """Reject a start mass whose started-mass Poisson mean y * gamma on some
+    cell of ``grid`` is beyond what the generator can draw."""
+    gamma = max(b / d for b, d in (sampler.kernels.bd(r0, r1)
+                                   for r0, r1 in zip(grid[:-1], grid[1:])))
+    if y * gamma > POISSON_MEAN_MAX:
+        raise ConfigError(
+            f"y={y:g} is too large to sample: the started-mass Poisson mean "
+            f"y*gamma={y * gamma:.3g} exceeds {POISSON_MEAN_MAX:.3g}")
 
 
 def cmd_validate(args) -> int:
@@ -81,11 +96,15 @@ def cmd_validate(args) -> int:
 
 def cmd_laplace(args) -> int:
     cfg = _override_run(load_config(args.config), args)
-    lams = [float(x) for x in args.lambdas.split(",")] if args.lambdas \
-        else list(cfg.lambda_grid)
+    if args.lambdas:
+        try:
+            lams = tuple(float(x) for x in args.lambdas.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--lambdas: {exc}") from exc
+        cfg = check_run(replace(cfg, lambda_grid=lams))
     eng = get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol,
                       nu_tol=cfg.nu_tol)
-    grid = np.asarray(lams, dtype=float)
+    grid = np.asarray(cfg.lambda_grid, dtype=float)
     if args.component == "K":
         vals, errs = eng.laplace_K(cfg.s, cfg.t, cfg.y, grid)
     elif args.component == "H":
@@ -106,6 +125,8 @@ def cmd_sample(args) -> int:
     cfg = _override_run(load_config(args.config), args)
     sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
                           delta=cfg.delta)
+    if args.component in ("K", "H"):
+        _check_drawable(sampler, (cfg.s, cfg.t), cfg.y)
     g = RngStream(cfg.seed, 0).generator()
     n = cfg.n_samples
     draw = {"K": lambda: sampler.sample_k(g, cfg.s, cfg.t, cfg.y, size=n),
@@ -135,6 +156,8 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
                           delta=cfg.delta)
+    if args.scheme == "exact_skeleton":
+        _check_drawable(sampler, grid, cfg.y)
     files = []
     for i in range(args.n_paths):
         stream = RngStream(cfg.seed, i)
@@ -178,7 +201,7 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    cfg = replace(cfg, workers=_default_workers(args, cfg))
+    cfg = check_run(replace(cfg, workers=_default_workers(args, cfg)))
     report = run_suite(args.suite, cfg)
     for line in report.lines():
         print(line)
@@ -199,6 +222,26 @@ def _write_lines(out, lines) -> None:
             fh.write("\n".join(lines) + "\n")
     else:
         sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _positive_int(text) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
+def _positive_float(text) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}")
+    if not 0.0 < v < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {v}")
+    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,8 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--scheme", choices=("euler", "exact_skeleton", "branching"),
                     required=True)
-    sp.add_argument("--step", type=float, default=None, help="grid step")
-    sp.add_argument("--n-paths", type=int, default=1)
+    sp.add_argument("--step", type=_positive_float, default=None,
+                    help="grid step")
+    sp.add_argument("--n-paths", type=_positive_int, default=1)
     sp.add_argument("--outdir", required=True)
     sp.set_defaults(fn=cmd_simulate)
 
@@ -247,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("config")
     sp.add_argument("--suite", choices=sorted(SUITES), required=True)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", "--workers", type=int, default=None,
+    sp.add_argument("--threads", "--workers", type=_positive_int, default=None,
                     dest="workers", help="worker cap for Monte Carlo batches")
     sp.add_argument("--json", default=None, help="write the report as JSON lines")
     sp.set_defaults(fn=cmd_verify)

@@ -27,7 +27,7 @@ Schema (all sections except ``model`` are optional)::
       workers: 1
       lambda_grid: [0.05, 0.1, 0.5, 1, 2, 5, 10, 20]
     controls:
-      n_cells: 64              # I-grid refinement
+      n_cells: 64              # refines only a non-piecewise-constant alpha
       delta: auto              # truncation level: auto | number
       step: 0.125              # Euler step
     tolerances:
@@ -52,6 +52,7 @@ Jump-measure kinds::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -64,7 +65,7 @@ from .errors import ConfigError
 from .jumps import DensityJumpMeasure, JumpMeasure, atoms
 from .verify import DEFAULT_LAMBDA_GRID
 
-__all__ = ["RunConfig", "load_config", "parse_config"]
+__all__ = ["RunConfig", "check_run", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
 
@@ -236,10 +237,33 @@ def parse_config(doc) -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run parameters: {exc}") from exc
-    if not (0.0 <= cfg.s < cfg.t <= coeffs.t_max):
+    return check_run(cfg)
+
+
+def check_run(cfg: RunConfig) -> RunConfig:
+    """Range checks on the run parameters and controls; raises
+    :class:`ConfigError` naming the first offending field."""
+    if not (0.0 <= cfg.s < cfg.t <= cfg.coeffs.t_max):
         raise ConfigError("run times must satisfy 0 <= s < t <= model.t_max")
-    if cfg.y < 0:
-        raise ConfigError("run.y must be nonnegative")
+    if not (0.0 <= cfg.y < math.inf):
+        raise ConfigError("run.y must be finite and nonnegative")
+    checks = (
+        ("run.n_samples", cfg.n_samples >= 1, "at least 1"),
+        ("run.seed", cfg.seed >= 0, "nonnegative"),
+        ("run.workers", cfg.workers >= 1, "at least 1"),
+        ("run.lambda_grid",
+         all(0.0 <= lam < math.inf for lam in cfg.lambda_grid),
+         "finite and nonnegative"),
+        ("controls.n_cells", cfg.n_cells >= 1, "at least 1"),
+        ("controls.delta", cfg.delta is None or 0.0 <= cfg.delta < math.inf,
+         "'auto' or a finite nonnegative number"),
+        ("controls.step", 0.0 < cfg.step < math.inf, "finite and positive"),
+        ("tolerances.kernel_tol", cfg.kernel_tol > 0.0, "positive"),
+        ("tolerances.nu_tol", cfg.nu_tol > 0.0, "positive"),
+    )
+    for field, ok, need in checks:
+        if not ok:
+            raise ConfigError(f"{field} must be {need}")
     return cfg
 
 

@@ -67,7 +67,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9       # absolute tolerance of kernel time-integrals
 DEFAULT_NU_TOL = 1e-8    # absolute tolerance of jump-measure integrals
-LAMBDA_MAX = 1e6         # beyond this the analytic limit Psi -> gamma is used
 
 
 @dataclass(frozen=True)
@@ -254,12 +253,12 @@ class TransitionKernels:
 
     @staticmethod
     def _psi_from_bd(B, D, lam):
+        """B lam / (1 + lam D) for every finite lam; the limit gamma = B/D
+        only at lam = inf."""
         lam = np.asarray(lam, dtype=float)
-        core = B * lam / (1.0 + lam * D)
         with np.errstate(divide="ignore", invalid="ignore"):
-            limit = np.where(np.asarray(D) > 0.0, B / np.where(D > 0, D, 1.0),
-                             lam)
-        out = np.where(lam > LAMBDA_MAX, limit, core)
+            out = np.where(np.isinf(lam), B / np.asarray(D, dtype=float),
+                           B * lam / (1.0 + lam * D))
         return out if lam.ndim else float(out)
 
     def psi(self, s, t, lam):

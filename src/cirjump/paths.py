@@ -87,6 +87,19 @@ def _deposits(grid, prm):
     return out
 
 
+def _coefficients_on(coeffs, grid):
+    """a, beta and sigma at the left end of every grid step, and the steps."""
+    left = grid[:-1]
+    return (np.asarray(coeffs.a(left), dtype=float),
+            np.asarray(coeffs.beta(left), dtype=float),
+            np.asarray(coeffs.sigma(left), dtype=float), np.diff(grid))
+
+
+def _euler_step(x, a, beta, sigma, h, z):
+    """One Euler-Maruyama step; the square root takes the positive part."""
+    return x + (a - beta * x) * h + sigma * np.sqrt(np.maximum(x, 0.0) * h) * z
+
+
 def euler_path(rng, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
                grid=None, delta: Optional[float] = None,
                y0: Optional[float] = None, seed_info=None) -> PathRealization:
@@ -97,15 +110,12 @@ def euler_path(rng, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
     prm = sampler.sample_prm(g, grid[0], grid[-1])
     dep = _deposits(grid, prm)
     z = g.standard_normal(grid.size - 1)
+    a, beta, sigma, h = _coefficients_on(coeffs, grid)
     x = np.empty(grid.size)
     x[0] = coeffs.x0 if y0 is None else float(y0)
     for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        tk = grid[k]
-        x[k + 1] = (x[k]
-                    + (coeffs.a(tk) - coeffs.beta(tk) * x[k]) * h
-                    + coeffs.sigma(tk) * np.sqrt(max(x[k], 0.0) * h) * z[k]
-                    + dep[k + 1])
+        x[k + 1] = _euler_step(x[k], a[k], beta[k], sigma[k], h[k],
+                               z[k]) + dep[k + 1]
     return PathRealization(grid, x, prm, seed_info, "euler")
 
 
@@ -121,14 +131,11 @@ def euler_terminal_batch(rng, coeffs, nu, s, t, n_steps, size,
         cols = np.clip(np.searchsorted(grid, times, side="left"),
                        1, grid.size - 1)
         np.add.at(dep, (rows, cols), sizes)
+    a, beta, sigma, h = _coefficients_on(coeffs, grid)
     x = np.full(size, coeffs.x0 if y0 is None else float(y0))
     for k in range(grid.size - 1):
-        h = grid[k + 1] - grid[k]
-        tk = grid[k]
         z = g.standard_normal(size)
-        x = (x + (coeffs.a(tk) - coeffs.beta(tk) * x) * h
-             + coeffs.sigma(tk) * np.sqrt(np.maximum(x, 0.0) * h) * z
-             + dep[:, k + 1])
+        x = _euler_step(x, a[k], beta[k], sigma[k], h[k], z) + dep[:, k + 1]
     return x
 
 
@@ -136,9 +143,9 @@ def exact_skeleton(rng, coeffs, nu=None, grid=None, n_cells=None, delta=None,
                    y0=None, seed_info=None) -> PathRealization:
     """Path sampled at grid times from the exact one-step transition law.
 
-    Marginals at grid times carry no step-size bias (up to the I-grid and
-    truncation controls); individual jumps are integrated out, so no jump
-    marks are attached.
+    Marginals at grid times carry no step-size bias (up to the truncation
+    level, and the I-grid of a non-piecewise-constant ``alpha``); individual
+    jumps are integrated out, so no jump marks are attached.
     """
     g = _as_generator(rng)
     grid = _grid_checked(grid)
@@ -159,16 +166,14 @@ def _absorbed_batch(g, coeffs, grid, start_idx, start_val):
     column, and is absorbed at its first nonpositive grid value.
     """
     n = start_val.size
+    _, beta, sigma, h = _coefficients_on(coeffs, grid)
     vals = np.zeros((n, grid.size))
     x = np.zeros(n)
     for k in range(grid.size - 1):
         x = np.where(start_idx == k, start_val, x)
         vals[:, k] = x
-        h = grid[k + 1] - grid[k]
-        tk = grid[k]
         z = g.standard_normal(n)
-        step = x - coeffs.beta(tk) * x * h \
-            + coeffs.sigma(tk) * np.sqrt(np.maximum(x, 0.0) * h) * z
+        step = _euler_step(x, 0.0, beta[k], sigma[k], h[k], z)
         x = np.where(x > 0.0, np.maximum(step, 0.0), 0.0)
     x = np.where(start_idx == grid.size - 1, start_val, x)
     vals[:, -1] = x
@@ -196,8 +201,9 @@ def branching_path(rng, coeffs, nu, s, t, y, delta=None, grid=None,
                    n_cells=None, seed_info=None) -> PathRealization:
     """Superposition realizing the branching construction at truncation delta.
 
-    Pieces: the started mass (s, y); one immigration piece per I-grid cell
-    with Gamma(alpha_cell, p(cell)) mass at the cell's right end; one piece
+    Pieces: the started mass (s, y); one immigration piece per cell of the
+    sampler's uniform ``cell_grid`` (``n_cells`` cells, knots included) with
+    Gamma(alpha_cell, p(cell)) mass at the cell's right end; one piece
     per realized jump point (T_i, Y_i), started at the first grid time at or
     after T_i. Each piece is an absorbed square-root diffusion driven by its
     own noise.
@@ -217,7 +223,9 @@ def branching_path(rng, coeffs, nu, s, t, y, delta=None, grid=None,
         starts.extend(idx.tolist())
         masses.extend(prm.sizes.tolist())
     if coeffs.a.max_on(s, t) > 0.0:
-        cells = sampler.i_grid(s, t, n_cells)
+        # uniform cells even where alpha is piecewise constant: they set the
+        # times at which immigration enters the path
+        cells = sampler.cell_grid(s, t, n_cells)
         for r0, r1 in zip(cells[:-1], cells[1:]):
             alpha = float(coeffs.alpha(0.5 * (r0 + r1)))
             if alpha <= 0.0:

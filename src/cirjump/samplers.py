@@ -11,11 +11,16 @@ draw M ~ Poisson(y gamma(s,t)); M = 0 gives an exact zero (the atom at 0),
 otherwise the value is Gamma(shape M, rate p(s,t)).
 
 ``I`` -- the continuous-input component. On a grid s = r_0 < ... < r_n = t,
-draw U_j ~ Gamma(alpha_j, p(r_{j-1}, r_j)) with alpha_j = 2 a / sigma^2
+draw U_j ~ Gamma(alpha_j, rate p(r_{j-1}, r_j)) with alpha_j = 2 a / sigma^2
 evaluated inside the cell, and propagate each U_j from r_j to t through H.
-When ``alpha`` is constant on every cell (piecewise-constant coefficients on
-an aligned grid) each cell factor is exact and the sum has exactly the law
-of I; otherwise the law converges weakly as the grid refines.
+The draw is exact, one cell per constant-``alpha`` piece: with
+D(v,t) = B(0,t) C(v,t), sigma^2/2 Psi_{v,t}(lam) = -d/dv log(1 + lam D(v,t)),
+so on a piece with constant ``alpha`` the cell factor equals
+((1 + lam D(r_{j-1},t)) / (1 + lam D(r_j,t)))^-alpha, the exact transform of
+I over that piece. When ``a`` and ``sigma`` are piecewise constant the cells
+are therefore s, their knots inside (s, t), and t; ``n_cells`` refines only a
+non-piecewise-constant ``alpha``, whose law converges weakly as the grid
+refines.
 
 ``ITilde`` -- the jump-input component. Realize the driving Poisson random
 measure on (s, t] x (delta, inf) (times by thinning with rate
@@ -57,7 +62,7 @@ __all__ = [
 ]
 
 DELTA_BUDGET = 4.0 ** -8   # default sqrt-tail budget for the truncation level
-DEFAULT_CELLS = 64         # default refinement of the I-grid
+DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +86,11 @@ class TransitionSampler:
 
     ``delta`` is the truncation level for the jump measure; by default it is
     0 for finite-activity measures and the largest level whose sqrt-tail
-    diagnostic stays under ``DELTA_BUDGET`` otherwise. ``n_cells`` controls
-    the I-grid refinement (cells never wider than (t-s)/n_cells, knots of the
-    input and volatility functions always included).
+    diagnostic stays under ``DELTA_BUDGET`` otherwise. ``n_cells`` refines
+    the I-grid of a non-piecewise-constant ``alpha`` (cells never wider than
+    (t-s)/n_cells, knots of the input and volatility functions always
+    included); with piecewise-constant ``a`` and ``sigma`` the I-grid is one
+    exact cell per constant-``alpha`` piece.
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -95,6 +102,8 @@ class TransitionSampler:
         if self.n_cells < 1:
             raise ValueError("n_cells must be at least 1")
         self.kernels = kernels if kernels is not None else get_kernels(coeffs, nu)
+        self.alpha_piecewise_constant = (coeffs.a.is_piecewise_constant
+                                         and coeffs.sigma.is_piecewise_constant)
         if nu is None:
             self.delta = 0.0
         elif delta is None:
@@ -115,8 +124,14 @@ class TransitionSampler:
         return self._marks
 
     def i_grid(self, s, t, n=None):
-        """Cell boundaries of the continuous-input grid on [s, t]: knots of
-        the input and volatility functions plus a uniform refinement."""
+        """Cells ``sample_i`` draws on: one per constant-``alpha`` piece when
+        ``a`` and ``sigma`` are piecewise constant (``n`` is then ignored),
+        else ``cell_grid(s, t, n)``."""
+        return self.cell_grid(s, t, 1 if self.alpha_piecewise_constant else n)
+
+    def cell_grid(self, s, t, n=None):
+        """Knots of the input and volatility functions on [s, t], each piece
+        refined into cells no wider than (t-s)/n (default ``n_cells``)."""
         n = self.n_cells if n is None else int(n)
         knots = self.coeffs.breakpoints(s, t, which=("a", "sigma"))
         edges = np.concatenate(([s], knots, [t]))
@@ -169,7 +184,9 @@ class TransitionSampler:
         return float(x[0]) if scalar else x
 
     def sample_i(self, rng, s, t, n=None, size=None):
-        """Draw from the continuous-input component I_{s,t}."""
+        """Draw from the continuous-input component I_{s,t}: one
+        Gamma(alpha, rate p(r0, r1)) per cell of ``i_grid``, pushed to t
+        through H."""
         g = _as_generator(rng)
         m = 1 if size is None else int(size)
         acc = np.zeros(m)
@@ -229,7 +246,8 @@ class TransitionLaw:
     and Laplace-transform evaluations.
 
     ``y`` is ignored for the input components I and ITilde, which start at
-    zero. ``n`` refines the I-grid; ``delta`` truncates the jump measure.
+    zero. ``n`` refines the I-grid of a non-piecewise-constant ``alpha``;
+    ``delta`` truncates the jump measure.
     """
 
     coeffs: CoefficientSet

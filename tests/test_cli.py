@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -229,3 +230,88 @@ class TestVerifyCommand:
                          "--workers", str(w), "--json", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
+
+# SHA-256 over path_0000..0002.csv of `simulate --step 0.0625 --n-paths 3
+# --seed 17`, recorded with the per-step coefficient evaluation that
+# preceded the shared Euler step; hoisting must not move a single bit
+PATH_DIGESTS = {
+    ("classical_cir", "euler"):
+        "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
+    ("classical_cir", "branching"):
+        "5b3eb8da78e035a5ca98ea13f180c79de955a5e05826178c9578a135e7dc7034",
+    ("infinite_activity", "euler"):
+        "5ff1157cd1217b9f25cf192b75ba8b5817f0652f1d40e3910878e074e4e258ca",
+    ("infinite_activity", "branching"):
+        "ac9c8211062f13bc4a3ad1e9c359ff5f485b18f285d11e0459b14792d06b636a",
+    ("jump_model", "euler"):
+        "3c07ab2827c455aed307288f5b738976983558220b470c73a2e751df01742c3e",
+    ("jump_model", "branching"):
+        "df58a22d56203da9149978880887a1fcb8cfcec39f2fa89246dd723fece5f2d1",
+}
+
+
+@pytest.mark.parametrize("config,scheme", sorted(PATH_DIGESTS))
+def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
+    outdir = str(tmp_path / "paths")
+    assert main(["simulate", os.path.join(DEMO_CONFIGS, config + ".yaml"),
+                 "--scheme", scheme, "--step", "0.0625", "--n-paths", "3",
+                 "--seed", "17", "--outdir", outdir]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256()
+    for i in range(3):
+        with open(os.path.join(outdir, f"path_{i:04d}.csv"), "rb") as fh:
+            digest.update(fh.read())
+    assert digest.hexdigest() == PATH_DIGESTS[(config, scheme)]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestUsageErrors:
+    """Malformed configuration or usage exits with 2, without a traceback."""
+
+    def test_zero_cells(self, tmp_path, capsys):
+        p = tmp_path / "cells.yaml"
+        p.write_text(GOOD.replace("n_cells: 16", "n_cells: 0"))
+        assert _exit_code(["sample", str(p), "--n", "3"]) == 2
+        assert "controls.n_cells" in capsys.readouterr().err
+
+    def test_zero_step(self, tmp_path, capsys):
+        p = tmp_path / "step.yaml"
+        p.write_text(GOOD.replace("step: 0.25", "step: 0"))
+        assert _exit_code(["simulate", str(p), "--scheme", "euler",
+                           "--outdir", str(tmp_path / "out")]) == 2
+        assert "controls.step" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_zero_step_flag(self, cfg, tmp_path):
+        assert _exit_code(["simulate", cfg, "--scheme", "euler", "--step",
+                           "0", "--outdir", str(tmp_path / "out")]) == 2
+
+    def test_negative_sample_count(self, cfg, capsys):
+        assert _exit_code(["sample", cfg, "--n", "-5"]) == 2
+        assert "run.n_samples" in capsys.readouterr().err
+
+    def test_start_mass_too_large_to_sample(self, cfg, capsys):
+        assert _exit_code(["sample", cfg, "--y", "1e30", "--n", "3"]) == 2
+        assert "too large to sample" in capsys.readouterr().err
+
+    def test_zero_workers(self, cfg):
+        assert _exit_code(["verify", cfg, "--suite", "kernels",
+                           "--workers", "0"]) == 2
+
+    def test_zero_workers_from_environment(self, cfg, monkeypatch):
+        monkeypatch.setenv("CIRJUMP_THREADS", "0")
+        assert _exit_code(["verify", cfg, "--suite", "kernels"]) == 2
+
+    def test_negative_lambda(self, cfg, capsys):
+        assert _exit_code(["laplace", cfg, "--lambdas=-1,2"]) == 2
+        assert "lambda_grid" in capsys.readouterr().err

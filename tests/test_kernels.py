@@ -116,9 +116,30 @@ class TestPsi:
         assert np.all(vals <= kv.gamma)
 
     def test_large_lambda_limit(self, pc_coeffs):
+        # Psi(lam) = gamma lam D / (1 + lam D) with D = 1/p: the limit gamma
+        # is attained at lam = inf and approached from below with relative
+        # gap 1 / (1 + lam D)
         eng = get_kernels(pc_coeffs)
         kv = eng.kernel_value(0.1, 1.9)
-        assert eng.psi(0.1, 1.9, 1e9) == pytest.approx(kv.gamma, rel=1e-12)
+        assert eng.psi(0.1, 1.9, np.inf) == pytest.approx(kv.gamma, rel=1e-12)
+        for lam in (1e6, 1e9):
+            gap = 1.0 - eng.psi(0.1, 1.9, lam) / kv.gamma
+            assert gap == pytest.approx(1.0 / (1.0 + lam / kv.p), rel=1e-3)
+
+    @pytest.mark.parametrize("lam", [0.99e6, 1e6, 1.01e6, 1e8])
+    def test_no_cliff_on_short_intervals(self, lam):
+        # on a 1e-8 interval lam D is about 0.005 at lam = 1e6, so Psi is
+        # still far below its limit gamma = B/D (about 2e8) on both sides of
+        # 1e6; reference: the constant-coefficient closed form with expm1
+        c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(0.0),
+                              beta=cj.constant(1.0), sigma=cj.constant(1.0),
+                              t_max=2.0)
+        s, h = 0.5, 1e-8
+        B = math.exp(-h)
+        D = 0.5 * -math.expm1(-h)
+        want = B * lam / (1.0 + lam * D)
+        assert cj.psi(c, s, s + h, lam) == pytest.approx(want, rel=1e-8)
+        assert cj.psi(c, s, s + h, np.inf) == pytest.approx(B / D, rel=1e-6)
 
     def test_functional_iteration(self, pc_coeffs, lambda_grid):
         eng = get_kernels(pc_coeffs)

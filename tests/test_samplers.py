@@ -97,6 +97,56 @@ class TestSampleI:
         mc = moment_check_from_sums(stats, alpha / kv.p, alpha / kv.p ** 2)
         assert mc.passed
 
+    def test_piece_grid_is_knots(self, pc_coeffs):
+        # piecewise-constant a and sigma: one cell per constant-alpha piece,
+        # whatever n_cells asks for
+        coarse = cj.TransitionSampler(pc_coeffs, n_cells=1)
+        fine = cj.TransitionSampler(pc_coeffs, n_cells=64)
+        for s, t, want in ((0.2, 1.4, [0.2, 0.6, 0.7, 1.4]),
+                           (0.65, 1.9, [0.65, 0.7, 1.9]),
+                           (0.6, 0.7, [0.6, 0.7])):
+            assert coarse.i_grid(s, t).tolist() == want
+            assert fine.i_grid(s, t).tolist() == want
+            assert fine.i_grid(s, t, n=16).tolist() == want
+        a = coarse.sample_i(RngStream(65).generator(), 0.2, 1.4, size=2000)
+        b = fine.sample_i(RngStream(65).generator(), 0.2, 1.4, size=2000)
+        assert np.array_equal(a, b)
+
+    def test_constant_coefficients_one_gamma(self):
+        # a single piece: I_{s,t} is Gamma(alpha, scale D(s, t)) drawn as is
+        alpha = 1.8
+        c = cj.CoefficientSet(a=cj.constant(alpha * 0.5),
+                              a_tilde=cj.constant(0.0),
+                              beta=cj.constant(1.0), sigma=cj.constant(1.0),
+                              t_max=2.0)
+        s, t = 0.2, 1.4
+        sampler = cj.TransitionSampler(c)
+        _, D = sampler.kernels.bd(s, t)
+        got = sampler.sample_i(RngStream(66).generator(), s, t, size=1000)
+        want = RngStream(66).generator().gamma(alpha, D, 1000)
+        assert np.array_equal(got, want)
+
+    def test_knot_aligned_interval_transform(self, pc_coeffs):
+        # both ends on knots (a jumps at 0.6, sigma at 0.7): a single cell,
+        # checked against the quadrature transform
+        s, t = 0.6, 0.7
+        sampler = get_sampler(pc_coeffs)
+        assert sampler.i_grid(s, t).size == 2
+        analytic, _ = get_kernels(pc_coeffs).laplace_I(s, t, _grid())
+        cmp = transform_comparison(
+            lambda g, m: sampler.sample_i(g, s, t, size=m),
+            analytic, _grid(), N, seed=67, label="I-knots")
+        assert cmp.passed
+
+    def test_non_piecewise_alpha_is_refined(self):
+        c = cj.CoefficientSet(a=cj.piecewise_linear([0.0, 2.0], [0.2, 2.0]),
+                              a_tilde=cj.constant(0.0),
+                              beta=cj.constant(1.0), sigma=cj.constant(1.0),
+                              t_max=2.0)
+        sampler = cj.TransitionSampler(c, n_cells=16)
+        assert sampler.i_grid(0.2, 1.8).size == 17
+        assert sampler.i_grid(0.2, 1.8, n=4).size == 5
+
     def test_refinement_ladder(self):
         # piecewise-linear input rate: the cell law is only exact in the
         # limit, and the transform discrepancy shrinks as the grid refines
