@@ -12,6 +12,22 @@ Small-y convergence for density measures is decided by the *declared*
 exponent rho (density ~ c * y**-(1+rho) as y -> 0), never by numerical
 probing; quadrature cannot certify divergence. Certificates are computed
 once and cached on the measure.
+
+Every measure also exposes a fixed weighted node set ``nodes = (y, w)``, and
+the jump kernel ``int (1 - exp(-y c)) nu(dy)`` is the one sum
+``w . -expm1(-c (x) y)`` for both kinds of measure. For atoms the nodes are
+the atoms. A density gets order-16 Gauss-Legendre panels on a geometric grid
+(edge ratio at most 2) from ``max(lower, 1e-14)`` to a tail cap, weighted by
+the density; on ``(0, 1e-14]`` one head atom matches ``int y nu`` and
+``int y^2 nu``, so the kernel is exact there to second order in ``c y``; the
+mass beyond the cap (at most 1e-13) sits in one atom at the cap. The panels
+resolve ``1 - exp(-c y)`` at every scale ``1/c`` above the floor. On
+tempered-power densities the relative error of the sum is below 1e-12 for
+``c`` up to 1e9 and about 2e-11 at 1e10; beyond that it grows like
+``(1e-14 c)^2``, where the head atom no longer resolves ``1 - exp(-c y)``.
+The set is built once per measure (``TransitionKernels`` builds it when the
+engine is made), and the product ``c (x) y`` is formed in blocks of
+``BLOCK_ROWS`` rows of ``c`` so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -22,9 +38,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import InvalidDelta, NonIntegrable, RestrictiveConditionViolated
 from .numerics import gauss_legendre_panels, integrate
@@ -44,6 +57,31 @@ __all__ = [
 
 NU_TOL = 1e-10          # default absolute tolerance for measure integrals
 _TAIL_EPS = 1e-13       # relative mass ignored beyond the tabulated tail
+NODE_FLOOR = 1e-14      # lowest panel edge of a density on (0, inf)
+NODE_RATIO = 2.0        # largest edge ratio of the geometric density panels
+NODE_TAIL = 1e-13       # density mass beyond the cap, kept as one atom
+BLOCK_ROWS = 256        # rows of c per block of the c (x) y product
+
+
+def one_minus_exp_sum(nodes, c):
+    """``sum_i w_i (1 - exp(-c y_i))`` for scalar or array ``c >= 0``.
+
+    ``nodes`` is ``(y, w)``. The product ``c (x) y`` is formed in one buffer
+    of ``BLOCK_ROWS`` rows, reused for every block of ``c``.
+    """
+    y, w = nodes
+    c = np.asarray(c, dtype=float)
+    flat = c.ravel()
+    out = np.empty(flat.size)
+    buf = np.empty((min(flat.size, BLOCK_ROWS), y.size))
+    neg_y, neg_w = -y, -w
+    for i in range(0, flat.size, BLOCK_ROWS):
+        blk = buf[:min(BLOCK_ROWS, flat.size - i)]
+        np.multiply.outer(flat[i:i + blk.shape[0]], neg_y, out=blk)
+        np.expm1(blk, out=blk)
+        blk *= neg_w
+        blk.sum(axis=1, out=out[i:i + blk.shape[0]])
+    return out.reshape(c.shape) if c.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -80,9 +118,16 @@ class JumpMeasure:
         """(value, error) of ``int g(y) nu(dy)`` over the support."""
         raise NotImplementedError
 
-    def one_minus_exp_integral(self, c, tol: float = NU_TOL):
-        """``int (1 - exp(-y c)) nu(dy)`` for scalar or array ``c >= 0``."""
+    @property
+    def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Fixed weighted node set ``(y, w)`` of the jump kernel."""
         raise NotImplementedError
+
+    def one_minus_exp_integral(self, c, tol: float = NU_TOL):
+        """``int (1 - exp(-y c)) nu(dy)`` for scalar or array ``c >= 0``,
+        as the weighted sum over ``nodes``. ``tol`` is accepted for
+        interface compatibility; the node set has a fixed accuracy."""
+        return one_minus_exp_sum(self.nodes, c)
 
     def sqrt_tail(self, delta: float) -> float:
         """Truncation diagnostic ``int_(0, delta] sqrt(y) nu(dy)``."""
@@ -146,6 +191,7 @@ class _TableMarks(MarkSampler):
         keep = np.concatenate(([True], np.diff(cdf) > 0))
         cdf, edges = cdf[keep], edges[keep]
         self.mass = float(mass)
+        from scipy.interpolate import PchipInterpolator   # deferred: slow import
         self._inv = PchipInterpolator(cdf / cdf[-1], edges)
 
     def sample(self, rng, size):
@@ -191,10 +237,9 @@ class DiscreteJumpMeasure(JumpMeasure):
     def integral(self, g, tol=NU_TOL, g_exponent_at_zero=None):
         return float(np.sum(self._w * np.asarray(g(self._y), dtype=float))), 0.0
 
-    def one_minus_exp_integral(self, c, tol=NU_TOL):
-        c = np.asarray(c, dtype=float)
-        out = np.sum(self._w * -np.expm1(-np.multiply.outer(c, self._y)), axis=-1)
-        return out if c.ndim else float(out)
+    @property
+    def nodes(self):
+        return self._y, self._w
 
     def sqrt_tail(self, delta):
         keep = self._y <= delta
@@ -293,36 +338,39 @@ class DensityJumpMeasure(JumpMeasure):
                         singular_exponent=exp0)
         return res.value
 
-    def one_minus_exp_integral(self, c, tol=NU_TOL):
-        c = np.asarray(c, dtype=float)
-        shape = c.shape
-        cf = np.atleast_1d(c).ravel()
-        out = np.zeros_like(cf)
-        pos = cf > 0
-        if np.any(pos):
-            cp = cf[pos]
-
-            def f(y):
-                return -np.expm1(-y * cp) * self.density(y)
-
+    @cached_property
+    def nodes(self):
+        """Gauss-Legendre panels weighted by the density, with a head atom
+        for ``lower == 0`` and a tail atom at the cap (module docstring)."""
+        if self.lower == 0.0 and self.rho is not None and self.rho >= 1.0:
+            raise NonIntegrable(
+                f"declared exponent rho={self.rho} >= 1: int (y & 1) nu(dy) diverges")
+        lo = self.lower if self.lower > 0.0 else NODE_FLOOR
+        cap, tail = self._tail_cap(lo, NODE_TAIL)
+        n = max(1, math.ceil(math.log(cap / lo) / math.log(NODE_RATIO)))
+        y, w = gauss_legendre_panels(np.geomspace(lo, cap, n + 1), order=16)
+        w = w * np.asarray(self.density(y), dtype=float)
+        ys, ws = [y, [cap]], [w, [tail]]
+        if self.lower == 0.0:
             dz = self._zero_exponent()
-            if self.lower == 0.0 and dz is not None:
-                # integrand ~ y**(1 + dz); substitute to flatten it
-                q = 1.0 / (2.0 + dz)
+            m1, m2 = (integrate(lambda v, k=k: v ** k * self.density(v), 0.0, lo,
+                                tol=NU_TOL,
+                                singular_exponent=None if dz is None else k + dz).value
+                      for k in (1, 2))
+            if m1 > 0.0:
+                ys.insert(0, [m2 / m1])
+                ws.insert(0, [m1 * m1 / m2])
+        return np.concatenate(ys), np.concatenate(ws)
 
-                def g(w):
-                    y = w ** q
-                    return f(y) * q * w ** (q - 1.0)
-
-                v1, _ = quad_vec(g, 0.0, 1.0, epsabs=tol, epsrel=tol)
-                v2, _ = quad_vec(f, 1.0, np.inf, epsabs=tol, epsrel=tol)
-                out[pos] = v1 + v2
-            else:
-                v, _ = quad_vec(f, self.lower, np.inf, epsabs=tol, epsrel=tol,
-                                points=[max(self.lower, 1.0) * 2])
-                out[pos] = v
-        out = out.reshape(shape) if shape else float(out[0])
-        return out
+    def _tail_cap(self, lo, threshold):
+        """(cap, mass beyond cap): the cap doubles from ``max(2 lo, 1)`` until
+        the mass beyond it is at most ``threshold``."""
+        cap = max(2.0 * lo, 1.0)
+        while True:
+            tail = integrate(self.density, cap, np.inf, tol=NU_TOL).value
+            if tail <= threshold:
+                return cap, tail
+            cap *= 2.0
 
     def sqrt_tail(self, delta):
         if delta <= self.lower:
@@ -357,10 +405,7 @@ class DensityJumpMeasure(JumpMeasure):
                 if head <= 1e-12 * total or lo < 1e-280:
                     break
                 lo /= 16.0
-        cap = max(2.0 * lo, 1.0)
-        while integrate(self.density, cap, np.inf, tol=NU_TOL).value \
-                > _TAIL_EPS * total:
-            cap *= 2.0
+        cap, _ = self._tail_cap(lo, _TAIL_EPS * total)
         return _TableMarks(self.density, lo, cap, total)
 
 
@@ -410,6 +455,8 @@ def delta_for_budget(nu: JumpMeasure, budget: float) -> float:
         if lo < 1e-200:
             raise NonIntegrable(
                 "no representable truncation level reaches this budget")
+    from scipy.optimize import brentq   # deferred: scipy.optimize is slow to import
+
     root = brentq(lambda ld: nu.sqrt_tail(math.exp(ld)) - target,
                   math.log(lo), 0.0, xtol=1e-13, rtol=1e-14)
     return float(math.exp(root))

@@ -34,6 +34,17 @@ piecewise constant the primitives are exact closed forms per segment;
 otherwise they are tabulated by per-panel Gauss-Legendre quadrature with
 cubic-Hermite evaluation between panel ends (derivatives of both primitives
 are known exactly).
+
+The time integral of the transforms is a fixed rule
+(``numerics.panel_integral``): order-16 Gauss-Legendre panels whose edges
+are s, t and the coefficient breakpoints, no wider than 1/32 of the
+coefficients' smoothness scale, and graded geometrically (ratio 2) toward
+v = t down to the scale ``2 / (lam_max sigma_max^2)`` below which
+``Psi_{v,t}(lam)`` is nearly linear in v. The error estimate is the
+difference from order 8 on the same panels; panels above the tolerance are
+bisected a bounded number of times and the final estimate is returned as it
+is. ``PsiTilde`` at every node is the fixed node-set sum of the jump measure
+(``jumps.one_minus_exp_sum``), built when the engine is made.
 """
 
 from __future__ import annotations
@@ -45,11 +56,11 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .coefficients import CoefficientSet
 from .errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
-from .jumps import JumpMeasure
+from .jumps import JumpMeasure, one_minus_exp_sum
+from .numerics import panel_integral
 
 __all__ = [
     "KernelValue",
@@ -203,8 +214,10 @@ class TransitionKernels:
     """Evaluator of kernel quantities and transition-law transforms.
 
     Pure functions over an immutable coefficient set (plus an optional jump
-    measure); instances cache the shared primitive grid and can be used
-    concurrently.
+    measure). The shared primitive grid and the jump measure's node set are
+    built here, once, so instances hold no state that changes afterwards
+    and can be used concurrently. ``tol`` bounds the time integrals;
+    ``nu_tol`` is kept for callers, the node sets having a fixed accuracy.
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -214,7 +227,7 @@ class TransitionKernels:
         self.tol = tol
         self.nu_tol = nu_tol
         self.table = _PrimitiveTable(coeffs)
-        self._beta_warned = False
+        self._nu_nodes = None if nu is None else nu.nodes
 
     # -- kernel quantities -------------------------------------------------
 
@@ -272,35 +285,46 @@ class TransitionKernels:
         if self.nu is None:
             raise ValueError("psi_tilde needs a jump measure")
         psi_vals = self.psi(s, t, lam)
-        return self.nu.one_minus_exp_integral(psi_vals, tol=self.nu_tol)
+        return one_minus_exp_sum(self._nu_nodes, psi_vals)
 
     # -- transforms --------------------------------------------------------
 
-    def _outer_points(self, s, t):
-        pts = self.coeffs.breakpoints(s, t)
-        return [float(p) for p in pts]
+    def _v_panels(self, s, t, lam):
+        """Panel edges of the time integral over [s, t] (module docstring)."""
+        co = self.coeffs
+        edges = [np.array([s, t]), co.breakpoints(s, t)]
+        lam_max = float(np.max(lam, initial=0.0, where=np.isfinite(lam)))
+        if lam_max > 0.0:
+            scale = 2.0 / (lam_max * co.sigma.max_on(s, t) ** 2)
+            grade = math.ceil(math.log2((t - s) / scale)) if t - s > scale else 0
+            edges.append(t - (t - s) * 0.5 ** np.arange(1, grade + 1))
+        edges = np.unique(np.concatenate(edges))
+        hmax = co.smoothness_scale() / 32.0
+        if math.isfinite(hmax):
+            n = np.maximum(np.ceil(np.diff(edges) / hmax).astype(int), 1)
+            edges = np.concatenate([np.linspace(lo, hi, k + 1)[:-1] for lo, hi, k
+                                    in zip(edges[:-1], edges[1:], n)] + [[t]])
+        return edges
 
     def _exponent_integral(self, s, t, lam, use_a, use_atilde):
-        """int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}](lam) dv, vectorized in lam."""
+        """int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}](lam) dv, vectorized in
+        lam; returns (value, error estimate), one entry per lam."""
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         a, at = self.coeffs.a, self.coeffs.a_tilde
         if use_atilde and self.nu is None:
             raise ValueError("transform with jump input needs a jump measure")
 
         def integrand(v):
-            B, D = self.bd_vec(np.asarray(v), t)
-            psi_v = B * lam / (1.0 + lam * D)
-            out = np.zeros_like(lam)
+            B, D = self.bd_vec(v, t)
+            psi_v = self._psi_from_bd(B[:, None], D[:, None], lam)
+            out = np.zeros_like(psi_v)
             if use_a:
-                out = out + a(v) * psi_v
+                out += a(v)[:, None] * psi_v
             if use_atilde:
-                out = out + at(v) * self.nu.one_minus_exp_integral(
-                    psi_v, tol=self.nu_tol)
+                out += at(v)[:, None] * one_minus_exp_sum(self._nu_nodes, psi_v)
             return out
 
-        val, err = quad_vec(integrand, s, t, epsabs=self.tol, epsrel=1e-12,
-                            points=self._outer_points(s, t) or None)
-        return val, err
+        return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)
 
     def laplace_H(self, s, t, y, lam):
         """Transform of the component started from mass y (no input)."""
@@ -339,12 +363,11 @@ class TransitionKernels:
         self._check_lam(lam)
         if y < 0:
             raise ValueError("y must be nonnegative")
-        if not self.coeffs.beta_strictly_positive and not self._beta_warned:
+        if not self.coeffs.beta_strictly_positive:
             warnings.warn(
                 "mean reversion is not strictly positive; the transform "
                 "formula is applied outside its proved hypothesis",
                 BetaNotStrictlyPositiveWarning, stacklevel=2)
-            self._beta_warned = True
         use_atilde = self.coeffs.a_tilde.max_on(s, t) > 0.0
         use_a = self.coeffs.a.max_on(s, t) > 0.0
         if use_a or use_atilde:

@@ -1,10 +1,16 @@
-"""Shared deterministic numerics: adaptive quadrature and reproducible
+"""Shared deterministic numerics: quadrature rules and reproducible
 random-variate streams.
 
-Quadrature wraps the adaptive Gauss-Kronrod integrator from scipy, adding
-forced breakpoints (knots of piecewise coefficient functions must be
-subdivision boundaries) and a power substitution that removes declared
-algebraic endpoint singularities.
+Two quadratures live here. ``integrate`` wraps the adaptive Gauss-Kronrod
+integrator from scipy, adding forced breakpoints (knots of piecewise
+coefficient functions must be subdivision boundaries) and a power
+substitution that removes declared algebraic endpoint singularities; it
+serves the one-off measure integrals (certificates, masses, truncation
+diagnostics). ``panel_integral`` is the fixed rule of the transforms: order
+16 Gauss-Legendre on caller-given panels, with an error estimate from order
+8 on the same panels and a bounded number of bisections of the panels whose
+estimate is too large. ``gauss_legendre_panels`` gives the nodes and
+weights of such panels for callers that build their own node sets.
 
 Random streams are built on the counter-based Philox generator keyed by
 ``(seed, stream_id)`` through ``numpy.random.SeedSequence``, so a worker
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BoundViolated, NonIntegrable
 
@@ -26,6 +31,7 @@ __all__ = [
     "QuadratureResult",
     "RngStream",
     "integrate",
+    "panel_integral",
     "gamma_sample",
     "poisson_sample",
     "inhomogeneous_poisson_times",
@@ -52,7 +58,15 @@ class QuadratureResult:
             raise ValueError("evaluations must be at least 1")
 
 
+BISECT_ROUNDS = 6         # bisection rounds of panel_integral
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL8 = np.polynomial.legendre.leggauss(8)
+
+
 def _quad_piece(f, lo, hi, tol, points=None):
+    from scipy.integrate import quad   # deferred: scipy.integrate is slow to import
+
     out = quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=500,
                points=points, full_output=1)
     value, err, info = out[0], out[1], out[2]
@@ -227,6 +241,46 @@ def inhomogeneous_poisson_times(
         raise BoundViolated(
             f"rate exceeded declared bound {rate_bound} during thinning")
     return np.sort(times[u * rate_bound < r])
+
+
+def panel_integral(f, edges, tol: float):
+    """Integral of a vector-valued ``f`` over ``[edges[0], edges[-1]]``.
+
+    ``f`` maps an array of m points to an ``(m, k)`` array. Each panel
+    ``[edges[i], edges[i+1]]`` is integrated by Gauss-Legendre of order 16,
+    and its error is estimated as the difference from order 8 on the same
+    panel. A panel whose estimate, at its largest over the k components,
+    exceeds ``tol`` divided by the initial panel count is bisected and
+    integrated again, for at most ``BISECT_ROUNDS`` rounds; the panels still
+    above it after the last round are kept as they are.
+
+    Returns ``(value, error_estimate)``, each of shape ``(k,)``; the estimate
+    is the sum of the final panels' estimates, whether or not it meets
+    ``tol``.
+    """
+    lo = np.asarray(edges[:-1], dtype=float)
+    hi = np.asarray(edges[1:], dtype=float)
+    limit = tol / lo.size
+    x = np.concatenate((_GL16[0], _GL8[0]))
+    value = error = 0.0
+    for rnd in range(BISECT_ROUNDS + 1):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        vals = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()), dtype=float)
+        vals = vals.reshape(lo.size, x.size, -1)
+        q16 = (vals[:, :16] * _GL16[1][:, None]).sum(axis=1) * half[:, None]
+        q8 = (vals[:, 16:] * _GL8[1][:, None]).sum(axis=1) * half[:, None]
+        est = np.abs(q16 - q8)
+        split = est.max(axis=1) > limit
+        if rnd == BISECT_ROUNDS:
+            split[:] = False
+        value = value + q16[~split].sum(axis=0)
+        error = error + est[~split].sum(axis=0)
+        if not split.any():
+            break
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    return value, error
 
 
 def gauss_legendre_panels(panel_edges: np.ndarray, order: int = 16):

@@ -36,6 +36,7 @@ output.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -113,14 +114,19 @@ class TransitionSampler:
             if delta < 0:
                 raise InvalidDelta("truncation level must be nonnegative")
             self.delta = float(delta)
+        # built at the first jump draw, under the lock (engines are shared
+        # across threads): building may raise, which must not stop an
+        # engine that draws no jumps
         self._marks = None
+        self._marks_lock = threading.Lock()
 
     # -- plumbing ----------------------------------------------------------
 
     def _mark_sampler(self):
-        if self._marks is None:
-            self.nu.require_sampling(self.delta)
-            self._marks = self.nu.mark_sampler(self.delta)
+        with self._marks_lock:
+            if self._marks is None:
+                self.nu.require_sampling(self.delta)
+                self._marks = self.nu.mark_sampler(self.delta)
         return self._marks
 
     def i_grid(self, s, t, n=None):

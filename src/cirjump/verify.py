@@ -9,6 +9,9 @@ with a per-point z-score. A comparison passes when no |z| exceeds
 Monte Carlo batches are split into fixed-size chunks; chunk j always uses
 the substream ``(seed, stream_base + j)`` and partial sums are reduced in
 chunk order, so reports are byte-identical across runs and worker counts.
+Transform variances come from per-chunk centred sums merged with the
+Chan-Golub-LeVeque update, which does not cancel when exp(-lam X) is
+nearly constant.
 """
 
 from __future__ import annotations
@@ -159,18 +162,21 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
         raise InsufficientSamples("need at least two samples")
     grid = np.asarray(lambda_grid, dtype=float)
     sizes = _chunk_plan(n_samples, chunk_size)
-    tsums = np.zeros((len(sizes), 2, grid.size))
+    means = np.zeros((len(sizes), grid.size))
+    m2s = np.zeros((len(sizes), grid.size))
     msums = np.zeros((len(sizes), 5))
 
     def run(j):
         rng = RngStream(seed, stream_base + j).generator()
         x = np.asarray(draw(rng, sizes[j]), dtype=float)
         e = np.exp(-np.multiply.outer(grid, x))
-        tsums[j, 0] = e.sum(axis=1)
-        tsums[j, 1] = np.square(e).sum(axis=1)
+        means[j] = e.mean(axis=1)
+        e -= means[j][:, None]
+        m2s[j] = np.square(e, out=e).sum(axis=1)
         msums[j] = (np.count_nonzero(x == 0.0), x.sum(), np.square(x).sum(),
                     np.power(x, 3).sum(), np.power(x, 4).sum())
 
+    workers = min(workers, len(sizes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(len(sizes))))
@@ -178,12 +184,15 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
         for j in range(len(sizes)):
             run(j)
 
-    s1 = tsums[:, 0].sum(axis=0)
-    s2 = tsums[:, 1].sum(axis=0)
-    n = float(n_samples)
-    mean = s1 / n
-    var = np.maximum(s2 - n * mean ** 2, 0.0) / (n - 1.0)
-    se = np.sqrt(var / n)
+    # Chan-Golub-LeVeque pairwise update, in chunk order
+    n, mean, m2 = float(sizes[0]), means[0], m2s[0]
+    for nb, mb, m2b in zip(sizes[1:], means[1:], m2s[1:]):
+        tot = n + nb
+        d = mb - mean
+        mean = mean + d * (nb / tot)
+        m2 = m2 + m2b + d * d * (n * nb / tot)
+        n = tot
+    se = np.sqrt(m2 / (n - 1.0) / n)
     m = msums.sum(axis=0)
     return {"mean": mean, "std_err": se,
             "zeros": m[0], "sum1": m[1], "sum2": m[2], "sum3": m[3],

@@ -11,6 +11,7 @@ from cirjump.errors import (InvalidDelta, NonIntegrable,
 from cirjump.jumps import (delta_for_budget, nu_integral, nu_truncate,
                            truncation_schedule)
 from cirjump.numerics import RngStream
+from conftest import tempered_power
 
 
 class TestNuIntegral:
@@ -58,6 +59,22 @@ class TestOneMinusExp:
                           * y ** -1.4 * math.exp(-y), 0.0, np.inf, limit=400)
             got = rho04.one_minus_exp_integral(np.array([c]))[0]
             assert got == pytest.approx(ref, rel=1e-6)
+
+
+    @pytest.mark.parametrize("rho", [0.0, 0.4, 0.7, 0.95])
+    def test_tempered_power_closed_form(self, rho):
+        # int (1 - e^-yc) y^-(1+rho) e^-y dy = Gamma(-rho) (1 - (1+c)^rho),
+        # log(1 + c) at rho = 0: the fixed node set is exact to rounding
+        # from the head atom up to the tail atom
+        c = np.geomspace(1e-3, 1e9, 13)
+        got = tempered_power(rho).one_minus_exp_integral(c)
+        want = np.log1p(c) if rho == 0.0 else \
+            math.gamma(-rho) * -np.expm1(rho * np.log1p(c))
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+    def test_nonsummable_density_has_no_nodes(self):
+        with pytest.raises(NonIntegrable):
+            tempered_power(1.2).nodes
 
 
 class TestTruncation:

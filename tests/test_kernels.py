@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import adaptive_oracle
 import cirjump as cj
 from cirjump.errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
-from cirjump.kernels import get_kernels
+from cirjump.kernels import DEFAULT_TOL, get_kernels
 
 
 def constant_closed_form(beta, sigma2, s, t):
@@ -352,3 +353,46 @@ class TestLaplaceIK:
         evs = cj.laplace_K(pc_coeffs, two_atoms, 0.2, 1.2, 0.5,
                            np.array([0.0, 1.0]))
         assert evs[0].value == 1.0
+
+
+def clipped_sine_coeffs():
+    # smooth, non-piecewise-constant coefficients: tabulated primitives and
+    # v-panels capped by the smoothness scale
+    return cj.CoefficientSet(a=cj.clipped_sine(0.4, 0.5, 3.0),
+                             a_tilde=cj.clipped_sine(0.3, 0.4, 5.0, 1.0),
+                             beta=cj.piecewise_linear([0.0, 0.8, 2.0], [0.5, 1.5, 1.0]),
+                             sigma=cj.clipped_sine(1.2, 0.3, 2.0, 0.4),
+                             t_max=2.0)
+
+
+class TestAdaptiveOracle:
+    """Fixed node sets and panels against the nested adaptive quadrature
+    (tests/adaptive_oracle.py): every gap within the reported error plus
+    the kernel tolerance."""
+
+    # (s, t, lambdas): a long interval, and t - s = 1e-5 up to lam = 1e6
+    CASES = ((0.2, 1.4, (0.5, 20.0)), (0.7, 0.70001, (0.5, 1e3, 1e6)))
+
+    @pytest.mark.parametrize("coeffs, measure", [
+        ("pc_coeffs", "rho04"), ("pc_coeffs", "rho07"),
+        ("pc_coeffs", "exp_density"), ("pc_coeffs", "rho04_truncated"),
+        ("pc_coeffs", "two_atoms"), ("clipped_sine", "rho04"),
+        ("clipped_sine", "two_atoms")])
+    def test_against_adaptive_oracle(self, request, coeffs, measure):
+        co = clipped_sine_coeffs() if coeffs == "clipped_sine" \
+            else request.getfixturevalue(coeffs)
+        if measure == "rho04_truncated":
+            nu = request.getfixturevalue("rho04").truncated(0.05)
+        else:
+            nu = request.getfixturevalue(measure)
+        eng = get_kernels(co, nu)
+        y = 0.6
+        for s, t, lams in self.CASES:
+            lam = np.array(lams)
+            want = adaptive_oracle.transforms(eng, s, t, y, lam)
+            got = {"I": eng.laplace_I(s, t, lam),
+                   "Itilde": eng.laplace_Itilde(s, t, lam),
+                   "K": eng.laplace_K(s, t, y, lam)}
+            for name, (val, err) in got.items():
+                gap = np.abs(val - want[name])
+                assert np.all(gap <= err + DEFAULT_TOL), (name, s, t, gap, err)

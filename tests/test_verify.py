@@ -1,16 +1,20 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import cirjump as cj
+from cirjump import verify
 from cirjump.errors import DegenerateIntermediate, InsufficientSamples
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
 from cirjump.verify import (LaplaceComparison, chapman_kolmogorov,
                             compare_transition, empirical_laplace,
-                            moment_check, psi_semigroup_check)
+                            mc_statistics, moment_check, psi_semigroup_check)
+from conftest import tempered_power
 
 
 class TestEmpiricalLaplace:
@@ -160,3 +164,72 @@ class TestDeterminism:
         b = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 30_000,
                                lambda_grid, seed=110)
         assert not np.array_equal(a.empirical, b.empirical)
+
+
+class TestMcStatistics:
+    def test_variance_without_cancellation(self):
+        # exp(-lam X) with lam = 1e-10 and X about 1 sits within 1e-10 of 1:
+        # s2 - n mean^2 cancels to 0 or noise, centred sums do not
+        lam = np.array([1e-10])
+
+        def draw(g, m):
+            return 1.0 + g.random(m)
+
+        n, chunk = 50_000, 8_192
+        stats = mc_statistics(draw, n, lam, seed=3, chunk_size=chunk)
+        e = np.concatenate([
+            np.exp(-lam[0] * draw(RngStream(3, j).generator(), m))
+            for j, m in enumerate(verify._chunk_plan(n, chunk))])
+        want = e.std(ddof=1) / math.sqrt(n)
+        assert want > 0
+        assert stats["std_err"][0] == pytest.approx(want, rel=1e-6)
+        assert stats["mean"][0] == pytest.approx(e.mean(), rel=1e-15)
+
+    def test_workers_capped_at_chunks(self, monkeypatch, lambda_grid):
+        asked = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(verify, "ThreadPoolExecutor", Recording)
+
+        def draw(g, m):
+            return g.exponential(size=m)
+
+        one = mc_statistics(draw, 3000, lambda_grid, seed=4, chunk_size=2000)
+        eight = mc_statistics(draw, 3000, lambda_grid, seed=4, chunk_size=2000,
+                              workers=8)
+        assert asked == [2]
+        for key in one:
+            assert np.array_equal(np.asarray(one[key]), np.asarray(eight[key]))
+
+    def test_fresh_density_engine_worker_invariant(self, pc_coeffs):
+        # engines built here, not memoized, and shared by the worker threads
+        # with frequent thread switches: a lazily built mark table or node
+        # set would be raced for
+        grid = np.array([0.5, 2.0, 10.0])
+        nu = tempered_power(0.4)
+        runs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2):
+                runs.append(self._fresh_run(pc_coeffs, nu, grid, workers))
+        finally:
+            sys.setswitchinterval(switch)
+        assert runs[0] == runs[1]
+
+    @staticmethod
+    def _fresh_run(pc_coeffs, nu, grid, workers):
+        smp = cj.TransitionSampler(pc_coeffs, nu, delta=0.05)
+        eng = cj.TransitionKernels(pc_coeffs, nu)
+        stats = mc_statistics(
+            lambda g, m: smp.sample_k(g, 0.2, 1.2, 0.5, size=m),
+            4_000, grid, seed=5, workers=workers, chunk_size=1_000)
+        points = [(0.2, 1.2, 0.5), (0.1, 1.9, 1.0), (0.6, 0.7, 0.0)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            laplace = list(pool.map(
+                lambda p: eng.laplace_K(*p, grid)[0].tobytes(), points))
+        return {k: np.asarray(v).tobytes() for k, v in stats.items()}, laplace
