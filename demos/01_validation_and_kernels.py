@@ -30,14 +30,14 @@ report = cj.validate(coeffs, nu)
 print(report)
 
 print("\n== kernel quadruple on a few time pairs ==")
+eng = cj.get_kernels(coeffs)
 for s, t in ((0.0, 0.5), (0.2, 1.2), (1.0, 2.0)):
-    kv = cj.kernel_value(coeffs, s, t)
+    kv = eng.kernel_value(s, t)
     print(f"(s={s:.1f}, t={t:.1f})  C={kv.C:.6f}  B={kv.B:.6f}  "
           f"p={kv.p:.6f}  gamma={kv.gamma:.6f}")
 
 print("\n== the transform kernel iterates like a semigroup ==")
 lam = np.array([0.5, 2.0, 10.0])
-eng = cj.get_kernels(coeffs)
 lhs = eng.psi(0.2, 0.8, eng.psi(0.8, 1.6, lam))
 rhs = eng.psi(0.2, 1.6, lam)
 print("composition defect:", np.max(np.abs(lhs - rhs)))
@@ -46,7 +46,7 @@ print("\n== constant coefficients reduce to closed forms ==")
 const = cj.CoefficientSet(a=cj.constant(0), a_tilde=cj.constant(0),
                           beta=cj.constant(1.0),
                           sigma=cj.constant(math.sqrt(2.0)), t_max=2.0)
-kv = cj.kernel_value(const, 0.0, math.log(2.0))
+kv = cj.get_kernels(const).kernel_value(0.0, math.log(2.0))
 print(f"B={kv.B} (want 0.5)   p={kv.p} (want 2)   gamma={kv.gamma} (want 1)")
 
 print("\n== transition transform of the full model ==")

@@ -34,12 +34,13 @@ print("\n== full comparison table for the one-step law ==")
 cmp = compare_component(coeffs, nu, s, t, y, "K", 200_000, grid, seed=2)
 print(cmp)
 
-print("\n== a transition-law descriptor bundles sampling and transforms ==")
-law = cj.TransitionLaw(coeffs, nu, s=s, t=t, y=y, component="K")
+print("\n== the component table gives each law's draws and transform ==")
+law = cj.COMPONENTS["K"]
+sampler = cj.get_sampler(coeffs, nu)
 g = cj.RngStream(seed=7, stream_id=0).generator()
-x = law.sample(g, size=5)
+x = law.draw(sampler, g, s, t, y, 5)
 print("five draws:", np.round(x, 6))
-print("transform at lambda=1:", law.laplace(1.0))
+print("transform at lambda=1:", law.laplace(sampler.kernels, s, t, y, 1.0)[0])
 
 print("\n== infinite-activity measures need a truncation level ==")
 heavy = cj.density_measure(lambda v: v ** -1.4 * np.exp(-v), rho=0.4)

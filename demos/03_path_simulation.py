@@ -60,12 +60,19 @@ print("\n== exact skeleton marginals do not depend on the grid ==")
 eng = cj.get_kernels(coeffs, nu)
 analytic, _ = eng.laplace_K(0.0, 2.0, coeffs.x0, np.array([1.0]))
 sampler = cj.get_sampler(coeffs, nu)
-for cells in (1, 4):
-    g = cj.RngStream(6, 0).generator()
-    x = np.full(50_000, coeffs.x0)
+
+
+def skeleton_end(g, m, cells):
+    x = np.full(m, coeffs.x0)
     for a, b in zip(np.linspace(0, 2, cells + 1)[:-1],
                     np.linspace(0, 2, cells + 1)[1:]):
         x = sampler.sample_k(g, a, b, x)
-    emp, se = cj.empirical_laplace(x, [1.0])
+    return x
+
+
+for cells in (1, 4):
+    stats = cj.mc_statistics(lambda g, m: skeleton_end(g, m, cells), 50_000,
+                             [1.0], seed=6)
+    emp, se = stats["mean"], stats["std_err"]
     print(f"{cells} cell(s): empirical={emp[0]:.5f} (+-{se[0]:.5f})  "
           f"analytic={analytic[0]:.5f}")

@@ -23,7 +23,6 @@ from .coefficients import (
 )
 from .errors import (
     BetaNotStrictlyPositiveWarning,
-    BoundViolated,
     CirJumpError,
     ConfigError,
     DegenerateInterval,
@@ -42,31 +41,10 @@ from .jumps import (
     atoms,
     delta_for_budget,
     density_measure,
-    nu_integral,
-    nu_truncate,
     truncation_schedule,
 )
-from .kernels import (
-    KernelValue,
-    LaplaceEval,
-    TransitionKernels,
-    get_kernels,
-    kernel_value,
-    laplace_H,
-    laplace_I,
-    laplace_Itilde,
-    laplace_K,
-    psi,
-    psi_tilde,
-)
-from .numerics import (
-    QuadratureResult,
-    RngStream,
-    gamma_sample,
-    inhomogeneous_poisson_times,
-    integrate,
-    poisson_sample,
-)
+from .kernels import KernelValue, TransitionKernels, get_kernels
+from .numerics import QuadratureResult, RngStream, integrate
 from .paths import (
     PathRealization,
     absorbed_cir_path,
@@ -75,25 +53,15 @@ from .paths import (
     euler_terminal_batch,
     exact_skeleton,
 )
-from .samplers import (
-    PrmRealization,
-    TransitionLaw,
-    TransitionSampler,
-    get_sampler,
-    sample_H,
-    sample_I,
-    sample_Itilde,
-    sample_K,
-    sample_prm,
-)
+from .samplers import COMPONENTS, PrmRealization, TransitionSampler, get_sampler
 from .verify import (
     LaplaceComparison,
     MomentCheck,
     chapman_kolmogorov,
     compare_component,
     compare_transition,
-    empirical_laplace,
-    moment_check,
+    mc_statistics,
+    moment_check_from_sums,
     psi_semigroup_check,
     transform_comparison,
 )

@@ -33,11 +33,10 @@ from .jumps import atoms
 from .kernels import get_kernels
 from .numerics import RngStream
 from .paths import branching_path, euler_path, exact_skeleton
-from .samplers import get_sampler
+from .samplers import COMPONENTS, get_component, get_sampler
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1
-COMPONENTS = ("K", "H", "I", "Itilde")
 # largest Poisson mean numpy's generator accepts
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
                          - 10.0 * np.sqrt(np.iinfo(np.int64).max))
@@ -105,14 +104,8 @@ def cmd_laplace(args) -> int:
     eng = get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol,
                       nu_tol=cfg.nu_tol)
     grid = np.asarray(cfg.lambda_grid, dtype=float)
-    if args.component == "K":
-        vals, errs = eng.laplace_K(cfg.s, cfg.t, cfg.y, grid)
-    elif args.component == "H":
-        vals, errs = eng.laplace_H(cfg.s, cfg.t, cfg.y, grid)
-    elif args.component == "I":
-        vals, errs = eng.laplace_I(cfg.s, cfg.t, grid)
-    else:
-        vals, errs = eng.laplace_Itilde(cfg.s, cfg.t, grid)
+    vals, errs = get_component(args.component).laplace(eng, cfg.s, cfg.t,
+                                                        cfg.y, grid)
     errs = np.broadcast_to(np.asarray(errs, dtype=float), vals.shape)
     lines = ["lambda,value,error_estimate"]
     lines += [f"{_fmt(l)},{_fmt(v)},{_fmt(e)}"
@@ -129,12 +122,7 @@ def cmd_sample(args) -> int:
         _check_drawable(sampler, (cfg.s, cfg.t), cfg.y)
     g = RngStream(cfg.seed, 0).generator()
     n = cfg.n_samples
-    draw = {"K": lambda: sampler.sample_k(g, cfg.s, cfg.t, cfg.y, size=n),
-            "H": lambda: sampler.sample_h(g, cfg.s, cfg.t, cfg.y, size=n),
-            "I": lambda: sampler.sample_i(g, cfg.s, cfg.t, size=n),
-            "Itilde": lambda: sampler.sample_itilde(g, cfg.s, cfg.t, size=n),
-            }[args.component]
-    x = draw()
+    x = get_component(args.component).draw(sampler, g, cfg.s, cfg.t, cfg.y, n)
     lines = ["value"] + [_fmt(v) for v in x]
     var = x.var(ddof=1) if x.size > 1 else 0.0
     summary = (f"n={n} mean={_fmt(x.mean())} variance={_fmt(var)} "
@@ -264,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("laplace", help="evaluate transition transforms")
     common(sp)
-    sp.add_argument("--component", choices=COMPONENTS, default="K")
+    sp.add_argument("--component", choices=tuple(COMPONENTS), default="K")
     sp.add_argument("--lambdas", default=None,
                     help="comma-separated transform arguments")
     sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
@@ -272,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw from a transition law")
     common(sp)
-    sp.add_argument("--component", choices=COMPONENTS, default="K")
+    sp.add_argument("--component", choices=tuple(COMPONENTS), default="K")
     sp.add_argument("--n", type=int, default=None, help="number of draws")
     sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
     sp.set_defaults(fn=cmd_sample)

@@ -211,17 +211,10 @@ class ClippedSine(TimeFunction):
         out = np.maximum(raw, 0.0)
         return out if np.ndim(t) else float(out)
 
-    def _crossings(self, lo, hi):
-        # solutions of offset + amplitude sin(x) = 0 mapped back to t
-        if self.amplitude == 0:
-            return np.empty(0)
-        m = -self.offset / self.amplitude
-        if abs(m) >= 1:
-            return np.empty(0)
-        x1 = math.asin(m)
-        x2 = math.pi - x1
+    def _roots(self, bases, lo, hi):
+        # sorted t in (lo, hi) with omega t + phase = base (mod 2 pi)
         out = []
-        for base in (x1, x2):
+        for base in bases:
             k0 = math.floor((self.omega * lo + self.phase - base) / (2 * math.pi))
             for k in range(int(k0) - 1, int(k0) + int(self.omega * (hi - lo) / (2 * math.pi)) + 3):
                 t = (base + 2 * math.pi * k - self.phase) / self.omega
@@ -229,19 +222,21 @@ class ClippedSine(TimeFunction):
                     out.append(t)
         return np.sort(np.asarray(out))
 
+    def _crossings(self, lo, hi):
+        # solutions of offset + amplitude sin(x) = 0 mapped back to t
+        m = -self.offset / self.amplitude if self.amplitude else 1.0
+        if abs(m) >= 1:
+            return np.empty(0)
+        x1 = math.asin(m)
+        return self._roots((x1, math.pi - x1), lo, hi)
+
     def breakpoints(self, lo, hi):
         return self._crossings(lo, hi)
 
     def _candidates(self, lo, hi):
         # endpoints, clip crossings and interior critical points of the sine
-        crit = []
-        for base in (math.pi / 2, 3 * math.pi / 2):
-            k0 = math.floor((self.omega * lo + self.phase - base) / (2 * math.pi))
-            for k in range(int(k0) - 1, int(k0) + int(self.omega * (hi - lo) / (2 * math.pi)) + 3):
-                t = (base + 2 * math.pi * k - self.phase) / self.omega
-                if lo < t < hi:
-                    crit.append(t)
-        return np.concatenate(([lo, hi], self._crossings(lo, hi), np.asarray(crit)))
+        return np.concatenate(([lo, hi], self._crossings(lo, hi),
+                               self._roots((math.pi / 2, 3 * math.pi / 2), lo, hi)))
 
     def min_on(self, lo, hi):
         return float(np.min(self(self._candidates(lo, hi))))

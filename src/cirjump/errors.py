@@ -43,10 +43,6 @@ class DegenerateIntermediate(CirJumpError):
     """Two-step comparison needs an intermediate time strictly inside (s, t)."""
 
 
-class BoundViolated(CirJumpError):
-    """Rate function exceeded its declared bound during thinning."""
-
-
 class InsufficientSamples(CirJumpError):
     """At least two samples are needed for an empirical standard error."""
 

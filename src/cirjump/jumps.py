@@ -49,8 +49,6 @@ __all__ = [
     "DensityJumpMeasure",
     "atoms",
     "density_measure",
-    "nu_integral",
-    "nu_truncate",
     "delta_for_budget",
     "truncation_schedule",
 ]
@@ -416,23 +414,6 @@ def atoms(points: Sequence[Tuple[float, float]]) -> DiscreteJumpMeasure:
 
 def density_measure(density, rho=None, lower=0.0, label="density") -> DensityJumpMeasure:
     return DensityJumpMeasure(density, rho=rho, lower=float(lower), label=label)
-
-
-def nu_integral(nu: JumpMeasure, g, tol: float = NU_TOL,
-                g_exponent_at_zero: Optional[float] = None):
-    """(value, error_estimate) of ``int g dnu``; exact for discrete measures."""
-    return nu.integral(g, tol=tol, g_exponent_at_zero=g_exponent_at_zero)
-
-
-def nu_truncate(nu: JumpMeasure, delta: float):
-    """Restrict the measure to ``(delta, infinity)``.
-
-    Returns the finite-activity restriction together with the discarded-mass
-    diagnostic ``int_(0, delta] sqrt(y) nu(dy)``.
-    """
-    if delta <= 0:
-        raise InvalidDelta("truncation level must be positive")
-    return nu.truncated(delta), nu.sqrt_tail(delta)
 
 
 def delta_for_budget(nu: JumpMeasure, budget: float) -> float:

@@ -62,19 +62,7 @@ from .errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
 from .jumps import JumpMeasure, one_minus_exp_sum
 from .numerics import panel_integral
 
-__all__ = [
-    "KernelValue",
-    "LaplaceEval",
-    "TransitionKernels",
-    "get_kernels",
-    "kernel_value",
-    "psi",
-    "psi_tilde",
-    "laplace_H",
-    "laplace_I",
-    "laplace_Itilde",
-    "laplace_K",
-]
+__all__ = ["KernelValue", "TransitionKernels", "get_kernels"]
 
 DEFAULT_TOL = 1e-9       # absolute tolerance of kernel time-integrals
 DEFAULT_NU_TOL = 1e-8    # absolute tolerance of jump-measure integrals
@@ -91,15 +79,6 @@ class KernelValue:
     p: float
     gamma: float
     quadrature_error: float
-
-
-@dataclass(frozen=True)
-class LaplaceEval:
-    """One point of a transition-law Laplace transform."""
-
-    lam: float
-    value: float
-    error_estimate: float
 
 
 def _hermite(v, x0, x1, y0, y1, d0, d1):
@@ -338,47 +317,43 @@ class TransitionKernels:
         return (val, err) if lam_arr.ndim else (float(val), float(err))
 
     def laplace_I(self, s, t, lam):
-        """Transform of the continuous-input component."""
-        self._check(s, t)
-        self._check_lam(lam)
-        ex, err = self._exponent_integral(s, t, lam, use_a=True, use_atilde=False)
-        val = np.exp(-ex)
-        scalar = np.ndim(lam) == 0
-        e = np.abs(val) * (err + self.table.error_scale)
-        return (float(val[0]), float(e[0])) if scalar else (val, e)
+        """Transform of the continuous-input component: ``laplace_K`` at
+        y = 0 with the jump input switched off."""
+        return self._transform(s, t, 0.0, lam, jumps=False)
 
     def laplace_Itilde(self, s, t, lam):
-        """Transform of the jump-input component."""
-        self._check(s, t)
-        self._check_lam(lam)
-        ex, err = self._exponent_integral(s, t, lam, use_a=False, use_atilde=True)
-        val = np.exp(-ex)
-        scalar = np.ndim(lam) == 0
-        e = np.abs(val) * (err + self.table.error_scale)
-        return (float(val[0]), float(e[0])) if scalar else (val, e)
+        """Transform of the jump-input component: ``laplace_K`` at y = 0
+        with the continuous input switched off."""
+        return self._transform(s, t, 0.0, lam, continuous=False)
 
     def laplace_K(self, s, t, y, lam):
         """One-step transition transform of the full equation."""
+        return self._transform(s, t, y, lam, warn=True)
+
+    def _transform(self, s, t, y, lam, continuous=True, jumps=True, warn=False):
+        """exp(-y Psi_{s,t}(lam) - exponent integral) over the inputs that
+        are switched on; an input whose rate vanishes on [s, t] adds 0."""
         self._check(s, t)
         self._check_lam(lam)
         if y < 0:
             raise ValueError("y must be nonnegative")
-        if not self.coeffs.beta_strictly_positive:
+        if not continuous and self.nu is None:
+            raise ValueError("transform with jump input needs a jump measure")
+        if warn and not self.coeffs.beta_strictly_positive:
             warnings.warn(
                 "mean reversion is not strictly positive; the transform "
                 "formula is applied outside its proved hypothesis",
-                BetaNotStrictlyPositiveWarning, stacklevel=2)
-        use_atilde = self.coeffs.a_tilde.max_on(s, t) > 0.0
-        use_a = self.coeffs.a.max_on(s, t) > 0.0
+                BetaNotStrictlyPositiveWarning, stacklevel=3)
+        use_a = continuous and self.coeffs.a.max_on(s, t) > 0.0
+        use_atilde = jumps and self.coeffs.a_tilde.max_on(s, t) > 0.0
+        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
         if use_a or use_atilde:
             ex, err = self._exponent_integral(s, t, lam, use_a=use_a,
                                               use_atilde=use_atilde)
         else:
-            ex, err = np.zeros_like(np.atleast_1d(np.asarray(lam, float))), 0.0
+            ex, err = np.zeros_like(lam_arr), 0.0
         B, D = self.bd(s, t)
-        lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        total = y * self._psi_from_bd(B, D, lam_arr) + ex
-        val = np.exp(-total)
+        val = np.exp(-(y * self._psi_from_bd(B, D, lam_arr) + ex))
         e = np.abs(val) * (err + (1.0 + y) * self.table.error_scale)
         scalar = np.ndim(lam) == 0
         return (float(val[0]), float(e[0])) if scalar else (val, e)
@@ -395,38 +370,3 @@ def get_kernels(coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
     """Shared evaluator for a coefficient set (engines are memoized)."""
     return _cached_engine(coeffs, nu, tol, nu_tol)
 
-
-def kernel_value(coeffs, s, t, tol: float = DEFAULT_TOL) -> KernelValue:
-    return get_kernels(coeffs, tol=tol).kernel_value(s, t)
-
-
-def psi(coeffs, s, t, lam):
-    return get_kernels(coeffs).psi(s, t, lam)
-
-
-def psi_tilde(coeffs, nu, s, t, lam, tol: float = DEFAULT_NU_TOL):
-    return get_kernels(coeffs, nu, nu_tol=tol).psi_tilde(s, t, lam)
-
-
-def _wrap(lam, pair):
-    val, err = pair
-    if np.ndim(lam) == 0:
-        return LaplaceEval(float(lam), float(val), float(err))
-    return [LaplaceEval(float(l), float(v), float(e))
-            for l, v, e in zip(np.asarray(lam, float), val, np.broadcast_to(err, np.shape(val)))]
-
-
-def laplace_H(coeffs, s, t, y, lam):
-    return _wrap(lam, get_kernels(coeffs).laplace_H(s, t, y, lam))
-
-
-def laplace_I(coeffs, s, t, lam, tol: float = DEFAULT_TOL):
-    return _wrap(lam, get_kernels(coeffs, tol=tol).laplace_I(s, t, lam))
-
-
-def laplace_Itilde(coeffs, nu, s, t, lam, tol: float = DEFAULT_NU_TOL):
-    return _wrap(lam, get_kernels(coeffs, nu, nu_tol=tol).laplace_Itilde(s, t, lam))
-
-
-def laplace_K(coeffs, nu, s, t, y, lam, tol: float = DEFAULT_TOL):
-    return _wrap(lam, get_kernels(coeffs, nu, tol=tol).laplace_K(s, t, y, lam))

@@ -25,16 +25,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundViolated, NonIntegrable
+from .errors import NonIntegrable
 
 __all__ = [
     "QuadratureResult",
     "RngStream",
     "integrate",
     "panel_integral",
-    "gamma_sample",
-    "poisson_sample",
-    "inhomogeneous_poisson_times",
 ]
 
 
@@ -163,9 +160,8 @@ class RngStream:
     """Identifier of a reproducible random stream.
 
     Identical ``(seed, stream_id)`` pairs reproduce identical variate
-    sequences across runs, platforms and worker counts. Substreams for
-    parallel work are obtained with :meth:`shifted`; callers are responsible
-    for keeping the ids they hand out disjoint.
+    sequences across runs, platforms and worker counts. Callers are
+    responsible for keeping the ids they hand out disjoint.
     """
 
     seed: int
@@ -176,9 +172,6 @@ class RngStream:
                                     spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.Philox(ss))
 
-    def shifted(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
@@ -186,61 +179,6 @@ def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     raise TypeError("rng must be a numpy Generator or an RngStream")
-
-
-def gamma_sample(rng, shape, rate, size=None):
-    """Gamma variate(s) with the given shape and *rate* (mean shape/rate).
-
-    Shape zero is the degenerate law at 0 and is returned as exact zeros,
-    which is what the Poisson-mixture sampler relies on.
-    """
-    g = _as_generator(rng)
-    shape = np.asarray(shape, dtype=float)
-    if np.any(shape < 0):
-        raise ValueError("gamma shape must be nonnegative")
-    if np.any(np.asarray(rate) <= 0):
-        raise ValueError("gamma rate must be positive")
-    return g.gamma(shape, 1.0 / np.asarray(rate, dtype=float), size)
-
-
-def poisson_sample(rng, mean, size=None):
-    """Poisson variate(s); a zero mean yields exact zeros."""
-    g = _as_generator(rng)
-    mean = np.asarray(mean, dtype=float)
-    if np.any(mean < 0):
-        raise ValueError("poisson mean must be nonnegative")
-    return g.poisson(mean, size)
-
-
-def inhomogeneous_poisson_times(
-    rng,
-    rate: Callable[[np.ndarray], np.ndarray],
-    s: float,
-    t: float,
-    rate_bound: float,
-) -> np.ndarray:
-    """Event times of an inhomogeneous Poisson process on ``(s, t]``.
-
-    Thinning of a homogeneous Poisson stream with intensity ``rate_bound``:
-    proposals are uniform on the interval and kept with probability
-    ``rate(v) / rate_bound``. Raises :class:`BoundViolated` when the rate
-    exceeds its declared bound at a proposal.
-    """
-    g = _as_generator(rng)
-    if t < s:
-        raise ValueError("need s <= t")
-    if rate_bound < 0 or not np.isfinite(rate_bound):
-        raise ValueError("rate_bound must be finite and nonnegative")
-    if rate_bound == 0 or t == s:
-        return np.empty(0)
-    n = g.poisson(rate_bound * (t - s))
-    times = s + (t - s) * g.random(n)
-    u = g.random(n)
-    r = np.asarray(rate(times), dtype=float)
-    if np.any(r > rate_bound * (1.0 + 1e-12)):
-        raise BoundViolated(
-            f"rate exceeded declared bound {rate_bound} during thinning")
-    return np.sort(times[u * rate_bound < r])
 
 
 def panel_integral(f, edges, tol: float):

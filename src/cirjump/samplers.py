@@ -32,6 +32,10 @@ diagnostic controls the bias.
 All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
 output.
+
+``COMPONENTS`` is the one table of the four laws K, H, I and ITilde: for
+each, its transform on a ``TransitionKernels`` and its draws on a
+``TransitionSampler``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,15 +54,12 @@ from .kernels import TransitionKernels, get_kernels
 from .numerics import _as_generator
 
 __all__ = [
+    "COMPONENTS",
+    "Component",
     "PrmRealization",
-    "TransitionLaw",
     "TransitionSampler",
+    "get_component",
     "get_sampler",
-    "sample_H",
-    "sample_I",
-    "sample_Itilde",
-    "sample_K",
-    "sample_prm",
     "DELTA_BUDGET",
 ]
 
@@ -129,11 +130,10 @@ class TransitionSampler:
                 self._marks = self.nu.mark_sampler(self.delta)
         return self._marks
 
-    def i_grid(self, s, t, n=None):
+    def i_grid(self, s, t):
         """Cells ``sample_i`` draws on: one per constant-``alpha`` piece when
-        ``a`` and ``sigma`` are piecewise constant (``n`` is then ignored),
-        else ``cell_grid(s, t, n)``."""
-        return self.cell_grid(s, t, 1 if self.alpha_piecewise_constant else n)
+        ``a`` and ``sigma`` are piecewise constant, else ``cell_grid(s, t)``."""
+        return self.cell_grid(s, t, 1 if self.alpha_piecewise_constant else None)
 
     def cell_grid(self, s, t, n=None):
         """Knots of the input and volatility functions on [s, t], each piece
@@ -189,7 +189,7 @@ class TransitionSampler:
         x = g.gamma(m, D)
         return float(x[0]) if scalar else x
 
-    def sample_i(self, rng, s, t, n=None, size=None):
+    def sample_i(self, rng, s, t, size=None):
         """Draw from the continuous-input component I_{s,t}: one
         Gamma(alpha, rate p(r0, r1)) per cell of ``i_grid``, pushed to t
         through H."""
@@ -197,7 +197,7 @@ class TransitionSampler:
         m = 1 if size is None else int(size)
         acc = np.zeros(m)
         if self.coeffs.a.max_on(s, t) > 0.0:
-            grid = self.i_grid(s, t, n)
+            grid = self.i_grid(s, t)
             for r0, r1 in zip(grid[:-1], grid[1:]):
                 alpha = float(self.coeffs.alpha(0.5 * (r0 + r1)))
                 if alpha <= 0.0:
@@ -246,65 +246,6 @@ class TransitionSampler:
         return PrmRealization(times[order], sizes[order], self.delta)
 
 
-@dataclass(frozen=True)
-class TransitionLaw:
-    """Descriptor of one transition-law component that can emit both samples
-    and Laplace-transform evaluations.
-
-    ``y`` is ignored for the input components I and ITilde, which start at
-    zero. ``n`` refines the I-grid of a non-piecewise-constant ``alpha``;
-    ``delta`` truncates the jump measure.
-    """
-
-    coeffs: CoefficientSet
-    nu: Optional[JumpMeasure]
-    s: float
-    t: float
-    y: float = 0.0
-    component: str = "K"
-    n: Optional[int] = None
-    delta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.component not in ("H", "I", "Itilde", "K"):
-            raise ValueError(f"unknown component {self.component!r}")
-        if not self.s < self.t:
-            raise ValueError("need s < t")
-        if self.y < 0:
-            raise ValueError("y must be nonnegative")
-        if self.component in ("Itilde", "K") and self.nu is not None \
-                and self.nu.infinite_activity and self.delta is not None \
-                and self.delta <= 0:
-            raise InvalidDelta(
-                "infinite-activity measures need a positive truncation level")
-
-    def _sampler(self):
-        return get_sampler(self.coeffs, self.nu,
-                           n_cells=self.n or DEFAULT_CELLS, delta=self.delta)
-
-    def sample(self, rng, size=None):
-        s = self._sampler()
-        fn = {"H": lambda g, n: s.sample_h(g, self.s, self.t, self.y, size=n),
-              "I": lambda g, n: s.sample_i(g, self.s, self.t, size=n),
-              "Itilde": lambda g, n: s.sample_itilde(g, self.s, self.t, size=n),
-              "K": lambda g, n: s.sample_k(g, self.s, self.t, self.y, size=n),
-              }[self.component]
-        return fn(rng, size)
-
-    def laplace(self, lam):
-        nu_eff = self.nu
-        if nu_eff is not None and self._sampler().delta > 0:
-            nu_eff = nu_eff.truncated(self._sampler().delta)
-        eng = get_kernels(self.coeffs, nu_eff)
-        if self.component == "H":
-            return eng.laplace_H(self.s, self.t, self.y, lam)[0]
-        if self.component == "I":
-            return eng.laplace_I(self.s, self.t, lam)[0]
-        if self.component == "Itilde":
-            return eng.laplace_Itilde(self.s, self.t, lam)[0]
-        return eng.laplace_K(self.s, self.t, self.y, lam)[0]
-
-
 @lru_cache(maxsize=64)
 def _cached_sampler(coeffs, nu, n_cells, delta):
     return TransitionSampler(coeffs, nu, n_cells=n_cells, delta=delta)
@@ -316,22 +257,31 @@ def get_sampler(coeffs, nu=None, n_cells: int = DEFAULT_CELLS,
     return _cached_sampler(coeffs, nu, int(n_cells), delta)
 
 
-def sample_H(rng, coeffs, s, t, y, size=None):
-    return get_sampler(coeffs).sample_h(rng, s, t, y, size=size)
+@dataclass(frozen=True)
+class Component:
+    """One transition-law component. ``laplace(kernels, s, t, y, lam)``
+    returns its transform as (value, error estimate), and
+    ``draw(sampler, rng, s, t, y, size)`` returns ``size`` draws. The input
+    components I and ITilde start at zero and ignore ``y``."""
+
+    laplace: Callable
+    draw: Callable
 
 
-def sample_I(rng, coeffs, s, t, n=None, size=None):
-    return get_sampler(coeffs).sample_i(rng, s, t, n=n, size=size)
+COMPONENTS = {
+    "K": Component(lambda k, s, t, y, lam: k.laplace_K(s, t, y, lam),
+                   lambda smp, g, s, t, y, n: smp.sample_k(g, s, t, y, size=n)),
+    "H": Component(lambda k, s, t, y, lam: k.laplace_H(s, t, y, lam),
+                   lambda smp, g, s, t, y, n: smp.sample_h(g, s, t, y, size=n)),
+    "I": Component(lambda k, s, t, y, lam: k.laplace_I(s, t, lam),
+                   lambda smp, g, s, t, y, n: smp.sample_i(g, s, t, size=n)),
+    "Itilde": Component(lambda k, s, t, y, lam: k.laplace_Itilde(s, t, lam),
+                        lambda smp, g, s, t, y, n: smp.sample_itilde(g, s, t, size=n)),
+}
 
 
-def sample_Itilde(rng, coeffs, nu, s, t, delta=None, size=None):
-    return get_sampler(coeffs, nu, delta=delta).sample_itilde(rng, s, t, size=size)
-
-
-def sample_K(rng, coeffs, nu, s, t, y, n_cells=DEFAULT_CELLS, delta=None, size=None):
-    return get_sampler(coeffs, nu, n_cells=n_cells, delta=delta).sample_k(
-        rng, s, t, y, size=size)
-
-
-def sample_prm(rng, coeffs, nu, s, t, delta=None) -> PrmRealization:
-    return get_sampler(coeffs, nu, delta=delta).sample_prm(rng, s, t)
+def get_component(name: str) -> Component:
+    """The entry of ``COMPONENTS`` called ``name``."""
+    if name not in COMPONENTS:
+        raise ValueError(f"unknown component {name!r}; choose from {sorted(COMPONENTS)}")
+    return COMPONENTS[name]

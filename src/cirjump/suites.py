@@ -20,9 +20,10 @@ from .kernels import get_kernels
 from .numerics import RngStream
 from .paths import euler_terminal_batch
 from .samplers import get_sampler
-from .verify import (Z_HARD, chapman_kolmogorov, compare_component,
-                     compare_transition, mc_statistics, moment_check_from_sums,
-                     psi_semigroup_check, zero_fraction_z)
+from .verify import (Z_HARD, LaplaceComparison, chapman_kolmogorov,
+                     compare_component, compare_transition, mc_statistics,
+                     moment_check_from_sums, psi_semigroup_check,
+                     zero_fraction_z)
 
 __all__ = ["SUITES", "SuiteReport", "run_suite"]
 
@@ -119,11 +120,8 @@ def _suite_sampler_h(cfg: RunConfig) -> SuiteReport:
                           workers=cfg.workers)
     mc = moment_check_from_sums(stats, y * kv.B, 2 * y * kv.B / kv.p)
     zf = zero_fraction_z(stats["zeros"], stats["n"], math.exp(-y * kv.gamma))
-    analytic = eng.laplace_H(s, t, y, grid)[0]
-    from .verify import LaplaceComparison, _zscores
-    z = _zscores(stats["mean"] - analytic, stats["std_err"])
-    cmpv = LaplaceComparison(grid, stats["mean"], stats["std_err"], analytic,
-                             z, stats["n"], seed=cfg.seed, label="H")
+    cmpv = LaplaceComparison.from_stats(stats, eng.laplace_H(s, t, y, grid)[0],
+                                        grid, seed=cfg.seed, label="H")
     entries = (
         _entry("moments", mc.passed, z_mean=mc.z_mean, z_var=mc.z_var),
         _entry("zero_fraction", abs(zf) <= Z_HARD, z=zf),

@@ -9,9 +9,10 @@ with a per-point z-score. A comparison passes when no |z| exceeds
 Monte Carlo batches are split into fixed-size chunks; chunk j always uses
 the substream ``(seed, stream_base + j)`` and partial sums are reduced in
 chunk order, so reports are byte-identical across runs and worker counts.
-Transform variances come from per-chunk centred sums merged with the
-Chan-Golub-LeVeque update, which does not cancel when exp(-lam X) is
-nearly constant.
+Transform variances and the central moments of X come from per-chunk
+centred sums merged with the pairwise updates of Chan, Golub & LeVeque and
+of Pebay, which do not cancel when exp(-lam X) is nearly constant or X sits
+far from zero.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import DegenerateIntermediate, InsufficientSamples
 from .kernels import get_kernels
 from .numerics import RngStream
-from .samplers import DEFAULT_CELLS, get_sampler
+from .samplers import DEFAULT_CELLS, get_component, get_sampler
 
 __all__ = [
     "Z_HARD",
@@ -35,13 +36,12 @@ __all__ = [
     "CHUNK_SIZE",
     "LaplaceComparison",
     "MomentCheck",
-    "empirical_laplace",
     "transform_comparison",
     "compare_transition",
     "compare_component",
     "chapman_kolmogorov",
     "psi_semigroup_check",
-    "moment_check",
+    "moment_check_from_sums",
     "mc_statistics",
     "DEFAULT_LAMBDA_GRID",
 ]
@@ -74,6 +74,16 @@ class LaplaceComparison:
     n_samples: int
     seed: Optional[int] = None
     label: str = ""
+
+    @classmethod
+    def from_stats(cls, stats, analytic, lambda_grid, seed=None, label=""):
+        """The transform statistics of :func:`mc_statistics` against the
+        analytic values on the same grid."""
+        analytic = np.asarray(analytic, dtype=float)
+        z = _zscores(stats["mean"] - analytic, stats["std_err"])
+        return cls(np.asarray(lambda_grid, dtype=float), stats["mean"],
+                   stats["std_err"], analytic, z, stats["n"], seed=seed,
+                   label=label)
 
     @property
     def max_abs_z(self) -> float:
@@ -129,23 +139,27 @@ class MomentCheck:
         return abs(self.z_mean) <= Z_HARD and abs(self.z_var) <= Z_HARD
 
 
-def empirical_laplace(samples, lambda_grid):
-    """Per-lambda mean and standard error of exp(-lam X)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise InsufficientSamples("need at least two samples")
-    grid = np.asarray(lambda_grid, dtype=float)
-    e = np.exp(-np.multiply.outer(grid, x))
-    mean = e.mean(axis=1)
-    se = e.std(axis=1, ddof=1) / math.sqrt(x.size)
-    return mean, se
-
-
 def _chunk_plan(n, chunk_size):
     sizes = [chunk_size] * (n // chunk_size)
     if n % chunk_size:
         sizes.append(n % chunk_size)
     return sizes
+
+
+def _merge(na, a, nb, b):
+    """Pairwise merge of the centred sums ``(mean, M2[, M3, M4])`` of two
+    batches of na and nb draws (Chan, Golub & LeVeque 1983; Pebay 2008)."""
+    tot = na + nb
+    d = b[0] - a[0]
+    out = [a[0] + d * (nb / tot), a[1] + b[1] + d * d * (na * nb / tot)]
+    if len(a) > 2:
+        out.append(a[2] + b[2] + d ** 3 * (na * nb * (na - nb) / tot ** 2)
+                   + 3.0 * d * (na * b[1] - nb * a[1]) / tot)
+        out.append(a[3] + b[3]
+                   + d ** 4 * (na * nb * (na * na - na * nb + nb * nb) / tot ** 3)
+                   + 6.0 * d * d * (na * na * b[1] + nb * nb * a[1]) / tot ** 2
+                   + 4.0 * d * (na * b[2] - nb * a[2]) / tot)
+    return out
 
 
 def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
@@ -155,8 +169,8 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
     """Chunked, worker-count-independent transform and moment statistics.
 
     ``draw(rng, m)`` must return m draws using only the supplied generator.
-    Returns per-lambda transform means/standard errors plus raw moment sums
-    (count of zeros and the first four power sums).
+    Returns per-lambda transform means/standard errors, the count of zero
+    draws, and the mean and second and fourth central moments of the draws.
     """
     if n_samples < 2:
         raise InsufficientSamples("need at least two samples")
@@ -164,7 +178,8 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
     sizes = _chunk_plan(n_samples, chunk_size)
     means = np.zeros((len(sizes), grid.size))
     m2s = np.zeros((len(sizes), grid.size))
-    msums = np.zeros((len(sizes), 5))
+    # per chunk: zero count, mean, centred sums of powers 2, 3 and 4
+    xs = np.zeros((len(sizes), 5))
 
     def run(j):
         rng = RngStream(seed, stream_base + j).generator()
@@ -173,8 +188,11 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
         means[j] = e.mean(axis=1)
         e -= means[j][:, None]
         m2s[j] = np.square(e, out=e).sum(axis=1)
-        msums[j] = (np.count_nonzero(x == 0.0), x.sum(), np.square(x).sum(),
-                    np.power(x, 3).sum(), np.power(x, 4).sum())
+        xbar = x.mean()
+        c = x - xbar
+        c2 = c * c
+        xs[j] = (np.count_nonzero(x == 0.0), xbar, c2.sum(),
+                 (c2 * c).sum(), (c2 * c2).sum())
 
     workers = min(workers, len(sizes))
     if workers > 1:
@@ -184,61 +202,50 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
         for j in range(len(sizes)):
             run(j)
 
-    # Chan-Golub-LeVeque pairwise update, in chunk order
-    n, mean, m2 = float(sizes[0]), means[0], m2s[0]
-    for nb, mb, m2b in zip(sizes[1:], means[1:], m2s[1:]):
-        tot = n + nb
-        d = mb - mean
-        mean = mean + d * (nb / tot)
-        m2 = m2 + m2b + d * d * (n * nb / tot)
-        n = tot
+    # merged in chunk order
+    n, (mean, m2), xm = float(sizes[0]), (means[0], m2s[0]), xs[0, 1:]
+    for nb, mb, m2b, xb in zip(sizes[1:], means[1:], m2s[1:], xs[1:, 1:]):
+        mean, m2 = _merge(n, (mean, m2), nb, (mb, m2b))
+        xm = _merge(n, xm, nb, xb)
+        n += nb
     se = np.sqrt(m2 / (n - 1.0) / n)
-    m = msums.sum(axis=0)
-    return {"mean": mean, "std_err": se,
-            "zeros": m[0], "sum1": m[1], "sum2": m[2], "sum3": m[3],
-            "sum4": m[4], "n": n_samples}
+    return {"mean": mean, "std_err": se, "zeros": xs[:, 0].sum(),
+            "x_mean": xm[0], "x_m2": xm[1] / n, "x_m4": xm[3] / n,
+            "n": n_samples}
 
 
 def transform_comparison(draw, analytic, lambda_grid, n_samples, seed,
                          stream_base=0, workers=1, label="",
                          chunk_size=CHUNK_SIZE) -> LaplaceComparison:
     """Compare a sampler against analytic transform values on a grid."""
-    grid = np.asarray(lambda_grid, dtype=float)
-    stats = mc_statistics(draw, n_samples, grid, seed,
+    stats = mc_statistics(draw, n_samples, lambda_grid, seed,
                           stream_base=stream_base, workers=workers,
                           chunk_size=chunk_size)
-    analytic = np.asarray(analytic, dtype=float)
-    z = _zscores(stats["mean"] - analytic, stats["std_err"])
-    return LaplaceComparison(grid, stats["mean"], stats["std_err"], analytic,
-                             z, n_samples, seed=seed, label=label)
+    return LaplaceComparison.from_stats(stats, analytic, lambda_grid,
+                                        seed=seed, label=label)
+
+
+def _engines(coeffs, nu, n_cells, delta):
+    """The sampler and the kernels of the law it draws: the jump measure
+    restricted to (delta, inf) when the sampler truncates it."""
+    sampler = get_sampler(coeffs, nu, n_cells=n_cells, delta=delta)
+    if nu is not None and sampler.delta > 0:
+        nu = nu.truncated(sampler.delta)
+    return sampler, get_kernels(coeffs, nu)
 
 
 def compare_component(coeffs, nu, s, t, y, component, n_samples, lambda_grid,
                       seed, n_cells=DEFAULT_CELLS, delta=None, workers=1,
                       stream_base=0, label=None) -> LaplaceComparison:
     """Empirical transform of one transition-law component vs its formula."""
-    sampler = get_sampler(coeffs, nu, n_cells=n_cells, delta=delta)
-    nu_eff = nu.truncated(sampler.delta) \
-        if (nu is not None and sampler.delta > 0) else nu
-    eng = get_kernels(coeffs, nu_eff)
+    comp = get_component(component)
+    sampler, eng = _engines(coeffs, nu, n_cells, delta)
     grid = np.asarray(lambda_grid, dtype=float)
-    if component == "H":
-        analytic = eng.laplace_H(s, t, y, grid)[0]
-        draw = lambda g, m: sampler.sample_h(g, s, t, y, size=m)
-    elif component == "I":
-        analytic = eng.laplace_I(s, t, grid)[0]
-        draw = lambda g, m: sampler.sample_i(g, s, t, size=m)
-    elif component == "Itilde":
-        analytic = eng.laplace_Itilde(s, t, grid)[0]
-        draw = lambda g, m: sampler.sample_itilde(g, s, t, size=m)
-    elif component == "K":
-        analytic = eng.laplace_K(s, t, y, grid)[0]
-        draw = lambda g, m: sampler.sample_k(g, s, t, y, size=m)
-    else:
-        raise ValueError(f"unknown component {component!r}")
     return transform_comparison(
-        draw, analytic, grid, n_samples, seed, stream_base=stream_base,
-        workers=workers, label=label or f"{component}[{s},{t}] y={y}")
+        lambda g, m: comp.draw(sampler, g, s, t, y, m),
+        comp.laplace(eng, s, t, y, grid)[0], grid, n_samples, seed,
+        stream_base=stream_base, workers=workers,
+        label=label or f"{component}[{s},{t}] y={y}")
 
 
 def compare_transition(coeffs, nu, s, t, y, n_samples, lambda_grid, seed,
@@ -257,10 +264,7 @@ def chapman_kolmogorov(coeffs, nu, s, u, t, y, n_samples, lambda_grid, seed,
     """Two-step sampling through an intermediate time vs the one-step formula."""
     if not (s < u < t):
         raise DegenerateIntermediate("need s < u < t")
-    sampler = get_sampler(coeffs, nu, n_cells=n_cells, delta=delta)
-    nu_eff = nu.truncated(sampler.delta) \
-        if (nu is not None and sampler.delta > 0) else nu
-    eng = get_kernels(coeffs, nu_eff)
+    sampler, eng = _engines(coeffs, nu, n_cells, delta)
     grid = np.asarray(lambda_grid, dtype=float)
     analytic = eng.laplace_K(s, t, y, grid)[0]
 
@@ -288,36 +292,11 @@ def psi_semigroup_check(coeffs, triples: Sequence, lambda_grid) -> float:
     return worst
 
 
-def moment_check(samples, expected_mean, expected_var) -> MomentCheck:
-    """z-scores of the sample mean and variance against target moments."""
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise InsufficientSamples("need at least two samples")
-    n = x.size
-    m = x.mean()
-    c = x - m
-    s2 = np.square(c).sum() / (n - 1)
-    m4 = np.power(c, 4).mean()
-    se_mean = math.sqrt(s2 / n)
-    se_var = math.sqrt(max(m4 - s2 ** 2, 0.0) / n)
-    z_mean = float(_zscores(np.asarray(m - expected_mean),
-                            np.asarray(se_mean)))
-    z_var = float(_zscores(np.asarray(s2 - expected_var), np.asarray(se_var)))
-    return MomentCheck(float(m), float(s2), float(expected_mean),
-                       float(expected_var), z_mean, z_var, n)
-
-
 def moment_check_from_sums(stats, expected_mean, expected_var) -> MomentCheck:
-    """Moment z-scores from the power sums of :func:`mc_statistics`."""
-    n = stats["n"]
-    m = stats["sum1"] / n
-    # central moments from raw power sums
-    m2 = stats["sum2"] / n - m ** 2
-    m3 = stats["sum3"] / n - 3 * m * stats["sum2"] / n + 2 * m ** 3
-    m4 = (stats["sum4"] / n - 4 * m * stats["sum3"] / n
-          + 6 * m ** 2 * stats["sum2"] / n - 3 * m ** 4)
+    """Moment z-scores from the central moments of :func:`mc_statistics`."""
+    n, m, m2, m4 = stats["n"], stats["x_mean"], stats["x_m2"], stats["x_m4"]
     s2 = m2 * n / (n - 1)
-    se_mean = math.sqrt(max(m2, 0.0) / n)
+    se_mean = math.sqrt(m2 / n)
     se_var = math.sqrt(max(m4 - m2 ** 2, 0.0) / n)
     z_mean = float(_zscores(np.asarray(m - expected_mean), np.asarray(se_mean)))
     z_var = float(_zscores(np.asarray(s2 - expected_var), np.asarray(se_var)))

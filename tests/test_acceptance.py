@@ -57,7 +57,7 @@ def _run_crit_1():
                                   beta=cj.constant(beta),
                                   sigma=cj.constant(math.sqrt(sigma2)),
                                   t_max=2.0)
-            kv = cj.kernel_value(c, 0.3, 1.7)
+            kv = get_kernels(c).kernel_value(0.3, 1.7)
             C = sigma2 / 2 * (math.exp(beta * 1.7) - math.exp(beta * 0.3)) / beta
             B = math.exp(-beta * 1.4)
             p = 1.0 / (math.exp(-beta * 1.7) * C)

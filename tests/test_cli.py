@@ -268,6 +268,72 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
     assert digest.hexdigest() == PATH_DIGESTS[(config, scheme)]
 
 
+# SHA-256 of the standard output of `laplace --component C` and of `sample
+# --component C --n 2000` on each demo config, recorded with the
+# per-command component dispatch that the component table replaced.
+# classical_cir has no jump measure, so it has no Itilde transform.
+CLI_DIGESTS = {
+    ("classical_cir", "laplace", "H"):
+        "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
+    ("classical_cir", "laplace", "I"):
+        "63b8f37f1384287240dbd8e9535e8eb3f023cea92fd967cce44251e108789f06",
+    ("classical_cir", "laplace", "K"):
+        "ba166cbb6e16ffc0c49adbe516b457487be4731933c02f6d82e9fe39e57b206f",
+    ("classical_cir", "sample", "H"):
+        "4ca4cb9a4328383a34554607725c9d7e6eab600cd00d8962b650f5435bf72c5c",
+    ("classical_cir", "sample", "I"):
+        "61c14d824cd31367fd090e82cc576356d7d443b1dda32f60c421650a35b991cd",
+    ("classical_cir", "sample", "Itilde"):
+        "6d83232eea796161e49f06c74feaa3d16c263825014a7196aa8dbe3c009027d8",
+    ("classical_cir", "sample", "K"):
+        "525989de307d98f255e8032fd921c389ad40f8d79b91ef67604d19895ef6f09e",
+    ("infinite_activity", "laplace", "H"):
+        "dd35b21c2c646499f612f1b9b333e060a9c490426404f6ca2e913395a27a5d89",
+    ("infinite_activity", "laplace", "I"):
+        "c3516d56b44155dfb8387ff94d08ccb66ac0a2bab7d0d36297b756ea000dc15a",
+    ("infinite_activity", "laplace", "Itilde"):
+        "6e7ce8960dce1a38f7b72e8e87471e11939ccb8399749f2dc6a3f9418f00a910",
+    ("infinite_activity", "laplace", "K"):
+        "282d5b9551b0bbcbfaa5290ff7005c7a1bb7e19144a061f9b922487b4dd654e9",
+    ("infinite_activity", "sample", "H"):
+        "16fb4f36e589ef72c192e4c159196b15f0dde7325ddc089f9c73f6a36832fbbc",
+    ("infinite_activity", "sample", "I"):
+        "139729bdab44ee0aa08f198312c546ade6cd25216108057ecb75ae571f8a0873",
+    ("infinite_activity", "sample", "Itilde"):
+        "f88da4bd3025fe30526c4892a9c5c6bc009bfa501a7570d8acba08c5afc33a7b",
+    ("infinite_activity", "sample", "K"):
+        "9242d4c6ce2134aac6c3b90c27eaee6b88fcd688fdf17e8d8f8a07bc3ff7e8f4",
+    ("jump_model", "laplace", "H"):
+        "cc5a72addaee507eec15ce73b7a5c4cadd1c1bcda3b606bc06b1d38c6b02bda1",
+    ("jump_model", "laplace", "I"):
+        "6aa8ce1533be57aeb85531ddf3271dca7b62da1611c0b315f7275417f4557821",
+    ("jump_model", "laplace", "Itilde"):
+        "0e7cd3749413daf73e4d84abb9f62598292574a8856c0564c8f2517120043cac",
+    ("jump_model", "laplace", "K"):
+        "4e194e53d12f2049ba4961b57793465e24813f0cbc5f5be0062bdca533c93e11",
+    ("jump_model", "sample", "H"):
+        "b4bc4efd24ec5741e24c1c21bfe447ea1d4afa08b38be6a2b8a8d1b0f8233444",
+    ("jump_model", "sample", "I"):
+        "06d84623087bca46631c7ec27632b1d287eef656865f6210083a4ff77ddfff38",
+    ("jump_model", "sample", "Itilde"):
+        "669036278c0185fad0b490e37e91631f805783f940caa0efc48b3499db2d8304",
+    ("jump_model", "sample", "K"):
+        "a51a1696ebe1a08560ff89fda81c47096aa0deca488cf4f251eb6f331609f004",
+}
+
+
+@pytest.mark.parametrize("config,command,component", sorted(CLI_DIGESTS))
+def test_demo_cli_output_byte_identical(config, command, component, capsys):
+    argv = [command, os.path.join(DEMO_CONFIGS, config + ".yaml"),
+            "--component", component]
+    if command == "sample":
+        argv += ["--n", "2000"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CLI_DIGESTS[(config, command, component)]
+
+
 def _exit_code(argv):
     try:
         return main(argv)

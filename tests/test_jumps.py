@@ -8,8 +8,7 @@ from scipy.integrate import quad
 import cirjump as cj
 from cirjump.errors import (InvalidDelta, NonIntegrable,
                             RestrictiveConditionViolated)
-from cirjump.jumps import (delta_for_budget, nu_integral, nu_truncate,
-                           truncation_schedule)
+from cirjump.jumps import delta_for_budget, truncation_schedule
 from cirjump.numerics import RngStream
 from conftest import tempered_power
 
@@ -17,25 +16,23 @@ from conftest import tempered_power
 class TestNuIntegral:
     def test_atoms_linear(self):
         nu = cj.atoms([(1.0, 2.0), (3.0, 1.0)])
-        value, err = nu_integral(nu, lambda y: y)
+        value, err = nu.integral(lambda y: y)
         assert value == 5.0 and err == 0.0
 
     def test_single_atom_exponential(self):
         nu = cj.atoms([(1.0, 1.0)])
-        value, _ = nu_integral(nu, lambda y: 1.0 - np.exp(-y))
+        value, _ = nu.integral(lambda y: 1.0 - np.exp(-y))
         assert value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
 
     def test_exponential_density_mean(self, exp_density):
         # int y e^-y dy = 1
-        value, err = nu_integral(exp_density, lambda y: y,
-                                 g_exponent_at_zero=1.0)
+        value, err = exp_density.integral(lambda y: y, g_exponent_at_zero=1.0)
         assert value == pytest.approx(1.0, abs=1e-8)
         assert err < 1e-7
 
     def test_nonintegrable_combination(self, rho04):
         with pytest.raises(NonIntegrable):
-            nu_integral(rho04, lambda y: np.ones_like(y),
-                        g_exponent_at_zero=0.0)
+            rho04.integral(lambda y: np.ones_like(y), g_exponent_at_zero=0.0)
 
 
 class TestOneMinusExp:
@@ -80,13 +77,15 @@ class TestOneMinusExp:
 class TestTruncation:
     def test_atom_above_delta_unchanged(self):
         nu = cj.atoms([(1.0, 1.0)])
-        cut, bound = nu_truncate(nu, 0.5)
+        cut, bound = nu.truncated(0.5), nu.sqrt_tail(0.5)
         assert cut.points == nu.points
         assert bound == 0.0
 
     def test_invalid_delta(self, two_atoms):
+        c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(0.2),
+                              beta=cj.constant(1.0), sigma=cj.constant(1.0))
         with pytest.raises(InvalidDelta):
-            nu_truncate(two_atoms, 0.0)
+            cj.TransitionSampler(c, two_atoms, delta=-0.5)
 
     def test_budget_rootfind(self, rho04):
         # delta solving int_0^delta y^-0.9 e^-y dy = 4^-3, against the
@@ -115,7 +114,7 @@ class TestTruncation:
             assert b <= a / 4.0 * (1 + 1e-6)
 
     def test_truncated_measure_finite_activity(self, rho04):
-        cut, _ = nu_truncate(rho04, 0.01)
+        cut = rho04.truncated(0.01)
         assert not cut.infinite_activity
         assert math.isfinite(cut.mass_above(0.0))
 

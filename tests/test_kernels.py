@@ -24,7 +24,7 @@ def constant_closed_form(beta, sigma2, s, t):
 
 class TestKernelValue:
     def test_log2_example(self, const_coeffs):
-        kv = cj.kernel_value(const_coeffs, 0.0, math.log(2.0))
+        kv = get_kernels(const_coeffs).kernel_value(0.0, math.log(2.0))
         assert kv.C == pytest.approx(1.0, rel=1e-12)
         assert kv.B == pytest.approx(0.5, rel=1e-12)
         assert kv.p == pytest.approx(2.0, rel=1e-12)
@@ -34,7 +34,7 @@ class TestKernelValue:
         c = cj.CoefficientSet(a=cj.constant(0), a_tilde=cj.constant(0),
                               beta=cj.constant(0.0),
                               sigma=cj.constant(math.sqrt(2.0)), t_max=2.0)
-        kv = cj.kernel_value(c, 0.0, 1.0)
+        kv = get_kernels(c).kernel_value(0.0, 1.0)
         assert kv.B == 1.0
         assert kv.C == pytest.approx(1.0, rel=1e-13)
         assert kv.p == pytest.approx(1.0, rel=1e-13)
@@ -46,7 +46,7 @@ class TestKernelValue:
         c = cj.CoefficientSet(a=cj.constant(0), a_tilde=cj.constant(0),
                               beta=cj.constant(beta),
                               sigma=cj.constant(math.sqrt(sigma2)), t_max=2.0)
-        kv = cj.kernel_value(c, 0.3, 1.7)
+        kv = get_kernels(c).kernel_value(0.3, 1.7)
         C, B, p, gamma = constant_closed_form(beta, sigma2, 0.3, 1.7)
         assert kv.C == pytest.approx(C, rel=1e-10)
         assert kv.B == pytest.approx(B, rel=1e-10)
@@ -56,19 +56,19 @@ class TestKernelValue:
     def test_short_interval_asymptotics(self, const_coeffs):
         # p(s, t) (t - s) -> 2 / sigma^2(s) as t -> s
         s, dt = 0.4, 1e-6
-        kv = cj.kernel_value(const_coeffs, s, s + dt)
+        kv = get_kernels(const_coeffs).kernel_value(s, s + dt)
         assert kv.p * dt == pytest.approx(1.0, abs=1e-3)
         assert kv.gamma * dt == pytest.approx(1.0, abs=1e-3)
 
     def test_gamma_is_B_times_p(self, pc_coeffs):
-        kv = cj.kernel_value(pc_coeffs, 0.2, 1.4)
+        kv = get_kernels(pc_coeffs).kernel_value(0.2, 1.4)
         assert abs(kv.gamma - kv.B * kv.p) <= 1e-12 * kv.gamma
 
     def test_degenerate_interval(self, pc_coeffs):
         with pytest.raises(DegenerateInterval):
-            cj.kernel_value(pc_coeffs, 1.0, 1.0)
+            get_kernels(pc_coeffs).kernel_value(1.0, 1.0)
         with pytest.raises(DegenerateInterval):
-            cj.kernel_value(pc_coeffs, 1.5, 0.5)
+            get_kernels(pc_coeffs).kernel_value(1.5, 0.5)
 
     def test_nonsmooth_branch_against_quad(self):
         # piecewise-linear beta and clipped-sine sigma take the tabulated
@@ -78,7 +78,7 @@ class TestKernelValue:
         c = cj.CoefficientSet(a=cj.constant(0), a_tilde=cj.constant(0),
                               beta=beta, sigma=sigma, t_max=2.0)
         s, t = 0.25, 1.65
-        kv = cj.kernel_value(c, s, t)
+        kv = get_kernels(c).kernel_value(s, t)
         int_beta = quad(beta, s, t, points=[0.8], limit=200)[0]
         assert kv.B == pytest.approx(math.exp(-int_beta), rel=1e-9)
         Cref = quad(lambda v: sigma(v) ** 2 / 2
@@ -89,11 +89,11 @@ class TestKernelValue:
 
 class TestPsi:
     def test_zero(self, const_coeffs):
-        assert cj.psi(const_coeffs, 0.0, math.log(2.0), 0.0) == 0.0
+        assert get_kernels(const_coeffs).psi(0.0, math.log(2.0), 0.0) == 0.0
 
     def test_halfway_example(self, const_coeffs):
         # gamma = 1, p = 2 at (0, ln 2): psi(2) = 1 * 2 / (2 + 2)
-        assert cj.psi(const_coeffs, 0.0, math.log(2.0), 2.0) == \
+        assert get_kernels(const_coeffs).psi(0.0, math.log(2.0), 2.0) == \
             pytest.approx(0.5, rel=1e-12)
 
     def test_derivative_at_zero_is_B(self, pc_coeffs):
@@ -139,8 +139,8 @@ class TestPsi:
         B = math.exp(-h)
         D = 0.5 * -math.expm1(-h)
         want = B * lam / (1.0 + lam * D)
-        assert cj.psi(c, s, s + h, lam) == pytest.approx(want, rel=1e-8)
-        assert cj.psi(c, s, s + h, np.inf) == pytest.approx(B / D, rel=1e-6)
+        assert get_kernels(c).psi(s, s + h, lam) == pytest.approx(want, rel=1e-8)
+        assert get_kernels(c).psi(s, s + h, np.inf) == pytest.approx(B / D, rel=1e-6)
 
     def test_functional_iteration(self, pc_coeffs, lambda_grid):
         eng = get_kernels(pc_coeffs)
@@ -174,18 +174,18 @@ class TestPsi:
 
 class TestPsiTilde:
     def test_zero(self, pc_coeffs, two_atoms):
-        assert cj.psi_tilde(pc_coeffs, two_atoms, 0.2, 1.2, 0.0) == 0.0
+        assert get_kernels(pc_coeffs, two_atoms).psi_tilde(0.2, 1.2, 0.0) == 0.0
 
     def test_unit_atom_reduction(self, pc_coeffs):
         nu = cj.atoms([(1.0, 1.0)])
         lam = 3.0
-        ps = cj.psi(pc_coeffs, 0.2, 1.2, lam)
-        assert cj.psi_tilde(pc_coeffs, nu, 0.2, 1.2, lam) == \
+        ps = get_kernels(pc_coeffs).psi(0.2, 1.2, lam)
+        assert get_kernels(pc_coeffs, nu).psi_tilde(0.2, 1.2, lam) == \
             pytest.approx(1.0 - math.exp(-ps), rel=1e-12)
 
     def test_exponential_density_closed_form(self, pc_coeffs, exp_density):
         lam = np.array([0.3, 1.0, 4.0])
-        ps = cj.psi(pc_coeffs, 0.2, 1.2, lam)
+        ps = get_kernels(pc_coeffs).psi(0.2, 1.2, lam)
         got = get_kernels(pc_coeffs, exp_density).psi_tilde(0.2, 1.2, lam)
         assert np.allclose(got, ps / (1 + ps), atol=1e-9)
 
@@ -345,14 +345,6 @@ class TestLaplaceIK:
             eng.psi(0.2, 1.2, -1.0)
         with pytest.raises(ValueError):
             eng.laplace_K(0.2, 1.2, 0.5, np.array([1.0, -0.5]))
-
-    def test_wrappers_return_laplace_eval(self, pc_coeffs, two_atoms):
-        ev = cj.laplace_K(pc_coeffs, two_atoms, 0.2, 1.2, 0.5, 1.0)
-        assert isinstance(ev, cj.LaplaceEval)
-        assert 0.0 < ev.value <= 1.0
-        evs = cj.laplace_K(pc_coeffs, two_atoms, 0.2, 1.2, 0.5,
-                           np.array([0.0, 1.0]))
-        assert evs[0].value == 1.0
 
 
 def clipped_sine_coeffs():

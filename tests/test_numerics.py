@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cirjump.errors import BoundViolated
-from cirjump.numerics import (RngStream, gamma_sample,
-                              inhomogeneous_poisson_times, integrate,
-                              poisson_sample)
+import cirjump as cj
+from cirjump.numerics import RngStream, integrate
 
 N_BIG = 1_000_000
 ALPHA = 1e-3  # significance of the distributional tests
@@ -79,17 +77,16 @@ class TestRngStream:
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) * math.sqrt(n) < 4.0
 
-    def test_shifted(self):
-        s = RngStream(9, 10)
-        assert s.shifted(5) == RngStream(9, 15)
-
 
 class TestGammaSample:
+    """Gamma variates of a stream generator in the (shape, scale = 1/rate)
+    form the samplers draw them; shape 0 must give exact zeros."""
+
     def test_exponential_reduction(self):
         # shape 1 with rate p is the exponential law with mean 1/p
         g = RngStream(1).generator()
         p = 2.5
-        x = gamma_sample(g, 1.0, p, size=N_BIG)
+        x = g.gamma(1.0, 1.0 / p, size=N_BIG)
         se = x.std(ddof=1) / math.sqrt(N_BIG)
         assert abs(x.mean() - 1.0 / p) < 3 * se
         ks = stats.kstest(x[:100_000], stats.expon(scale=1.0 / p).cdf)
@@ -97,34 +94,36 @@ class TestGammaSample:
 
     def test_moment_identity(self):
         g = RngStream(2).generator()
-        x = gamma_sample(g, 2.5, 4.0, size=N_BIG)
+        x = g.gamma(2.5, 1.0 / 4.0, size=N_BIG)
         se = x.std(ddof=1) / math.sqrt(N_BIG)
         assert abs(x.mean() - 0.625) < 3 * se
 
     def test_small_shape(self):
         g = RngStream(3).generator()
-        x = gamma_sample(g, 0.3, 1.0, size=N_BIG)
+        x = g.gamma(0.3, 1.0, size=N_BIG)
         ks = stats.kstest(x[:100_000], stats.gamma(a=0.3).cdf)
         assert ks.pvalue > ALPHA
 
     def test_zero_shape_is_zero(self):
         g = RngStream(4).generator()
-        assert np.all(gamma_sample(g, np.zeros(10), 1.0) == 0.0)
+        assert np.all(g.gamma(np.zeros(10), 1.0) == 0.0)
 
     def test_deterministic(self):
-        x = gamma_sample(RngStream(5).generator(), 1.7, 2.0, size=8)
-        y = gamma_sample(RngStream(5).generator(), 1.7, 2.0, size=8)
+        x = RngStream(5).generator().gamma(1.7, 1.0 / 2.0, size=8)
+        y = RngStream(5).generator().gamma(1.7, 1.0 / 2.0, size=8)
         assert np.array_equal(x, y)
 
 
 class TestPoissonSample:
+    """Poisson variates of a stream generator; mean 0 gives exact zeros."""
+
     def test_zero_mean(self):
         g = RngStream(6).generator()
-        assert np.all(poisson_sample(g, 0.0, size=100) == 0)
+        assert np.all(g.poisson(0.0, size=100) == 0)
 
     def test_moments_and_chisquare(self):
         g = RngStream(7).generator()
-        x = poisson_sample(g, 3.0, size=N_BIG)
+        x = g.poisson(3.0, size=N_BIG)
         se = x.std(ddof=1) / math.sqrt(N_BIG)
         assert abs(x.mean() - 3.0) < 3 * se
         var = x.var(ddof=1)
@@ -139,45 +138,53 @@ class TestPoissonSample:
         assert res.pvalue > ALPHA
 
     def test_deterministic(self):
-        x = poisson_sample(RngStream(8).generator(), 2.0, size=16)
-        y = poisson_sample(RngStream(8).generator(), 2.0, size=16)
+        x = RngStream(8).generator().poisson(2.0, size=16)
+        y = RngStream(8).generator().poisson(2.0, size=16)
         assert np.array_equal(x, y)
 
 
+def _jump_sampler(a_tilde, t_max):
+    # a unit atom: the jump-time intensity is a_tilde itself
+    c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=a_tilde,
+                          beta=cj.constant(1.0), sigma=cj.constant(1.0),
+                          t_max=t_max)
+    return cj.TransitionSampler(c, cj.atoms([(1.0, 1.0)]))
+
+
+def _jump_counts(sampler, g, s, t, reps):
+    idx, _, _ = sampler.prm_points_batch(g, s, t, reps)
+    return np.bincount(idx, minlength=reps).astype(float)
+
+
 class TestInhomogeneousTimes:
+    """Jump times by thinning, as ``TransitionSampler.prm_points_batch``
+    draws them."""
+
     def test_zero_rate_empty(self):
         g = RngStream(9).generator()
-        out = inhomogeneous_poisson_times(g, lambda v: 0.0 * v, 0.0, 5.0, 0.0)
-        assert out.size == 0
+        sampler = _jump_sampler(cj.constant(0.0), 5.0)
+        idx, times, sizes = sampler.prm_points_batch(g, 0.0, 5.0, 10)
+        assert idx.size == times.size == sizes.size == 0
 
     def test_constant_rate_counts(self):
         g = RngStream(10).generator()
         reps = 100_000
-        counts = np.array([
-            inhomogeneous_poisson_times(g, lambda v: 2.0 + 0.0 * v,
-                                        0.0, 5.0, 2.0).size
-            for _ in range(reps)], dtype=float)
+        counts = _jump_counts(_jump_sampler(cj.constant(2.0), 5.0), g,
+                              0.0, 5.0, reps)
         se = counts.std(ddof=1) / math.sqrt(reps)
         assert abs(counts.mean() - 10.0) < 3 * se
 
     def test_linear_rate_expected_count(self):
         g = RngStream(11).generator()
         reps = 40_000
-        counts = np.array([
-            inhomogeneous_poisson_times(g, lambda v: v, 0.0, 1.0, 1.0).size
-            for _ in range(reps)], dtype=float)
+        sampler = _jump_sampler(cj.piecewise_linear([0.0, 1.0], [0.0, 1.0]), 1.0)
+        counts = _jump_counts(sampler, g, 0.0, 1.0, reps)
         se = counts.std(ddof=1) / math.sqrt(reps)
         assert abs(counts.mean() - 0.5) < 3 * se
 
     def test_sorted_inside_interval(self):
         g = RngStream(12).generator()
-        out = inhomogeneous_poisson_times(g, lambda v: 5.0 + 0.0 * v,
-                                          1.0, 3.0, 5.0)
+        out = _jump_sampler(cj.constant(5.0), 3.0).sample_prm(g, 1.0, 3.0).times
+        assert out.size > 0
         assert np.all(np.diff(out) >= 0)
         assert np.all((out >= 1.0) & (out <= 3.0))
-
-    def test_bound_violation(self):
-        g = RngStream(13).generator()
-        with pytest.raises(BoundViolated):
-            inhomogeneous_poisson_times(g, lambda v: 2.0 + 0.0 * v,
-                                        0.0, 10.0, 1.0)

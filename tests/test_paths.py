@@ -7,7 +7,7 @@ from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
 from cirjump.paths import _absorbed_batch
 from cirjump.samplers import get_sampler
-from cirjump.verify import empirical_laplace, mc_statistics
+from cirjump.verify import mc_statistics
 
 
 class TestEulerPath:
@@ -180,13 +180,11 @@ class TestBranchingPath:
         eng = get_kernels(pc_coeffs, two_atoms)
         lam = np.array([1.0])
         analytic, _ = eng.laplace_K(s, t, y, lam)
-        reps = 2500
-        g = RngStream(88).generator()
-        term = np.array([
+        stats = mc_statistics(lambda g, m: np.array([
             cj.branching_path(g, pc_coeffs, two_atoms, s, t, y,
                               grid=grid, n_cells=16).values[-1]
-            for _ in range(reps)])
-        emp, se = empirical_laplace(term, lam)
+            for _ in range(m)]), 2500, lam, seed=88)
+        emp, se = stats["mean"], stats["std_err"]
         assert abs(emp[0] - analytic[0]) <= 4 * se[0] + 0.025
 
     def test_sup_norm_scales_with_jump_mass(self, pc_coeffs):

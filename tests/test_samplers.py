@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import cirjump as cj
-from cirjump.errors import InvalidDelta, RestrictiveConditionViolated
+from cirjump.errors import (DegenerateInterval, InvalidDelta,
+                            RestrictiveConditionViolated)
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
-from cirjump.samplers import get_sampler
+from cirjump.samplers import COMPONENTS, get_component, get_sampler
 from cirjump.verify import (mc_statistics, moment_check_from_sums,
                             transform_comparison, zero_fraction_z)
 
@@ -21,7 +22,7 @@ def _grid():
 class TestSampleH:
     def test_zero_start_stays_zero(self, pc_coeffs):
         g = RngStream(40).generator()
-        x = cj.sample_H(g, pc_coeffs, 0.2, 1.2, 0.0, size=1000)
+        x = get_sampler(pc_coeffs).sample_h(g, 0.2, 1.2, 0.0, size=1000)
         assert np.all(x == 0.0)
 
     def test_moments_zeros_transform(self, pc_coeffs):
@@ -54,13 +55,14 @@ class TestSampleH:
     def test_vector_start(self, pc_coeffs):
         g = RngStream(43).generator()
         y = np.array([0.0, 0.5, 2.0])
-        x = cj.sample_H(g, pc_coeffs, 0.2, 1.2, y)
+        x = get_sampler(pc_coeffs).sample_h(g, 0.2, 1.2, y)
         assert x.shape == (3,)
         assert x[0] == 0.0
 
     def test_scalar_draw_deterministic(self, pc_coeffs):
-        a = cj.sample_H(RngStream(44).generator(), pc_coeffs, 0.2, 1.2, 0.7)
-        b = cj.sample_H(RngStream(44).generator(), pc_coeffs, 0.2, 1.2, 0.7)
+        sampler = get_sampler(pc_coeffs)
+        a = sampler.sample_h(RngStream(44).generator(), 0.2, 1.2, 0.7)
+        b = sampler.sample_h(RngStream(44).generator(), 0.2, 1.2, 0.7)
         assert a == b
 
 
@@ -70,7 +72,7 @@ class TestSampleI:
                               beta=cj.constant(1.0), sigma=cj.constant(1.0),
                               t_max=2.0)
         g = RngStream(45).generator()
-        assert np.all(cj.sample_I(g, c, 0.1, 1.4, size=500) == 0.0)
+        assert np.all(get_sampler(c).sample_i(g, 0.1, 1.4, size=500) == 0.0)
 
     def test_transform_piecewise(self, pc_coeffs):
         s, t = 0.2, 1.4
@@ -107,7 +109,6 @@ class TestSampleI:
                            (0.6, 0.7, [0.6, 0.7])):
             assert coarse.i_grid(s, t).tolist() == want
             assert fine.i_grid(s, t).tolist() == want
-            assert fine.i_grid(s, t, n=16).tolist() == want
         a = coarse.sample_i(RngStream(65).generator(), 0.2, 1.4, size=2000)
         b = fine.sample_i(RngStream(65).generator(), 0.2, 1.4, size=2000)
         assert np.array_equal(a, b)
@@ -143,9 +144,8 @@ class TestSampleI:
                               a_tilde=cj.constant(0.0),
                               beta=cj.constant(1.0), sigma=cj.constant(1.0),
                               t_max=2.0)
-        sampler = cj.TransitionSampler(c, n_cells=16)
-        assert sampler.i_grid(0.2, 1.8).size == 17
-        assert sampler.i_grid(0.2, 1.8, n=4).size == 5
+        assert cj.TransitionSampler(c, n_cells=16).i_grid(0.2, 1.8).size == 17
+        assert cj.TransitionSampler(c, n_cells=4).i_grid(0.2, 1.8).size == 5
 
     def test_refinement_ladder(self):
         # piecewise-linear input rate: the cell law is only exact in the
@@ -193,8 +193,8 @@ class TestSampleItilde:
                               beta=pc_coeffs.beta, sigma=pc_coeffs.sigma,
                               t_max=2.0)
         g = RngStream(50).generator()
-        assert np.all(cj.sample_Itilde(g, c, two_atoms, 0.2, 1.2, size=400)
-                      == 0.0)
+        sampler = get_sampler(c, two_atoms)
+        assert np.all(sampler.sample_itilde(g, 0.2, 1.2, size=400) == 0.0)
 
     def test_transform_unit_atom(self, pc_coeffs):
         nu = cj.atoms([(0.9, 1.3)])
@@ -340,20 +340,47 @@ class TestNumericKernelBranch:
 
 
 class TestTransitionLaw:
-    def test_descriptor_sample_and_laplace(self, pc_coeffs, two_atoms):
-        law = cj.TransitionLaw(pc_coeffs, two_atoms, s=0.2, t=1.2, y=0.8,
-                               component="K")
-        g = RngStream(62).generator()
-        x = law.sample(g, size=50_000)
-        emp, se = cj.empirical_laplace(x, [1.0])
-        analytic = law.laplace(1.0)
-        assert abs(emp[0] - analytic) <= 4 * se[0]
+    """The component table: each law's transform and draws, by name."""
 
-    def test_invalid_component(self, pc_coeffs, two_atoms):
+    def test_descriptor_sample_and_laplace(self, pc_coeffs, two_atoms):
+        law = get_component("K")
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        stats = mc_statistics(
+            lambda g, m: law.draw(sampler, g, 0.2, 1.2, 0.8, m),
+            50_000, [1.0], seed=62)
+        analytic = law.laplace(sampler.kernels, 0.2, 1.2, 0.8, 1.0)[0]
+        assert abs(stats["mean"][0] - analytic) <= 4 * stats["std_err"][0]
+
+    def test_invalid_component(self):
         with pytest.raises(ValueError):
-            cj.TransitionLaw(pc_coeffs, two_atoms, s=0.2, t=1.2,
-                             component="X")
+            get_component("X")
 
     def test_degenerate_times(self, pc_coeffs, two_atoms):
-        with pytest.raises(ValueError):
-            cj.TransitionLaw(pc_coeffs, two_atoms, s=1.2, t=1.2)
+        eng = get_kernels(pc_coeffs, two_atoms)
+        for law in COMPONENTS.values():
+            with pytest.raises(DegenerateInterval):
+                law.laplace(eng, 1.2, 1.2, 0.0, 1.0)
+
+    def test_table_matches_engine_methods(self, pc_coeffs, two_atoms):
+        # each entry calls its own law's methods; y reaches only the laws
+        # that start from a mass
+        eng = get_kernels(pc_coeffs, two_atoms)
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        s, t, y, lam = 0.2, 1.2, 0.8, _grid()
+        expected = {
+            "K": (eng.laplace_K(s, t, y, lam),
+                  lambda g: sampler.sample_k(g, s, t, y, size=64)),
+            "H": (eng.laplace_H(s, t, y, lam),
+                  lambda g: sampler.sample_h(g, s, t, y, size=64)),
+            "I": (eng.laplace_I(s, t, lam),
+                  lambda g: sampler.sample_i(g, s, t, size=64)),
+            "Itilde": (eng.laplace_Itilde(s, t, lam),
+                       lambda g: sampler.sample_itilde(g, s, t, size=64)),
+        }
+        assert set(COMPONENTS) == set(expected)
+        for name, (transform, draw) in expected.items():
+            law = COMPONENTS[name]
+            assert np.array_equal(law.laplace(eng, s, t, y, lam)[0], transform[0])
+            assert np.array_equal(law.draw(sampler, RngStream(68).generator(),
+                                           s, t, y, 64),
+                                  draw(RngStream(68).generator()))

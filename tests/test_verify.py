@@ -11,30 +11,33 @@ from cirjump import verify
 from cirjump.errors import DegenerateIntermediate, InsufficientSamples
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
+from cirjump.samplers import get_sampler
 from cirjump.verify import (LaplaceComparison, chapman_kolmogorov,
-                            compare_transition, empirical_laplace,
-                            mc_statistics, moment_check, psi_semigroup_check)
+                            compare_transition, mc_statistics,
+                            moment_check_from_sums, psi_semigroup_check)
 from conftest import tempered_power
 
 
 class TestEmpiricalLaplace:
+    """The empirical transform of ``mc_statistics``."""
+
     def test_degenerate_zeros(self):
-        mean, se = empirical_laplace(np.zeros(100), [0.5, 1.0, 2.0])
-        assert np.all(mean == 1.0)
-        assert np.all(se == 0.0)
+        stats = mc_statistics(lambda g, m: np.zeros(m), 100, [0.5, 1.0, 2.0],
+                              seed=0)
+        assert np.all(stats["mean"] == 1.0)
+        assert np.all(stats["std_err"] == 0.0)
 
     def test_exponential_law(self):
-        g = RngStream(100).generator()
         p = 2.0
-        x = g.exponential(1.0 / p, 200_000)
         grid = np.array([0.5, 1.0, 4.0])
-        mean, se = empirical_laplace(x, grid)
+        stats = mc_statistics(lambda g, m: g.exponential(1.0 / p, m),
+                              200_000, grid, seed=100)
         want = 1.0 / (1.0 + grid / p)
-        assert np.all(np.abs(mean - want) <= 3 * se)
+        assert np.all(np.abs(stats["mean"] - want) <= 3 * stats["std_err"])
 
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientSamples):
-            empirical_laplace(np.array([1.0]), [1.0])
+            mc_statistics(lambda g, m: np.ones(m), 1, [1.0], seed=0)
 
 
 class TestCompareTransition:
@@ -113,18 +116,23 @@ class TestPsiSemigroupCheck:
         assert psi_semigroup_check(pc_coeffs, triples, lambda_grid) <= 1e-7
 
 
+def _moments(draw, n, expected_mean, expected_var, seed=0):
+    stats = mc_statistics(draw, n, [1.0], seed=seed)
+    return moment_check_from_sums(stats, expected_mean, expected_var)
+
+
 class TestMomentCheck:
     def test_degenerate_zeros(self):
-        mc = moment_check(np.zeros(100), 0.0, 0.0)
+        mc = _moments(lambda g, m: np.zeros(m), 100, 0.0, 0.0)
         assert mc.z_mean == 0.0 and mc.z_var == 0.0
         assert mc.passed
 
     def test_h_law_moments(self, pc_coeffs):
         s, t, y = 0.2, 1.2, 0.8
         kv = get_kernels(pc_coeffs).kernel_value(s, t)
-        g = RngStream(105).generator()
-        x = cj.sample_H(g, pc_coeffs, s, t, y, size=200_000)
-        mc = moment_check(x, y * kv.B, 2 * y * kv.B / kv.p)
+        sampler = get_sampler(pc_coeffs)
+        mc = _moments(lambda g, m: sampler.sample_h(g, s, t, y, size=m),
+                      200_000, y * kv.B, 2 * y * kv.B / kv.p, seed=105)
         assert mc.passed
 
     def test_mean_decays_like_B(self, pc_coeffs):
@@ -132,15 +140,29 @@ class TestMomentCheck:
         s, y = 0.1, 1.0
         g = RngStream(106).generator()
         eng = get_kernels(pc_coeffs)
+        sampler = get_sampler(pc_coeffs)
         for t in (0.5, 1.0, 1.9):
-            x = cj.sample_H(g, pc_coeffs, s, t, y, size=50_000)
+            x = sampler.sample_h(g, s, t, y, size=50_000)
             kv = eng.kernel_value(s, t)
             se = x.std(ddof=1) / math.sqrt(x.size)
             assert abs(x.mean() - y * kv.B) <= 4 * se
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
-            moment_check(np.array([1.0]), 0.0, 1.0)
+            _moments(lambda g, m: np.ones(m), 1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_variance_far_from_zero(self, offset):
+        # U(0, 1) shifted far from zero: the variance is 1/12 at any offset,
+        # and the check must see it, not the rounding of raw power sums
+        mc = _moments(lambda g, m: offset + g.random(m), 100_000,
+                      offset + 0.5, 1.0 / 12.0, seed=110)
+        assert mc.sample_var == pytest.approx(1.0 / 12.0, rel=0.02)
+        assert abs(mc.z_mean) <= 4.0 and abs(mc.z_var) <= 4.0
+        assert mc.passed
+        biased = _moments(lambda g, m: offset + g.random(m), 100_000,
+                          offset + 0.5, 1.0 / 12.0 * 1.05, seed=110)
+        assert abs(biased.z_var) > 4.0
 
 
 class TestDeterminism:
