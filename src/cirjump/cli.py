@@ -101,6 +101,9 @@ def cmd_laplace(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"--lambdas: {exc}") from exc
         cfg = check_run(replace(cfg, lambda_grid=lams))
+    if args.component == "Itilde" and cfg.nu is None:
+        raise ConfigError("component Itilde has no transform without a jump "
+                          "measure (model.nu)")
     eng = get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol,
                       nu_tol=cfg.nu_tol)
     grid = np.asarray(cfg.lambda_grid, dtype=float)

@@ -27,7 +27,7 @@ Schema (all sections except ``model`` are optional)::
       workers: 1
       lambda_grid: [0.05, 0.1, 0.5, 1, 2, 5, 10, 20]
     controls:
-      n_cells: 64              # refines only a non-piecewise-constant alpha
+      n_cells: 64              # I-cells of a non-piecewise-constant alpha; branching immigration cells
       delta: auto              # truncation level: auto | number
       step: 0.125              # Euler step
     tolerances:

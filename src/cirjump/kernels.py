@@ -81,13 +81,26 @@ class KernelValue:
     quadrature_error: float
 
 
-def _hermite(v, x0, x1, y0, y1, d0, d1):
+def _hermite_weights(v, x0, x1):
+    """Cubic-Hermite weights of (y0, d0, y1, d1) at v on [x0, x1]."""
     h = x1 - x0
     u = (v - x0) / h
     u2 = u * u
     u3 = u2 * u
-    return ((2 * u3 - 3 * u2 + 1) * y0 + (u3 - 2 * u2 + u) * h * d0
-            + (-2 * u3 + 3 * u2) * y1 + (u3 - u2) * h * d1)
+    return (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2,
+            (u3 - u2) * h)
+
+
+def _hermite(w, y0, d0, y1, d1):
+    return w[0] * y0 + w[1] * d0 + w[2] * y1 + w[3] * d1
+
+
+def _exp_each(x):
+    """math.exp of a float, or of every element of an array."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                           x.size).reshape(x.shape)
+    return math.exp(x)
 
 
 class _PrimitiveTable:
@@ -109,12 +122,16 @@ class _PrimitiveTable:
             dx = np.diff(edges)
             lam = np.concatenate(([0.0], np.cumsum(b * dx)))
             expl = np.exp(lam)
-            inc = np.where(b != 0.0,
-                           0.5 * s2 * (expl[1:] - expl[:-1]) / np.where(b != 0.0, b, 1.0),
-                           0.5 * s2 * expl[:-1] * dx)
+            half_s2 = 0.5 * s2
+            safe_b = np.where(b != 0.0, b, 1.0)
+            inc = np.where(b != 0.0, half_s2 * (expl[1:] - expl[:-1]) / safe_b,
+                           half_s2 * expl[:-1] * dx)
             E = np.concatenate(([0.0], np.cumsum(inc)))
-            self.edges, self._b, self._s2 = edges, b, s2
-            self._lam, self._E = lam, E
+            self.edges, self._b, self._safe_b = edges, b, safe_b
+            self._lam, self._E, self._expl = lam, E, expl
+            # per-piece factors of E(v) - E(edge): growth with and without beta
+            self._half_s2, self._rate0 = half_s2, half_s2 * expl[:-1]
+            self._has_flat = not np.all(b != 0.0)
             self.error_scale = 1e-15
         else:
             scale = coeffs.smoothness_scale()
@@ -135,18 +152,17 @@ class _PrimitiveTable:
             lam_inc = np.sum(bw * half * gw[None, :], axis=1)
             lam = np.concatenate(([0.0], np.cumsum(lam_inc)))
             dlam = np.asarray(beta(edges), dtype=float)
+            ends = (lam[:-1][:, None], dlam[:-1][:, None], lam[1:][:, None],
+                    dlam[1:][:, None])
             # exp(Lam) at panel-interior quadrature nodes via Hermite on Lam
-            lam_nodes = _hermite(nodes, lo, hi, lam[:-1][:, None],
-                                 lam[1:][:, None], dlam[:-1][:, None],
-                                 dlam[1:][:, None])
+            lam_nodes = _hermite(_hermite_weights(nodes, lo, hi), *ends)
             s2n = np.square(np.asarray(sigma(nodes.ravel()), float)).reshape(nodes.shape)
             e_inc = np.sum(0.5 * s2n * np.exp(lam_nodes) * half * gw[None, :], axis=1)
             E = np.concatenate(([0.0], np.cumsum(e_inc)))
             # coarse re-integration gives an honest resolution estimate
             gx8, gw8 = np.polynomial.legendre.leggauss(8)
             nodes8 = 0.5 * (hi + lo) + half * gx8[None, :]
-            lam8 = _hermite(nodes8, lo, hi, lam[:-1][:, None], lam[1:][:, None],
-                            dlam[:-1][:, None], dlam[1:][:, None])
+            lam8 = _hermite(_hermite_weights(nodes8, lo, hi), *ends)
             s28 = np.square(np.asarray(sigma(nodes8.ravel()), float)).reshape(nodes8.shape)
             e_inc8 = np.sum(0.5 * s28 * np.exp(lam8) * half * gw8[None, :], axis=1)
             err = float(np.sum(np.abs(e_inc - e_inc8)))
@@ -155,38 +171,31 @@ class _PrimitiveTable:
             self._dlam = dlam
             self._dE = 0.5 * np.square(np.asarray(sigma(edges), float)) * np.exp(lam)
             self.error_scale = max(err / max(E[-1], 1.0), 1e-15)
+        self._inner = self.edges[1:-1]
 
     def _idx(self, v):
-        return np.clip(np.searchsorted(self.edges, v, side="right") - 1,
-                       0, len(self.edges) - 2)
+        """Panel of every v: below 0 the first, from t_max on (and NaN) the
+        last, on an interior edge the panel that starts there."""
+        return self._inner.searchsorted(v, side="right")
 
-    def lam(self, v):
+    def primitives(self, v):
+        """(Lam(v), E(v)), floats for a scalar v, arrays of v's shape else."""
         v = np.asarray(v, dtype=float)
         k = self._idx(v)
         if self.exact:
-            out = self._lam[k] + self._b[k] * (v - self.edges[k])
+            b, dv = self._b[k], v - self.edges[k]
+            lam = self._lam[k] + b * dv
+            grow = self._half_s2[k] * (np.exp(lam) - self._expl[k]) / self._safe_b[k]
+            if self._has_flat:    # a piece without mean reversion grows linearly
+                grow = np.where(b != 0.0, grow, self._rate0[k] * dv)
+            E = self._E[k] + grow
         else:
-            out = _hermite(v, self.edges[k], self.edges[k + 1],
-                           self._lam[k], self._lam[k + 1],
-                           self._dlam[k], self._dlam[k + 1])
-        return out if v.ndim else float(out)
-
-    def growth(self, v):
-        v = np.asarray(v, dtype=float)
-        k = self._idx(v)
-        if self.exact:
-            b = self._b[k]
-            lam_v = self._lam[k] + b * (v - self.edges[k])
-            safe = np.where(b != 0.0, b, 1.0)
-            out = self._E[k] + np.where(
-                b != 0.0,
-                0.5 * self._s2[k] * (np.exp(lam_v) - np.exp(self._lam[k])) / safe,
-                0.5 * self._s2[k] * np.exp(self._lam[k]) * (v - self.edges[k]))
-        else:
-            out = _hermite(v, self.edges[k], self.edges[k + 1],
-                           self._E[k], self._E[k + 1],
-                           self._dE[k], self._dE[k + 1])
-        return out if v.ndim else float(out)
+            w = _hermite_weights(v, self.edges[k], self.edges[k + 1])
+            lam = _hermite(w, self._lam[k], self._dlam[k], self._lam[k + 1],
+                           self._dlam[k + 1])
+            E = _hermite(w, self._E[k], self._dE[k], self._E[k + 1],
+                         self._dE[k + 1])
+        return (lam, E) if v.ndim else (float(lam), float(E))
 
 
 class TransitionKernels:
@@ -211,27 +220,33 @@ class TransitionKernels:
     # -- kernel quantities -------------------------------------------------
 
     def _check(self, s, t):
-        if not (0.0 <= s < t <= self.coeffs.t_max + 1e-12):
+        ok = (0.0 <= s) & (s < t) & (t <= self.coeffs.t_max + 1e-12)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise DegenerateInterval(
                 f"need 0 <= s < t <= t_max, got s={s}, t={t}")
 
     def bd(self, s, t):
-        """(B(s,t), D(s,t)) with D = B(0,t) C(s,t); the stable pair."""
+        """(B(s,t), D(s,t)) with D = B(0,t) C(s,t); the stable pair.
+
+        ``s`` and ``t`` broadcast against each other, and every element is
+        bit-identical to the call on that one pair: the exponentials are
+        ``math.exp`` per element, which ``np.exp`` may miss by an ulp.
+        """
         self._check(s, t)
-        lam_s, lam_t = self.table.lam(s), self.table.lam(t)
-        D = math.exp(-lam_t) * (self.table.growth(t) - self.table.growth(s))
-        return math.exp(lam_s - lam_t), D
+        lam_s, e_s = self.table.primitives(s)
+        lam_t, e_t = self.table.primitives(t)
+        return _exp_each(lam_s - lam_t), _exp_each(-lam_t) * (e_t - e_s)
 
     def bd_vec(self, v, t):
         """Vectorized (B(v,t), D(v,t)) for an array of start times v <= t."""
-        lam_v = self.table.lam(v)
-        lam_t = self.table.lam(t)
-        D = np.exp(-lam_t) * (self.table.growth(t) - self.table.growth(v))
+        lam_v, e_v = self.table.primitives(v)
+        lam_t, e_t = self.table.primitives(t)
+        D = np.exp(-lam_t) * (e_t - e_v)
         return np.exp(lam_v - lam_t), np.maximum(D, 0.0)
 
     def kernel_value(self, s, t) -> KernelValue:
         B, D = self.bd(s, t)
-        C = self.table.growth(t) - self.table.growth(s)
+        C = self.table.primitives(t)[1] - self.table.primitives(s)[1]
         p = 1.0 / D
         gamma = B / D
         err = self.table.error_scale * max(abs(C), abs(p), abs(gamma))

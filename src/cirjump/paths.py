@@ -201,12 +201,13 @@ def branching_path(rng, coeffs, nu, s, t, y, delta=None, grid=None,
                    n_cells=None, seed_info=None) -> PathRealization:
     """Superposition realizing the branching construction at truncation delta.
 
-    Pieces: the started mass (s, y); one immigration piece per cell of the
-    sampler's uniform ``cell_grid`` (``n_cells`` cells, knots included) with
-    Gamma(alpha_cell, p(cell)) mass at the cell's right end; one piece
-    per realized jump point (T_i, Y_i), started at the first grid time at or
-    after T_i. Each piece is an absorbed square-root diffusion driven by its
-    own noise.
+    Pieces, in this order: the started mass (s, y); one per realized jump
+    point (T_i, Y_i), started at the first grid time at or after T_i; one
+    immigration piece per cell of the sampler's uniform ``cell_grid``
+    (``n_cells`` cells, knots included) where ``alpha`` is positive, with
+    Gamma(alpha_cell, p(cell)) mass at the first grid time at or after the
+    cell's right end. The cells' masses are one array draw. Each piece is
+    an absorbed square-root diffusion driven by its own noise.
     """
     g = _as_generator(rng)
     grid = _grid_checked(grid)
@@ -215,26 +216,18 @@ def branching_path(rng, coeffs, nu, s, t, y, delta=None, grid=None,
     kwargs = {} if n_cells is None else {"n_cells": n_cells}
     sampler = get_sampler(coeffs, nu, delta=delta, **kwargs)
 
-    starts, masses = [0], [float(y)]
     prm = sampler.sample_prm(g, s, t)
-    if len(prm):
-        idx = np.clip(np.searchsorted(grid, prm.times, side="left"),
-                      0, grid.size - 1)
-        starts.extend(idx.tolist())
-        masses.extend(prm.sizes.tolist())
+    starts, masses = [grid[:1], prm.times], [np.array([float(y)]), prm.sizes]
     if coeffs.a.max_on(s, t) > 0.0:
         # uniform cells even where alpha is piecewise constant: they set the
         # times at which immigration enters the path
         cells = sampler.cell_grid(s, t, n_cells)
-        for r0, r1 in zip(cells[:-1], cells[1:]):
-            alpha = float(coeffs.alpha(0.5 * (r0 + r1)))
-            if alpha <= 0.0:
-                continue
-            _, d_cell = sampler.kernels.bd(r0, r1)
-            starts.append(int(np.clip(np.searchsorted(grid, r1, side="left"),
-                                      0, grid.size - 1)))
-            masses.append(float(g.gamma(alpha, d_cell)))
-    vals = _absorbed_batch(g, coeffs, grid,
-                           np.asarray(starts, dtype=int),
-                           np.asarray(masses, dtype=float))
+        alpha = coeffs.alpha(0.5 * (cells[:-1] + cells[1:]))
+        on = alpha > 0.0
+        _, d_cell = sampler.kernels.bd(cells[:-1][on], cells[1:][on])
+        starts.append(cells[1:][on])
+        masses.append(g.gamma(alpha[on], d_cell))
+    idx = np.searchsorted(grid, np.concatenate(starts), side="left")
+    vals = _absorbed_batch(g, coeffs, grid, np.clip(idx, 0, grid.size - 1),
+                           np.concatenate(masses))
     return PathRealization(grid, vals.sum(axis=0), prm, seed_info, "branching")

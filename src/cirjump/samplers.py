@@ -18,9 +18,9 @@ D(v,t) = B(0,t) C(v,t), sigma^2/2 Psi_{v,t}(lam) = -d/dv log(1 + lam D(v,t)),
 so on a piece with constant ``alpha`` the cell factor equals
 ((1 + lam D(r_{j-1},t)) / (1 + lam D(r_j,t)))^-alpha, the exact transform of
 I over that piece. When ``a`` and ``sigma`` are piecewise constant the cells
-are therefore s, their knots inside (s, t), and t; ``n_cells`` refines only a
+are therefore s, their knots inside (s, t), and t; ``n_cells`` refines a
 non-piecewise-constant ``alpha``, whose law converges weakly as the grid
-refines.
+refines, and sets the uniform immigration cells of ``paths.branching_path``.
 
 ``ITilde`` -- the jump-input component. Realize the driving Poisson random
 measure on (s, t] x (delta, inf) (times by thinning with rate
@@ -92,7 +92,8 @@ class TransitionSampler:
     the I-grid of a non-piecewise-constant ``alpha`` (cells never wider than
     (t-s)/n_cells, knots of the input and volatility functions always
     included); with piecewise-constant ``a`` and ``sigma`` the I-grid is one
-    exact cell per constant-``alpha`` piece.
+    exact cell per constant-``alpha`` piece. ``cell_grid`` with ``n_cells``
+    also gives the immigration cells of ``paths.branching_path``.
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -141,9 +142,11 @@ class TransitionSampler:
         n = self.n_cells if n is None else int(n)
         knots = self.coeffs.breakpoints(s, t, which=("a", "sigma"))
         edges = np.concatenate(([s], knots, [t]))
-        width = (t - s) / max(n, 1)
-        pieces = [np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / width))) + 1)[:-1]
-                  for lo, hi in zip(edges[:-1], edges[1:])]
+        counts = np.ceil((edges[1:] - edges[:-1]) / ((t - s) / max(n, 1)))
+        if counts.max() <= 1:    # every piece is one cell
+            return edges
+        pieces = [np.linspace(lo, hi, max(1, int(k)) + 1)[:-1]
+                  for lo, hi, k in zip(edges[:-1], edges[1:], counts)]
         return np.concatenate(pieces + [[t]])
 
     def prm_points_batch(self, rng, s, t, size):
@@ -152,12 +155,12 @@ class TransitionSampler:
         jump-time intensity and sizes from the truncated mark law."""
         g = _as_generator(rng)
         empty = (np.empty(0, dtype=int), np.empty(0), np.empty(0))
-        if self.nu is None or self.coeffs.a_tilde.max_on(s, t) == 0.0:
+        amax = 0.0 if self.nu is None else self.coeffs.a_tilde.max_on(s, t)
+        if amax == 0.0:
             return empty
         marks = self._mark_sampler()
         if marks.mass == 0.0:
             return empty
-        amax = self.coeffs.a_tilde.max_on(s, t)
         counts = g.poisson(amax * marks.mass * (t - s), size)
         tot = int(counts.sum())
         if not tot:
@@ -170,36 +173,39 @@ class TransitionSampler:
         return idx, times, sizes
 
     @staticmethod
-    def _shape(y, size):
+    def _starts(y, size):
+        """Started masses and draw size: an array y gives one draw per
+        element, a scalar y one draw (size None) or ``size`` draws."""
         if np.ndim(y) > 0:
-            return np.asarray(y, dtype=float), np.shape(y)[0], False
-        n = 1 if size is None else int(size)
-        return np.full(n, float(y)), n, size is None
+            y, size = np.asarray(y, dtype=float), None
+            negative = (y < 0).any()
+        else:
+            y, size = float(y), None if size is None else int(size)
+            negative = y < 0
+        if negative:
+            raise ValueError("y must be nonnegative")
+        return y, size
 
     # -- component samplers --------------------------------------------------
 
     def sample_h(self, rng, s, t, y, size=None):
         """Draw from the started-mass component H_{s,t}(y, .)."""
         g = _as_generator(rng)
-        yv, n, scalar = self._shape(y, size)
-        if np.any(yv < 0):
-            raise ValueError("y must be nonnegative")
+        y, size = self._starts(y, size)
         B, D = self.kernels.bd(s, t)
-        m = g.poisson(yv * (B / D), n)
-        x = g.gamma(m, D)
-        return float(x[0]) if scalar else x
+        return g.gamma(g.poisson(y * (B / D), size), D)
 
     def sample_i(self, rng, s, t, size=None):
         """Draw from the continuous-input component I_{s,t}: one
         Gamma(alpha, rate p(r0, r1)) per cell of ``i_grid``, pushed to t
         through H."""
         g = _as_generator(rng)
-        m = 1 if size is None else int(size)
-        acc = np.zeros(m)
+        m = None if size is None else int(size)
+        acc = 0.0 if m is None else np.zeros(m)
         if self.coeffs.a.max_on(s, t) > 0.0:
             grid = self.i_grid(s, t)
-            for r0, r1 in zip(grid[:-1], grid[1:]):
-                alpha = float(self.coeffs.alpha(0.5 * (r0 + r1)))
+            alphas = self.coeffs.alpha(0.5 * (grid[:-1] + grid[1:])).tolist()
+            for r0, r1, alpha in zip(grid[:-1], grid[1:], alphas):
                 if alpha <= 0.0:
                     continue
                 _, d_cell = self.kernels.bd(r0, r1)
@@ -210,7 +216,7 @@ class TransitionSampler:
                     acc += g.gamma(k, dt)
                 else:
                     acc += u
-        return float(acc[0]) if size is None else acc
+        return acc
 
     def sample_itilde(self, rng, s, t, size=None):
         """Draw from the jump-input component ITilde_{s,t} (at truncation delta)."""

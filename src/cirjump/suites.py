@@ -15,6 +15,7 @@ from typing import List
 import numpy as np
 
 from .config import RunConfig
+from .errors import ConfigError
 from .jumps import truncation_schedule
 from .kernels import get_kernels
 from .numerics import RngStream
@@ -131,6 +132,8 @@ def _suite_sampler_h(cfg: RunConfig) -> SuiteReport:
 
 
 def _suite_component(cfg: RunConfig, component: str, name: str) -> SuiteReport:
+    if component == "Itilde" and cfg.nu is None:
+        raise ConfigError(f"suite {name} needs a jump measure (model.nu)")
     cmpv = compare_component(cfg.coeffs, cfg.nu, cfg.s, cfg.t, cfg.y,
                              component, cfg.n_samples, cfg.lambda_grid,
                              cfg.seed, n_cells=cfg.n_cells, delta=cfg.delta,

@@ -236,9 +236,17 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                             "configs")
 
 # SHA-256 over path_0000..0002.csv of `simulate --step 0.0625 --n-paths 3
-# --seed 17`, recorded with the per-step coefficient evaluation that
-# preceded the shared Euler step; hoisting must not move a single bit
+# --seed 17`. The euler and branching digests were recorded with the per-step
+# coefficient evaluation that preceded the shared Euler step, the
+# exact_skeleton ones with the clipped primitive lookup and size-1 array
+# parameters in the scalar draws; none of these changes may move a single bit
 PATH_DIGESTS = {
+    ("classical_cir", "exact_skeleton"):
+        "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
+    ("infinite_activity", "exact_skeleton"):
+        "7364e60f404c376a150decab0b32e90a7f82f4ca6f0605cbec66ad4235d2741b",
+    ("jump_model", "exact_skeleton"):
+        "8d41a9f00c9052b0c5ec2fdcc02cc8f3893a8d8c7ae3231f7212039bb6dba16f",
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
@@ -381,3 +389,17 @@ class TestUsageErrors:
     def test_negative_lambda(self, cfg, capsys):
         assert _exit_code(["laplace", cfg, "--lambdas=-1,2"]) == 2
         assert "lambda_grid" in capsys.readouterr().err
+
+    def test_itilde_transform_without_jump_measure(self, capsys):
+        cfg = os.path.join(DEMO_CONFIGS, "classical_cir.yaml")
+        assert _exit_code(["laplace", cfg, "--component", "Itilde"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "model.nu" in err
+        assert len(err.splitlines()) == 1
+
+    def test_itilde_suite_without_jump_measure(self, capsys):
+        cfg = os.path.join(DEMO_CONFIGS, "classical_cir.yaml")
+        assert _exit_code(["verify", cfg, "--suite", "sampler-Itilde"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "model.nu" in err
+        assert len(err.splitlines()) == 1

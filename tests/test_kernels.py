@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -388,3 +389,84 @@ class TestAdaptiveOracle:
             for name, (val, err) in got.items():
                 gap = np.abs(val - want[name])
                 assert np.all(gap <= err + DEFAULT_TOL), (name, s, t, gap, err)
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
+
+
+def flat_beta_coeffs():
+    # beta vanishes on [0.4, 0.9): E grows linearly on that piece
+    return cj.CoefficientSet(a=cj.piecewise_constant([0.5], [0.4, 0.0]),
+                             a_tilde=cj.constant(0.3),
+                             beta=cj.piecewise_constant([0.4, 0.9], [0.8, 0.0, 1.3]),
+                             sigma=cj.piecewise_constant([0.3, 1.0], [1.0, 0.7, 1.2]),
+                             t_max=2.0)
+
+
+def _kernel_sets():
+    """(label, coefficients, s, t): the demo configurations, a clipped-sine
+    set (tabulated primitives) and a set with a piece where beta is 0."""
+    out = []
+    for name in ("classical_cir", "infinite_activity", "jump_model"):
+        cfg = cj.load_config(os.path.join(DEMO_CONFIGS, name + ".yaml"))
+        out.append((name, cfg.coeffs, cfg.s, cfg.t))
+    out.append(("clipped_sine", clipped_sine_coeffs(), 0.1, 1.9))
+    out.append(("flat_beta", flat_beta_coeffs(), 0.2, 1.6))
+    return out
+
+
+KERNEL_SETS = _kernel_sets()
+
+
+class TestArrayBd:
+    """``bd`` on arrays is, element by element, the bits of ``bd`` on one
+    pair; ``branching_path`` relies on it for its immigration cells."""
+
+    @pytest.mark.parametrize("label,coeffs,s,t", KERNEL_SETS,
+                             ids=[k[0] for k in KERNEL_SETS])
+    def test_cells_bit_identical(self, label, coeffs, s, t):
+        eng = get_kernels(coeffs)
+        cells = cj.get_sampler(coeffs).cell_grid(s, t, 64)
+        B, D = eng.bd(cells[:-1], cells[1:])
+        pairs = [eng.bd(r0, r1) for r0, r1 in zip(cells[:-1], cells[1:])]
+        assert B.shape == D.shape == (cells.size - 1,)
+        assert B.tobytes() == np.array([b for b, _ in pairs]).tobytes()
+        assert D.tobytes() == np.array([d for _, d in pairs]).tobytes()
+
+    @pytest.mark.parametrize("label,coeffs,s,t", KERNEL_SETS,
+                             ids=[k[0] for k in KERNEL_SETS])
+    def test_broadcast_against_scalar_end(self, label, coeffs, s, t):
+        eng = get_kernels(coeffs)
+        starts = np.linspace(s, t, 40)[:-1].reshape(3, 13)
+        B, D = eng.bd(starts, t)
+        assert B.shape == D.shape == starts.shape
+        for v, b, d in zip(starts.ravel(), B.ravel(), D.ravel()):
+            want = eng.bd(float(v), t)
+            assert (b, d) == want and type(want[0]) is float
+
+    def test_any_bad_pair_raises(self, pc_coeffs):
+        eng = get_kernels(pc_coeffs)
+        with pytest.raises(DegenerateInterval):
+            eng.bd(np.array([0.1, 0.5]), np.array([0.4, 0.5]))
+        with pytest.raises(DegenerateInterval):
+            eng.bd(np.array([-0.1, 0.5]), 1.0)
+
+
+class TestPrimitiveIndex:
+    """The panel lookup without clipping gives the clipped index of the
+    full edge array for every v, NaN and infinities included."""
+
+    @pytest.mark.parametrize("label,coeffs,s,t", KERNEL_SETS,
+                             ids=[k[0] for k in KERNEL_SETS])
+    def test_matches_clipped_lookup(self, label, coeffs, s, t):
+        table = get_kernels(coeffs).table
+        edges = table.edges
+        v = np.concatenate((
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            np.linspace(-1.0, coeffs.t_max + 1.0, 301),
+            [-np.inf, -1e300, -0.0, coeffs.t_max * 7, np.inf, np.nan]))
+        want = np.clip(np.searchsorted(edges, v, side="right") - 1,
+                       0, edges.size - 2)
+        assert np.array_equal(table._idx(v), want)
+        assert [int(table._idx(x)) for x in v] == want.tolist()

@@ -208,6 +208,38 @@ class TestBranchingPath:
         assert bp.jumps is not None
         assert np.all(np.diff(bp.jumps.times) > 0) or len(bp.jumps) <= 1
 
+    def test_immigration_matches_per_cell_loop(self, two_atoms):
+        # the array immigration against the per-cell scalar construction it
+        # replaced, bit for bit, on coefficients whose alpha vanishes on
+        # part of the interval (clipped a) and needs tabulated primitives
+        c = cj.CoefficientSet(a=cj.clipped_sine(0.1, 0.5, 6.0),
+                              a_tilde=cj.constant(0.3),
+                              beta=cj.piecewise_linear([0.0, 2.0], [0.5, 1.5]),
+                              sigma=cj.clipped_sine(1.2, 0.3, 2.0, 0.4),
+                              x0=0.4, t_max=2.0)
+        s, t, y, n_cells = 0.1, 1.9, 0.6, 40
+        grid = np.linspace(s, t, 33)
+        sampler = get_sampler(c, two_atoms, n_cells=n_cells)
+        g = RngStream(93).generator()
+        prm = sampler.sample_prm(g, s, t)
+        starts = [0] + np.searchsorted(grid, prm.times).tolist()
+        masses = [y] + prm.sizes.tolist()
+        cells = sampler.cell_grid(s, t)
+        skipped = 0
+        for r0, r1 in zip(cells[:-1], cells[1:]):
+            alpha = float(c.alpha(0.5 * (r0 + r1)))
+            if alpha <= 0.0:
+                skipped += 1
+                continue
+            starts.append(int(np.searchsorted(grid, r1)))
+            masses.append(float(g.gamma(alpha, sampler.kernels.bd(r0, r1)[1])))
+        want = _absorbed_batch(g, c, grid, np.minimum(starts, grid.size - 1),
+                               np.array(masses)).sum(axis=0)
+        got = cj.branching_path(RngStream(93).generator(), c, two_atoms, s, t,
+                                y, grid=grid, n_cells=n_cells)
+        assert 0 < skipped < cells.size - 1
+        assert got.values.tobytes() == want.tobytes()
+
 
 class TestPathRealization:
     def test_csv_roundtrip(self, pc_coeffs, two_atoms, tmp_path):
