@@ -48,6 +48,12 @@ Jump-measure kinds::
     {kind: gamma, coef: 1.0, shape: 2.0, rate: 1.0}  # coef y^(shape-1) e^(-rate y)
     {kind: tempered_power, coef: 1.0, rho: 0.4, decay: 1.0}
                                     # coef * y^-(1+rho) * exp(-decay y)
+
+``coef``, ``rate``, ``shape`` and ``decay`` must be finite and positive,
+``rho`` finite; ``rho >= 1`` is not summable and fails when the kernels are
+built. The three named densities carry the closed form of their jump kernel
+``int (1 - exp(-c y)) nu(dy)``, which the transforms use; atoms and truncated
+measures use the node set of ``jumps``.
 """
 
 from __future__ import annotations
@@ -124,6 +130,26 @@ def _time_function(spec, where) -> TimeFunction:
     raise ConfigError(f"unknown time-function kind '{kind}' at '{where}'")
 
 
+def _parameter(spec, key, where, default=None, positive=True):
+    """A named-density parameter: finite, and positive unless ``positive``
+    is False; ``default`` None makes it required."""
+    raw = _need(spec, key, where) if default is None else spec.get(key, default)
+    try:
+        x = float(raw)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        need = "finite and positive" if positive else "finite"
+        raise ConfigError(f"'{where}.{key}' must be {need}, got {raw!r}")
+    return x
+
+
+def _gamma_power(x, base):
+    """Gamma(x) base^-x for x > -1, x != 0, through logarithms so that
+    neither factor overflows alone; OverflowError when the product does."""
+    return math.copysign(math.exp(math.lgamma(x) - x * math.log(base)), x)
+
+
 class _ExpDensity:
     def __init__(self, coef, rate):
         self.coef, self.rate = coef, rate
@@ -131,23 +157,42 @@ class _ExpDensity:
     def __call__(self, y):
         return self.coef * np.exp(-self.rate * np.asarray(y, dtype=float))
 
+    def one_minus_exp(self, c):
+        # coef c / (rate (rate + c)), also at c = inf
+        return self.coef / self.rate * -np.expm1(-np.log1p(c / self.rate))
+
 
 class _GammaDensity:
     def __init__(self, coef, shape, rate):
         self.coef, self.shape, self.rate = coef, shape, rate
+        self.mass = coef * _gamma_power(shape, rate)
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         return self.coef * y ** (self.shape - 1.0) * np.exp(-self.rate * y)
 
+    def one_minus_exp(self, c):
+        # coef Gamma(k) (r^-k - (r + c)^-k)
+        return self.mass * -np.expm1(-self.shape * np.log1p(c / self.rate))
+
 
 class _TemperedPower:
     def __init__(self, coef, rho, decay):
         self.coef, self.rho, self.decay = coef, rho, decay
+        # coef Gamma(-rho) decay^rho; rho >= 1 is not summable and never used
+        self.scale = coef * _gamma_power(-rho, decay) \
+            if rho != 0.0 and rho < 1.0 else coef
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         return self.coef * y ** (-(1.0 + self.rho)) * np.exp(-self.decay * y)
+
+    def one_minus_exp(self, c):
+        # coef Gamma(-rho) (decay^rho - (decay + c)^rho); its limit at rho = 0
+        x = np.log1p(c / self.decay)
+        if self.rho == 0.0:
+            return self.coef * x
+        return self.scale * -np.expm1(self.rho * x)
 
 
 def _jump_measure(spec, where) -> JumpMeasure:
@@ -158,27 +203,27 @@ def _jump_measure(spec, where) -> JumpMeasure:
             return atoms([(float(y), float(w)) for y, w in pts])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad atoms at '{where}.points': {exc}") from exc
-    if kind == "exponential":
-        coef = float(spec.get("coef", 1.0))
-        rate = float(spec.get("rate", 1.0))
-        return DensityJumpMeasure(_ExpDensity(coef, rate), rho=None,
-                                  label=f"exponential(coef={coef},rate={rate})")
-    if kind == "gamma":
-        coef = float(spec.get("coef", 1.0))
-        shape = float(_need(spec, "shape", where))
-        rate = float(spec.get("rate", 1.0))
-        if shape <= 0:
-            raise ConfigError(f"'{where}.shape' must be positive")
-        rho = -shape if shape < 1.0 else None
-        return DensityJumpMeasure(_GammaDensity(coef, shape, rate), rho=rho,
-                                  label=f"gamma(shape={shape},rate={rate})")
-    if kind == "tempered_power":
-        coef = float(spec.get("coef", 1.0))
-        rho = float(_need(spec, "rho", where))
-        decay = float(spec.get("decay", 1.0))
+    if kind not in ("exponential", "gamma", "tempered_power"):
+        raise ConfigError(f"unknown jump-measure kind '{kind}' at '{where}'")
+    coef = _parameter(spec, "coef", where, 1.0)
+    try:
+        if kind == "exponential":
+            rate = _parameter(spec, "rate", where, 1.0)
+            return DensityJumpMeasure(_ExpDensity(coef, rate), rho=None,
+                                      label=f"exponential(coef={coef},rate={rate})")
+        if kind == "gamma":
+            shape = _parameter(spec, "shape", where)
+            rate = _parameter(spec, "rate", where, 1.0)
+            rho = -shape if shape < 1.0 else None
+            return DensityJumpMeasure(_GammaDensity(coef, shape, rate), rho=rho,
+                                      label=f"gamma(shape={shape},rate={rate})")
+        rho = _parameter(spec, "rho", where, positive=False)
+        decay = _parameter(spec, "decay", where, 1.0)
         return DensityJumpMeasure(_TemperedPower(coef, rho, decay), rho=rho,
                                   label=f"tempered_power(rho={rho})")
-    raise ConfigError(f"unknown jump-measure kind '{kind}' at '{where}'")
+    except OverflowError:
+        raise ConfigError(f"'{where}' has a mass factor beyond the float "
+                          f"range") from None
 
 
 def parse_config(doc) -> RunConfig:

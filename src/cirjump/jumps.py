@@ -13,21 +13,28 @@ exponent rho (density ~ c * y**-(1+rho) as y -> 0), never by numerical
 probing; quadrature cannot certify divergence. Certificates are computed
 once and cached on the measure.
 
-Every measure also exposes a fixed weighted node set ``nodes = (y, w)``, and
-the jump kernel ``int (1 - exp(-y c)) nu(dy)`` is the one sum
-``w . -expm1(-c (x) y)`` for both kinds of measure. For atoms the nodes are
-the atoms. A density gets order-16 Gauss-Legendre panels on a geometric grid
-(edge ratio at most 2) from ``max(lower, 1e-14)`` to a tail cap, weighted by
-the density; on ``(0, 1e-14]`` one head atom matches ``int y nu`` and
-``int y^2 nu``, so the kernel is exact there to second order in ``c y``; the
-mass beyond the cap (at most 1e-13) sits in one atom at the cap. The panels
-resolve ``1 - exp(-c y)`` at every scale ``1/c`` above the floor. On
-tempered-power densities the relative error of the sum is below 1e-12 for
-``c`` up to 1e9 and about 2e-11 at 1e10; beyond that it grows like
-``(1e-14 c)^2``, where the head atom no longer resolves ``1 - exp(-c y)``.
-The set is built once per measure (``TransitionKernels`` builds it when the
-engine is made), and the product ``c (x) y`` is formed in blocks of
-``BLOCK_ROWS`` rows of ``c`` so its memory stays bounded.
+The jump kernel ``int (1 - exp(-y c)) nu(dy)`` is ``one_minus_exp_integral``.
+A density on ``(0, inf)`` whose callable has a ``one_minus_exp(c)`` method
+(the named kinds of ``config``: exponential, gamma and tempered power) is
+evaluated by that closed form. Every other measure -- atoms, any truncated
+measure (``lower > 0``, the sampler's law) and a density without a closed
+form -- uses a fixed weighted node set ``nodes = (y, w)`` and the one sum
+``w . -expm1(-c (x) y)``. For atoms the nodes are the atoms. A density gets
+order-16 Gauss-Legendre panels on a geometric grid (edge ratio at most 2)
+from ``max(lower, 1e-14)`` to a tail cap, weighted by the density; on
+``(0, 1e-14]`` one head atom matches ``int y nu`` and ``int y^2 nu``, so the
+kernel is exact there to second order in ``c y``; the mass beyond the cap (at
+most 1e-13) sits in one atom at the cap. The panels resolve
+``1 - exp(-c y)`` at every scale ``1/c`` above the floor. On tempered-power
+densities the relative error of the sum is below 1e-12 for ``c`` up to 1e9
+and about 2e-11 at 1e10; beyond that it grows like ``(1e-14 c)^2``, where
+the head atom no longer resolves ``1 - exp(-c y)``. The node set is also the
+test oracle of the closed forms. It is built once per measure, when a
+``TransitionKernels`` that uses it is made, and the product ``c (x) y`` is
+formed in blocks of ``BLOCK_ROWS`` rows of ``c`` so its memory stays
+bounded. A declared ``rho >= 1`` raises :class:`NonIntegrable` on both
+routes, and so does a density whose tail mass stays above the threshold up
+to ``TAIL_CAP_MAX``.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ NODE_FLOOR = 1e-14      # lowest panel edge of a density on (0, inf)
 NODE_RATIO = 2.0        # largest edge ratio of the geometric density panels
 NODE_TAIL = 1e-13       # density mass beyond the cap, kept as one atom
 BLOCK_ROWS = 256        # rows of c per block of the c (x) y product
+TAIL_CAP_MAX = 1e100    # largest tail cap tried before NonIntegrable
 
 
 def one_minus_exp_sum(nodes, c):
@@ -124,7 +132,7 @@ class JumpMeasure:
     def one_minus_exp_integral(self, c, tol: float = NU_TOL):
         """``int (1 - exp(-y c)) nu(dy)`` for scalar or array ``c >= 0``,
         as the weighted sum over ``nodes``. ``tol`` is accepted for
-        interface compatibility; the node set has a fixed accuracy."""
+        interface compatibility; the result has a fixed accuracy."""
         return one_minus_exp_sum(self.nodes, c)
 
     def sqrt_tail(self, delta: float) -> float:
@@ -261,6 +269,11 @@ class DensityJumpMeasure(JumpMeasure):
     densities that are integrable at 0 without a declared power (finite
     activity). The density must decay fast enough at infinity for a finite
     mass on [1, infinity).
+
+    A ``density`` object may also supply ``one_minus_exp(c)``, the closed
+    form of ``int_0^inf (1 - exp(-c y)) density(y) dy`` for an array ``c``;
+    the jump kernel then uses it in place of the node set while
+    ``lower == 0``.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
@@ -336,13 +349,27 @@ class DensityJumpMeasure(JumpMeasure):
                         singular_exponent=exp0)
         return res.value
 
+    def _require_summable(self):
+        if self.lower == 0.0 and self.rho is not None and self.rho >= 1.0:
+            raise NonIntegrable(
+                f"declared exponent rho={self.rho} >= 1: int (y & 1) nu(dy) diverges")
+
+    def one_minus_exp_integral(self, c, tol=NU_TOL):
+        """The density's closed form while ``lower == 0``, else the sum over
+        ``nodes``."""
+        closed = getattr(self.density, "one_minus_exp", None) \
+            if self.lower == 0.0 else None
+        if closed is None:
+            return one_minus_exp_sum(self.nodes, c)
+        self._require_summable()
+        out = closed(np.asarray(c, dtype=float))
+        return out if np.ndim(c) else float(out)
+
     @cached_property
     def nodes(self):
         """Gauss-Legendre panels weighted by the density, with a head atom
         for ``lower == 0`` and a tail atom at the cap (module docstring)."""
-        if self.lower == 0.0 and self.rho is not None and self.rho >= 1.0:
-            raise NonIntegrable(
-                f"declared exponent rho={self.rho} >= 1: int (y & 1) nu(dy) diverges")
+        self._require_summable()
         lo = self.lower if self.lower > 0.0 else NODE_FLOOR
         cap, tail = self._tail_cap(lo, NODE_TAIL)
         n = max(1, math.ceil(math.log(cap / lo) / math.log(NODE_RATIO)))
@@ -362,13 +389,22 @@ class DensityJumpMeasure(JumpMeasure):
 
     def _tail_cap(self, lo, threshold):
         """(cap, mass beyond cap): the cap doubles from ``max(2 lo, 1)`` until
-        the mass beyond it is at most ``threshold``."""
+        the integral beyond it converges to a value in ``[0, threshold]``
+        and the mass on ``[cap, 2 cap]`` is at most ``threshold`` as well.
+        The second test guards against the infinite-range rule, which can
+        report a converged but far too small tail for a slowly decaying
+        density. Raises :class:`NonIntegrable` past ``TAIL_CAP_MAX``."""
         cap = max(2.0 * lo, 1.0)
-        while True:
-            tail = integrate(self.density, cap, np.inf, tol=NU_TOL).value
-            if tail <= threshold:
-                return cap, tail
+        while cap <= TAIL_CAP_MAX:
+            tail = integrate(self.density, cap, np.inf, tol=NU_TOL)
+            if (tail.converged and 0.0 <= tail.value <= threshold
+                    and integrate(self.density, cap, 2.0 * cap,
+                                  tol=NU_TOL).value <= threshold):
+                return cap, tail.value
             cap *= 2.0
+        raise NonIntegrable(
+            f"no tail cap up to {TAIL_CAP_MAX:g} leaves a mass of at most "
+            f"{threshold:g} beyond it")
 
     def sqrt_tail(self, delta):
         if delta <= self.lower:

@@ -43,8 +43,11 @@ v = t down to the scale ``2 / (lam_max sigma_max^2)`` below which
 ``Psi_{v,t}(lam)`` is nearly linear in v. The error estimate is the
 difference from order 8 on the same panels; panels above the tolerance are
 bisected a bounded number of times and the final estimate is returned as it
-is. ``PsiTilde`` at every node is the fixed node-set sum of the jump measure
-(``jumps.one_minus_exp_sum``), built when the engine is made.
+is. ``PsiTilde`` at every node is ``nu.one_minus_exp_integral``: the closed
+form of a named density on (0, inf) (exponential, gamma, tempered power), or
+the fixed node-set sum for atoms, truncated measures and other densities
+(``jumps``). The engine builds that node set when it is made, and only for a
+measure that uses it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
-from .jumps import JumpMeasure, one_minus_exp_sum
+from .jumps import JumpMeasure
 from .numerics import panel_integral
 
 __all__ = ["KernelValue", "TransitionKernels", "get_kernels"]
@@ -202,10 +205,13 @@ class TransitionKernels:
     """Evaluator of kernel quantities and transition-law transforms.
 
     Pure functions over an immutable coefficient set (plus an optional jump
-    measure). The shared primitive grid and the jump measure's node set are
-    built here, once, so instances hold no state that changes afterwards
-    and can be used concurrently. ``tol`` bounds the time integrals;
-    ``nu_tol`` is kept for callers, the node sets having a fixed accuracy.
+    measure). The shared primitive grid, and the jump measure's node set
+    when its kernel is not a closed form, are built here, once, so
+    instances hold no state that changes afterwards and can be used
+    concurrently; a measure that is not summable raises
+    :class:`~cirjump.errors.NonIntegrable` here. ``tol`` bounds the time
+    integrals; ``nu_tol`` is kept for callers, the jump kernel having a
+    fixed accuracy.
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -215,7 +221,9 @@ class TransitionKernels:
         self.tol = tol
         self.nu_tol = nu_tol
         self.table = _PrimitiveTable(coeffs)
-        self._nu_nodes = None if nu is None else nu.nodes
+        if nu is not None:
+            # builds the node set if the measure uses one; NonIntegrable here
+            nu.one_minus_exp_integral(0.0)
 
     # -- kernel quantities -------------------------------------------------
 
@@ -278,8 +286,7 @@ class TransitionKernels:
         """Jump-side kernel; finite under the summability condition."""
         if self.nu is None:
             raise ValueError("psi_tilde needs a jump measure")
-        psi_vals = self.psi(s, t, lam)
-        return one_minus_exp_sum(self._nu_nodes, psi_vals)
+        return self.nu.one_minus_exp_integral(self.psi(s, t, lam))
 
     # -- transforms --------------------------------------------------------
 
@@ -315,7 +322,7 @@ class TransitionKernels:
             if use_a:
                 out += a(v)[:, None] * psi_v
             if use_atilde:
-                out += at(v)[:, None] * one_minus_exp_sum(self._nu_nodes, psi_v)
+                out += at(v)[:, None] * self.nu.one_minus_exp_integral(psi_v)
             return out
 
         return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cirjump as cj
+from cirjump.config import parse_config
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +46,30 @@ def tempered_power(rho, decay=1.0):
         y = np.asarray(y, dtype=float)
         return y ** (-(1.0 + rho)) * np.exp(-decay * y)
     return cj.density_measure(density, rho=rho, label=f"tempered(rho={rho})")
+
+
+# model.nu mappings of the named density kinds, as a run configuration
+# gives them; tempered0.4 is the measure of demos/configs/infinite_activity
+NAMED = {
+    "exponential": {"kind": "exponential", "coef": 2.5, "rate": 0.3},
+    "gamma2.5": {"kind": "gamma", "coef": 1.0, "shape": 2.5, "rate": 1.0},
+    "gamma0.5": {"kind": "gamma", "coef": 0.7, "shape": 0.5, "rate": 2.0},
+    "tempered-0.5": {"kind": "tempered_power", "rho": -0.5},
+    "tempered0": {"kind": "tempered_power", "rho": 0.0, "decay": 2.0},
+    "tempered0.4": {"kind": "tempered_power", "coef": 1.0, "rho": 0.4},
+    "tempered0.95": {"kind": "tempered_power", "coef": 3.0, "rho": 0.95,
+                     "decay": 0.5},
+}
+
+
+def named_measure(spec):
+    """The jump measure a run configuration builds from the ``model.nu``
+    mapping ``spec``."""
+    return parse_config({"model": {
+        "t_max": 2.0, "a": {"kind": "constant", "value": 0.3},
+        "a_tilde": {"kind": "constant", "value": 0.3},
+        "beta": {"kind": "constant", "value": 1.0},
+        "sigma": {"kind": "constant", "value": 1.0}, "nu": spec}}).nu
 
 
 @pytest.fixture(scope="session")

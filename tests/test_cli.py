@@ -279,7 +279,10 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # SHA-256 of the standard output of `laplace --component C` and of `sample
 # --component C --n 2000` on each demo config, recorded with the
 # per-command component dispatch that the component table replaced.
-# classical_cir has no jump measure, so it has no Itilde transform.
+# classical_cir has no jump measure, so it has no Itilde transform. The
+# infinite_activity Itilde and K transforms were re-recorded when the
+# tempered-power kernel became its closed form: each value moved by at most
+# 1.2e-16, inside the error estimate printed beside it.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
@@ -300,9 +303,9 @@ CLI_DIGESTS = {
     ("infinite_activity", "laplace", "I"):
         "c3516d56b44155dfb8387ff94d08ccb66ac0a2bab7d0d36297b756ea000dc15a",
     ("infinite_activity", "laplace", "Itilde"):
-        "6e7ce8960dce1a38f7b72e8e87471e11939ccb8399749f2dc6a3f9418f00a910",
+        "382abadb0c9759cfe880c4605c84b30edc08377f92a957392473619c0ad1d65a",
     ("infinite_activity", "laplace", "K"):
-        "282d5b9551b0bbcbfaa5290ff7005c7a1bb7e19144a061f9b922487b4dd654e9",
+        "1379cd0c124710a4095e6c5a8d0546923e6810971a0eb37554c3b82075062475",
     ("infinite_activity", "sample", "H"):
         "16fb4f36e589ef72c192e4c159196b15f0dde7325ddc089f9c73f6a36832fbbc",
     ("infinite_activity", "sample", "I"):
@@ -395,6 +398,26 @@ class TestUsageErrors:
         assert _exit_code(["laplace", cfg, "--component", "Itilde"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "model.nu" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("nu,where", [
+        ("{kind: exponential, rate: 0}", "model.nu.rate"),
+        ("{kind: exponential, rate: -1}", "model.nu.rate"),
+        ("{kind: exponential, coef: .nan}", "model.nu.coef"),
+        ("{kind: exponential, coef: -1}", "model.nu.coef"),
+        ("{kind: gamma, shape: .inf}", "model.nu.shape"),
+        ("{kind: gamma, shape: 200}", "'model.nu' has a mass factor"),
+        ("{kind: tempered_power, rho: .nan}", "model.nu.rho"),
+        ("{kind: tempered_power, rho: 0.4, decay: 0}", "model.nu.decay"),
+    ])
+    def test_named_density_parameter_domain(self, tmp_path, capsys, nu, where):
+        p = tmp_path / "nu.yaml"
+        p.write_text(GOOD.replace("""nu:
+    kind: atoms
+    points: [[0.7, 1.2], [1.8, 0.4]]""", "nu: " + nu))
+        assert _exit_code(["laplace", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and where in err
         assert len(err.splitlines()) == 1
 
     def test_itilde_suite_without_jump_measure(self, capsys):

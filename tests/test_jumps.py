@@ -8,9 +8,10 @@ from scipy.integrate import quad
 import cirjump as cj
 from cirjump.errors import (InvalidDelta, NonIntegrable,
                             RestrictiveConditionViolated)
-from cirjump.jumps import delta_for_budget, truncation_schedule
+from cirjump.jumps import (delta_for_budget, one_minus_exp_sum,
+                           truncation_schedule)
 from cirjump.numerics import RngStream
-from conftest import tempered_power
+from conftest import NAMED, named_measure, tempered_power
 
 
 class TestNuIntegral:
@@ -72,6 +73,56 @@ class TestOneMinusExp:
     def test_nonsummable_density_has_no_nodes(self):
         with pytest.raises(NonIntegrable):
             tempered_power(1.2).nodes
+
+
+class TestClosedForms:
+    """The named densities of a run configuration evaluate the jump kernel
+    in closed form; their own node set is the oracle."""
+
+    C = np.geomspace(1e-6, 1e9, 61)
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_closed_form_matches_node_set(self, name):
+        nu = named_measure(NAMED[name])
+        got = nu.one_minus_exp_integral(self.C)
+        assert got.tobytes() == nu.density.one_minus_exp(self.C).tobytes()
+        want = one_minus_exp_sum(nu.nodes, self.C)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+        assert nu.one_minus_exp_integral(0.0) == 0.0
+        assert type(nu.one_minus_exp_integral(1.0)) is float
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_truncated_measure_uses_node_set(self, name):
+        cut = named_measure(NAMED[name]).truncated(0.05)
+        got = cut.one_minus_exp_integral(self.C)
+        assert got.tobytes() == one_minus_exp_sum(cut.nodes, self.C).tobytes()
+
+    @pytest.mark.parametrize("rho", [1.0, 1.2])
+    def test_nonsummable_named_density_raises(self, rho):
+        nu = named_measure({"kind": "tempered_power", "rho": rho})
+        with pytest.raises(NonIntegrable):
+            nu.one_minus_exp_integral(1.0)
+        co = cj.CoefficientSet(a=cj.constant(0.3), a_tilde=cj.constant(0.3),
+                               beta=cj.constant(1.0), sigma=cj.constant(1.0))
+        with pytest.raises(NonIntegrable):
+            cj.TransitionKernels(co, nu)
+
+
+class TestTailCap:
+    def test_slow_power_tail_is_resolved(self):
+        # int (1 - e^-cy) y^-1.4 dy = -Gamma(-0.4) c^0.4; the mass beyond
+        # the cap falls like cap^-0.4, which a premature cap drops
+        nu = cj.density_measure(lambda y: np.asarray(y, dtype=float) ** -1.4,
+                                rho=0.4)
+        for c in (1e-6, 1.0, 1e3):
+            want = -math.gamma(-0.4) * c ** 0.4
+            assert nu.one_minus_exp_integral(c) == pytest.approx(want, rel=1e-9)
+
+    def test_tail_without_a_cap_raises(self):
+        nu = cj.density_measure(lambda y: np.asarray(y, dtype=float) ** -1.0001,
+                                rho=1e-4)
+        with pytest.raises(NonIntegrable):
+            nu.nodes
 
 
 class TestTruncation:

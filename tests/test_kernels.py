@@ -1,5 +1,8 @@
+import bisect
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import adaptive_oracle
 import cirjump as cj
 from cirjump.errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
 from cirjump.kernels import DEFAULT_TOL, get_kernels
+from conftest import NAMED, named_measure
 
 
 def constant_closed_form(beta, sigma2, s, t):
@@ -304,25 +308,39 @@ class TestLaplaceIK:
         s, t, y = 0.2, 1.4, 0.6
         knots = [0.4, 0.6, 0.7, 1.0, 1.1]
 
-        def int_beta(a, b):
-            pts = [k for k in knots if a < k < b] or None
-            return quad(pc_coeffs.beta, a, b, points=pts, limit=200)[0]
+        def step(breaks, values):
+            return lambda v: values[bisect.bisect_right(breaks, v)]
+
+        # pc_coeffs and two_atoms, written out
+        a, a_tilde = step([0.6], [0.3, 0.8]), step([1.0], [0.4, 0.2])
+        sigma = step([0.7], [1.0, 1.5])
+        beta_edges, beta_values = [0.0, 0.4, 1.1, math.inf], [0.5, 2.0, 1.0]
+        jumps = [(0.7, 1.2), (1.8, 0.4)]
+        for v in (0.1, 0.5, 0.65, 0.9, 1.05, 1.3):
+            assert (a(v), a_tilde(v), sigma(v)) == \
+                (pc_coeffs.a(v), pc_coeffs.a_tilde(v), pc_coeffs.sigma(v))
+            assert step(beta_edges[1:-1], beta_values)(v) == pc_coeffs.beta(v)
+        assert tuple(jumps) == two_atoms.points
+
+        def int_beta(w):
+            # int_0^w beta, piece by piece
+            return sum(b * (min(w, hi) - lo) for lo, hi, b
+                       in zip(beta_edges[:-1], beta_edges[1:], beta_values)
+                       if w > lo)
 
         def psi_oracle(v, lam):
             pts = [k for k in knots if v < k < t] or None
-            C = quad(lambda w: pc_coeffs.sigma(w) ** 2 / 2
-                     * math.exp(int_beta(0.0, w)), v, t,
+            C = quad(lambda w: sigma(w) ** 2 / 2 * math.exp(int_beta(w)), v, t,
                      points=pts, limit=200)[0]
-            p = math.exp(int_beta(0.0, t)) / C
-            gam = math.exp(int_beta(0.0, v)) / C
+            p = math.exp(int_beta(t)) / C
+            gam = math.exp(int_beta(v)) / C
             return gam * lam / (p + lam)
 
         def k_oracle(lam):
             def inner(v):
-                jump = sum(w * (1 - math.exp(-z * psi_oracle(v, lam)))
-                           for z, w in two_atoms.points)
-                return pc_coeffs.a(v) * psi_oracle(v, lam) \
-                    + pc_coeffs.a_tilde(v) * jump
+                psi = psi_oracle(v, lam)
+                jump = sum(w * (1 - math.exp(-z * psi)) for z, w in jumps)
+                return a(v) * psi + a_tilde(v) * jump
             pts = [k for k in knots if s < k < t] or None
             total = quad(inner, s, t, points=pts, limit=200)[0]
             return math.exp(-y * psi_oracle(s, lam) - total)
@@ -370,11 +388,17 @@ class TestAdaptiveOracle:
         ("pc_coeffs", "rho04"), ("pc_coeffs", "rho07"),
         ("pc_coeffs", "exp_density"), ("pc_coeffs", "rho04_truncated"),
         ("pc_coeffs", "two_atoms"), ("clipped_sine", "rho04"),
-        ("clipped_sine", "two_atoms")])
+        ("clipped_sine", "two_atoms"), ("pc_coeffs", "exponential"),
+        ("pc_coeffs", "gamma2.5"), ("pc_coeffs", "gamma0.5"),
+        ("pc_coeffs", "tempered0.4")])
     def test_against_adaptive_oracle(self, request, coeffs, measure):
+        # the named kinds are built as a run configuration builds them, so
+        # the engine uses their closed forms
         co = clipped_sine_coeffs() if coeffs == "clipped_sine" \
             else request.getfixturevalue(coeffs)
-        if measure == "rho04_truncated":
+        if measure in NAMED:
+            nu = named_measure(NAMED[measure])
+        elif measure == "rho04_truncated":
             nu = request.getfixturevalue("rho04").truncated(0.05)
         else:
             nu = request.getfixturevalue(measure)
@@ -393,6 +417,23 @@ class TestAdaptiveOracle:
 
 DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                             "configs")
+
+
+@pytest.mark.parametrize("name", ["infinite_activity", "jump_model"])
+def test_transforms_load_no_scipy(name):
+    # closed-form and atom jump kernels need no quadrature module at all
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys, cirjump as cj\n"
+        f"cfg = cj.load_config({os.path.join(DEMO_CONFIGS, name + '.yaml')!r})\n"
+        "eng = cj.get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol, nu_tol=cfg.nu_tol)\n"
+        "eng.laplace_K(cfg.s, cfg.t, cfg.y, cfg.lambda_grid)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def flat_beta_coeffs():

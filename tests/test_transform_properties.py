@@ -1,5 +1,6 @@
-"""Property tests of the transition transforms over random piecewise-constant
-coefficients and both kinds of jump measure (fixed node sets and panels)."""
+"""Property tests of the transition transforms and samplers over random
+piecewise-constant coefficients and both kinds of jump measure (fixed node
+sets and panels)."""
 
 import math
 
@@ -8,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cirjump as cj
+from cirjump.samplers import COMPONENTS
 from conftest import tempered_power
 
 T_MAX = 2.0
-DENSITIES = (tempered_power(0.4), tempered_power(0.7), tempered_power(0.4).truncated(0.05),
+TRUNCATED = tempered_power(0.4).truncated(0.05)
+DENSITIES = (tempered_power(0.4), tempered_power(0.7), TRUNCATED,
              cj.density_measure(lambda y: np.exp(-y), label="exp"))
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -30,10 +33,9 @@ coefficient_sets = st.builds(
     step_function(0.0, 2.0), step_function(0.0, 2.0), step_function(0.1, 3.0),
     step_function(0.3, 2.0))
 
-measures = st.one_of(
-    st.sampled_from(DENSITIES),
-    st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 3.0)),
-             min_size=1, max_size=3).map(cj.atoms))
+atom_measures = st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 3.0)),
+                         min_size=1, max_size=3).map(cj.atoms)
+measures = st.one_of(st.sampled_from(DENSITIES), atom_measures)
 
 
 @st.composite
@@ -79,3 +81,15 @@ def test_h_zero_mass(coeffs, interval, y):
     gamma = eng.kernel_value(s, t).gamma
     val, _ = eng.laplace_H(s, t, y, math.inf)
     assert math.isclose(val, math.exp(-y * gamma), rel_tol=1e-12, abs_tol=1e-300)
+
+
+@PROPERTY
+@given(coefficient_sets, st.one_of(st.just(TRUNCATED), atom_measures),
+       intervals(), st.floats(0.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_draws_finite_and_nonnegative(coeffs, nu, interval, y, seed):
+    s, t = interval
+    smp = cj.TransitionSampler(coeffs, nu, n_cells=8)
+    for name, comp in COMPONENTS.items():
+        x = comp.draw(smp, cj.RngStream(seed).generator(), s, t, y, 200)
+        assert x.shape == (200,), name
+        assert np.all(np.isfinite(x)) and np.all(x >= 0.0), name
