@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _require_finite(*groups):
+    """Every parameter of a time function must be a finite number: a NaN
+    compares False with everything, so it would pass every later check."""
+    if not all(math.isfinite(v) for g in groups for v in np.ravel(g)):
+        raise ValueError("time-function parameters must be finite")
+
+
 class TimeFunction:
     """Deterministic scalar function of time; evaluation is vectorized."""
 
@@ -75,6 +82,9 @@ class TimeFunction:
 class Constant(TimeFunction):
     value: float
 
+    def __post_init__(self):
+        _require_finite(self.value)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(np.float64(self.value), t.shape).copy() \
@@ -105,6 +115,7 @@ class PiecewiseConstant(TimeFunction):
     def __post_init__(self):
         if len(self.values) != len(self.breaks) + 1:
             raise ValueError("need len(values) == len(breaks) + 1")
+        _require_finite(self.breaks, self.values)
         b = np.asarray(self.breaks, dtype=float)
         if b.size and (np.any(np.diff(b) <= 0) or b[0] <= 0):
             raise ValueError("breaks must be strictly increasing and positive")
@@ -158,6 +169,7 @@ class PiecewiseLinear(TimeFunction):
     def __post_init__(self):
         if len(self.knots) != len(self.values) or len(self.knots) < 2:
             raise ValueError("need matching knots/values with len >= 2")
+        _require_finite(self.knots, self.values)
         k = np.asarray(self.knots, dtype=float)
         if np.any(np.diff(k) <= 0):
             raise ValueError("knots must be strictly increasing")
@@ -202,6 +214,7 @@ class ClippedSine(TimeFunction):
     phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self.offset, self.amplitude, self.omega, self.phase)
         if self.omega <= 0:
             raise ValueError("omega must be positive")
 

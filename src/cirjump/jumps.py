@@ -206,14 +206,15 @@ class _TableMarks(MarkSampler):
 
 @dataclass(frozen=True)
 class DiscreteJumpMeasure(JumpMeasure):
-    """Finite collection of atoms ``(y_k, w_k)`` with ``y_k > 0``, ``w_k > 0``."""
+    """Finite collection of atoms ``(y_k, w_k)`` with finite ``y_k > 0``,
+    ``w_k > 0``."""
 
     points: Tuple[Tuple[float, float], ...]
 
     def __post_init__(self):
         for y, w in self.points:
-            if y <= 0 or w <= 0:
-                raise ValueError("atoms need positive location and weight")
+            if not (0 < y < math.inf and 0 < w < math.inf):
+                raise ValueError("atoms need finite positive location and weight")
 
     @cached_property
     def _y(self):

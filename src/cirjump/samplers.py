@@ -13,6 +13,13 @@ otherwise the value is Gamma(shape M, rate p(s,t)).
 ``I`` -- the continuous-input component. On a grid s = r_0 < ... < r_n = t,
 draw U_j ~ Gamma(alpha_j, rate p(r_{j-1}, r_j)) with alpha_j = 2 a / sigma^2
 evaluated inside the cell, and propagate each U_j from r_j to t through H.
+A pushed cell (r_j < t) draws no U_j: integrating it out of H's
+Poisson(U_j B(r_j,t)/D(r_j,t)) count leaves K_j ~ NegBin(alpha_j, 1/(1+c_j))
+with c_j = D(r_{j-1},r_j) B(r_j,t)/D(r_j,t), drawn by inversion with one
+uniform each (sequential search on the pmf recurrence), then
+Gamma(K_j, scale D(r_j,t)) where K_j > 0. A cell with a wide count,
+max(alpha_j, 1) c_j > ``WALK_MAX`` (as for a cell ending just before t),
+keeps the Gamma -> Poisson mixture, which is the same law.
 The draw is exact, one cell per constant-``alpha`` piece: with
 D(v,t) = B(0,t) C(v,t), sigma^2/2 Psi_{v,t}(lam) = -d/dv log(1 + lam D(v,t)),
 so on a piece with constant ``alpha`` the cell factor equals
@@ -40,6 +47,8 @@ each, its transform on a ``TransitionKernels`` and its draws on a
 
 from __future__ import annotations
 
+import bisect
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,6 +74,60 @@ __all__ = [
 
 DELTA_BUDGET = 4.0 ** -8   # default sqrt-tail budget for the truncation level
 DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
+# Pushed I cells with max(alpha, 1) * c above this draw their count as the
+# Gamma -> Poisson mixture: it bounds the mean, the inversion table's
+# length (about (1 + c) log(1/eps) past the mode) and keeps P(0) = (1+c)^-alpha
+# >= e^-WALK_MAX clear of underflow.
+WALK_MAX = 64.0
+
+
+def _gamma_counts(g, k, scale):
+    """Gamma(k, scale) draws, exactly 0 where k == 0, bit for bit
+    ``g.gamma(k, scale)``: numpy draws shape 0 as 0 without touching the
+    stream, and gamma(k, scale) is scale * standard_gamma(k)."""
+    if not isinstance(k, np.ndarray):   # numpy's scalar call is ten times cheaper
+        return scale * g.standard_gamma(k) if k > 0 else 0.0
+    x = np.zeros(k.shape)
+    pos = k > 0
+    x[pos] = g.standard_gamma(k[pos])
+    x *= scale
+    return x
+
+
+def _negbin_cdf(alpha, c, umax):
+    """CDF of NegBin(alpha, 1/(1+c)) at 0, 1, ..., walked with
+    P(k+1) = P(k) (alpha+k)/(k+1) c/(1+c) until it passes ``umax`` or stops
+    growing in floating point (what is left is rounding)."""
+    q, pk = c / (1.0 + c), math.exp(-alpha * math.log1p(c))
+    cdf = [pk]
+    while cdf[-1] <= umax:
+        pk *= (alpha + len(cdf) - 1) / len(cdf) * q
+        if cdf[-1] + pk == cdf[-1]:
+            break
+        cdf.append(cdf[-1] + pk)
+    return cdf
+
+
+def _pushed_count(g, alpha, d, ratio, size=None):
+    """Counts of a Gamma(alpha, scale d) mass pushed through H with
+    B/D = ``ratio``: NegBin(alpha, 1/(1+c)), c = d ratio, by inversion of
+    one uniform each. Wide counts (max(alpha, 1) c > ``WALK_MAX``) and the
+    uniforms past the walked CDF (odds at rounding level) take the mixture
+    Poisson(Gamma(alpha, scale d) ratio) instead."""
+    c = d * ratio
+    if max(alpha, 1.0) * c > WALK_MAX:
+        return g.poisson(g.gamma(alpha, d, size) * ratio)
+    u = g.random(size)
+    if size is None:    # bisect is ten times cheaper than numpy on one value
+        cdf = _negbin_cdf(alpha, c, u)
+        k = bisect.bisect_right(cdf, u)
+        return k if k < len(cdf) else g.poisson(g.gamma(alpha, d) * ratio)
+    cdf = _negbin_cdf(alpha, c, u.max(initial=0.0))
+    k = np.searchsorted(cdf, u, side="right")
+    lost = k == len(cdf)
+    if lost.any():
+        k = np.where(lost, g.poisson(g.gamma(alpha, d, size) * ratio), k)
+    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +256,15 @@ class TransitionSampler:
         g = _as_generator(rng)
         y, size = self._starts(y, size)
         B, D = self.kernels.bd(s, t)
-        return g.gamma(g.poisson(y * (B / D), size), D)
+        return _gamma_counts(g, g.poisson(y * (B / D), size), D)
 
     def sample_i(self, rng, s, t, size=None):
         """Draw from the continuous-input component I_{s,t}: one
         Gamma(alpha, rate p(r0, r1)) per cell of ``i_grid``, pushed to t
-        through H."""
+        through H. A pushed cell draws its H count first, NegBin(alpha,
+        1/(1+c)) by inversion (the Gamma -> Poisson mixture when
+        max(alpha, 1) c > ``WALK_MAX``), then Gamma(count, D(r1, t)); the
+        last cell is Gamma(alpha, scale D(r0, t)) as is."""
         g = _as_generator(rng)
         m = None if size is None else int(size)
         acc = 0.0 if m is None else np.zeros(m)
@@ -209,13 +275,12 @@ class TransitionSampler:
                 if alpha <= 0.0:
                     continue
                 _, d_cell = self.kernels.bd(r0, r1)
-                u = g.gamma(alpha, d_cell, m)
                 if r1 < t:
                     bt, dt = self.kernels.bd(r1, t)
-                    k = g.poisson(u * (bt / dt))
-                    acc += g.gamma(k, dt)
+                    acc += _gamma_counts(
+                        g, _pushed_count(g, alpha, d_cell, bt / dt, m), dt)
                 else:
-                    acc += u
+                    acc += g.gamma(alpha, d_cell, m)
         return acc
 
     def sample_itilde(self, rng, s, t, size=None):
@@ -225,8 +290,7 @@ class TransitionSampler:
         idx, times, sizes = self.prm_points_batch(g, s, t, m)
         if times.size:
             bv, dv = self.kernels.bd_vec(times, t)
-            k = g.poisson(sizes * bv / dv)
-            x = g.gamma(k, dv)
+            x = _gamma_counts(g, g.poisson(sizes * bv / dv), dv)
             acc = np.bincount(idx, weights=x, minlength=m)
         else:
             acc = np.zeros(m)

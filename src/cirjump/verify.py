@@ -12,7 +12,8 @@ chunk order, so reports are byte-identical across runs and worker counts.
 Transform variances and the central moments of X come from per-chunk
 centred sums merged with the pairwise updates of Chan, Golub & LeVeque and
 of Pebay, which do not cancel when exp(-lam X) is nearly constant or X sits
-far from zero.
+far from zero. A chunk forms its transform sums one lambda at a time in one
+chunk-length buffer, never a grid-by-chunk array.
 """
 
 from __future__ import annotations
@@ -184,10 +185,12 @@ def mc_statistics(draw: Callable[[np.random.Generator, int], np.ndarray],
     def run(j):
         rng = RngStream(seed, stream_base + j).generator()
         x = np.asarray(draw(rng, sizes[j]), dtype=float)
-        e = np.exp(-np.multiply.outer(grid, x))
-        means[j] = e.mean(axis=1)
-        e -= means[j][:, None]
-        m2s[j] = np.square(e, out=e).sum(axis=1)
+        e = np.empty_like(x)
+        for i, lam in enumerate(grid):
+            np.exp(np.multiply(x, -lam, out=e), out=e)
+            means[j, i] = e.mean()
+            e -= means[j, i]
+            m2s[j, i] = np.square(e, out=e).sum()
         xbar = x.mean()
         c = x - xbar
         c2 = c * c

@@ -239,14 +239,17 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # --seed 17`. The euler and branching digests were recorded with the per-step
 # coefficient evaluation that preceded the shared Euler step, the
 # exact_skeleton ones with the clipped primitive lookup and size-1 array
-# parameters in the scalar draws; none of these changes may move a single bit
+# parameters in the scalar draws; none of these changes may move a single bit.
+# The jump_model exact_skeleton digest was re-recorded when pushed I cells
+# began drawing their H count first (NegBin by inversion): same law, new
+# stream.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
         "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
     ("infinite_activity", "exact_skeleton"):
         "7364e60f404c376a150decab0b32e90a7f82f4ca6f0605cbec66ad4235d2741b",
     ("jump_model", "exact_skeleton"):
-        "8d41a9f00c9052b0c5ec2fdcc02cc8f3893a8d8c7ae3231f7212039bb6dba16f",
+        "84ddc58249efc25df76587cece5232cca3a625f77d7189463bdfe7de0e279f5f",
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
@@ -282,7 +285,10 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # classical_cir has no jump measure, so it has no Itilde transform. The
 # infinite_activity Itilde and K transforms were re-recorded when the
 # tempered-power kernel became its closed form: each value moved by at most
-# 1.2e-16, inside the error estimate printed beside it.
+# 1.2e-16, inside the error estimate printed beside it. The jump_model sample
+# I and K digests were re-recorded when pushed I cells began drawing their H
+# count first (NegBin by inversion): same law, new stream. The other configs
+# draw I as one last cell, which keeps its bits, and H and Itilde keep theirs.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
@@ -325,11 +331,11 @@ CLI_DIGESTS = {
     ("jump_model", "sample", "H"):
         "b4bc4efd24ec5741e24c1c21bfe447ea1d4afa08b38be6a2b8a8d1b0f8233444",
     ("jump_model", "sample", "I"):
-        "06d84623087bca46631c7ec27632b1d287eef656865f6210083a4ff77ddfff38",
+        "5de65ba777ededce239bca3f1b2f490dd6f294ecf09770fb8c7052a56606496a",
     ("jump_model", "sample", "Itilde"):
         "669036278c0185fad0b490e37e91631f805783f940caa0efc48b3499db2d8304",
     ("jump_model", "sample", "K"):
-        "a51a1696ebe1a08560ff89fda81c47096aa0deca488cf4f251eb6f331609f004",
+        "6da65a678792990ffb6a6db95df8f18f3d3146f5b7341d13b7a6a0eb08168c1a",
 }
 
 
@@ -415,6 +421,27 @@ class TestUsageErrors:
         p.write_text(GOOD.replace("""nu:
     kind: atoms
     points: [[0.7, 1.2], [1.8, 0.4]]""", "nu: " + nu))
+        assert _exit_code(["laplace", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and where in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("a_tilde: {kind: constant, value: 0.4}",
+         "a_tilde: {kind: constant, value: .nan}", "model.a_tilde"),
+        ("values: [0.3, 0.8]", "values: [0.3, .nan]", "model.a"),
+        ("breaks: [0.6]", "breaks: [.nan]", "model.a"),
+        ("beta:    {kind: constant, value: 1.0}",
+         "beta:    {kind: constant, value: .inf}", "model.beta"),
+        ("[[0.7, 1.2], [1.8, 0.4]]", "[[.nan, 1.2], [1.8, 0.4]]", "model.nu"),
+        ("[[0.7, 1.2], [1.8, 0.4]]", "[[0.7, .inf], [1.8, 0.4]]", "model.nu"),
+    ])
+    def test_non_finite_model_numbers(self, tmp_path, capsys, old, new, where):
+        # NaN used to pass: a_tilde = NaN dropped the jump input silently,
+        # a NaN atom printed nan rows, both with exit status 0
+        assert old in GOOD
+        p = tmp_path / "nonfinite.yaml"
+        p.write_text(GOOD.replace(old, new))
         assert _exit_code(["laplace", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and where in err

@@ -91,6 +91,21 @@ class TestCoefficientSet:
                               beta=cj.constant(1), sigma=cj.constant(1),
                               t_max=1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: cj.constant(math.nan),
+        lambda: cj.constant(math.inf),
+        lambda: cj.piecewise_constant([0.6], [0.3, math.nan]),
+        lambda: cj.piecewise_constant([math.nan], [0.3, 0.8]),
+        lambda: cj.piecewise_linear([0.0, 2.0], [0.2, -math.inf]),
+        lambda: cj.piecewise_linear([0.0, math.nan], [0.2, 2.0]),
+        lambda: cj.clipped_sine(0.3, math.nan, 2.0),
+        lambda: cj.clipped_sine(0.3, 0.6, 2.0, math.inf),
+    ])
+    def test_non_finite_time_function_rejected(self, make):
+        # a NaN would pass every later comparison: max_on(...) > 0 is False
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_bad_scalars(self):
         with pytest.raises(ValueError):
             cj.CoefficientSet(a=cj.constant(0), a_tilde=cj.constant(0),

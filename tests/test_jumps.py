@@ -36,6 +36,14 @@ class TestNuIntegral:
             rho04.integral(lambda y: np.ones_like(y), g_exponent_at_zero=0.0)
 
 
+    @pytest.mark.parametrize("points", [[(math.nan, 1.2)], [(0.7, math.inf)],
+                                        [(math.inf, 1.0)], [(0.7, math.nan)],
+                                        [(0.7, 1.2), (1.8, 0.0)]])
+    def test_atoms_must_be_finite_and_positive(self, points):
+        with pytest.raises(ValueError):
+            cj.atoms(points)
+
+
 class TestOneMinusExp:
     def test_atoms_matches_definition(self, two_atoms):
         c = np.array([0.0, 0.3, 2.0, 50.0])

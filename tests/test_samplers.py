@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import cirjump as cj
 from cirjump.errors import (DegenerateInterval, InvalidDelta,
                             RestrictiveConditionViolated)
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
-from cirjump.samplers import COMPONENTS, get_component, get_sampler
+from cirjump.samplers import (COMPONENTS, WALK_MAX, _negbin_cdf,
+                              _pushed_count, get_component, get_sampler)
 from cirjump.verify import (mc_statistics, moment_check_from_sums,
                             transform_comparison, zero_fraction_z)
 
 N = 150_000
+ALPHA = 1e-3  # significance of the distributional tests
 
 
 def _grid():
@@ -185,6 +188,112 @@ class TestSampleI:
         cmp = transform_comparison(draw, analytic, _grid(), N, seed=49,
                                    label="skew-I")
         assert cmp.passed
+
+
+class TestPushedCount:
+    """The H count of a pushed Gamma(alpha, scale d) cell is
+    NegBin(alpha, 1/(1+c)) with c = d B/D, whichever way it is drawn."""
+
+    @pytest.mark.parametrize("alpha,d,ratio,branch", [
+        (0.6, 0.12, 1.0, "walk"),       # the jump_model cell: 93 % zeros
+        (2.5, 1.5, 2.0, "walk"),        # c = 3
+        (0.6, 2.0, 250.0, "mixture"),   # c = 500
+        (3.0, 1.0, 30.0, "mixture"),    # mean 90
+    ])
+    def test_negbin_law(self, alpha, d, ratio, branch):
+        c = d * ratio
+        assert (max(alpha, 1.0) * c <= WALK_MAX) == (branch == "walk")
+        k = _pushed_count(RngStream(70).generator(), alpha, d, ratio, N)
+        law = stats.nbinom(alpha, 1.0 / (1.0 + c))
+        # chi-square against scipy's pmf, consecutive counts merged until
+        # each bin expects at least 5 draws
+        edges, acc = [], 0.0
+        for j, e in enumerate(law.pmf(np.arange(int(law.isf(5.0 / N)) + 1)) * N):
+            acc += e
+            if acc >= 5.0:
+                edges.append(j)
+                acc = 0.0
+        if law.sf(edges[-1]) * N < 5.0:
+            edges.pop()
+        observed = np.bincount(np.searchsorted(edges, k), minlength=len(edges) + 1)
+        expected = np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0]))) * N
+        assert len(edges) >= 3
+        assert stats.chisquare(observed, expected).pvalue > ALPHA
+
+    def test_scalar_draws_follow_the_batch(self):
+        # one uniform per draw: scalar draws read the stream as a batch does
+        g = RngStream(71).generator()
+        scalars = [_pushed_count(g, 0.6, 0.12, 1.0) for _ in range(500)]
+        batch = _pushed_count(RngStream(71).generator(), 0.6, 0.12, 1.0, 500)
+        assert scalars == batch.tolist()
+
+    def test_unreachable_uniform_is_not_clamped(self):
+        # the walked CDF of NegBin(2.5, 1/4) stops growing below the largest
+        # uniform numpy can return; such a uniform takes a mixture draw,
+        # never the last table entry
+        alpha, d, ratio, top = 2.5, 1.5, 2.0, 1.0 - 2.0 ** -53
+        cdf = _negbin_cdf(alpha, d * ratio, top)
+        assert cdf[-1] <= top
+
+        class Uniforms:
+            def __init__(self, u):
+                self.u, self.g = np.asarray(u), RngStream(72).generator()
+
+            def random(self, size=None):
+                return self.u if size is not None else float(self.u[0])
+
+            def __getattr__(self, name):
+                return getattr(self.g, name)
+
+        u = [0.5, top, 0.1, top]
+        got = _pushed_count(Uniforms(u), alpha, d, ratio, 4)
+        ref = RngStream(72).generator()
+        mix = ref.poisson(ref.gamma(alpha, d, 4) * ratio)
+        walk = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(got, [walk[0], mix[1], walk[2], mix[3]])
+        ref = RngStream(72).generator()
+        assert _pushed_count(Uniforms([top]), alpha, d, ratio) \
+            == ref.poisson(ref.gamma(alpha, d) * ratio)
+
+    @pytest.mark.parametrize("t", [0.6 + 1e-6, 1.2])
+    def test_sample_i_transform_both_branches(self, pc_coeffs, t):
+        # t just past the knot 0.6 makes the cell [0.2, 0.6] a mixture
+        # (mean about 2e5); t = 1.2 walks both pushed cells
+        s = 0.2
+        sampler = get_sampler(pc_coeffs)
+        analytic, _ = get_kernels(pc_coeffs).laplace_I(s, t, _grid())
+        cmp = transform_comparison(
+            lambda g, m: sampler.sample_i(g, s, t, size=m),
+            analytic, _grid(), N, seed=73, label=f"I[{s},{t}]")
+        assert cmp.passed
+
+    def test_h_and_itilde_keep_their_bits(self, pc_coeffs, two_atoms):
+        # H and ITilde skip shape-0 Gammas, which numpy draws as 0 without
+        # using the stream: they match the plain numpy calls bit for bit
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        s, t, y, m = 0.2, 1.2, 0.8, 5000
+        B, D = sampler.kernels.bd(s, t)
+        g = RngStream(74).generator()
+        assert np.array_equal(sampler.sample_h(RngStream(74).generator(),
+                                               s, t, y, size=m),
+                              g.gamma(g.poisson(y * (B / D), m), D))
+        ys = np.array([0.0, 0.3, 2.0])
+        g = RngStream(75).generator()
+        assert np.array_equal(sampler.sample_h(RngStream(75).generator(),
+                                               s, t, ys),
+                              g.gamma(g.poisson(ys * (B / D)), D))
+        g, ref = RngStream(76).generator(), RngStream(76).generator()
+        one = [sampler.sample_h(g, s, t, y) for _ in range(50)]
+        assert all(type(x) is float for x in one) and min(one) == 0.0 < max(one)
+        assert one == [ref.gamma(ref.poisson(y * (B / D)), D) for _ in range(50)]
+
+        g = RngStream(77).generator()
+        idx, times, sizes = sampler.prm_points_batch(g, s, t, m)
+        bv, dv = sampler.kernels.bd_vec(times, t)
+        want = np.bincount(idx, weights=g.gamma(g.poisson(sizes * bv / dv), dv),
+                           minlength=m)
+        got = sampler.sample_itilde(RngStream(77).generator(), s, t, size=m)
+        assert times.size > 0 and np.array_equal(got, want)
 
 
 class TestSampleItilde:

@@ -207,6 +207,20 @@ class TestMcStatistics:
         assert stats["std_err"][0] == pytest.approx(want, rel=1e-6)
         assert stats["mean"][0] == pytest.approx(e.mean(), rel=1e-15)
 
+    def test_transform_sums_match_the_outer_product(self, lambda_grid):
+        # one lambda at a time gives the bits of the 2-D exp(-outer) form
+        x = RngStream(6).generator().gamma(0.4, 2.0, 20_000)
+        x[::7] = 0.0
+        stats = mc_statistics(lambda g, m: x, x.size, lambda_grid, seed=6,
+                              chunk_size=x.size)
+        e = np.exp(-np.multiply.outer(lambda_grid, x))
+        mean = e.mean(axis=1)
+        e -= mean[:, None]
+        m2 = np.square(e).sum(axis=1)
+        assert np.array_equal(stats["mean"], mean)
+        assert np.array_equal(stats["std_err"],
+                              np.sqrt(m2 / (x.size - 1.0) / x.size))
+
     def test_workers_capped_at_chunks(self, monkeypatch, lambda_grid):
         asked = []
 
