@@ -72,9 +72,10 @@ def _override_run(cfg: RunConfig, args) -> RunConfig:
 
 def _check_drawable(sampler, grid, y) -> None:
     """Reject a start mass whose started-mass Poisson mean y * gamma on some
-    cell of ``grid`` is beyond what the generator can draw."""
-    gamma = max(b / d for b, d in (sampler.kernels.bd(r0, r1)
-                                   for r0, r1 in zip(grid[:-1], grid[1:])))
+    cell of ``grid`` is beyond what the generator can draw. gamma = B/D comes
+    from the sampler's step record, which the draws then reuse."""
+    gamma = max(sampler._step(r0, r1).gamma
+                for r0, r1 in zip(grid[:-1], grid[1:]))
     if y * gamma > POISSON_MEAN_MAX:
         raise ConfigError(
             f"y={y:g} is too large to sample: the started-mass Poisson mean "

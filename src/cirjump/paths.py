@@ -21,7 +21,6 @@ for cross-validation of the exact samplers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -66,10 +65,13 @@ class PathRealization:
         return flags
 
     def write_csv(self, fileobj) -> None:
-        w = csv.writer(fileobj)
-        w.writerow(["time", "value", "jump_flag"])
-        for t, v, f in zip(self.times, self.values, self.jump_flags):
-            w.writerow([f"{t:.17g}", f"{v:.17g}", int(f)])
+        """A ``time,value,jump_flag`` header and one row per grid time, 17
+        significant digits, in one write; lines end in ``\r\n``, as
+        ``csv.writer`` ends them (no field needs quoting)."""
+        rows = zip(self.times.tolist(), self.values.tolist(),
+                   self.jump_flags.tolist())
+        fileobj.write("time,value,jump_flag\r\n" + "".join(
+            f"{t:.17g},{v:.17g},{f:d}\r\n" for t, v, f in rows))
 
 
 def _grid_checked(grid):

@@ -40,6 +40,15 @@ All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
 output.
 
+Every law parameter of a step depends on (s, t) alone: B/D and D of H, the
+I cells with their alpha, D(r_{j-1}, r_j), B/D(r_j, t) and D(r_j, t), and
+the thinning rate max a~ on [s, t]. A sampler keeps them in one step
+record per (s, t), for the ``STEP_CACHE`` most recently used intervals, so
+the draws of a path or a batch on one grid compute them once; only y and
+the stream change from draw to draw. A record is built with the calls, in
+the order of operations, that the draws would make without it, and its
+entries are plain floats, so a hit and a miss give the same bits.
+
 ``COMPONENTS`` is the one table of the four laws K, H, I and ITilde: for
 each, its transform on a ``TransitionKernels`` and its draws on a
 ``TransitionSampler``.
@@ -52,7 +61,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -79,6 +88,7 @@ DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
 # length (about (1 + c) log(1/eps) past the mode) and keeps P(0) = (1+c)^-alpha
 # >= e^-WALK_MAX clear of underflow.
 WALK_MAX = 64.0
+STEP_CACHE = 4096          # (s, t) step records a sampler keeps (LRU)
 
 
 def _gamma_counts(g, k, scale):
@@ -130,6 +140,19 @@ def _pushed_count(g, alpha, d, ratio, size=None):
     return k
 
 
+class _Step(NamedTuple):
+    """What a step (s, t) draws with, whatever y and the stream are.
+
+    ``cells`` has one (alpha, D(r0, r1), B/D(r1, t), D(r1, t)) per I cell
+    with alpha > 0, in grid order; the last cell, which ends at t, is
+    (alpha, D(r0, t), None, None)."""
+
+    gamma: float     # B/D of (s, t): H's Poisson rate per unit of mass
+    d: float         # D(s, t): the scale of H's Gamma
+    cells: tuple
+    amax: float      # max of a~ on [s, t], the thinning rate (0 without nu)
+
+
 @dataclass(frozen=True, eq=False)
 class PrmRealization:
     """Points (T_i, Y_i) of the driving random measure, ordered by time."""
@@ -157,6 +180,13 @@ class TransitionSampler:
     included); with piecewise-constant ``a`` and ``sigma`` the I-grid is one
     exact cell per constant-``alpha`` piece. ``cell_grid`` with ``n_cells``
     also gives the immigration cells of ``paths.branching_path``.
+
+    ``_step(s, t)`` is the step record the draws read: B/D and D of H, the
+    I cells and max a~, computed on the first draw on (s, t) and kept for
+    the ``STEP_CACHE`` most recently used intervals. It holds exactly the
+    floats the draws would compute, so cached draws keep their bits. An
+    invalid interval raises ``DegenerateInterval`` on every call (errors
+    are not cached).
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -184,6 +214,7 @@ class TransitionSampler:
         # engine that draws no jumps
         self._marks = None
         self._marks_lock = threading.Lock()
+        self._step = lru_cache(maxsize=STEP_CACHE)(self._step_record)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -193,6 +224,25 @@ class TransitionSampler:
                 self.nu.require_sampling(self.delta)
                 self._marks = self.nu.mark_sampler(self.delta)
         return self._marks
+
+    def _step_record(self, s, t) -> _Step:
+        """The record ``_step`` memoizes (see the class docstring)."""
+        B, D = self.kernels.bd(s, t)
+        cells = []
+        if self.coeffs.a.max_on(s, t) > 0.0:
+            grid = self.i_grid(s, t)
+            alphas = self.coeffs.alpha(0.5 * (grid[:-1] + grid[1:])).tolist()
+            for r0, r1, alpha in zip(grid[:-1], grid[1:], alphas):
+                if alpha <= 0.0:
+                    continue
+                _, d_cell = self.kernels.bd(r0, r1)
+                if r1 < t:
+                    bt, dt = self.kernels.bd(r1, t)
+                    cells.append((alpha, d_cell, bt / dt, dt))
+                else:
+                    cells.append((alpha, d_cell, None, None))
+        amax = 0.0 if self.nu is None else self.coeffs.a_tilde.max_on(s, t)
+        return _Step(B / D, D, tuple(cells), amax)
 
     def i_grid(self, s, t):
         """Cells ``sample_i`` draws on: one per constant-``alpha`` piece when
@@ -215,23 +265,25 @@ class TransitionSampler:
     def prm_points_batch(self, rng, s, t, size):
         """Flattened driving-measure realizations for ``size`` independent
         draws: (draw_index, times, sizes) with times thinned against the
-        jump-time intensity and sizes from the truncated mark law."""
+        jump-time intensity and sizes from the truncated mark law. ``size``
+        None is one draw whose count is a scalar Poisson, which reads the
+        stream as ``size=1`` does."""
         g = _as_generator(rng)
         empty = (np.empty(0, dtype=int), np.empty(0), np.empty(0))
-        amax = 0.0 if self.nu is None else self.coeffs.a_tilde.max_on(s, t)
+        amax = self._step(s, t).amax
         if amax == 0.0:
             return empty
         marks = self._mark_sampler()
         if marks.mass == 0.0:
             return empty
         counts = g.poisson(amax * marks.mass * (t - s), size)
-        tot = int(counts.sum())
+        tot = counts if size is None else int(counts.sum())
         if not tot:
             return empty
         props = s + (t - s) * g.random(tot)
         keep = g.random(tot) * amax < self.coeffs.a_tilde(props)
         times = props[keep]
-        idx = np.repeat(np.arange(size), counts)[keep]
+        idx = np.repeat(np.arange(1 if size is None else size), counts)[keep]
         sizes = marks.sample(g, times.size)
         return idx, times, sizes
 
@@ -255,8 +307,8 @@ class TransitionSampler:
         """Draw from the started-mass component H_{s,t}(y, .)."""
         g = _as_generator(rng)
         y, size = self._starts(y, size)
-        B, D = self.kernels.bd(s, t)
-        return _gamma_counts(g, g.poisson(y * (B / D), size), D)
+        step = self._step(s, t)
+        return _gamma_counts(g, g.poisson(y * step.gamma, size), step.d)
 
     def sample_i(self, rng, s, t, size=None):
         """Draw from the continuous-input component I_{s,t}: one
@@ -268,33 +320,27 @@ class TransitionSampler:
         g = _as_generator(rng)
         m = None if size is None else int(size)
         acc = 0.0 if m is None else np.zeros(m)
-        if self.coeffs.a.max_on(s, t) > 0.0:
-            grid = self.i_grid(s, t)
-            alphas = self.coeffs.alpha(0.5 * (grid[:-1] + grid[1:])).tolist()
-            for r0, r1, alpha in zip(grid[:-1], grid[1:], alphas):
-                if alpha <= 0.0:
-                    continue
-                _, d_cell = self.kernels.bd(r0, r1)
-                if r1 < t:
-                    bt, dt = self.kernels.bd(r1, t)
-                    acc += _gamma_counts(
-                        g, _pushed_count(g, alpha, d_cell, bt / dt, m), dt)
-                else:
-                    acc += g.gamma(alpha, d_cell, m)
+        for alpha, d_cell, ratio, dt in self._step(s, t).cells:
+            if ratio is None:
+                acc += g.gamma(alpha, d_cell, m)
+            else:
+                acc += _gamma_counts(
+                    g, _pushed_count(g, alpha, d_cell, ratio, m), dt)
         return acc
 
     def sample_itilde(self, rng, s, t, size=None):
         """Draw from the jump-input component ITilde_{s,t} (at truncation delta)."""
         g = _as_generator(rng)
-        m = 1 if size is None else int(size)
+        m = None if size is None else int(size)
         idx, times, sizes = self.prm_points_batch(g, s, t, m)
-        if times.size:
-            bv, dv = self.kernels.bd_vec(times, t)
-            x = _gamma_counts(g, g.poisson(sizes * bv / dv), dv)
-            acc = np.bincount(idx, weights=x, minlength=m)
-        else:
-            acc = np.zeros(m)
-        return float(acc[0]) if size is None else acc
+        if not times.size:
+            return 0.0 if m is None else np.zeros(m)
+        bv, dv = self.kernels.bd_vec(times, t)
+        x = _gamma_counts(g, g.poisson(sizes * bv / dv), dv)
+        # bincount adds in draw order; x.sum() would add pairwise
+        if m is None:
+            return float(np.bincount(idx, weights=x, minlength=1)[0])
+        return np.bincount(idx, weights=x, minlength=m)
 
     def sample_k(self, rng, s, t, y, size=None):
         """Draw from the one-step transition law K_{s,t}(y, .).
@@ -311,7 +357,7 @@ class TransitionSampler:
     def sample_prm(self, rng, s, t) -> PrmRealization:
         """One realization of the driving measure on (s, t] x (delta, inf)."""
         g = _as_generator(rng)
-        _, times, sizes = self.prm_points_batch(g, s, t, 1)
+        _, times, sizes = self.prm_points_batch(g, s, t, None)
         order = np.argsort(times)
         return PrmRealization(times[order], sizes[order], self.delta)
 

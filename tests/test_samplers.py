@@ -1,4 +1,8 @@
+import copy
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from cirjump.errors import (DegenerateInterval, InvalidDelta,
                             RestrictiveConditionViolated)
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
-from cirjump.samplers import (COMPONENTS, WALK_MAX, _negbin_cdf,
+from cirjump.samplers import (COMPONENTS, STEP_CACHE, WALK_MAX, _negbin_cdf,
                               _pushed_count, get_component, get_sampler)
 from cirjump.verify import (mc_statistics, moment_check_from_sums,
                             transform_comparison, zero_fraction_z)
@@ -446,6 +450,119 @@ class TestNumericKernelBranch:
             cmp = compare_transition(c, nu, 0.2, 1.6, 0.7, N, _grid(),
                                      seed=63)
         assert cmp.passed
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
+
+
+def _demo_sampler(name):
+    """A fresh sampler (its own step records) on a demo configuration."""
+    cfg = cj.load_config(os.path.join(DEMO_CONFIGS, name + ".yaml"))
+    return cj.TransitionSampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
+                                delta=cfg.delta), cfg
+
+
+class TestStepRecord:
+    """Each sampler keeps one record per (s, t) of what a step draws with;
+    drawing from a cached record must give the bits of a fresh one."""
+
+    @pytest.mark.parametrize("name", ["jump_model", "infinite_activity",
+                                      "classical_cir"])
+    def test_hit_equals_miss(self, name):
+        sampler, cfg = _demo_sampler(name)
+        # the run's interval, one across every knot, and one just past the
+        # knot of a at 0.6, where jump_model's first I cell is a mixture
+        for s, t in ((cfg.s, cfg.t), (0.0, 2.0), (0.2, 0.6 + 1e-6)):
+            for comp in COMPONENTS.values():
+                def draw(seed, n):
+                    return comp.draw(sampler, RngStream(seed).generator(),
+                                     s, t, cfg.y, n)
+
+                sampler._step.cache_clear()
+                miss = draw(80, 1000)
+                assert np.array_equal(draw(80, 1000), miss)
+                g, ref = RngStream(81).generator(), RngStream(81).generator()
+                hits = [comp.draw(sampler, g, s, t, cfg.y, None)
+                        for _ in range(40)]
+                misses = []
+                for _ in range(40):
+                    sampler._step.cache_clear()
+                    misses.append(comp.draw(sampler, ref, s, t, cfg.y, None))
+                assert hits == misses
+                assert [type(x) for x in hits] == [type(x) for x in misses]
+
+    def test_scalar_itilde_is_size_one(self, pc_coeffs):
+        # heavy atoms and a high jump rate: about 160 jumps a draw, so a
+        # pairwise sum would round differently from the sequential one
+        c = cj.CoefficientSet(a=pc_coeffs.a, a_tilde=cj.constant(20.0),
+                              beta=pc_coeffs.beta, sigma=pc_coeffs.sigma,
+                              t_max=2.0)
+        sampler = get_sampler(c, cj.atoms([(0.7, 5.0), (1.8, 3.0)]))
+        g = RngStream(82).generator()
+        got, want = [], []
+        for _ in range(200):
+            clone = copy.deepcopy(g)
+            got.append(sampler.sample_itilde(g, 0.2, 1.2))
+            want.append(float(sampler.sample_itilde(clone, 0.2, 1.2, size=1)[0]))
+            assert g.random() == clone.random()   # the same stream read
+        assert got == want
+        assert min(got) > 0.0
+
+    def test_threads_share_a_fresh_sampler(self):
+        # four threads switching often: concurrent first draws on one
+        # interval may build its record more than once, and every thread
+        # still draws what it draws alone
+        intervals = [(0.125 * k, 0.125 * (k + 1)) for k in range(16)]
+
+        def path(sampler, seed):
+            g, x = RngStream(83, seed).generator(), [0.8]
+            for s, t in intervals:
+                x.append(sampler.sample_k(g, s, t, x[-1]))
+            return x
+
+        n = 4
+        alone, _ = _demo_sampler("jump_model")
+        want = [path(alone, seed) for seed in range(n)]
+        shared, _ = _demo_sampler("jump_model")
+        got = [None] * n
+        start = threading.Barrier(n)
+
+        def run(seed):
+            start.wait(timeout=30)
+            got[seed] = path(shared, seed)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
+
+    def test_cache_is_bounded(self, pc_coeffs, two_atoms):
+        sampler = cj.TransitionSampler(pc_coeffs, two_atoms)
+        g = RngStream(84).generator()
+        for t in np.linspace(0.5, 1.5, 5000):
+            sampler.sample_h(g, 0.2, t, 0.8)
+        info = sampler._step.cache_info()
+        assert info.maxsize == STEP_CACHE
+        assert info.misses == 5000 and info.currsize <= STEP_CACHE
+
+    def test_invalid_interval_raises_every_time(self, pc_coeffs, two_atoms):
+        sampler = cj.TransitionSampler(pc_coeffs, two_atoms)
+        g = RngStream(85).generator()
+        for s, t in ((1.2, 1.2), (1.2, 0.2), (0.2, 2.5), (-0.1, 0.5)):
+            for comp in COMPONENTS.values():
+                for _ in range(2):
+                    with pytest.raises(DegenerateInterval):
+                        comp.draw(sampler, g, s, t, 0.8, None)
+        assert sampler._step.cache_info().currsize == 0
 
 
 class TestTransitionLaw:
