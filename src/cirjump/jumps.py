@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidDelta, NonIntegrable, RestrictiveConditionViolated
-from .numerics import gauss_legendre_panels, integrate
+from .numerics import _hermite, _hermite_weights, gauss_legendre_panels, integrate
 
 __all__ = [
     "Certificates",
@@ -67,6 +67,17 @@ NODE_RATIO = 2.0        # largest edge ratio of the geometric density panels
 NODE_TAIL = 1e-13       # density mass beyond the cap, kept as one atom
 BLOCK_ROWS = 256        # rows of c per block of the c (x) y product
 TAIL_CAP_MAX = 1e100    # largest tail cap tried before NonIntegrable
+GUIDE = 8192            # buckets in u of the mark table's panel guide
+
+
+def _measure_integral(what, f, lo, hi, **kwargs):
+    """``integrate(f, lo, hi, NU_TOL, **kwargs)``'s value; NonIntegrable,
+    naming ``what`` and the estimate, when it did not converge."""
+    res = integrate(f, lo, hi, tol=NU_TOL, **kwargs)
+    if not res.converged:
+        raise NonIntegrable(f"{what} did not converge: estimate {res.value:g} "
+                            f"with error {res.error_estimate:g}")
+    return res.value
 
 
 def one_minus_exp_sum(nodes, c):
@@ -182,10 +193,13 @@ class _DiscreteMarks(MarkSampler):
 
 
 class _TableMarks(MarkSampler):
-    """Inverse-CDF table on a geometric grid with monotone-cubic inversion.
-
-    Mass below the grid floor and beyond the tail cap (relative size around
-    1e-12 of the total) is folded into the nearest node.
+    """Inverse-CDF table on a geometric grid, inverted by cubic Hermite in
+    ``u = cdf / cdf[-1]`` with the exact slopes ``dy/du = cdf[-1] / density``,
+    capped at three times the secants beside them to keep panels monotone.
+    The panel of a u is the guide's panel for its bucket of width 1/GUIDE,
+    searched for only where the bucket holds an edge below u. Mass below the
+    grid floor and beyond the tail cap (relative size around 1e-12 of the
+    total) is folded into the nearest node.
     """
 
     def __init__(self, density, lo, cap, mass, n_nodes=2049):
@@ -197,11 +211,20 @@ class _TableMarks(MarkSampler):
         keep = np.concatenate(([True], np.diff(cdf) > 0))
         cdf, edges = cdf[keep], edges[keep]
         self.mass = float(mass)
-        from scipy.interpolate import PchipInterpolator   # deferred: slow import
-        self._inv = PchipInterpolator(cdf / cdf[-1], edges)
+        self._u, self._y = cdf / cdf[-1], edges
+        limit = 3.0 * np.diff(edges) / np.diff(self._u)
+        limit = np.minimum(np.append(limit, np.inf), np.append(np.inf, limit))
+        self._dy = cdf[-1] / np.maximum(np.asarray(density(edges), dtype=float),
+                                        cdf[-1] / limit)
+        self._guide = self._u[1:-1].searchsorted(np.arange(GUIDE) / GUIDE, "right")
 
     def sample(self, rng, size):
-        return np.asarray(self._inv(rng.random(size)), dtype=float)
+        u = rng.random(size)
+        k = self._guide[(u * GUIDE).astype(int)]
+        far = self._u[k + 1] <= u
+        k[far] = self._u[1:-1].searchsorted(u[far], side="right")
+        w = _hermite_weights(u, self._u[k], self._u[k + 1])
+        return _hermite(w, self._y[k], self._dy[k], self._y[k + 1], self._dy[k + 1])
 
 
 @dataclass(frozen=True)
@@ -345,10 +368,8 @@ class DensityJumpMeasure(JumpMeasure):
         if lo == 0.0 and self.infinite_activity:
             return math.inf
         exp0 = self._zero_exponent() if lo == 0.0 else None
-        res = integrate(self.density, lo, np.inf, tol=NU_TOL,
-                        breakpoints=(max(lo, 1.0) * 2,),
-                        singular_exponent=exp0)
-        return res.value
+        return _measure_integral(f"mass above {lo:g}", self.density, lo, np.inf,
+                                 breakpoints=(max(lo, 1.0) * 2,), singular_exponent=exp0)
 
     def _require_summable(self):
         if self.lower == 0.0 and self.rho is not None and self.rho >= 1.0:
@@ -379,9 +400,9 @@ class DensityJumpMeasure(JumpMeasure):
         ys, ws = [y, [cap]], [w, [tail]]
         if self.lower == 0.0:
             dz = self._zero_exponent()
-            m1, m2 = (integrate(lambda v, k=k: v ** k * self.density(v), 0.0, lo,
-                                tol=NU_TOL,
-                                singular_exponent=None if dz is None else k + dz).value
+            m1, m2 = (_measure_integral(
+                f"head moment {k} below {lo:g}", lambda v, k=k: v ** k * self.density(v),
+                0.0, lo, singular_exponent=None if dz is None else k + dz)
                       for k in (1, 2))
             if m1 > 0.0:
                 ys.insert(0, [m2 / m1])
@@ -414,10 +435,9 @@ class DensityJumpMeasure(JumpMeasure):
         if dz is not None and 0.5 + dz <= -1.0:
             return math.inf
         combined = None if dz is None else 0.5 + dz
-        res = integrate(lambda y: np.sqrt(y) * self.density(y),
-                        self.lower, delta, tol=NU_TOL,
-                        singular_exponent=combined)
-        return res.value
+        return _measure_integral(f"sqrt tail below {delta:g}",
+                                 lambda y: np.sqrt(y) * self.density(y),
+                                 self.lower, delta, singular_exponent=combined)
 
     def truncated(self, delta):
         lo = max(self.lower, delta)
@@ -435,8 +455,8 @@ class DensityJumpMeasure(JumpMeasure):
             # ignored head mass is negligible
             lo = 1.0
             while True:
-                head = integrate(self.density, 0.0, lo, tol=NU_TOL,
-                                 singular_exponent=self._zero_exponent()).value
+                head = _measure_integral(f"head mass below {lo:g}", self.density,
+                                         0.0, lo, singular_exponent=self._zero_exponent())
                 if head <= 1e-12 * total or lo < 1e-280:
                     break
                 lo /= 16.0
@@ -457,8 +477,8 @@ def delta_for_budget(nu: JumpMeasure, budget: float) -> float:
     """Largest truncation level whose sqrt-tail diagnostic stays under budget.
 
     The diagnostic is monotone nondecreasing in delta and tends to 0 with
-    delta, so a bracketing search applies whenever the square-root condition
-    holds.
+    delta, so whenever the square-root condition holds a bracket of ``log
+    delta`` bisected to 1e-13 applies; its lower end is under the budget.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -467,17 +487,16 @@ def delta_for_budget(nu: JumpMeasure, budget: float) -> float:
         return 1.0
     # the diagnostic can decay as slowly as delta^(1/2 - rho), so walk the
     # bracket down geometrically; stop before the density itself overflows
-    lo = 1e-2
+    hi, lo = 1.0, 1e-2
     while nu.sqrt_tail(lo) >= target:
-        lo = lo * lo
+        hi, lo = lo, lo * lo
         if lo < 1e-200:
             raise NonIntegrable(
                 "no representable truncation level reaches this budget")
-    from scipy.optimize import brentq   # deferred: scipy.optimize is slow to import
-
-    root = brentq(lambda ld: nu.sqrt_tail(math.exp(ld)) - target,
-                  math.log(lo), 0.0, xtol=1e-13, rtol=1e-14)
-    return float(math.exp(root))
+    a, b = math.log(lo), math.log(hi)
+    while b - a > 1e-13 and a < (mid := 0.5 * (a + b)) < b:
+        a, b = (mid, b) if nu.sqrt_tail(math.exp(mid)) < target else (a, mid)
+    return math.exp(a)
 
 
 def truncation_schedule(nu: JumpMeasure, levels: int, base: float = 4.0):

@@ -63,7 +63,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
 from .jumps import JumpMeasure
-from .numerics import panel_integral
+from .numerics import _hermite, _hermite_weights, panel_integral
 
 __all__ = ["KernelValue", "TransitionKernels", "get_kernels"]
 
@@ -82,20 +82,6 @@ class KernelValue:
     p: float
     gamma: float
     quadrature_error: float
-
-
-def _hermite_weights(v, x0, x1):
-    """Cubic-Hermite weights of (y0, d0, y1, d1) at v on [x0, x1]."""
-    h = x1 - x0
-    u = (v - x0) / h
-    u2 = u * u
-    u3 = u2 * u
-    return (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2,
-            (u3 - u2) * h)
-
-
-def _hermite(w, y0, d0, y1, d1):
-    return w[0] * y0 + w[1] * d0 + w[2] * y1 + w[3] * d1
 
 
 def _exp_each(x):

@@ -1,16 +1,17 @@
 """Shared deterministic numerics: quadrature rules and reproducible
 random-variate streams.
 
-Two quadratures live here. ``integrate`` wraps the adaptive Gauss-Kronrod
-integrator from scipy, adding forced breakpoints (knots of piecewise
-coefficient functions must be subdivision boundaries) and a power
-substitution that removes declared algebraic endpoint singularities; it
-serves the one-off measure integrals (certificates, masses, truncation
-diagnostics). ``panel_integral`` is the fixed rule of the transforms: order
-16 Gauss-Legendre on caller-given panels, with an error estimate from order
-8 on the same panels and a bounded number of bisections of the panels whose
-estimate is too large. ``gauss_legendre_panels`` gives the nodes and
-weights of such panels for callers that build their own node sets.
+One quadrature rule lives here. ``panel_integral`` is order 16
+Gauss-Legendre on caller-given panels, with an error estimate from order 8
+on the same panels and a bounded number of bisections of the panels whose
+estimate is too large; the transforms call it on their time panels.
+``integrate`` serves the one-off measure integrals (certificates, masses,
+truncation diagnostics) with the same rule, on panels geometric in ``y``,
+halved toward a declared algebraic endpoint singularity and mapped by
+``y = cap/u`` on an infinite tail. ``gauss_legendre_panels`` gives the
+nodes and weights of such panels for callers that build their own node
+sets, and ``_hermite`` is the cubic Hermite interpolant that the primitive
+table and the mark table share.
 
 Random streams are built on the counter-based Philox generator keyed by
 ``(seed, stream_id)`` through ``numpy.random.SeedSequence``, so a worker
@@ -20,6 +21,7 @@ count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -56,47 +58,35 @@ class QuadratureResult:
 
 
 BISECT_ROUNDS = 6         # bisection rounds of panel_integral
+HALVINGS = 64             # halvings of a graded piece toward its start
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
-
-
-def _quad_piece(f, lo, hi, tol, points=None):
-    from scipy.integrate import quad   # deferred: scipy.integrate is slow to import
-
-    out = quad(f, lo, hi, epsabs=tol, epsrel=tol, limit=500,
-               points=points, full_output=1)
-    value, err, info = out[0], out[1], out[2]
-    ok = len(out) == 3
-    return value, err, info["neval"], ok
+_HALVES = np.exp2(-np.arange(HALVINGS, -1, -1.0))    # 2^-HALVINGS, ..., 1/2, 1
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     tol: float = 1e-10,
     breakpoints: Sequence[float] = (),
     singular_exponent: Optional[float] = None,
 ) -> QuadratureResult:
-    """Adaptive integration of ``f`` over ``[lo, hi]``.
+    """Integral of a vectorized ``f`` over ``[lo, hi]`` (``hi`` may be
+    ``np.inf``) by ``panel_integral``; a scalar return of ``f`` is broadcast.
 
-    Parameters
-    ----------
-    f : callable
-        Scalar integrand, finite on (lo, hi).
-    lo, hi : float
-        Integration bounds, ``lo <= hi``; ``hi`` may be ``np.inf``.
-    tol : float
-        Absolute tolerance target. The returned estimate may exceed it, in
-        which case the result is flagged as not converged.
-    breakpoints : sequence of float
-        Forced subdivision points (knots of piecewise integrands). Points
-        outside (lo, hi) are ignored.
-    singular_exponent : float, optional
-        When given, the integrand behaves like ``(y - lo)**e`` as ``y``
-        decreases to ``lo``. The substitution ``y = lo + w**(1/(1+e))``
-        makes the transformed integrand bounded. Requires ``e > -1``.
+    The range is cut at the finite ``breakpoints`` inside it. A piece
+    ``[a, b]`` with ``a > 0`` gets geometric panels (edge ratio at most 2);
+    a piece with ``a <= 0``, and the first one when ``singular_exponent`` is
+    given, gets panels halved toward ``a`` down to ``2^-HALVINGS`` of the
+    piece. An infinite ``hi`` adds the tail ``[cap, inf)``, ``cap = max(1,
+    2 lo, breakpoints)``, mapped by ``y = cap/u`` onto ``(0, 1]`` and
+    halved toward ``u = 0`` the same way. ``singular_exponent`` e > -1
+    declares ``f(y) ~ (y - lo)**e`` as ``y`` decreases to ``lo``; the sliver
+    below the first edge ``y1`` is then ``f(y1) (y1 - lo) / (1 + e)``, exact
+    for a pure power. ``converged`` is ``error <= tol max(1, |value|)``:
+    ``tol`` is absolute up to a value of 1 and relative above.
     """
     if hi < lo:
         raise ValueError("integrate needs lo <= hi")
@@ -104,55 +94,50 @@ def integrate(
         raise ValueError("tol must be positive")
     if hi == lo:
         return QuadratureResult(0.0, 0.0, 1)
+    e = singular_exponent
+    if e is not None and e <= -1.0:
+        raise NonIntegrable(f"endpoint exponent {e} <= -1 gives a divergent integral")
+    evals = [0]
 
-    pts = sorted(p for p in breakpoints if lo < p < hi and np.isfinite(p))
+    def g(y):
+        evals[0] += y.size
+        return np.broadcast_to(np.asarray(f(y), dtype=float), y.shape)
 
-    total, err_total, nev = 0.0, 0.0, 0
-    ok = True
-
-    a = lo
-    if singular_exponent is not None:
-        e = float(singular_exponent)
-        if e <= -1.0:
-            raise NonIntegrable(
-                f"endpoint exponent {e} <= -1 gives a divergent integral")
-        q = 1.0 / (1.0 + e)
-        split = pts[0] if pts else (min(lo + 1.0, hi) if np.isinf(hi) else hi)
-
-        def g(w):
-            y = lo + w ** q
-            return f(y) * q * w ** (q - 1.0)
-
-        v, er, ne, k = _quad_piece(g, 0.0, (split - lo) ** (1.0 / q), tol)
-        total += v
-        err_total += er
-        nev += ne
-        ok = ok and k
-        a = split
-        pts = [p for p in pts if p > split]
-
+    pts = [p for p in breakpoints if lo < p < hi and np.isfinite(p)]
+    end = max([1.0, 2.0 * lo] + pts) if np.isinf(hi) else hi
+    knots = sorted(set([lo, end] + pts))
+    edges = [knots[:1]] if e is None else []
+    for a, b in zip(knots[:-1], knots[1:]):
+        if a <= 0.0 or (a == lo and e is not None):
+            edges.append(a + (b - a) * _HALVES)
+        else:
+            n = max(1, math.ceil(math.log2(b / a)))
+            edges.append(np.geomspace(a, b, n + 1)[1:])
+    y1 = edges[0][:1]     # with e, the sliver [lo, y1] is taken as a pure power
+    value = 0.0 if e is None else g(y1)[0] * (y1[0] - lo) / (1.0 + e)
+    v, err = panel_integral(g, np.concatenate(edges), tol)
+    value, error = value + v[0], err[0]
     if np.isinf(hi):
-        cap = max([a + 1.0] + pts)
-        if cap > a:
-            v, er, ne, k = _quad_piece(f, a, cap, tol, points=pts or None)
-            total += v
-            err_total += er
-            nev += ne
-            ok = ok and k
-        v, er, ne, k = _quad_piece(f, cap, np.inf, tol)
-        total += v
-        err_total += er
-        nev += ne
-        ok = ok and k
-    elif hi > a:
-        v, er, ne, k = _quad_piece(f, a, hi, tol, points=pts or None)
-        total += v
-        err_total += er
-        nev += ne
-        ok = ok and k
+        cap = knots[-1]
+        v, err = panel_integral(lambda u: g(cap / u) * (cap / (u * u)),
+                                np.concatenate(([0.0], _HALVES)), tol)
+        value, error = value + v[0], error + err[0]
+    return QuadratureResult(float(value), float(error), max(evals[0], 1),
+                            converged=error <= tol * max(1.0, abs(value)))
 
-    return QuadratureResult(total, err_total, max(nev, 1),
-                            converged=ok and err_total <= tol)
+
+def _hermite_weights(v, x0, x1):
+    """Cubic-Hermite weights of (y0, d0, y1, d1) at v on [x0, x1]."""
+    h = x1 - x0
+    u = (v - x0) / h
+    u2 = u * u
+    u3 = u2 * u
+    return (2 * u3 - 3 * u2 + 1, (u3 - 2 * u2 + u) * h, -2 * u3 + 3 * u2,
+            (u3 - u2) * h)
+
+
+def _hermite(w, y0, d0, y1, d1):
+    return w[0] * y0 + w[1] * d0 + w[2] * y1 + w[3] * d1
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,9 @@ DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
 # >= e^-WALK_MAX clear of underflow.
 WALK_MAX = 64.0
 STEP_CACHE = 4096          # (s, t) step records a sampler keeps (LRU)
+MAX_POINTS = 2 ** 26       # expected driving-measure points of one batch call
+# (draw_index, times, sizes) of every batch without points: read-only views
+_NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int, float, float))
 
 
 def _gamma_counts(g, k, scale):
@@ -219,10 +222,11 @@ class TransitionSampler:
     # -- plumbing ----------------------------------------------------------
 
     def _mark_sampler(self):
-        with self._marks_lock:
-            if self._marks is None:
-                self.nu.require_sampling(self.delta)
-                self._marks = self.nu.mark_sampler(self.delta)
+        if self._marks is None:
+            with self._marks_lock:
+                if self._marks is None:
+                    self.nu.require_sampling(self.delta)
+                    self._marks = self.nu.mark_sampler(self.delta)
         return self._marks
 
     def _step_record(self, s, t) -> _Step:
@@ -267,19 +271,24 @@ class TransitionSampler:
         draws: (draw_index, times, sizes) with times thinned against the
         jump-time intensity and sizes from the truncated mark law. ``size``
         None is one draw whose count is a scalar Poisson, which reads the
-        stream as ``size=1`` does."""
+        stream as ``size=1`` does. Raises :class:`InvalidDelta` before any
+        draw when more than ``MAX_POINTS`` points are expected."""
         g = _as_generator(rng)
-        empty = (np.empty(0, dtype=int), np.empty(0), np.empty(0))
         amax = self._step(s, t).amax
         if amax == 0.0:
-            return empty
+            return _NO_POINTS
         marks = self._mark_sampler()
         if marks.mass == 0.0:
-            return empty
-        counts = g.poisson(amax * marks.mass * (t - s), size)
+            return _NO_POINTS
+        mean = amax * marks.mass * (t - s)
+        if mean * (1 if size is None else size) > MAX_POINTS:
+            raise InvalidDelta(
+                f"truncation level delta={self.delta:g} gives {mean:.3g} "
+                f"expected jumps per draw, over {MAX_POINTS} points per call")
+        counts = g.poisson(mean, size)
         tot = counts if size is None else int(counts.sum())
         if not tot:
-            return empty
+            return _NO_POINTS
         props = s + (t - s) * g.random(tot)
         keep = g.random(tot) * amax < self.coeffs.a_tilde(props)
         times = props[keep]

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -242,7 +245,11 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # parameters in the scalar draws; none of these changes may move a single bit.
 # The jump_model exact_skeleton digest was re-recorded when pushed I cells
 # began drawing their H count first (NegBin by inversion): same law, new
-# stream.
+# stream. The infinite_activity euler and branching digests were re-recorded
+# when the mark table's inversion became a cubic Hermite with exact slopes:
+# the same uniforms give marks that moved by the old table's inversion error
+# (path values by at most 8e-10 relative); these schemes add the marks to the
+# path as they are.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
         "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
@@ -255,9 +262,9 @@ PATH_DIGESTS = {
     ("classical_cir", "branching"):
         "5b3eb8da78e035a5ca98ea13f180c79de955a5e05826178c9578a135e7dc7034",
     ("infinite_activity", "euler"):
-        "5ff1157cd1217b9f25cf192b75ba8b5817f0652f1d40e3910878e074e4e258ca",
+        "e41adb251f006ea51161267e1b54e52a546a4cce9f8c5c3ddbdd28824e9dae32",
     ("infinite_activity", "branching"):
-        "ac9c8211062f13bc4a3ad1e9c359ff5f485b18f285d11e0459b14792d06b636a",
+        "ef4cf4b62c4b2979fe937e8d7025b91c1e535926182be0cb7ea039626283455e",
     ("jump_model", "euler"):
         "3c07ab2827c455aed307288f5b738976983558220b470c73a2e751df01742c3e",
     ("jump_model", "branching"):
@@ -453,3 +460,47 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "model.nu" in err
         assert len(err.splitlines()) == 1
+
+
+INFINITE = os.path.join(DEMO_CONFIGS, "infinite_activity.yaml")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _with_delta(tmp_path, delta):
+    """The infinite_activity demo with ``controls.delta: delta``."""
+    with open(INFINITE, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "delta: 0.05" in text
+    p = tmp_path / "delta.yaml"
+    p.write_text(text.replace("delta: 0.05", f"delta: {delta}"))
+    return str(p)
+
+
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+class TestTruncationLevels:
+    def test_small_delta_samples(self, tmp_path, capsys):
+        # 187 expected jumps per draw; the mass of the restriction used to
+        # come out negative and the draw stopped with a traceback
+        argv = ["sample", _with_delta(tmp_path, "1.0e-6"), "--component",
+                "Itilde", "--n", "2000"]
+        assert _exit_code(argv) == 0
+        assert capsys.readouterr().err.startswith("n=2000 mean=")
+
+    @pytest.mark.parametrize("delta", ["auto", "1.0e-20"])
+    def test_unsamplable_delta_exits_1(self, tmp_path, delta):
+        # 1.4e23 and 7.5e7 expected jumps per draw; run in a child with a
+        # bounded address space, so a missing guard cannot exhaust memory
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cirjump.cli", "sample",
+             _with_delta(tmp_path, delta), "--component", "Itilde", "--n", "1"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=_address_space_limit)
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: InvalidDelta:")
+        assert "expected jumps per draw" in err[0]

@@ -56,7 +56,7 @@ class TestTimeFunctions:
         assert np.all(f(t) >= 0.0)
         assert f.min_on(0.0, math.pi) == 0.0
         assert f.max_on(0.0, math.pi) == pytest.approx(1.5)
-        ref = integrate(lambda v: max(0.5 + math.sin(2 * v), 0.0), 0.0, 3.0,
+        ref = integrate(lambda v: np.maximum(0.5 + np.sin(2 * v), 0.0), 0.0, 3.0,
                         tol=1e-12, breakpoints=list(f.breakpoints(0.0, 3.0)))
         assert f.integral(0.0, 3.0) == pytest.approx(ref.value, abs=1e-10)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 import cirjump as cj
@@ -34,6 +34,17 @@ class TestNuIntegral:
     def test_nonintegrable_combination(self, rho04):
         with pytest.raises(NonIntegrable):
             rho04.integral(lambda y: np.ones_like(y), g_exponent_at_zero=0.0)
+
+    def test_unconverged_integral_raises(self):
+        # sin(1/y) oscillates faster than any panel resolves near 0
+        nu = cj.density_measure(lambda y: np.exp(-y) * (1.0 + np.sin(1.0 / y)),
+                                label="oscillating")
+        with pytest.raises(NonIntegrable, match="mass above 1e-09"):
+            nu.mass_above(1e-9)
+        with pytest.raises(NonIntegrable, match="sqrt tail below 0.5"):
+            nu.sqrt_tail(0.5)
+        with pytest.raises(NonIntegrable):
+            nu.mark_sampler(1e-9)
 
 
     @pytest.mark.parametrize("points", [[(math.nan, 1.2)], [(0.7, math.inf)],
@@ -217,6 +228,15 @@ class TestMarkSampling:
             se = math.sqrt(p * (1 - p) / x.size)
             assert abs(np.mean(x <= q) - p) < 4 * se
 
+    def test_compact_support_marks(self):
+        # the density vanishes at the table's last node: its slope is capped
+        # there, and the marks stay finite, inside (0, 1) and uniform
+        nu = cj.density_measure(lambda y: np.where(np.asarray(y) < 1.0, 2.0, 0.0),
+                                label="uniform")
+        x = nu.mark_sampler(0.0).sample(RngStream(25).generator(), 200_000)
+        assert np.all((x > 0.0) & (x < 1.0))
+        assert stats.kstest(x, stats.uniform().cdf).pvalue > 1e-3
+
     def test_infinite_activity_needs_delta(self, rho04):
         with pytest.raises(InvalidDelta):
             rho04.mark_sampler(0.0)
@@ -236,3 +256,90 @@ class TestCertificates:
         cert = exp_density.certificates
         assert cert.summable_value == pytest.approx(1 - math.exp(-1), abs=1e-9)
         assert cert.sqrt_value == pytest.approx(0.74682413281242703, abs=1e-9)
+
+
+def _upper_gamma(s, x):
+    """Gamma(s, x) for s > -1: scipy's regularized form for s > 0, E1 at 0,
+    Gamma(s, x) = (Gamma(s + 1, x) - x^s e^-x) / s below."""
+    if s > 0:
+        return special.gammaincc(s, x) * special.gamma(s)
+    if s == 0:
+        return special.exp1(x)
+    return (_upper_gamma(s + 1, x) - x ** s * np.exp(-x)) / s
+
+
+def _power_exp(spec):
+    """(coef, p, r) of a named kind, whose density is coef y^(p-1) e^(-r y)."""
+    coef = spec.get("coef", 1.0)
+    if spec["kind"] == "exponential":
+        return coef, 1.0, spec["rate"]
+    if spec["kind"] == "gamma":
+        return coef, spec["shape"], spec["rate"]
+    return coef, -spec["rho"], spec.get("decay", 1.0)
+
+
+def _mass_above(spec, delta):
+    coef, p, r = _power_exp(spec)
+    return coef * r ** -p * _upper_gamma(p, r * delta)
+
+
+def _moment_below(spec, q, delta):
+    """int_(0, delta] y^q nu(dy), inf where it diverges."""
+    coef, p, r = _power_exp(spec)
+    if p + q <= 0:
+        return math.inf
+    return coef * r ** -(p + q) * special.gammainc(p + q, r * delta) \
+        * special.gamma(p + q)
+
+
+def _close(got, want):
+    """Equal to 1e-12 relative, or both infinite."""
+    return got == want if math.isinf(want) else abs(got / want - 1.0) <= 1e-12
+
+
+class TestIncompleteGammaOracles:
+    """Measure integrals of the named kinds against incomplete gamma
+    functions, from the truncation levels of the samplers down to 1e-12."""
+
+    DELTAS = (1e-12, 1e-8, 3e-6, 1e-6, 1e-3, 0.05, 1.0)
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_mass_above_and_sqrt_tail(self, name):
+        spec, nu = NAMED[name], named_measure(NAMED[name])
+        for delta in self.DELTAS:
+            assert _close(nu.mass_above(delta), _mass_above(spec, delta))
+            assert _close(nu.sqrt_tail(delta), _moment_below(spec, 0.5, delta))
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_certificates(self, name):
+        spec = NAMED[name]
+        cert = named_measure(spec).certificates
+        above = _mass_above(spec, 1.0)
+        assert _close(cert.summable_value, _moment_below(spec, 1.0, 1.0) + above)
+        assert _close(cert.sqrt_value, _moment_below(spec, 0.5, 1.0) + above)
+
+    @pytest.mark.parametrize("name,want", [("tempered0", 5.820754450272123e-11),
+                                           ("tempered0.4", 6.842209235368254e-59)])
+    def test_budget_level(self, name, want):
+        # the levels a root finder on the same bracket gave
+        nu = named_measure(NAMED[name])
+        delta = delta_for_budget(nu, 4.0 ** -8)
+        assert _close(delta, want)
+        assert nu.sqrt_tail(delta) <= 4.0 ** -8
+
+    def test_mark_table_inversion_error(self):
+        # max |F(F^-1(u)) - u| of infinite_activity's measure at delta = 0.05,
+        # F the normalized restriction by incomplete gamma
+        delta = 0.05
+        table = named_measure(NAMED["tempered0.4"]).mark_sampler(delta)
+        u = np.linspace(0.0, 1.0, 100_001)[:-1]
+
+        class Uniforms:
+            def random(self, size):
+                return u
+
+        y = table.sample(Uniforms(), u.size)
+        mass = _upper_gamma(-0.4, delta)
+        err = np.abs((mass - _upper_gamma(-0.4, y)) / mass - u)
+        assert np.all(np.diff(y) >= 0.0)
+        assert err.max() <= 2.5e-9

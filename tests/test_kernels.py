@@ -419,21 +419,45 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
                             "configs")
 
 
-@pytest.mark.parametrize("name", ["infinite_activity", "jump_model"])
-def test_transforms_load_no_scipy(name):
-    # closed-form and atom jump kernels need no quadrature module at all
+def _scipy_modules_after(code):
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    code = (
-        "import sys, cirjump as cj\n"
-        f"cfg = cj.load_config({os.path.join(DEMO_CONFIGS, name + '.yaml')!r})\n"
-        "eng = cj.get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol, nu_tol=cfg.nu_tol)\n"
-        "eng.laplace_K(cfg.s, cfg.t, cfg.y, cfg.lambda_grid)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    code = ("import sys\n" + code + "\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", ["infinite_activity", "jump_model"])
+def test_transforms_load_no_scipy(name):
+    # closed-form and atom jump kernels need no quadrature module at all
+    assert _scipy_modules_after(
+        "import cirjump as cj\n"
+        f"cfg = cj.load_config({os.path.join(DEMO_CONFIGS, name + '.yaml')!r})\n"
+        "eng = cj.get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol, nu_tol=cfg.nu_tol)\n"
+        "eng.laplace_K(cfg.s, cfg.t, cfg.y, cfg.lambda_grid)") == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["sample", "--component", "Itilde", "--n", "2000"],
+    ["verify", "--suite", "truncation"]], ids=lambda a: a[0])
+def test_cli_loads_no_scipy(argv):
+    # the runtime is numpy-only: measure integrals, the mark table and the
+    # truncation level use no scipy either
+    config = os.path.join(DEMO_CONFIGS, "infinite_activity.yaml")
+    assert _scipy_modules_after(
+        "from cirjump.cli import main\n"
+        f"assert main({[argv[0], config] + argv[1:]!r}) == 0") == "[]"
+
+
+def test_truncated_node_set_loads_no_scipy():
+    assert _scipy_modules_after(
+        "import cirjump as cj\n"
+        f"cfg = cj.load_config({os.path.join(DEMO_CONFIGS, 'infinite_activity.yaml')!r})\n"
+        "assert cfg.nu.truncated(cfg.delta).nodes[0].size > 0") == "[]"
 
 
 def flat_beta_coeffs():

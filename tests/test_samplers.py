@@ -416,6 +416,27 @@ class TestPrmAndGates:
         with pytest.raises(InvalidDelta):
             sampler.sample_itilde(g, 0.2, 1.2, size=4)
 
+    def test_unsamplable_delta_rejected_before_drawing(self, pc_coeffs, rho04):
+        # the automatic level for rho = 0.4 is 6.8e-59: about 1e23 jumps per
+        # draw, refused before the Poisson count reads the stream
+        sampler = cj.TransitionSampler(pc_coeffs, rho04)
+        g = RngStream(62).generator()
+        with pytest.raises(InvalidDelta, match="expected jumps per draw"):
+            sampler.sample_itilde(g, 0.2, 1.2, size=4)
+        assert np.array_equal(g.random(4), RngStream(62).generator().random(4))
+
+    def test_no_points_are_shared_and_read_only(self, pc_coeffs, two_atoms):
+        # no jump intensity: every call returns the one empty triple
+        co = cj.CoefficientSet(a=pc_coeffs.a, a_tilde=cj.constant(0.0),
+                               beta=pc_coeffs.beta, sigma=pc_coeffs.sigma,
+                               t_max=pc_coeffs.t_max)
+        sampler = cj.TransitionSampler(co, two_atoms)
+        g = RngStream(63).generator()
+        first = sampler.prm_points_batch(g, 0.2, 1.2, 8)
+        assert first is sampler.prm_points_batch(g, 0.2, 1.2, None)
+        assert [a.size for a in first] == [0, 0, 0]
+        assert not any(a.flags.writeable for a in first)
+
     def test_restrictive_gate_blocks_sampling(self, pc_coeffs, rho07):
         sampler = cj.TransitionSampler(pc_coeffs, rho07, delta=0.05)
         g = RngStream(60).generator()
