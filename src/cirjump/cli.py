@@ -145,11 +145,11 @@ def cmd_simulate(args) -> int:
     step = args.step if args.step is not None else cfg.step
     n_steps = max(1, int(round((cfg.t - cfg.s) / step)))
     grid = np.linspace(cfg.s, cfg.t, n_steps + 1)
-    os.makedirs(args.outdir, exist_ok=True)
     sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
                           delta=cfg.delta)
-    if args.scheme == "exact_skeleton":
+    if args.scheme != "euler":
         _check_drawable(sampler, grid, cfg.y)
+    os.makedirs(args.outdir, exist_ok=True)
     files = []
     for i in range(args.n_paths):
         stream = RngStream(cfg.seed, i)

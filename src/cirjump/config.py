@@ -27,7 +27,7 @@ Schema (all sections except ``model`` are optional)::
       workers: 1
       lambda_grid: [0.05, 0.1, 0.5, 1, 2, 5, 10, 20]
     controls:
-      n_cells: 64              # I-cells of a non-piecewise-constant alpha; branching immigration cells
+      n_cells: 64              # I-cells of a non-piecewise-constant alpha
       delta: auto              # truncation level: auto | number
       step: 0.125              # Euler step
     tolerances:
@@ -253,13 +253,12 @@ def parse_config(doc) -> RunConfig:
     controls = doc.get("controls", {}) or {}
     tols = doc.get("tolerances", {}) or {}
 
+    # YAML 1.1 reads an exponent without a decimal point (1e-6) as a string
     delta_raw = controls.get("delta", "auto")
-    if isinstance(delta_raw, str):
-        if delta_raw != "auto":
-            raise ConfigError("controls.delta must be a number or 'auto'")
-        delta = None
-    else:
-        delta = float(delta_raw)
+    try:
+        delta = None if delta_raw == "auto" else float(delta_raw)
+    except (TypeError, ValueError):
+        raise ConfigError("controls.delta must be a number or 'auto'") from None
 
     t_default = min(1.0, coeffs.t_max)
     try:

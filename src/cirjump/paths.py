@@ -12,11 +12,11 @@ cell containing their time.
 sampler over consecutive grid cells: marginally exact at every grid time,
 no step-size bias.
 
-``absorbed_cir_path`` / ``branching_path`` -- the building blocks of the
-branching construction: input-free square-root diffusions started at
-(s, u), absorbed at their first nonpositive grid value, superposed over the
-started mass, the per-cell immigration and the realized jump points. Used
-for cross-validation of the exact samplers.
+``absorbed_cir_path`` / ``branching_path`` -- the branching construction
+as a Markov chain on the grid: an input-free piece observed at grid times
+moves by the kernel H, so the started mass, one draw of I per step and
+every realized jump point, carried through H to the end of its step, add
+up to a path that is exact at every grid time and carries its jump marks.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .jumps import JumpMeasure
 from .numerics import _as_generator
-from .samplers import PrmRealization, get_sampler
+from .samplers import PrmRealization, _gamma_counts, get_sampler
 
 __all__ = [
     "PathRealization",
@@ -76,9 +76,14 @@ class PathRealization:
 
 def _grid_checked(grid):
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size < 2 or (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be an increasing array with >= 2 points")
     return grid
+
+
+def _near(a, b):
+    """``np.isclose(a, b)`` for two floats, without its array machinery."""
+    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
 
 
 def _deposits(grid, prm):
@@ -160,76 +165,71 @@ def exact_skeleton(rng, coeffs, nu=None, grid=None, n_cells=None, delta=None,
     return PathRealization(grid, x, None, seed_info, "exact_skeleton")
 
 
-def _absorbed_batch(g, coeffs, grid, start_idx, start_val):
-    """Superposable absorbed square-root diffusions on a common grid.
+def _arrivals(g, sampler, grid, prm):
+    """Every point (T, Y) of ``prm`` carried to the end t_k of its grid step
+    through H, summed per grid index k. A point on a grid time enters as Y,
+    H over an empty interval being the identity; the others get B and D from
+    one array ``bd`` call, made also when there are none. A path has a few
+    points, so each draws its H count and Gamma as scalars."""
+    # k >= 1 is the first grid index with grid[k] >= T; past the end, the last
+    k = grid[1:-1].searchsorted(prm.times) + 1
+    ends = grid[k]
+    inside = prm.times < ends
+    B, D = sampler.kernels.bd(prm.times[inside], ends[inside])
+    pushed = zip(B.tolist(), D.tolist())
+    out = [0.0] * grid.size
+    for j, y, on in zip(k.tolist(), prm.sizes.tolist(), inside.tolist()):
+        if on:
+            b, d = next(pushed)
+            y = _gamma_counts(g, g.poisson(y * (b / d)), d)
+        out[j] += y
+    return out
 
-    Piece ``i`` starts at ``grid[start_idx[i]]`` with value ``start_val[i]``,
-    follows d xi = -beta xi dt + sigma sqrt(xi+) dW with its own noise
-    column, and is absorbed at its first nonpositive grid value.
-    """
-    n = start_val.size
-    _, beta, sigma, h = _coefficients_on(coeffs, grid)
-    vals = np.zeros((n, grid.size))
-    x = np.zeros(n)
-    for k in range(grid.size - 1):
-        x = np.where(start_idx == k, start_val, x)
-        vals[:, k] = x
-        z = g.standard_normal(n)
-        step = _euler_step(x, 0.0, beta[k], sigma[k], h[k], z)
-        x = np.where(x > 0.0, np.maximum(step, 0.0), 0.0)
-    x = np.where(start_idx == grid.size - 1, start_val, x)
-    vals[:, -1] = x
-    return vals
+
+def _h_chain(g, sampler, grid, y, arrivals=None):
+    """Values at the grid times of the mass y started at grid[0], carried
+    step by step by H; with ``arrivals`` (per grid index) each step also adds
+    one I draw and the arrivals at its end. Exact at every grid time, by the
+    branching property."""
+    times = grid.tolist()
+    x = [float(y)]
+    for k in range(1, grid.size):
+        v = sampler.sample_h(g, times[k - 1], times[k], x[-1])
+        if arrivals is not None:
+            v = v + sampler.sample_i(g, times[k - 1], times[k]) + arrivals[k]
+        x.append(v)
+    return np.array(x)
 
 
 def absorbed_cir_path(rng, coeffs, s, u, grid, seed_info=None) -> PathRealization:
-    """Input-free CIR started at (s, u), absorbed at zero.
-
-    Absorption is detected at grid resolution: the first nonpositive Euler
-    value clamps the path to zero from then on.
-    """
+    """Input-free CIR started at (s, u), absorbed at zero: the H chain on the
+    grid, exact at every grid time (an H draw from 0 is 0)."""
     g = _as_generator(rng)
     grid = _grid_checked(grid)
     if u < 0:
         raise ValueError("starting mass must be nonnegative")
-    if not np.isclose(grid[0], s):
+    if not _near(grid[0], s):
         raise ValueError("grid must start at s")
-    vals = _absorbed_batch(g, coeffs, grid, np.zeros(1, dtype=int),
-                           np.array([float(u)]))
-    return PathRealization(grid, vals[0], None, seed_info, "absorbed")
+    vals = _h_chain(g, get_sampler(coeffs), grid, u)
+    return PathRealization(grid, vals, None, seed_info, "absorbed")
 
 
 def branching_path(rng, coeffs, nu, s, t, y, delta=None, grid=None,
                    n_cells=None, seed_info=None) -> PathRealization:
-    """Superposition realizing the branching construction at truncation delta.
+    """The branching construction at truncation delta, exact at grid times.
 
-    Pieces, in this order: the started mass (s, y); one per realized jump
-    point (T_i, Y_i), started at the first grid time at or after T_i; one
-    immigration piece per cell of the sampler's uniform ``cell_grid``
-    (``n_cells`` cells, knots included) where ``alpha`` is positive, with
-    Gamma(alpha_cell, p(cell)) mass at the first grid time at or after the
-    cell's right end. The cells' masses are one array draw. Each piece is
-    an absorbed square-root diffusion driven by its own noise.
+    The driving measure is realized once; every point (T_i, Y_i) is carried
+    through H to the first grid time at or after T_i. The mass is then
+    chained over the grid: each step carries it through H, adds one draw of
+    I over the step and the points that arrived at the step's end.
+    ``n_cells`` refines the I-grid of a non-piecewise-constant ``alpha``.
     """
     g = _as_generator(rng)
     grid = _grid_checked(grid)
-    if not (np.isclose(grid[0], s) and np.isclose(grid[-1], t)):
+    if not (_near(grid[0], s) and _near(grid[-1], t)):
         raise ValueError("grid must span [s, t]")
     kwargs = {} if n_cells is None else {"n_cells": n_cells}
     sampler = get_sampler(coeffs, nu, delta=delta, **kwargs)
-
     prm = sampler.sample_prm(g, s, t)
-    starts, masses = [grid[:1], prm.times], [np.array([float(y)]), prm.sizes]
-    if coeffs.a.max_on(s, t) > 0.0:
-        # uniform cells even where alpha is piecewise constant: they set the
-        # times at which immigration enters the path
-        cells = sampler.cell_grid(s, t, n_cells)
-        alpha = coeffs.alpha(0.5 * (cells[:-1] + cells[1:]))
-        on = alpha > 0.0
-        _, d_cell = sampler.kernels.bd(cells[:-1][on], cells[1:][on])
-        starts.append(cells[1:][on])
-        masses.append(g.gamma(alpha[on], d_cell))
-    idx = np.searchsorted(grid, np.concatenate(starts), side="left")
-    vals = _absorbed_batch(g, coeffs, grid, np.clip(idx, 0, grid.size - 1),
-                           np.concatenate(masses))
-    return PathRealization(grid, vals.sum(axis=0), prm, seed_info, "branching")
+    vals = _h_chain(g, sampler, grid, y, _arrivals(g, sampler, grid, prm))
+    return PathRealization(grid, vals, prm, seed_info, "branching")

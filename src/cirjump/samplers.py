@@ -27,7 +27,7 @@ so on a piece with constant ``alpha`` the cell factor equals
 I over that piece. When ``a`` and ``sigma`` are piecewise constant the cells
 are therefore s, their knots inside (s, t), and t; ``n_cells`` refines a
 non-piecewise-constant ``alpha``, whose law converges weakly as the grid
-refines, and sets the uniform immigration cells of ``paths.branching_path``.
+refines.
 
 ``ITilde`` -- the jump-input component. Realize the driving Poisson random
 measure on (s, t] x (delta, inf) (times by thinning with rate
@@ -181,8 +181,7 @@ class TransitionSampler:
     the I-grid of a non-piecewise-constant ``alpha`` (cells never wider than
     (t-s)/n_cells, knots of the input and volatility functions always
     included); with piecewise-constant ``a`` and ``sigma`` the I-grid is one
-    exact cell per constant-``alpha`` piece. ``cell_grid`` with ``n_cells``
-    also gives the immigration cells of ``paths.branching_path``.
+    exact cell per constant-``alpha`` piece.
 
     ``_step(s, t)`` is the step record the draws read: B/D and D of H, the
     I cells and max a~, computed on the first draw on (s, t) and kept for
@@ -300,7 +299,7 @@ class TransitionSampler:
     def _starts(y, size):
         """Started masses and draw size: an array y gives one draw per
         element, a scalar y one draw (size None) or ``size`` draws."""
-        if np.ndim(y) > 0:
+        if not isinstance(y, float) and np.ndim(y) > 0:
             y, size = np.asarray(y, dtype=float), None
             negative = (y < 0).any()
         else:

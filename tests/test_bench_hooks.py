@@ -20,6 +20,10 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SEED = 3
+# a paths_jump pass makes two branching paths; on seed 1 neither draws a
+# jump, on seeds 2 and 3 one does, so a span that only some paths reach is
+# missing on one of these seeds
+PATH_SEEDS = (1, 2, 3)
 # per-layer metrics that perfbench/run.py measures itself, not the workloads
 RUN_LEVEL = ("cli.", "config.", "kernels.engine_build_ms", "trace.overhead.")
 
@@ -31,14 +35,14 @@ def bench():
     return importlib.import_module("run"), importlib.import_module("tracing")
 
 
-def _workload_metrics(bench, name):
+def _workload_metrics(bench, name, seed):
     run, tracing = bench
     wl = run.make_workload(name, tracing.Tracer(enabled=True))
-    wl.warm_up(SEED)
+    wl.warm_up(seed)
     with wl.tracing():
-        rows, passed = run.closed_loop(wl, SEED, 0.0, run.PASS_OPS[name])
-    assert passed and rows and all(r[4] for r in rows), name
-    return {**wl.layer_metrics(SEED), **wl.counts(SEED)}
+        rows, passed = run.closed_loop(wl, seed, 0.0, run.PASS_OPS[name])
+    assert passed and rows and all(r[4] for r in rows), (name, seed)
+    return {**wl.layer_metrics(seed), **wl.counts(seed)}
 
 
 def test_traced_hooks_give_every_layer_metric(bench):
@@ -47,7 +51,9 @@ def test_traced_hooks_give_every_layer_metric(bench):
         spec = json.load(fh)
     metrics = {}
     for w in spec["workloads"]:
-        metrics.update(_workload_metrics(bench, w["name"]))
+        seeds = PATH_SEEDS if w["name"] == "paths_jump" else (SEED,)
+        for seed in seeds:
+            metrics.update(_workload_metrics(bench, w["name"], seed))
     wanted = {m["name"] for m in spec["per_layer"]
               if not m["name"].startswith(RUN_LEVEL)}
     assert set(metrics) == wanted

@@ -249,7 +249,10 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # when the mark table's inversion became a cubic Hermite with exact slopes:
 # the same uniforms give marks that moved by the old table's inversion error
 # (path values by at most 8e-10 relative); these schemes add the marks to the
-# path as they are.
+# path as they are. The three branching digests were re-recorded when the
+# branching scheme became the exact H chain (a new law); without a jump
+# measure that chain draws what the exact skeleton draws, so classical_cir
+# has one digest for both.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
         "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
@@ -260,15 +263,15 @@ PATH_DIGESTS = {
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
-        "5b3eb8da78e035a5ca98ea13f180c79de955a5e05826178c9578a135e7dc7034",
+        "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
     ("infinite_activity", "euler"):
         "e41adb251f006ea51161267e1b54e52a546a4cce9f8c5c3ddbdd28824e9dae32",
     ("infinite_activity", "branching"):
-        "ef4cf4b62c4b2979fe937e8d7025b91c1e535926182be0cb7ea039626283455e",
+        "a862b0718ff6358bf6a0286081f334b8f73aa4f9750c6c3623e246a5809c9ff7",
     ("jump_model", "euler"):
         "3c07ab2827c455aed307288f5b738976983558220b470c73a2e751df01742c3e",
     ("jump_model", "branching"):
-        "df58a22d56203da9149978880887a1fcb8cfcec39f2fa89246dd723fece5f2d1",
+        "5a321798b68cc476a2e1396c06bc841109a04dc2917541a8c2d4a118b91b3bbb",
 }
 
 
@@ -393,6 +396,26 @@ class TestUsageErrors:
     def test_start_mass_too_large_to_sample(self, cfg, capsys):
         assert _exit_code(["sample", cfg, "--y", "1e30", "--n", "3"]) == 2
         assert "too large to sample" in capsys.readouterr().err
+
+    def test_branching_start_mass_too_large_to_sample(self, cfg, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        assert _exit_code(["simulate", cfg, "--scheme", "branching", "--y",
+                           "1e30", "--outdir", str(out)]) == 2
+        assert "too large to sample" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("delta,code", [
+        ("1e-6", 0), ("-1e-6", 2), (".inf", 2), ("often", 2), ("~", 2)])
+    def test_delta_spellings(self, tmp_path, capsys, delta, code):
+        # YAML 1.1 reads 1e-6 as a string; it is the number 1e-6 all the same
+        p = tmp_path / "delta.yaml"
+        p.write_text(GOOD.replace("delta: 0", f"delta: {delta}"))
+        assert _exit_code(["sample", str(p), "--n", "3"]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert err.startswith("config error: controls.delta must be")
+            assert len(err.splitlines()) == 1
 
     def test_zero_workers(self, cfg):
         assert _exit_code(["verify", cfg, "--suite", "kernels",

@@ -486,7 +486,8 @@ KERNEL_SETS = _kernel_sets()
 
 class TestArrayBd:
     """``bd`` on arrays is, element by element, the bits of ``bd`` on one
-    pair; ``branching_path`` relies on it for its immigration cells."""
+    pair; ``branching_path`` relies on it for the jumps it carries to the
+    ends of their grid steps."""
 
     @pytest.mark.parametrize("label,coeffs,s,t", KERNEL_SETS,
                              ids=[k[0] for k in KERNEL_SETS])

@@ -1,13 +1,18 @@
 import math
+import os
 
 import numpy as np
+import pytest
 
 import cirjump as cj
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
-from cirjump.paths import _absorbed_batch
-from cirjump.samplers import get_sampler
-from cirjump.verify import mc_statistics
+from cirjump.paths import _arrivals
+from cirjump.samplers import PrmRealization, get_sampler
+from cirjump.verify import LaplaceComparison, mc_statistics
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
 
 
 class TestEulerPath:
@@ -127,34 +132,39 @@ class TestAbsorbedCir:
 
     def test_absorption_fraction_grows(self):
         # beta = 0, sigma = 1: the hitting time of 0 is a.s. finite, so the
-        # absorbed fraction increases toward 1 with the horizon
+        # absorbed fraction increases toward 1 with the horizon; the chain
+        # is exact at grid times, so it matches P(xi_T = 0) = exp(-2u/T)
+        u = 0.5
         c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(0.0),
                               beta=cj.constant(0.0), sigma=cj.constant(1.0),
-                              x0=0.5, t_max=16.0)
+                              x0=u, t_max=16.0)
         fracs = []
         reps = 2000
         for T, seed in ((1.0, 80), (4.0, 81), (16.0, 82)):
-            grid = np.linspace(0.0, T, int(64 * T) + 1)
+            grid = np.linspace(0.0, T, 9)
             g = RngStream(seed).generator()
-            vals = _absorbed_batch(g, c, grid, np.zeros(reps, dtype=int),
-                                   np.full(reps, 0.5))
-            fracs.append(np.mean(vals[:, -1] == 0.0))
+            frac = np.mean([cj.absorbed_cir_path(g, c, 0.0, u, grid).values[-1]
+                            == 0.0 for _ in range(reps)])
+            exact = math.exp(-2.0 * u / T)
+            assert abs(frac - exact) <= 4.0 * math.sqrt(exact * (1 - exact) / reps)
+            fracs.append(frac)
         assert fracs[0] < fracs[1] < fracs[2]
         assert fracs[2] > 0.9
 
     def test_sup_square_scaling(self):
-        # E[sup xi^2] stays within a fitted multiple of (1 + T)(u + u^2)
+        # E[sup xi^2] over the grid stays within a fitted multiple of
+        # (1 + T)(u + u^2)
         c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(0.0),
                               beta=cj.constant(0.0), sigma=cj.constant(1.0),
                               x0=0.0, t_max=8.0)
         reps = 3000
 
         def sup_sq(u, T, seed):
-            grid = np.linspace(0.0, T, int(64 * T) + 1)
+            grid = np.linspace(0.0, T, int(8 * T) + 1)
             g = RngStream(seed).generator()
-            vals = _absorbed_batch(g, c, grid, np.zeros(reps, dtype=int),
-                                   np.full(reps, u))
-            return float(np.mean(vals.max(axis=1) ** 2))
+            return float(np.mean([
+                cj.absorbed_cir_path(g, c, 0.0, u, grid).values.max() ** 2
+                for _ in range(reps)]))
 
         c_fit = sup_sq(0.5, 1.0, 83) / ((1 + 1.0) * (0.5 + 0.25))
         for u, T, seed in ((1.5, 1.0, 84), (0.5, 8.0, 85), (2.0, 4.0, 86)):
@@ -172,20 +182,35 @@ class TestBranchingPath:
         ap = cj.absorbed_cir_path(RngStream(87).generator(), c, 0.2, 0.7, grid)
         assert np.array_equal(bp.values, ap.values)
 
-    def test_terminal_law_close_to_exact(self, pc_coeffs, two_atoms):
-        # cross-scheme consistency: the superposed construction reproduces
-        # the transition law up to the Euler discretization of the pieces
-        s, t, y = 0.2, 1.0, 0.8
-        grid = np.linspace(s, t, 129)
-        eng = get_kernels(pc_coeffs, two_atoms)
-        lam = np.array([1.0])
-        analytic, _ = eng.laplace_K(s, t, y, lam)
-        stats = mc_statistics(lambda g, m: np.array([
-            cj.branching_path(g, pc_coeffs, two_atoms, s, t, y,
-                              grid=grid, n_cells=16).values[-1]
-            for _ in range(m)]), 2500, lam, seed=88)
-        emp, se = stats["mean"], stats["std_err"]
-        assert abs(emp[0] - analytic[0]) <= 4 * se[0] + 0.025
+    @pytest.mark.parametrize("name", ["jump_model", "infinite_activity",
+                                      "classical_cir"])
+    def test_two_time_law(self, name):
+        # E exp(-l1 X_t1 - l2 X_t) at the config's own step, t1 mid-grid:
+        # by the Markov property it is laplace_K(s, t1, y, l1 + Psi_{t1,t}(l2))
+        # times laplace_K(t1, t, 0, l2); a truncated measure is compared
+        # against the kernels of its restriction
+        cfg = cj.load_config(os.path.join(DEMO_CONFIGS, name + ".yaml"))
+        n = max(1, int(round((cfg.t - cfg.s) / cfg.step)))
+        grid = np.linspace(cfg.s, cfg.t, n + 1)
+        t1 = grid[n // 2]
+        sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
+                              delta=cfg.delta)
+        nu = cfg.nu if sampler.delta == 0.0 else cfg.nu.truncated(sampler.delta)
+        eng = cj.TransitionKernels(cfg.coeffs, nu)
+        l1, l2 = (a.ravel() for a in np.meshgrid([0.5, 2.0, 10.0],
+                                                 [0.5, 2.0, 10.0]))
+        oracle = (eng.laplace_K(cfg.s, t1, cfg.y, l1 + eng.psi(t1, cfg.t, l2))[0]
+                  * eng.laplace_K(t1, cfg.t, 0.0, l2)[0])
+        g, m = RngStream(88).generator(), 4000
+        ends = np.array([cj.branching_path(
+            g, cfg.coeffs, cfg.nu, cfg.s, cfg.t, cfg.y, delta=cfg.delta,
+            grid=grid, n_cells=cfg.n_cells).values[[n // 2, n]]
+            for _ in range(m)])
+        f = np.exp(-np.outer(ends[:, 0], l1) - np.outer(ends[:, 1], l2))
+        mean, se = f.mean(axis=0), f.std(axis=0, ddof=1) / math.sqrt(m)
+        cmp = LaplaceComparison(np.column_stack([l1, l2]), mean, se, oracle,
+                                (mean - oracle) / se, m, seed=88, label=name)
+        assert cmp.passed, cmp.z_scores
 
     def test_sup_norm_scales_with_jump_mass(self, pc_coeffs):
         # qualitative: heavier jump measures push the expected sup up
@@ -208,37 +233,49 @@ class TestBranchingPath:
         assert bp.jumps is not None
         assert np.all(np.diff(bp.jumps.times) > 0) or len(bp.jumps) <= 1
 
-    def test_immigration_matches_per_cell_loop(self, two_atoms):
-        # the array immigration against the per-cell scalar construction it
-        # replaced, bit for bit, on coefficients whose alpha vanishes on
-        # part of the interval (clipped a) and needs tabulated primitives
+    def test_points_arrive_at_the_end_of_their_step(self, pc_coeffs,
+                                                     two_atoms):
+        # a point on a grid time enters as its mark; one inside a step is
+        # carried through H to the step's end, as sample_h draws it
+        grid = np.linspace(0.2, 1.2, 9)
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        prm = PrmRealization(np.array([grid[2], 0.5 * (grid[4] + grid[5])]),
+                             np.array([1.8, 0.7]))
+        got = _arrivals(RngStream(93).generator(), sampler, grid, prm)
+        want = sampler.sample_h(RngStream(93).generator(), prm.times[1],
+                                grid[5], 0.7)
+        assert got[2] == 1.8 and got[5] == want
+        assert sum(got) == got[2] + got[5]
+
+
+    def test_matches_step_by_step_loop(self, two_atoms):
+        # the chain against its scalar construction, bit for bit, on
+        # coefficients whose alpha vanishes on part of the interval
+        # (clipped a) and that need tabulated primitives: the points first,
+        # each through sample_h to the end of its step, then H + I per step
         c = cj.CoefficientSet(a=cj.clipped_sine(0.1, 0.5, 6.0),
-                              a_tilde=cj.constant(0.3),
+                              a_tilde=cj.constant(3.0),
                               beta=cj.piecewise_linear([0.0, 2.0], [0.5, 1.5]),
                               sigma=cj.clipped_sine(1.2, 0.3, 2.0, 0.4),
                               x0=0.4, t_max=2.0)
-        s, t, y, n_cells = 0.1, 1.9, 0.6, 40
-        grid = np.linspace(s, t, 33)
+        s, t, y, n_cells = 0.1, 1.9, 0.6, 16
+        grid = np.linspace(s, t, 9)
         sampler = get_sampler(c, two_atoms, n_cells=n_cells)
-        g = RngStream(93).generator()
+        g = RngStream(94).generator()
         prm = sampler.sample_prm(g, s, t)
-        starts = [0] + np.searchsorted(grid, prm.times).tolist()
-        masses = [y] + prm.sizes.tolist()
-        cells = sampler.cell_grid(s, t)
-        skipped = 0
-        for r0, r1 in zip(cells[:-1], cells[1:]):
-            alpha = float(c.alpha(0.5 * (r0 + r1)))
-            if alpha <= 0.0:
-                skipped += 1
-                continue
-            starts.append(int(np.searchsorted(grid, r1)))
-            masses.append(float(g.gamma(alpha, sampler.kernels.bd(r0, r1)[1])))
-        want = _absorbed_batch(g, c, grid, np.minimum(starts, grid.size - 1),
-                               np.array(masses)).sum(axis=0)
-        got = cj.branching_path(RngStream(93).generator(), c, two_atoms, s, t,
+        arrived = np.zeros(grid.size)
+        for T, Y in zip(prm.times.tolist(), prm.sizes.tolist()):
+            k = int(np.searchsorted(grid, T))
+            arrived[k] += sampler.sample_h(g, T, grid[k], Y)
+        want = [y]
+        for k in range(1, grid.size):
+            want.append(sampler.sample_h(g, grid[k - 1], grid[k], want[-1])
+                        + sampler.sample_i(g, grid[k - 1], grid[k])
+                        + arrived[k])
+        got = cj.branching_path(RngStream(94).generator(), c, two_atoms, s, t,
                                 y, grid=grid, n_cells=n_cells)
-        assert 0 < skipped < cells.size - 1
-        assert got.values.tobytes() == want.tobytes()
+        assert len(prm) > 2 and np.all(got.values > 0.0)
+        assert got.values.tobytes() == np.array(want).tobytes()
 
 
 class TestPathRealization:
