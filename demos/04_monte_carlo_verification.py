@@ -13,7 +13,7 @@ import numpy as np
 import cirjump as cj
 from cirjump.kernels import get_kernels
 from cirjump.paths import euler_terminal_batch
-from cirjump.verify import (chapman_kolmogorov, compare_transition,
+from cirjump.verify import (chapman_kolmogorov, compare_component,
                             mc_statistics)
 
 coeffs = cj.CoefficientSet(
@@ -28,7 +28,7 @@ grid = [0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 N = 200_000
 
 print("== one-step sampler vs the transition transform ==")
-cmp = compare_transition(coeffs, nu, s, t, y, N, grid, seed=11)
+cmp = compare_component(coeffs, nu, s, t, y, "K", N, grid, seed=11)
 print(cmp)
 
 print("\n== two-step sampling through a midpoint (Chapman-Kolmogorov) ==")
@@ -49,7 +49,7 @@ for k in range(4):
           f"(+-{stats['std_err'][0]:.5f})")
 
 print("\n== byte-identical reports across worker counts ==")
-a = compare_transition(coeffs, nu, s, t, y, N, grid, seed=14, workers=1)
-b = compare_transition(coeffs, nu, s, t, y, N, grid, seed=14, workers=4)
+a = compare_component(coeffs, nu, s, t, y, "K", N, grid, seed=14, workers=1)
+b = compare_component(coeffs, nu, s, t, y, "K", N, grid, seed=14, workers=4)
 print("workers=1 == workers=4:",
       json.dumps(a.as_dict()) == json.dumps(b.as_dict()))

@@ -59,7 +59,6 @@ from .verify import (
     MomentCheck,
     chapman_kolmogorov,
     compare_component,
-    compare_transition,
     mc_statistics,
     moment_check_from_sums,
     psi_semigroup_check,

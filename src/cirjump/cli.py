@@ -156,15 +156,15 @@ def cmd_simulate(args) -> int:
         g = stream.generator()
         info = (stream.seed, stream.stream_id)
         if args.scheme == "euler":
-            path = euler_path(g, cfg.coeffs, cfg.nu, grid, delta=sampler.delta,
+            path = euler_path(g, cfg.coeffs, cfg.nu, grid, delta=cfg.delta,
                               y0=cfg.y, seed_info=info)
         elif args.scheme == "exact_skeleton":
             path = exact_skeleton(g, cfg.coeffs, cfg.nu, grid,
-                                  n_cells=cfg.n_cells, delta=sampler.delta,
+                                  n_cells=cfg.n_cells, delta=cfg.delta,
                                   y0=cfg.y, seed_info=info)
         else:
             path = branching_path(g, cfg.coeffs, cfg.nu, cfg.s, cfg.t, cfg.y,
-                                  delta=sampler.delta, grid=grid,
+                                  delta=cfg.delta, grid=grid,
                                   n_cells=cfg.n_cells, seed_info=info)
         name = f"path_{i:04d}.csv"
         with open(os.path.join(args.outdir, name), "w", encoding="utf-8",

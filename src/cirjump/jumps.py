@@ -115,10 +115,6 @@ class JumpMeasure:
     """Common interface of the supported jump-measure representations."""
 
     @property
-    def variant(self) -> str:
-        raise NotImplementedError
-
-    @property
     def infinite_activity(self) -> bool:
         raise NotImplementedError
 
@@ -248,10 +244,6 @@ class DiscreteJumpMeasure(JumpMeasure):
         return np.asarray([p[1] for p in self.points], dtype=float)
 
     @property
-    def variant(self):
-        return "finite_discrete"
-
-    @property
     def infinite_activity(self):
         return False
 
@@ -308,12 +300,6 @@ class DensityJumpMeasure(JumpMeasure):
     def __post_init__(self):
         if self.lower < 0:
             raise ValueError("lower must be nonnegative")
-
-    @property
-    def variant(self):
-        if self.infinite_activity:
-            return "infinite_activity_density"
-        return "finite_activity_density"
 
     @property
     def infinite_activity(self):

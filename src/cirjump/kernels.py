@@ -226,6 +226,8 @@ class TransitionKernels:
         bit-identical to the call on that one pair: the exponentials are
         ``math.exp`` per element, which ``np.exp`` may miss by an ulp.
         """
+        if isinstance(s, np.ndarray) and not s.size:    # skip check and lookups
+            return np.empty(0), np.empty(0)
         self._check(s, t)
         lam_s, e_s = self.table.primitives(s)
         lam_t, e_t = self.table.primitives(t)
@@ -267,12 +269,6 @@ class TransitionKernels:
         self._check_lam(lam)
         B, D = self.bd(s, t)
         return self._psi_from_bd(B, D, lam)
-
-    def psi_tilde(self, s, t, lam):
-        """Jump-side kernel; finite under the summability condition."""
-        if self.nu is None:
-            raise ValueError("psi_tilde needs a jump measure")
-        return self.nu.one_minus_exp_integral(self.psi(s, t, lam))
 
     # -- transforms --------------------------------------------------------
 

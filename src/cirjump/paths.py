@@ -2,11 +2,12 @@
 
 Three schemes are provided:
 
-``euler_path`` -- Euler-Maruyama with full truncation inside the diffusion
-coefficient (the square root is taken of the positive part, matching the
-equation itself; the drift uses the raw state). Jumps are realized once per
-path from the driving random measure and deposited at the end of the grid
-cell containing their time.
+``euler_path`` / ``euler_terminal_batch`` -- Euler-Maruyama with full
+truncation inside the diffusion coefficient (the square root is taken of the
+positive part, matching the equation itself; the drift uses the raw state),
+for one path or for a batch of paths through one loop. Jumps are realized
+once per path from the driving random measure and deposited at the end of
+the grid step containing their time.
 
 ``exact_skeleton`` -- Markov chaining of the exact one-step transition
 sampler over consecutive grid cells: marginally exact at every grid time,
@@ -59,9 +60,8 @@ class PathRealization:
     def jump_flags(self) -> np.ndarray:
         """True at grid index k when a jump time lies in (times[k-1], times[k]]."""
         flags = np.zeros(self.times.size, dtype=bool)
-        if self.jumps is not None and len(self.jumps):
-            idx = np.searchsorted(self.times, self.jumps.times, side="left")
-            flags[np.clip(idx, 0, self.times.size - 1)] = True
+        if self.jumps is not None:
+            flags[_step_of(self.times, self.jumps.times)] = True
         return flags
 
     def write_csv(self, fileobj) -> None:
@@ -86,20 +86,10 @@ def _near(a, b):
     return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
 
 
-def _deposits(grid, prm):
-    out = np.zeros(grid.size)
-    if len(prm):
-        idx = np.searchsorted(grid, prm.times, side="left")
-        np.add.at(out, np.clip(idx, 1, grid.size - 1), prm.sizes)
-    return out
-
-
-def _coefficients_on(coeffs, grid):
-    """a, beta and sigma at the left end of every grid step, and the steps."""
-    left = grid[:-1]
-    return (np.asarray(coeffs.a(left), dtype=float),
-            np.asarray(coeffs.beta(left), dtype=float),
-            np.asarray(coeffs.sigma(left), dtype=float), np.diff(grid))
+def _step_of(grid, times):
+    """Grid index k >= 1 of the step (grid[k-1], grid[k]] that holds each
+    time: the first with grid[k] >= T; past the end of the grid, the last."""
+    return grid[1:-1].searchsorted(times) + 1
 
 
 def _euler_step(x, a, beta, sigma, h, z):
@@ -107,43 +97,51 @@ def _euler_step(x, a, beta, sigma, h, z):
     return x + (a - beta * x) * h + sigma * np.sqrt(np.maximum(x, 0.0) * h) * z
 
 
+def _euler(g, sampler, grid, x0, size=None):
+    """Euler-Maruyama values at every grid time, shape (grid.size,) for one
+    path (``size`` None) or (grid.size, size), and the times and sizes of
+    the driving-measure points, each added at the end of its grid step.
+    The stream gives the points, then at each step one normal per path."""
+    rows, times, sizes = sampler.prm_points_batch(g, grid[0], grid[-1], size)
+    if size is None:    # one path deposits, and returns, its points in time order
+        order = times.argsort()
+        times, sizes = times[order], sizes[order]
+    # the deposits, then the path
+    x = np.zeros((grid.size,) if size is None else (grid.size, size))
+    if times.size:
+        np.add.at(x.reshape(grid.size, -1), (_step_of(grid, times), rows),
+                  sizes)
+    # the coefficients at the left end of every step
+    co, left, h = sampler.coeffs, grid[:-1], np.diff(grid)
+    a = np.asarray(co.a(left), dtype=float)
+    beta = np.asarray(co.beta(left), dtype=float)
+    sigma = np.asarray(co.sigma(left), dtype=float)
+    x[0] = x0
+    for k in range(grid.size - 1):
+        x[k + 1] += _euler_step(x[k], a[k], beta[k], sigma[k], h[k],
+                                g.standard_normal(size))
+    return x, times, sizes
+
+
 def euler_path(rng, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
                grid=None, delta: Optional[float] = None,
                y0: Optional[float] = None, seed_info=None) -> PathRealization:
     """One Euler-Maruyama trajectory on the given grid."""
-    g = _as_generator(rng)
     grid = _grid_checked(grid)
     sampler = get_sampler(coeffs, nu, delta=delta)
-    prm = sampler.sample_prm(g, grid[0], grid[-1])
-    dep = _deposits(grid, prm)
-    z = g.standard_normal(grid.size - 1)
-    a, beta, sigma, h = _coefficients_on(coeffs, grid)
-    x = np.empty(grid.size)
-    x[0] = coeffs.x0 if y0 is None else float(y0)
-    for k in range(grid.size - 1):
-        x[k + 1] = _euler_step(x[k], a[k], beta[k], sigma[k], h[k],
-                               z[k]) + dep[k + 1]
+    x, times, sizes = _euler(_as_generator(rng), sampler, grid,
+                             coeffs.x0 if y0 is None else float(y0))
+    prm = PrmRealization(times, sizes, sampler.delta)
     return PathRealization(grid, x, prm, seed_info, "euler")
 
 
 def euler_terminal_batch(rng, coeffs, nu, s, t, n_steps, size,
                          delta=None, y0=None) -> np.ndarray:
-    """Terminal values of Euler paths, vectorized across ``size`` paths."""
-    g = _as_generator(rng)
-    grid = np.linspace(s, t, int(n_steps) + 1)
-    sampler = get_sampler(coeffs, nu, delta=delta)
-    dep = np.zeros((size, grid.size))
-    rows, times, sizes = sampler.prm_points_batch(g, s, t, size)
-    if times.size:
-        cols = np.clip(np.searchsorted(grid, times, side="left"),
-                       1, grid.size - 1)
-        np.add.at(dep, (rows, cols), sizes)
-    a, beta, sigma, h = _coefficients_on(coeffs, grid)
-    x = np.full(size, coeffs.x0 if y0 is None else float(y0))
-    for k in range(grid.size - 1):
-        z = g.standard_normal(size)
-        x = _euler_step(x, a[k], beta[k], sigma[k], h[k], z) + dep[:, k + 1]
-    return x
+    """Terminal values of ``size`` Euler paths on n_steps equal steps."""
+    x, _, _ = _euler(_as_generator(rng), get_sampler(coeffs, nu, delta=delta),
+                     np.linspace(s, t, int(n_steps) + 1),
+                     coeffs.x0 if y0 is None else float(y0), int(size))
+    return x[-1].copy()
 
 
 def exact_skeleton(rng, coeffs, nu=None, grid=None, n_cells=None, delta=None,
@@ -171,8 +169,7 @@ def _arrivals(g, sampler, grid, prm):
     H over an empty interval being the identity; the others get B and D from
     one array ``bd`` call, made also when there are none. A path has a few
     points, so each draws its H count and Gamma as scalars."""
-    # k >= 1 is the first grid index with grid[k] >= T; past the end, the last
-    k = grid[1:-1].searchsorted(prm.times) + 1
+    k = _step_of(grid, prm.times)
     ends = grid[k]
     inside = prm.times < ends
     B, D = sampler.kernels.bd(prm.times[inside], ends[inside])

@@ -248,17 +248,14 @@ class TransitionSampler:
         return _Step(B / D, D, tuple(cells), amax)
 
     def i_grid(self, s, t):
-        """Cells ``sample_i`` draws on: one per constant-``alpha`` piece when
-        ``a`` and ``sigma`` are piecewise constant, else ``cell_grid(s, t)``."""
-        return self.cell_grid(s, t, 1 if self.alpha_piecewise_constant else None)
-
-    def cell_grid(self, s, t, n=None):
-        """Knots of the input and volatility functions on [s, t], each piece
-        refined into cells no wider than (t-s)/n (default ``n_cells``)."""
-        n = self.n_cells if n is None else int(n)
+        """Cells ``sample_i`` draws on: the knots of the input and volatility
+        functions on [s, t], one cell per piece when ``a`` and ``sigma`` are
+        piecewise constant, else each piece refined into cells no wider than
+        (t-s)/``n_cells``."""
+        n = 1 if self.alpha_piecewise_constant else self.n_cells
         knots = self.coeffs.breakpoints(s, t, which=("a", "sigma"))
         edges = np.concatenate(([s], knots, [t]))
-        counts = np.ceil((edges[1:] - edges[:-1]) / ((t - s) / max(n, 1)))
+        counts = np.ceil((edges[1:] - edges[:-1]) / ((t - s) / n))
         if counts.max() <= 1:    # every piece is one cell
             return edges
         pieces = [np.linspace(lo, hi, max(1, int(k)) + 1)[:-1]

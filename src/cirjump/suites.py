@@ -20,11 +20,9 @@ from .jumps import truncation_schedule
 from .kernels import get_kernels
 from .numerics import RngStream
 from .paths import euler_terminal_batch
-from .samplers import get_sampler
-from .verify import (Z_HARD, LaplaceComparison, chapman_kolmogorov,
-                     compare_component, compare_transition, mc_statistics,
-                     moment_check_from_sums, psi_semigroup_check,
-                     zero_fraction_z)
+from .verify import (Z_HARD, _engines, chapman_kolmogorov, compare_component,
+                     mc_statistics, moment_check_from_sums,
+                     psi_semigroup_check, zero_fraction_z)
 
 __all__ = ["SUITES", "SuiteReport", "run_suite"]
 
@@ -109,20 +107,19 @@ def _suite_kernels(cfg: RunConfig) -> SuiteReport:
     return SuiteReport("kernels", tuple(entries))
 
 
+def _compare(cfg: RunConfig, component: str):
+    return compare_component(cfg.coeffs, cfg.nu, cfg.s, cfg.t, cfg.y,
+                             component, cfg.n_samples, cfg.lambda_grid,
+                             cfg.seed, n_cells=cfg.n_cells, delta=cfg.delta,
+                             workers=cfg.workers)
+
+
 def _suite_sampler_h(cfg: RunConfig) -> SuiteReport:
-    eng = get_kernels(cfg.coeffs, cfg.nu)
-    sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
-                          delta=cfg.delta)
-    s, t, y = cfg.s, cfg.t, cfg.y
-    kv = eng.kernel_value(s, t)
-    grid = np.asarray(cfg.lambda_grid, dtype=float)
-    stats = mc_statistics(lambda g, m: sampler.sample_h(g, s, t, y, size=m),
-                          cfg.n_samples, grid, cfg.seed, stream_base=0,
-                          workers=cfg.workers)
+    cmpv = _compare(cfg, "H")
+    stats, y = cmpv.stats, cfg.y
+    kv = get_kernels(cfg.coeffs, cfg.nu).kernel_value(cfg.s, cfg.t)
     mc = moment_check_from_sums(stats, y * kv.B, 2 * y * kv.B / kv.p)
     zf = zero_fraction_z(stats["zeros"], stats["n"], math.exp(-y * kv.gamma))
-    cmpv = LaplaceComparison.from_stats(stats, eng.laplace_H(s, t, y, grid)[0],
-                                        grid, seed=cfg.seed, label="H")
     entries = (
         _entry("moments", mc.passed, z_mean=mc.z_mean, z_var=mc.z_var),
         _entry("zero_fraction", abs(zf) <= Z_HARD, z=zf),
@@ -134,16 +131,12 @@ def _suite_sampler_h(cfg: RunConfig) -> SuiteReport:
 def _suite_component(cfg: RunConfig, component: str, name: str) -> SuiteReport:
     if component == "Itilde" and cfg.nu is None:
         raise ConfigError(f"suite {name} needs a jump measure (model.nu)")
-    cmpv = compare_component(cfg.coeffs, cfg.nu, cfg.s, cfg.t, cfg.y,
-                             component, cfg.n_samples, cfg.lambda_grid,
-                             cfg.seed, n_cells=cfg.n_cells, delta=cfg.delta,
-                             workers=cfg.workers)
+    cmpv = _compare(cfg, component)
     entries = [_entry("laplace_transform", cmpv.passed,
                       max_abs_z=cmpv.max_abs_z,
                       soft_exceedances=cmpv.soft_exceedances)]
-    if component == "Itilde" and cfg.nu is not None:
-        sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
-                              delta=cfg.delta)
+    if component == "Itilde":
+        sampler, _ = _engines(cfg.coeffs, cfg.nu, cfg.n_cells, cfg.delta)
         mass = cfg.nu.mass_above(sampler.delta)
         expected = mass * cfg.coeffs.a_tilde.integral(cfg.s, cfg.t)
         reps = 4096
@@ -155,16 +148,6 @@ def _suite_component(cfg: RunConfig, component: str, name: str) -> SuiteReport:
         entries.append(_entry("jump_count_mean", abs(zc) <= 3.0,
                               z=zc, expected=expected, observed=counts.mean()))
     return SuiteReport(name, tuple(entries))
-
-
-def _suite_transition(cfg: RunConfig) -> SuiteReport:
-    cmpv = compare_transition(cfg.coeffs, cfg.nu, cfg.s, cfg.t, cfg.y,
-                              cfg.n_samples, cfg.lambda_grid, cfg.seed,
-                              n_cells=cfg.n_cells, delta=cfg.delta,
-                              workers=cfg.workers)
-    return SuiteReport("transition-K", (
-        _entry("laplace_transform", cmpv.passed, max_abs_z=cmpv.max_abs_z,
-               soft_exceedances=cmpv.soft_exceedances),))
 
 
 def _suite_ck(cfg: RunConfig) -> SuiteReport:
@@ -224,7 +207,7 @@ SUITES = {
     "sampler-H": _suite_sampler_h,
     "sampler-I": lambda cfg: _suite_component(cfg, "I", "sampler-I"),
     "sampler-Itilde": lambda cfg: _suite_component(cfg, "Itilde", "sampler-Itilde"),
-    "transition-K": _suite_transition,
+    "transition-K": lambda cfg: _suite_component(cfg, "K", "transition-K"),
     "chapman-kolmogorov": _suite_ck,
     "euler-convergence": _suite_euler,
     "truncation": _suite_truncation,

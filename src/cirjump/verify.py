@@ -5,6 +5,10 @@ Comparisons live in transform space: for a batch of draws X_1..X_N the
 empirical transform mean of exp(-lam X) is set against the analytic value
 with a per-point z-score. A comparison passes when no |z| exceeds
 ``Z_HARD`` and at most one point per eight exceeds ``Z_SOFT``.
+``compare_component`` makes that comparison for each transition-law
+component (K, H, I, ITilde) through the one ``COMPONENTS`` table; its
+result keeps the chunk statistics, so moment and zero-fraction checks read
+the same draws.
 
 Monte Carlo batches are split into fixed-size chunks; chunk j always uses
 the substream ``(seed, stream_base + j)`` and partial sums are reduced in
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +42,6 @@ __all__ = [
     "LaplaceComparison",
     "MomentCheck",
     "transform_comparison",
-    "compare_transition",
     "compare_component",
     "chapman_kolmogorov",
     "psi_semigroup_check",
@@ -65,7 +68,9 @@ def _zscores(diff, se):
 
 @dataclass(frozen=True)
 class LaplaceComparison:
-    """Empirical vs analytic transform values on a lambda grid."""
+    """Empirical vs analytic transform values on a lambda grid. ``stats``
+    keeps the :func:`mc_statistics` record it was built from, if any (zero
+    count and central moments of the draws)."""
 
     lambda_grid: np.ndarray
     empirical: np.ndarray
@@ -75,6 +80,7 @@ class LaplaceComparison:
     n_samples: int
     seed: Optional[int] = None
     label: str = ""
+    stats: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_stats(cls, stats, analytic, lambda_grid, seed=None, label=""):
@@ -84,7 +90,7 @@ class LaplaceComparison:
         z = _zscores(stats["mean"] - analytic, stats["std_err"])
         return cls(np.asarray(lambda_grid, dtype=float), stats["mean"],
                    stats["std_err"], analytic, z, stats["n"], seed=seed,
-                   label=label)
+                   label=label, stats=stats)
 
     @property
     def max_abs_z(self) -> float:
@@ -249,16 +255,6 @@ def compare_component(coeffs, nu, s, t, y, component, n_samples, lambda_grid,
         comp.laplace(eng, s, t, y, grid)[0], grid, n_samples, seed,
         stream_base=stream_base, workers=workers,
         label=label or f"{component}[{s},{t}] y={y}")
-
-
-def compare_transition(coeffs, nu, s, t, y, n_samples, lambda_grid, seed,
-                       n_cells=DEFAULT_CELLS, delta=None, workers=1,
-                       stream_base=0) -> LaplaceComparison:
-    """One-step transition sampler vs the analytic transition transform."""
-    return compare_component(coeffs, nu, s, t, y, "K", n_samples, lambda_grid,
-                             seed, n_cells=n_cells, delta=delta,
-                             workers=workers, stream_base=stream_base,
-                             label=f"K[{s},{t}] y={y}")
 
 
 def chapman_kolmogorov(coeffs, nu, s, u, t, y, n_samples, lambda_grid, seed,

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -194,6 +195,17 @@ class TestSimulateCommand:
                      "--seed", "5"]) == 0
         assert os.path.exists(os.path.join(outdir, "manifest.json"))
 
+    @pytest.mark.parametrize("scheme", ["euler", "exact_skeleton", "branching"])
+    def test_one_sampler_per_run(self, scheme, tmp_path, capsys):
+        # the paths draw on the engine the command checked, keyed alike
+        from cirjump.samplers import _cached_sampler
+        _cached_sampler.cache_clear()
+        assert main(["simulate", os.path.join(DEMO_CONFIGS, "classical_cir.yaml"),
+                     "--scheme", scheme, "--n-paths", "2",
+                     "--outdir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert _cached_sampler.cache_info().misses == 1
+
     def test_unknown_scheme_exits_2(self, cfg):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", cfg, "--scheme", "magic", "--outdir", "x"])
@@ -360,6 +372,82 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == \
         CLI_DIGESTS[(config, command, component)]
 
+
+# SHA-256 of the ``verify --json`` report of every suite on each demo config,
+# with run.n_samples set to 20000, in process. classical_cir has no jump
+# measure, so it has no sampler-Itilde report (that suite exits 2 there).
+# Recorded when the suites still had their own transition check and their
+# own H-sampler loop beside ``compare_component``.
+SUITE_DIGESTS = {
+    ("classical_cir", "chapman-kolmogorov"):
+        "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
+    ("classical_cir", "euler-convergence"):
+        "ff01352c4770454a2de3e41bca91d522f74d3bba16fc0882432b1b570b72658c",
+    ("classical_cir", "kernels"):
+        "1938a885b70b12ff7bf18a9d80408974a5618cc637cb08533e4b95b90077108f",
+    ("classical_cir", "sampler-H"):
+        "0ead6db928ea62e09446daa377e1ab8b115be710f171ad106f2ba400ea3b9a04",
+    ("classical_cir", "sampler-I"):
+        "923ff9dca9910858ff9764b94d740efc5c8257f1d0475ab41031b15cb7da7081",
+    ("classical_cir", "transition-K"):
+        "7387ce8438dd8cbf41b43951a69d5577ee0994ba101e4eaf0fda8062e7ee7170",
+    ("classical_cir", "truncation"):
+        "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
+    ("infinite_activity", "chapman-kolmogorov"):
+        "a17f600d9927e458e4234e4243c24206d7393c96f7f94f7ad59c5cae61884995",
+    ("infinite_activity", "euler-convergence"):
+        "1010ae2cbf779272283cff7b8514340b92ccae4105f5200e34c3dcec9c1151d5",
+    ("infinite_activity", "kernels"):
+        "ba8743f44431cfe29645c2721205b7c457b01d35c3572d6298ae7693aaaeb596",
+    ("infinite_activity", "sampler-H"):
+        "21e180d336c42a859b752a73943d46ccf2993b80a19ad2458db65f6ec50960dd",
+    ("infinite_activity", "sampler-I"):
+        "27b3c52d540ebc219e48a4414a9aedf1793077e4112274eb75f271cd6f5b270e",
+    ("infinite_activity", "sampler-Itilde"):
+        "ecda73b4c15af35b8033615cd9f6d87cc89067f87e5d74e164f828ccadf19983",
+    ("infinite_activity", "transition-K"):
+        "93cee891cafcd6e5935764b94940f0cbf86b7dede0e491cc68d7ee8b41481a4a",
+    ("infinite_activity", "truncation"):
+        "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
+    ("jump_model", "chapman-kolmogorov"):
+        "1625bb6c3596ebc1cae5d74eb3525e1c8dd14a29c0d71582bf255bff9b04fdcc",
+    ("jump_model", "euler-convergence"):
+        "c07e6b08eaebfe3279d06d870fca9ea4ddcebfebe2af2b32bae136609aa9788c",
+    ("jump_model", "kernels"):
+        "d01ac6dac90a8794422e9b6cfd026e34b4b1f72c55d71afaa2e8fedf784dd8e2",
+    ("jump_model", "sampler-H"):
+        "0c89363e95a630db258495953782bdf6d39bd41827a477b6152a3aa245ad50f8",
+    ("jump_model", "sampler-I"):
+        "1f56e55271cb6962c33034ed57cf6f2bf7afa3e9f3c3ef2abc204072165533b3",
+    ("jump_model", "sampler-Itilde"):
+        "0f02e8d8af08edac542afc3c75d02e0a8031da22c2d035ae830d0db84defc48b",
+    ("jump_model", "transition-K"):
+        "e3ba6fafe9bd98c0e22730c1943fb91ac1aacb10fde197ce8c739772343aed4a",
+    ("jump_model", "truncation"):
+        "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
+}
+
+
+@pytest.fixture(scope="module")
+def small_demo_configs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo_configs")
+    for name in ("classical_cir", "infinite_activity", "jump_model"):
+        with open(os.path.join(DEMO_CONFIGS, name + ".yaml"),
+                  encoding="utf-8") as fh:
+            text = re.sub(r"n_samples: \d+", "n_samples: 20000", fh.read())
+        (out / (name + ".yaml")).write_text(text, encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("config,suite", sorted(SUITE_DIGESTS))
+def test_demo_suite_reports_byte_identical(config, suite, small_demo_configs,
+                                           tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", str(small_demo_configs / (config + ".yaml")),
+                 "--suite", suite, "--json", str(report)]) in (0, 1)
+    capsys.readouterr()
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        SUITE_DIGESTS[(config, suite)]
 
 def _exit_code(argv):
     try:

@@ -178,20 +178,24 @@ class TestPsi:
 
 
 class TestPsiTilde:
+    """PsiTilde_{s,t}(lam) = nu.one_minus_exp_integral(Psi_{s,t}(lam))."""
+
     def test_zero(self, pc_coeffs, two_atoms):
-        assert get_kernels(pc_coeffs, two_atoms).psi_tilde(0.2, 1.2, 0.0) == 0.0
+        ps = get_kernels(pc_coeffs, two_atoms).psi(0.2, 1.2, 0.0)
+        assert two_atoms.one_minus_exp_integral(ps) == 0.0
 
     def test_unit_atom_reduction(self, pc_coeffs):
         nu = cj.atoms([(1.0, 1.0)])
         lam = 3.0
         ps = get_kernels(pc_coeffs).psi(0.2, 1.2, lam)
-        assert get_kernels(pc_coeffs, nu).psi_tilde(0.2, 1.2, lam) == \
-            pytest.approx(1.0 - math.exp(-ps), rel=1e-12)
+        assert nu.one_minus_exp_integral(get_kernels(pc_coeffs, nu).psi(
+            0.2, 1.2, lam)) == pytest.approx(1.0 - math.exp(-ps), rel=1e-12)
 
     def test_exponential_density_closed_form(self, pc_coeffs, exp_density):
         lam = np.array([0.3, 1.0, 4.0])
         ps = get_kernels(pc_coeffs).psi(0.2, 1.2, lam)
-        got = get_kernels(pc_coeffs, exp_density).psi_tilde(0.2, 1.2, lam)
+        got = exp_density.one_minus_exp_integral(
+            get_kernels(pc_coeffs, exp_density).psi(0.2, 1.2, lam))
         assert np.allclose(got, ps / (1 + ps), atol=1e-9)
 
     def test_composition_identity(self, pc_coeffs, two_atoms, lambda_grid):
@@ -199,8 +203,8 @@ class TestPsiTilde:
         eng = get_kernels(pc_coeffs, two_atoms)
         v, t2, t3 = 0.15, 0.9, 1.8
         inner = eng.psi(t2, t3, lambda_grid)
-        lhs = eng.psi_tilde(v, t2, inner)
-        rhs = eng.psi_tilde(v, t3, lambda_grid)
+        lhs = two_atoms.one_minus_exp_integral(eng.psi(v, t2, inner))
+        rhs = two_atoms.one_minus_exp_integral(eng.psi(v, t3, lambda_grid))
         assert np.max(np.abs(lhs - rhs)) <= 1e-7
 
 
@@ -493,7 +497,8 @@ class TestArrayBd:
                              ids=[k[0] for k in KERNEL_SETS])
     def test_cells_bit_identical(self, label, coeffs, s, t):
         eng = get_kernels(coeffs)
-        cells = cj.get_sampler(coeffs).cell_grid(s, t, 64)
+        # 64 equal cells and the coefficient knots inside [s, t]
+        cells = np.union1d(np.linspace(s, t, 65), coeffs.breakpoints(s, t))
         B, D = eng.bd(cells[:-1], cells[1:])
         pairs = [eng.bd(r0, r1) for r0, r1 in zip(cells[:-1], cells[1:])]
         assert B.shape == D.shape == (cells.size - 1,)
@@ -510,6 +515,11 @@ class TestArrayBd:
         for v, b, d in zip(starts.ravel(), B.ravel(), D.ravel()):
             want = eng.bd(float(v), t)
             assert (b, d) == want and type(want[0]) is float
+
+    def test_empty_arrays(self, pc_coeffs):
+        B, D = get_kernels(pc_coeffs).bd(np.empty(0), np.empty(0))
+        assert B.shape == D.shape == (0,)
+        assert B.dtype == D.dtype == float
 
     def test_any_bad_pair_raises(self, pc_coeffs):
         eng = get_kernels(pc_coeffs)

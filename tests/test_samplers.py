@@ -389,9 +389,9 @@ class TestSampleK:
         assert abs(zf) <= 4.0
 
     def test_full_model_transform(self, pc_coeffs, two_atoms):
-        from cirjump.verify import compare_transition
-        cmp = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8,
-                                 N, _grid(), seed=56)
+        from cirjump.verify import compare_component
+        cmp = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                                N, _grid(), seed=56)
         assert cmp.passed
 
     def test_two_step_consistency(self, pc_coeffs, two_atoms):
@@ -463,13 +463,13 @@ class TestNumericKernelBranch:
                               x0=0.5, t_max=2.0)
         nu = cj.atoms([(0.9, 1.0)])
         from cirjump.errors import BetaNotStrictlyPositiveWarning
-        from cirjump.verify import compare_transition
+        from cirjump.verify import compare_component
         # the clipped mean reversion touches zero, so the transform warns
         # that it is applied outside its proved hypothesis; this comparison
         # is the Monte Carlo verification of exactly that case
         with pytest.warns(BetaNotStrictlyPositiveWarning):
-            cmp = compare_transition(c, nu, 0.2, 1.6, 0.7, N, _grid(),
-                                     seed=63)
+            cmp = compare_component(c, nu, 0.2, 1.6, 0.7, "K", N, _grid(),
+                                    seed=63)
         assert cmp.passed
 
 

@@ -13,7 +13,7 @@ from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
 from cirjump.samplers import get_sampler
 from cirjump.verify import (LaplaceComparison, chapman_kolmogorov,
-                            compare_transition, mc_statistics,
+                            compare_component, mc_statistics,
                             moment_check_from_sums, psi_semigroup_check)
 from conftest import tempered_power
 
@@ -45,8 +45,8 @@ class TestCompareTransition:
         c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(0.0),
                               beta=cj.constant(1.0), sigma=cj.constant(1.0),
                               x0=0.0, t_max=2.0)
-        cmp = compare_transition(c, two_atoms, 0.2, 1.2, 0.0, 1000,
-                                 [0.5, 1.0], seed=101)
+        cmp = compare_component(c, two_atoms, 0.2, 1.2, 0.0, "K", 1000,
+                                [0.5, 1.0], seed=101)
         assert np.all(cmp.z_scores == 0.0)
         assert cmp.passed
 
@@ -67,7 +67,7 @@ class TestCompareTransition:
         closed = (1 + grid / kv.p) ** -alpha * np.exp(-y * psis)
         analytic, _ = eng.laplace_K(s, t, y, grid)
         assert np.max(np.abs(analytic / closed - 1)) < 1e-9
-        cmp = compare_transition(c, None, s, t, y, 150_000, grid, seed=102)
+        cmp = compare_component(c, None, s, t, y, "K", 150_000, grid, seed=102)
         assert cmp.passed
 
     def test_report_flags_failures(self):
@@ -167,24 +167,24 @@ class TestMomentCheck:
 
 class TestDeterminism:
     def test_bit_exact_reruns(self, pc_coeffs, two_atoms, lambda_grid):
-        a = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 30_000,
-                               lambda_grid, seed=107)
-        b = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 30_000,
-                               lambda_grid, seed=107)
+        a = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                              30_000, lambda_grid, seed=107)
+        b = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                              30_000, lambda_grid, seed=107)
         assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
 
     def test_worker_count_invariance(self, pc_coeffs, two_atoms, lambda_grid):
-        a = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 200_000,
-                               lambda_grid, seed=108, workers=1)
-        b = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 200_000,
-                               lambda_grid, seed=108, workers=4)
+        a = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                              200_000, lambda_grid, seed=108, workers=1)
+        b = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                              200_000, lambda_grid, seed=108, workers=4)
         assert json.dumps(a.as_dict()) == json.dumps(b.as_dict())
 
     def test_seed_changes_output(self, pc_coeffs, two_atoms, lambda_grid):
-        a = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 30_000,
-                               lambda_grid, seed=109)
-        b = compare_transition(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, 30_000,
-                               lambda_grid, seed=110)
+        a = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                              30_000, lambda_grid, seed=109)
+        b = compare_component(pc_coeffs, two_atoms, 0.2, 1.2, 0.8, "K",
+                              30_000, lambda_grid, seed=110)
         assert not np.array_equal(a.empirical, b.empirical)
 
 
