@@ -33,7 +33,7 @@ from .jumps import atoms
 from .kernels import get_kernels
 from .numerics import RngStream
 from .paths import branching_path, euler_path, exact_skeleton
-from .samplers import COMPONENTS, get_component, get_sampler
+from .samplers import COMPONENTS, DEFAULT_CELLS, get_component, get_sampler
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -65,8 +65,6 @@ def _override_run(cfg: RunConfig, args) -> RunConfig:
         v = getattr(args, attr, None)
         if v is not None:
             changes[field] = v
-    if getattr(args, "workers", None) is not None:
-        changes["workers"] = args.workers
     return check_run(replace(cfg, **changes)) if changes else cfg
 
 
@@ -145,8 +143,9 @@ def cmd_simulate(args) -> int:
     step = args.step if args.step is not None else cfg.step
     n_steps = max(1, int(round((cfg.t - cfg.s) / step)))
     grid = np.linspace(cfg.s, cfg.t, n_steps + 1)
-    sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells,
-                          delta=cfg.delta)
+    # keyed as the scheme's path function keys it: Euler reads no I cells
+    n_cells = DEFAULT_CELLS if args.scheme == "euler" else cfg.n_cells
+    sampler = get_sampler(cfg.coeffs, cfg.nu, n_cells=n_cells, delta=cfg.delta)
     if args.scheme != "euler":
         _check_drawable(sampler, grid, cfg.y)
     os.makedirs(args.outdir, exist_ok=True)

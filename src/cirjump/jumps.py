@@ -8,10 +8,18 @@ and the square-root condition
 
     int (sqrt(y) & 1) nu(dy) < infinity    (required for infinite activity)
 
-Small-y convergence for density measures is decided by the *declared*
-exponent rho (density ~ c * y**-(1+rho) as y -> 0), never by numerical
-probing; quadrature cannot certify divergence. Certificates are computed
-once and cached on the measure.
+Both, and the truncation diagnostic ``int_(0, delta] sqrt(y) nu(dy)``, are
+integrals against nu, and one rule serves every such integral. A measure
+answers ``_diverges(e)``: whether ``int_0 y^e nu(dy)`` diverges at 0. That
+is decided by the *declared* exponent rho of a density on ``(0, inf)``
+(density ~ c * y**-(1+rho) as y -> 0, divergent iff rho >= e), never by
+numerical probing, since quadrature cannot certify divergence; atoms never
+diverge. A measure's ``_integral(g, e, lo, hi)`` is ``int_(lo, hi] g
+nu(dy)`` for a ``g`` that behaves like ``y^e`` at 0: the sum over the atoms,
+or ``integrate`` of ``g * density``, with the singular exponent ``e - (1 +
+rho)`` from 0. ``infinite_activity`` is ``_diverges(0)``, and the
+certificates (cached on the measure), ``mass_above`` and ``sqrt_tail`` are
+written once on top of the two.
 
 The jump kernel ``int (1 - exp(-y c)) nu(dy)`` is ``one_minus_exp_integral``.
 A density on ``(0, inf)`` whose callable has a ``one_minus_exp(c)`` method
@@ -47,7 +55,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidDelta, NonIntegrable, RestrictiveConditionViolated
-from .numerics import _hermite, _hermite_weights, gauss_legendre_panels, integrate
+from .numerics import (QuadratureResult, _hermite, _hermite_weights,
+                       gauss_legendre_panels, integrate)
 
 __all__ = [
     "Certificates",
@@ -68,16 +77,11 @@ NODE_TAIL = 1e-13       # density mass beyond the cap, kept as one atom
 BLOCK_ROWS = 256        # rows of c per block of the c (x) y product
 TAIL_CAP_MAX = 1e100    # largest tail cap tried before NonIntegrable
 GUIDE = 8192            # buckets in u of the mark table's panel guide
+MARK_NODES = 2049       # edges of the mark table's geometric grid
 
 
-def _measure_integral(what, f, lo, hi, **kwargs):
-    """``integrate(f, lo, hi, NU_TOL, **kwargs)``'s value; NonIntegrable,
-    naming ``what`` and the estimate, when it did not converge."""
-    res = integrate(f, lo, hi, tol=NU_TOL, **kwargs)
-    if not res.converged:
-        raise NonIntegrable(f"{what} did not converge: estimate {res.value:g} "
-                            f"with error {res.error_estimate:g}")
-    return res.value
+def _one(y):
+    return 1.0
 
 
 def one_minus_exp_sum(nodes, c):
@@ -112,24 +116,56 @@ class Certificates:
 
 
 class JumpMeasure:
-    """Common interface of the supported jump-measure representations."""
+    """Common interface of the supported jump-measure representations; the
+    measure lives on ``(lower, infinity)``."""
+
+    lower = 0.0
+
+    def _diverges(self, e: float) -> bool:
+        """Whether ``int_0 y^e nu(dy)`` diverges at 0."""
+        raise NotImplementedError
+
+    def _integral(self, g, e: float, lo: float, hi: float,
+                  what: Optional[str] = None, breakpoints=()):
+        """``int_(lo, hi] g(y) nu(dy)`` for a ``g`` that behaves like
+        ``y^e`` at 0. Without ``what`` the :class:`QuadratureResult`; with
+        it the value, or :class:`NonIntegrable` naming ``what`` when the
+        quadrature did not converge. ``breakpoints`` cut a density's range."""
+        raise NotImplementedError
 
     @property
     def infinite_activity(self) -> bool:
-        raise NotImplementedError
+        return self._diverges(0.0)
 
-    @property
+    @cached_property
     def certificates(self) -> Certificates:
-        raise NotImplementedError
+        values = []
+        for g, e in ((lambda y: np.minimum(y, 1.0), 1.0),
+                     (lambda y: np.minimum(np.sqrt(y), 1.0), 0.5)):
+            if self._diverges(e):
+                values += [math.inf, 0.0]
+            else:
+                res = self._integral(g, e, self.lower, math.inf,
+                                     breakpoints=(max(self.lower, 1.0),))
+                values += [res.value, res.error_estimate]
+        return Certificates(*values)
 
     def mass_above(self, delta: float) -> float:
         """Total mass of (delta, infinity); may be inf at delta == 0."""
-        raise NotImplementedError
+        lo = max(self.lower, delta)
+        if lo == 0.0 and self._diverges(0.0):
+            return math.inf
+        return self._integral(_one, 0.0, lo, math.inf, f"mass above {lo:g}",
+                              breakpoints=(max(lo, 1.0) * 2,))
 
-    def integral(self, g, tol: float = NU_TOL,
-                 g_exponent_at_zero: Optional[float] = None):
-        """(value, error) of ``int g(y) nu(dy)`` over the support."""
-        raise NotImplementedError
+    def sqrt_tail(self, delta: float) -> float:
+        """Truncation diagnostic ``int_(0, delta] sqrt(y) nu(dy)``."""
+        if delta <= self.lower:
+            return 0.0
+        if self._diverges(0.5):
+            return math.inf
+        return self._integral(np.sqrt, 0.5, self.lower, delta,
+                              f"sqrt tail below {delta:g}")
 
     @property
     def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -141,10 +177,6 @@ class JumpMeasure:
         as the weighted sum over ``nodes``. ``tol`` is accepted for
         interface compatibility; the result has a fixed accuracy."""
         return one_minus_exp_sum(self.nodes, c)
-
-    def sqrt_tail(self, delta: float) -> float:
-        """Truncation diagnostic ``int_(0, delta] sqrt(y) nu(dy)``."""
-        raise NotImplementedError
 
     def truncated(self, delta: float) -> "JumpMeasure":
         """The restriction to (delta, infinity); finite activity."""
@@ -198,11 +230,11 @@ class _TableMarks(MarkSampler):
     total) is folded into the nearest node.
     """
 
-    def __init__(self, density, lo, cap, mass, n_nodes=2049):
-        edges = np.geomspace(lo, cap, n_nodes)
-        nodes, weights = gauss_legendre_panels(edges, order=16)
+    def __init__(self, density, lo, cap, mass):
+        edges = np.geomspace(lo, cap, MARK_NODES)
+        nodes, weights = gauss_legendre_panels(edges)
         vals = weights * np.asarray(density(nodes), dtype=float)
-        panel_mass = vals.reshape(n_nodes - 1, -1).sum(axis=1)
+        panel_mass = vals.reshape(MARK_NODES - 1, -1).sum(axis=1)
         cdf = np.concatenate(([0.0], np.cumsum(panel_mass)))
         keep = np.concatenate(([True], np.diff(cdf) > 0))
         cdf, edges = cdf[keep], edges[keep]
@@ -243,29 +275,18 @@ class DiscreteJumpMeasure(JumpMeasure):
     def _w(self):
         return np.asarray([p[1] for p in self.points], dtype=float)
 
-    @property
-    def infinite_activity(self):
+    def _diverges(self, e):
         return False
 
-    @cached_property
-    def certificates(self):
-        c1 = float(np.sum(self._w * np.minimum(self._y, 1.0)))
-        c2 = float(np.sum(self._w * np.minimum(np.sqrt(self._y), 1.0)))
-        return Certificates(c1, 0.0, c2, 0.0)
-
-    def mass_above(self, delta):
-        return float(np.sum(self._w[self._y > delta]))
-
-    def integral(self, g, tol=NU_TOL, g_exponent_at_zero=None):
-        return float(np.sum(self._w * np.asarray(g(self._y), dtype=float))), 0.0
+    def _integral(self, g, e, lo, hi, what=None, breakpoints=()):
+        keep = (self._y > lo) & (self._y <= hi)
+        value = float(np.sum(self._w[keep]
+                             * np.asarray(g(self._y[keep]), dtype=float)))
+        return value if what is not None else QuadratureResult(value, 0.0, 1)
 
     @property
     def nodes(self):
         return self._y, self._w
-
-    def sqrt_tail(self, delta):
-        keep = self._y <= delta
-        return float(np.sum(self._w[keep] * np.sqrt(self._y[keep])))
 
     def truncated(self, delta):
         pts = tuple(p for p in self.points if p[0] > delta)
@@ -301,64 +322,24 @@ class DensityJumpMeasure(JumpMeasure):
         if self.lower < 0:
             raise ValueError("lower must be nonnegative")
 
-    @property
-    def infinite_activity(self):
-        return self.lower == 0.0 and self.rho is not None and self.rho >= 0.0
+    def _diverges(self, e):
+        return self.lower == 0.0 and self.rho is not None and self.rho >= e
 
-    def _zero_exponent(self):
-        # exponent of the density itself at 0+, None when not singular
-        if self.lower > 0 or self.rho is None:
-            return None
-        return -(1.0 + self.rho)
-
-    def integral(self, g, tol=NU_TOL, g_exponent_at_zero=None):
-        """Integrate ``g`` against the measure.
-
-        ``g_exponent_at_zero`` declares g(y) ~ y**e as y -> 0 so the power
-        substitution can neutralize the combined endpoint singularity.
-        Raises :class:`NonIntegrable` when the declared exponents give a
-        divergent integral.
-        """
-        dz = self._zero_exponent()
-        combined = None
-        if dz is not None:
-            ge = 0.0 if g_exponent_at_zero is None else float(g_exponent_at_zero)
-            combined = ge + dz
-            if combined <= -1.0:
-                raise NonIntegrable(
-                    f"integrand exponent {combined} at 0+ diverges")
-        res = integrate(lambda y: g(y) * self.density(y),
-                        self.lower, np.inf, tol=tol,
-                        breakpoints=(max(self.lower, 1.0),),
-                        singular_exponent=combined)
-        return res.value, res.error_estimate
-
-    @cached_property
-    def certificates(self):
-        div1 = self.lower == 0.0 and self.rho is not None and self.rho >= 1.0
-        if div1:
-            c1, e1 = math.inf, 0.0
-        else:
-            c1, e1 = self.integral(lambda y: np.minimum(y, 1.0),
-                                   g_exponent_at_zero=1.0)
-        div2 = self.lower == 0.0 and self.rho is not None and self.rho >= 0.5
-        if div2:
-            c2, e2 = math.inf, 0.0
-        else:
-            c2, e2 = self.integral(lambda y: np.minimum(np.sqrt(y), 1.0),
-                                   g_exponent_at_zero=0.5)
-        return Certificates(c1, e1, c2, e2)
-
-    def mass_above(self, delta):
-        lo = max(self.lower, delta)
-        if lo == 0.0 and self.infinite_activity:
-            return math.inf
-        exp0 = self._zero_exponent() if lo == 0.0 else None
-        return _measure_integral(f"mass above {lo:g}", self.density, lo, np.inf,
-                                 breakpoints=(max(lo, 1.0) * 2,), singular_exponent=exp0)
+    def _integral(self, g, e, lo, hi, what=None, breakpoints=()):
+        # the singular exponent of g * density at 0 is e - (1 + rho)
+        singular = e - (1.0 + self.rho) \
+            if lo == 0.0 and self.rho is not None else None
+        res = integrate(lambda y: g(y) * self.density(y), lo, hi, tol=NU_TOL,
+                        breakpoints=breakpoints, singular_exponent=singular)
+        if what is None:
+            return res
+        if not res.converged:
+            raise NonIntegrable(f"{what} did not converge: estimate {res.value:g} "
+                                f"with error {res.error_estimate:g}")
+        return res.value
 
     def _require_summable(self):
-        if self.lower == 0.0 and self.rho is not None and self.rho >= 1.0:
+        if self._diverges(1.0):
             raise NonIntegrable(
                 f"declared exponent rho={self.rho} >= 1: int (y & 1) nu(dy) diverges")
 
@@ -381,14 +362,12 @@ class DensityJumpMeasure(JumpMeasure):
         lo = self.lower if self.lower > 0.0 else NODE_FLOOR
         cap, tail = self._tail_cap(lo, NODE_TAIL)
         n = max(1, math.ceil(math.log(cap / lo) / math.log(NODE_RATIO)))
-        y, w = gauss_legendre_panels(np.geomspace(lo, cap, n + 1), order=16)
+        y, w = gauss_legendre_panels(np.geomspace(lo, cap, n + 1))
         w = w * np.asarray(self.density(y), dtype=float)
         ys, ws = [y, [cap]], [w, [tail]]
         if self.lower == 0.0:
-            dz = self._zero_exponent()
-            m1, m2 = (_measure_integral(
-                f"head moment {k} below {lo:g}", lambda v, k=k: v ** k * self.density(v),
-                0.0, lo, singular_exponent=None if dz is None else k + dz)
+            m1, m2 = (self._integral(lambda v, k=k: v ** k, k, 0.0, lo,
+                                     f"head moment {k} below {lo:g}")
                       for k in (1, 2))
             if m1 > 0.0:
                 ys.insert(0, [m2 / m1])
@@ -404,26 +383,14 @@ class DensityJumpMeasure(JumpMeasure):
         density. Raises :class:`NonIntegrable` past ``TAIL_CAP_MAX``."""
         cap = max(2.0 * lo, 1.0)
         while cap <= TAIL_CAP_MAX:
-            tail = integrate(self.density, cap, np.inf, tol=NU_TOL)
+            tail = self._integral(_one, 0.0, cap, math.inf)
             if (tail.converged and 0.0 <= tail.value <= threshold
-                    and integrate(self.density, cap, 2.0 * cap,
-                                  tol=NU_TOL).value <= threshold):
+                    and self._integral(_one, 0.0, cap, 2.0 * cap).value <= threshold):
                 return cap, tail.value
             cap *= 2.0
         raise NonIntegrable(
             f"no tail cap up to {TAIL_CAP_MAX:g} leaves a mass of at most "
             f"{threshold:g} beyond it")
-
-    def sqrt_tail(self, delta):
-        if delta <= self.lower:
-            return 0.0
-        dz = self._zero_exponent()
-        if dz is not None and 0.5 + dz <= -1.0:
-            return math.inf
-        combined = None if dz is None else 0.5 + dz
-        return _measure_integral(f"sqrt tail below {delta:g}",
-                                 lambda y: np.sqrt(y) * self.density(y),
-                                 self.lower, delta, singular_exponent=combined)
 
     def truncated(self, delta):
         lo = max(self.lower, delta)
@@ -441,8 +408,7 @@ class DensityJumpMeasure(JumpMeasure):
             # ignored head mass is negligible
             lo = 1.0
             while True:
-                head = _measure_integral(f"head mass below {lo:g}", self.density,
-                                         0.0, lo, singular_exponent=self._zero_exponent())
+                head = self._integral(_one, 0.0, 0.0, lo, f"head mass below {lo:g}")
                 if head <= 1e-12 * total or lo < 1e-280:
                     break
                 lo /= 16.0

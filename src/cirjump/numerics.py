@@ -206,13 +206,13 @@ def panel_integral(f, edges, tol: float):
     return value, error
 
 
-def gauss_legendre_panels(panel_edges: np.ndarray, order: int = 16):
-    """Gauss-Legendre nodes and weights for a sequence of panels.
+def gauss_legendre_panels(panel_edges: np.ndarray):
+    """Order-16 Gauss-Legendre nodes and weights for a sequence of panels.
 
     Returns flat ``(nodes, weights)`` arrays covering all panels; exact for
-    polynomials of degree ``2*order - 1`` on each panel.
+    polynomials of degree 31 on each panel.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _GL16
     lo = panel_edges[:-1][:, None]
     hi = panel_edges[1:][:, None]
     half = 0.5 * (hi - lo)

@@ -68,7 +68,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import InvalidDelta
 from .jumps import JumpMeasure, delta_for_budget
-from .kernels import TransitionKernels, get_kernels
+from .kernels import get_kernels
 from .numerics import _as_generator
 
 __all__ = [
@@ -192,14 +192,13 @@ class TransitionSampler:
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
-                 n_cells: int = DEFAULT_CELLS, delta: Optional[float] = None,
-                 kernels: Optional[TransitionKernels] = None):
+                 n_cells: int = DEFAULT_CELLS, delta: Optional[float] = None):
         self.coeffs = coeffs
         self.nu = nu
         self.n_cells = int(n_cells)
         if self.n_cells < 1:
             raise ValueError("n_cells must be at least 1")
-        self.kernels = kernels if kernels is not None else get_kernels(coeffs, nu)
+        self.kernels = get_kernels(coeffs, nu)
         self.alpha_piecewise_constant = (coeffs.a.is_piecewise_constant
                                          and coeffs.sigma.is_piecewise_constant)
         if nu is None:

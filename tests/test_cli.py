@@ -195,16 +195,26 @@ class TestSimulateCommand:
                      "--seed", "5"]) == 0
         assert os.path.exists(os.path.join(outdir, "manifest.json"))
 
+    @staticmethod
+    def _sampler_misses(config, scheme, outdir):
+        from cirjump.samplers import _cached_sampler
+        _cached_sampler.cache_clear()
+        assert main(["simulate", config, "--scheme", scheme, "--n-paths", "2",
+                     "--outdir", outdir]) == 0
+        return _cached_sampler.cache_info().misses
+
     @pytest.mark.parametrize("scheme", ["euler", "exact_skeleton", "branching"])
     def test_one_sampler_per_run(self, scheme, tmp_path, capsys):
         # the paths draw on the engine the command checked, keyed alike
-        from cirjump.samplers import _cached_sampler
-        _cached_sampler.cache_clear()
-        assert main(["simulate", os.path.join(DEMO_CONFIGS, "classical_cir.yaml"),
-                     "--scheme", scheme, "--n-paths", "2",
-                     "--outdir", str(tmp_path / "out")]) == 0
+        assert self._sampler_misses(os.path.join(DEMO_CONFIGS, "classical_cir.yaml"),
+                                    scheme, str(tmp_path / "out")) == 1
         capsys.readouterr()
-        assert _cached_sampler.cache_info().misses == 1
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact_skeleton", "branching"])
+    def test_one_sampler_per_run_with_n_cells(self, scheme, cfg, tmp_path, capsys):
+        # the same with controls.n_cells 16, not the default 64
+        assert self._sampler_misses(cfg, scheme, str(tmp_path / "out")) == 1
+        capsys.readouterr()
 
     def test_unknown_scheme_exits_2(self, cfg):
         with pytest.raises(SystemExit) as exc:

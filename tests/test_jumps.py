@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -16,24 +18,40 @@ from conftest import NAMED, named_measure, tempered_power
 
 class TestNuIntegral:
     def test_atoms_linear(self):
-        nu = cj.atoms([(1.0, 2.0), (3.0, 1.0)])
-        value, err = nu.integral(lambda y: y)
-        assert value == 5.0 and err == 0.0
+        # every atom below 1: int (y & 1) nu = int y nu = 0.25 * 2 + 0.75
+        nu = cj.atoms([(0.25, 2.0), (0.75, 1.0)])
+        cert = nu.certificates
+        assert cert.summable_value == 1.25 and cert.summable_error == 0.0
 
     def test_single_atom_exponential(self):
         nu = cj.atoms([(1.0, 1.0)])
-        value, _ = nu.integral(lambda y: 1.0 - np.exp(-y))
-        assert value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+        assert nu.one_minus_exp_integral(1.0) == \
+            pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+        assert nu.mass_above(0.5) == 1.0 and nu.sqrt_tail(1.0) == 1.0
 
-    def test_exponential_density_mean(self, exp_density):
-        # int y e^-y dy = 1
-        value, err = exp_density.integral(lambda y: y, g_exponent_at_zero=1.0)
-        assert value == pytest.approx(1.0, abs=1e-8)
-        assert err < 1e-7
+    def test_exponential_density_mass(self, exp_density):
+        # int e^-y dy = 1 and int (y & 1) e^-y dy = 1 - e^-1
+        assert exp_density.mass_above(0.0) == pytest.approx(1.0, abs=1e-8)
+        cert = exp_density.certificates
+        assert cert.summable_value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
+        assert cert.summable_error < 1e-7
 
-    def test_nonintegrable_combination(self, rho04):
-        with pytest.raises(NonIntegrable):
-            rho04.integral(lambda y: np.ones_like(y), g_exponent_at_zero=0.0)
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.4, 0.5, 0.95, 1.0, 1.2])
+    def test_one_divergence_rule(self, rho):
+        # int_0 y^e nu diverges iff rho >= e: at e = 0 for the mass, 1/2 for
+        # the square-root condition and 1 for summability
+        nu = tempered_power(rho)
+        assert nu.infinite_activity is (rho >= 0.0)
+        assert (nu.mass_above(0.0) == math.inf) is (rho >= 0.0)
+        cert = nu.certificates
+        assert (cert.summable_value == math.inf) is (rho >= 1.0)
+        assert (cert.sqrt_value == math.inf) is (rho >= 0.5)
+        assert (nu.sqrt_tail(0.5) == math.inf) is (rho >= 0.5)
+        if rho >= 1.0:
+            with pytest.raises(NonIntegrable):
+                nu.nodes
+        else:
+            assert np.all(np.isfinite(np.concatenate(nu.nodes)))
 
     def test_unconverged_integral_raises(self):
         # sin(1/y) oscillates faster than any panel resolves near 0
@@ -343,3 +361,150 @@ class TestIncompleteGammaOracles:
         err = np.abs((mass - _upper_gamma(-0.4, y)) / mass - u)
         assert np.all(np.diff(y) >= 0.0)
         assert err.max() <= 2.5e-9
+
+
+# Bit pins of the jump-measure values. Each digest is the SHA-256 of the
+# quantities of ``_jump_values`` for one measure, whole or truncated; a
+# quantity that raises enters as the name of its exception.
+JUMP_MEASURES = {
+    **{name: (lambda spec=spec: named_measure(spec)) for name, spec in NAMED.items()},
+    "code0.4": lambda: tempered_power(0.4),
+    "code0.7": lambda: tempered_power(0.7),
+    "atoms-jump_model": lambda: cj.atoms([(0.7, 1.2), (1.8, 0.4)]),
+    "atoms-one": lambda: cj.atoms([(1.0, 1.0)]),
+    "atoms-spread": lambda: cj.atoms([(1e-7, 5.0), (0.3, 1.0), (4.0, 0.5)]),
+}
+JUMP_CUTS = (None, 1e-6, 0.05, 1.0)
+
+
+def _jump_values(nu):
+    """The quantities pinned by ``JUMP_DIGESTS``, as thunks."""
+    yield lambda: dataclasses.astuple(nu.certificates)
+    for delta in (0.0, 1e-12, 1e-6, 3e-6, 0.05, 0.5, 1.0, 3.0):
+        yield lambda: nu.mass_above(delta)
+        yield lambda: nu.sqrt_tail(delta)
+    yield lambda: np.concatenate(nu.nodes)
+    yield lambda: nu.one_minus_exp_integral(np.array([0.0, 0.3, 2.0, 50.0, 1e6]))
+    for delta in (1e-6, 0.05, 1.0):
+        yield lambda: nu.mark_sampler(delta).mass
+        yield lambda: nu.mark_sampler(delta).sample(RngStream(7, 0).generator(), 4096)
+    for budget in (4.0 ** -3, 4.0 ** -8):
+        yield lambda: delta_for_budget(nu, budget)
+
+
+def _jump_digest(nu):
+    h = hashlib.sha256()
+    for value in _jump_values(nu):
+        try:
+            h.update(np.asarray(value(), dtype=float).tobytes())
+        except Exception as exc:
+            h.update(type(exc).__name__.encode())
+    return h.hexdigest()
+
+
+JUMP_DIGESTS = {
+    ('exponential', None):
+        "06dd392f37dbfaff66f0607e8e9dce93cb5d1df9653b2d8e3d9129993c573fe2",
+    ('exponential', 1e-06):
+        "57f5f29077573c0cc4c7263ba78a5fea6ff1f5dcf407a7505a479fbf08d574c0",
+    ('exponential', 0.05):
+        "2e9a293ff64b3040d08b4a7bb2c71e8b06e0e3ae6b5370009c6ba5b5e1b86c68",
+    ('exponential', 1.0):
+        "91209b8b99c6de83feee29024490d414b5af1967b6d49b41e2643f4b39c6039e",
+    ('gamma2.5', None):
+        "0a00230971e60d958466ecb11ae6fe55f0a18ad70d5937c4ae5667ac343ab409",
+    ('gamma2.5', 1e-06):
+        "a224093bde891cd5fa1367b898713f8d58970cffe82c48d5c13b754e07e6aa20",
+    ('gamma2.5', 0.05):
+        "077e862485dd96cd82937d89195306d216a12ebfc68e337c13663ab2c4c93a60",
+    ('gamma2.5', 1.0):
+        "3b65315b2fa077e98c3594c023ea69612481a70c6c44f392a6e4ade74f6a4bce",
+    ('gamma0.5', None):
+        "706c322e816d54e40d55365be6237f837626e6c730b98d9dabc08ff662641b9a",
+    ('gamma0.5', 1e-06):
+        "17ec874e4d7c193b1e64e7ed17edda5b6b0e24f79874b90748c31ada3f0ad9fa",
+    ('gamma0.5', 0.05):
+        "33007f4262a12ece16c1e68c0b370b382cafa1077ef0c1e950321a112f23b2b2",
+    ('gamma0.5', 1.0):
+        "4be19e188a3737e0c079307dcf82c20f315b23d788d766ad5696585679df1dbc",
+    ('tempered-0.5', None):
+        "d9046f7c6b39ecb87655f80b67228516e31687e138694e54cdcfd5e4840fe354",
+    ('tempered-0.5', 1e-06):
+        "22f64cad4e9b97e6d93426329e5ce2c27661ad9e9f013e43b8f7cc60760d29ec",
+    ('tempered-0.5', 0.05):
+        "e1d83f0cb907e400c3c7f5b7edefc9e54cf13ee66fb6d56ffe29b1f2735e13ab",
+    ('tempered-0.5', 1.0):
+        "5dc252681c9adbc7012004cba018c8c30d54c04e29e7e7e7603c9b72d88b188d",
+    ('tempered0', None):
+        "ae868f5b8f02d81600d5a23241ed37222f1723ce60f3d8b2354ec6e848fe9489",
+    ('tempered0', 1e-06):
+        "d7fcd8689a71eb1171be94585337fc87a88738cee7e58aa32bb4bf92db4c3e6c",
+    ('tempered0', 0.05):
+        "b46a78076303551e1b2f4b99c49be186faab8e373edcb1b4db05491df4297887",
+    ('tempered0', 1.0):
+        "c28eb2b75aee1066d5b445c37fb6f14627fd0ba9ba2d9977737fde88fe71e639",
+    ('tempered0.4', None):
+        "cb944ba0760cb7be2cc3b7173ff978e6c423a80fcd9339578e4fb47d1337e729",
+    ('tempered0.4', 1e-06):
+        "66d0348f739d312b0a41affa443fd73b5dfaa16e97ca30ac1c84b42d41dbfde2",
+    ('tempered0.4', 0.05):
+        "33a41d5a5a855eb285f11bdcf85ba9122cee9a26338b4c60e018f3212990f588",
+    ('tempered0.4', 1.0):
+        "b5a9b1fec647bbfe7550026906f466b8e26422c2e0db75ad6e74b4b3172fc7d9",
+    ('tempered0.95', None):
+        "33e241ef99dfcaed47facf9d690aa8c64123bbb31b7dd33b62785688b8c5f8b6",
+    ('tempered0.95', 1e-06):
+        "fa3e741e23a0da0cfc07daa7e65d2a74f2b84244a829483e9062c77b280e9231",
+    ('tempered0.95', 0.05):
+        "495c49f03cc4994b371e5f43272ed9a646779073759a5312f5bd00d9d3c28402",
+    ('tempered0.95', 1.0):
+        "bf8a78af6a4a94b92a4b84cd42154675f16c47b21de67b8d490f06f042973525",
+    ('code0.4', None):
+        "b3b6c07bb3f079f036c077c4046d12fcb350deddd63f169bf13cad7f66b8606a",
+    ('code0.4', 1e-06):
+        "66d0348f739d312b0a41affa443fd73b5dfaa16e97ca30ac1c84b42d41dbfde2",
+    ('code0.4', 0.05):
+        "33a41d5a5a855eb285f11bdcf85ba9122cee9a26338b4c60e018f3212990f588",
+    ('code0.4', 1.0):
+        "b5a9b1fec647bbfe7550026906f466b8e26422c2e0db75ad6e74b4b3172fc7d9",
+    ('code0.7', None):
+        "b6e651f58ede7e1529113b428e3d75bbed22df6ceaff9a3cfd980ad30aff2bb3",
+    ('code0.7', 1e-06):
+        "ac00a81456e5c94161029338df592761f7e32b4495454ffdaf4a30a6ceaaf592",
+    ('code0.7', 0.05):
+        "940a458e26497c498c06b7bf8e4878ca9b81db8e398a22c38e76f811b9452699",
+    ('code0.7', 1.0):
+        "40fc47af1de5aab35667f6485beb003c24aa883c3159b27ffccadd55b0de57a6",
+    ('atoms-jump_model', None):
+        "080691986c18f37136d4726b5dd8a4233e60797b813631018ca06d826328ac83",
+    ('atoms-jump_model', 1e-06):
+        "080691986c18f37136d4726b5dd8a4233e60797b813631018ca06d826328ac83",
+    ('atoms-jump_model', 0.05):
+        "080691986c18f37136d4726b5dd8a4233e60797b813631018ca06d826328ac83",
+    ('atoms-jump_model', 1.0):
+        "78b56cfbc4828580238e688a7a19beb9e7a98d65fcccc3af29ec5f99975e7cce",
+    ('atoms-one', None):
+        "5af16c829319bb875c54db7b67001873a62466997fe0e43e86d5e3b642594b0d",
+    ('atoms-one', 1e-06):
+        "5af16c829319bb875c54db7b67001873a62466997fe0e43e86d5e3b642594b0d",
+    ('atoms-one', 0.05):
+        "5af16c829319bb875c54db7b67001873a62466997fe0e43e86d5e3b642594b0d",
+    ('atoms-one', 1.0):
+        "34aed899576ed18b40e722f05e130611238065d9579f3cbde18867f0c20b7cc2",
+    ('atoms-spread', None):
+        "e153bd06184d9a45a2619385c8448eead32d8eadfbcd2626ae78f109c39bdb45",
+    ('atoms-spread', 1e-06):
+        "1cf25243e84da9fd336513b4561d812a06b802c2f57dbb335c43233bc09815e9",
+    ('atoms-spread', 0.05):
+        "1cf25243e84da9fd336513b4561d812a06b802c2f57dbb335c43233bc09815e9",
+    ('atoms-spread', 1.0):
+        "ce727ee7b7cc6165cc6841e681f9b56cdd19c0b225ca3e377dddc20d1fe3f81e",
+}
+
+
+@pytest.mark.parametrize("name,cut", sorted(JUMP_DIGESTS, key=str))
+def test_jump_values_bit_identical(name, cut):
+    nu = JUMP_MEASURES[name]()
+    if cut is not None:
+        nu = nu.truncated(cut)
+    assert _jump_digest(nu) == JUMP_DIGESTS[(name, cut)]
