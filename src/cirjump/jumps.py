@@ -431,9 +431,15 @@ def delta_for_budget(nu: JumpMeasure, budget: float) -> float:
     The diagnostic is monotone nondecreasing in delta and tends to 0 with
     delta, so whenever the square-root condition holds a bracket of ``log
     delta`` bisected to 1e-13 applies; its lower end is under the budget.
+    Without the square-root condition a summable measure raises
+    :class:`RestrictiveConditionViolated`, as an explicit level does.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    if nu._diverges(0.5) and not nu._diverges(1.0):
+        # no level helps; raise what an explicit level gets. A non-summable
+        # measure walks the bracket down to NonIntegrable below
+        nu.require_sampling(1.0)
     target = budget * (1.0 - 1e-6)
     if nu.sqrt_tail(1.0) <= target:
         return 1.0

@@ -34,11 +34,17 @@ measure on (s, t] x (delta, inf) (times by thinning with rate
 a~(v) nu((delta, inf)), marks i.i.d. from the normalized restriction of nu)
 and propagate every point (T_i, Y_i) to t through H. Truncation at delta is
 only needed for infinite-activity measures; the discarded sqrt-mass
-diagnostic controls the bias.
+diagnostic controls the bias. A batch of m draws realizes the m measures as
+one: a Poisson(m mean) total of proposals, each labelled with its draw by a
+uniform integer in [0, m). By Poisson splitting the m counts are then
+independent Poisson(mean), the law of m separate realizations.
 
 All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
-output.
+output. A batch Gamma with shape alpha < 1 is drawn as
+Gamma(alpha + 1) V^(1/alpha) with V = 1 - U uniform on (0, 1], the same law
+(Stuart's identity), because numpy draws a shape below 1 more slowly than
+one above it; scalar draws call ``g.gamma`` as is.
 
 Every law parameter of a step depends on (s, t) alone: B/D and D of H, the
 I cells with their alpha, D(r_{j-1}, r_j), B/D(r_j, t) and D(r_j, t), and
@@ -107,6 +113,17 @@ def _gamma_counts(g, k, scale):
     return x
 
 
+def _gamma(g, alpha, scale, size=None):
+    """``g.gamma(alpha, scale, size)`` in law; an array draw with alpha < 1
+    takes the boost of the module docstring, its power formed as
+    exp(log1p(-U)/alpha) so that log(0) cannot occur."""
+    if size is None or alpha >= 1.0:
+        return g.gamma(alpha, scale, size)
+    x = g.gamma(alpha + 1.0, scale, size)
+    x *= np.exp(np.log1p(-g.random(size)) / alpha)
+    return x
+
+
 def _negbin_cdf(alpha, c, umax):
     """CDF of NegBin(alpha, 1/(1+c)) at 0, 1, ..., walked with
     P(k+1) = P(k) (alpha+k)/(k+1) c/(1+c) until it passes ``umax`` or stops
@@ -129,7 +146,7 @@ def _pushed_count(g, alpha, d, ratio, size=None):
     Poisson(Gamma(alpha, scale d) ratio) instead."""
     c = d * ratio
     if max(alpha, 1.0) * c > WALK_MAX:
-        return g.poisson(g.gamma(alpha, d, size) * ratio)
+        return g.poisson(_gamma(g, alpha, d, size) * ratio)
     u = g.random(size)
     if size is None:    # bisect is ten times cheaper than numpy on one value
         cdf = _negbin_cdf(alpha, c, u)
@@ -139,7 +156,7 @@ def _pushed_count(g, alpha, d, ratio, size=None):
     k = np.searchsorted(cdf, u, side="right")
     lost = k == len(cdf)
     if lost.any():
-        k = np.where(lost, g.poisson(g.gamma(alpha, d, size) * ratio), k)
+        k = np.where(lost, g.poisson(_gamma(g, alpha, d, size) * ratio), k)
     return k
 
 
@@ -280,16 +297,16 @@ class TransitionSampler:
             raise InvalidDelta(
                 f"truncation level delta={self.delta:g} gives {mean:.3g} "
                 f"expected jumps per draw, over {MAX_POINTS} points per call")
-        counts = g.poisson(mean, size)
-        tot = counts if size is None else int(counts.sum())
+        m = 1 if size is None else size
+        tot = g.poisson(mean * m)
         if not tot:
             return _NO_POINTS
+        idx = g.integers(0, m, tot)     # m = 1 reads no stream
         props = s + (t - s) * g.random(tot)
         keep = g.random(tot) * amax < self.coeffs.a_tilde(props)
         times = props[keep]
-        idx = np.repeat(np.arange(1 if size is None else size), counts)[keep]
         sizes = marks.sample(g, times.size)
-        return idx, times, sizes
+        return idx[keep], times, sizes
 
     @staticmethod
     def _starts(y, size):
@@ -326,7 +343,7 @@ class TransitionSampler:
         acc = 0.0 if m is None else np.zeros(m)
         for alpha, d_cell, ratio, dt in self._step(s, t).cells:
             if ratio is None:
-                acc += g.gamma(alpha, d_cell, m)
+                acc += _gamma(g, alpha, d_cell, m)
             else:
                 acc += _gamma_counts(
                     g, _pushed_count(g, alpha, d_cell, ratio, m), dt)

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .errors import ConfigError
 from .jumps import truncation_schedule
 from .kernels import get_kernels
-from .numerics import RngStream
+from .numerics import RngStream, integrate
 from .paths import euler_terminal_batch
 from .verify import (Z_HARD, _engines, chapman_kolmogorov, compare_component,
                      mc_statistics, moment_check_from_sums,
@@ -69,11 +69,22 @@ def _suite_kernels(cfg: RunConfig) -> SuiteReport:
     entries.append(_entry("psi_functional_iteration", defect <= SEMIGROUP_TOL,
                           max_defect=defect, tolerance=SEMIGROUP_TOL))
 
+    # B and C against oracles that do not read the primitive table
     s, t = cfg.s, cfg.t
+    co = cfg.coeffs
     kv = eng.kernel_value(s, t)
-    entries.append(_entry("gamma_equals_B_times_p",
-                          abs(kv.gamma - kv.B * kv.p) <= 1e-10 * kv.gamma,
-                          gamma=kv.gamma, B_times_p=kv.B * kv.p))
+    b_ref = math.exp(-co.beta.integral(s, t))
+    entries.append(_entry("B_equals_exp_minus_beta_integral",
+                          abs(kv.B - b_ref) <= cfg.kernel_tol * b_ref,
+                          B=kv.B, expected=b_ref))
+    c_ref = integrate(
+        lambda v: 0.5 * co.sigma(v) ** 2
+        * np.exp([co.beta.integral(0.0, x) for x in np.ravel(v)]),
+        s, t, tol=cfg.kernel_tol,
+        breakpoints=co.breakpoints(s, t, which=("beta", "sigma")))
+    entries.append(_entry("C_equals_integral",
+                          abs(kv.C - c_ref.value) <= cfg.kernel_tol * c_ref.value,
+                          C=kv.C, expected=c_ref.value))
 
     # one-sided differences from psi(0) = 0; first is O(h^2), second O(h)
     h = 1e-5

@@ -17,6 +17,8 @@ import sys
 
 import pytest
 
+from cirjump.verify import CHUNK_SIZE
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 SEED = 3
@@ -58,3 +60,14 @@ def test_traced_hooks_give_every_layer_metric(bench):
               if not m["name"].startswith(RUN_LEVEL)}
     assert set(metrics) == wanted
     assert all(math.isfinite(float(v)) for v in metrics.values()), metrics
+
+
+def test_sample_jump_counts_the_driving_measure(bench):
+    # jumps per draw on the benchmark's own path: its mean is
+    # mass * int_s^t a~(v) dv, within 4 standard errors of a Poisson mean
+    run, tracing = bench
+    wl = run.make_workload("sample_jump", tracing.Tracer(enabled=True))
+    c, smp = wl.cfg, wl.smp
+    rate = smp.nu.mass_above(smp.delta) * c.coeffs.a_tilde.integral(c.s, c.t)
+    got = wl.counts(SEED)["samplers.jumps_per_draw"]
+    assert abs(got - rate) <= 4.0 * math.sqrt(rate / CHUNK_SIZE), (got, rate)

@@ -227,6 +227,26 @@ class TestVerifyCommand:
         assert main(["verify", cfg, "--suite", "kernels"]) == 0
         assert "suite kernels: pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("old,new", [
+        ("beta:    {kind: constant, value: 1.0}",
+         "beta:    {kind: clipped_sine, offset: 1.0, amplitude: 0.8, "
+         "omega: 3.0, phase: 0.2}"),
+        ("sigma:   {kind: constant, value: 1.0}",
+         "sigma:   {kind: piecewise_linear, knots: [0.0, 0.5, 2.0], "
+         "values: [1.0, 2.0, 0.7]}"),
+    ])
+    def test_kernels_suite_oracles_on_tabulated_primitives(self, tmp_path,
+                                                           capsys, old, new):
+        # B and C from the tabulated primitive table against exp(-int beta)
+        # and a quadrature of sigma^2/2 e^(int_0^v beta)
+        assert old in GOOD
+        p = tmp_path / "tabulated.yaml"
+        p.write_text(GOOD.replace(old, new))
+        assert main(["verify", str(p), "--suite", "kernels"]) == 0
+        out = capsys.readouterr().out
+        assert "[pass] B_equals_exp_minus_beta_integral" in out
+        assert "[pass] C_equals_integral" in out
+
     def test_transition_suite_with_json(self, cfg, tmp_path, capsys):
         out = tmp_path / "report.jsonl"
         assert main(["verify", cfg, "--suite", "transition-K",
@@ -321,6 +341,11 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # I and K digests were re-recorded when pushed I cells began drawing their H
 # count first (NegBin by inversion): same law, new stream. The other configs
 # draw I as one last cell, which keeps its bits, and H and Itilde keep theirs.
+# The jump_model and infinite_activity sample I, Itilde and K digests were
+# re-recorded when batch draws took a Gamma shape below 1 by the boost
+# Gamma(alpha + 1) V^(1/alpha) and the driving measure as one Poisson total
+# split over the draws by uniform labels: the same laws, new streams.
+# classical_cir draws I with alpha = 1.6 and no jumps, so it keeps its bits.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
@@ -347,11 +372,11 @@ CLI_DIGESTS = {
     ("infinite_activity", "sample", "H"):
         "16fb4f36e589ef72c192e4c159196b15f0dde7325ddc089f9c73f6a36832fbbc",
     ("infinite_activity", "sample", "I"):
-        "139729bdab44ee0aa08f198312c546ade6cd25216108057ecb75ae571f8a0873",
+        "c0f47b07bf633ef63f940b230ef5cb2cc70184282f0d474fb2a959daf035fa50",
     ("infinite_activity", "sample", "Itilde"):
-        "f88da4bd3025fe30526c4892a9c5c6bc009bfa501a7570d8acba08c5afc33a7b",
+        "552b5a36b956a6480c070eb9b9ce71fd5baac8fd632a00049a22f5d78fc46cb5",
     ("infinite_activity", "sample", "K"):
-        "9242d4c6ce2134aac6c3b90c27eaee6b88fcd688fdf17e8d8f8a07bc3ff7e8f4",
+        "f5c77260a6d6882c42feecdd05aaf8a5329a112706a3d45379ec1dee23b2a813",
     ("jump_model", "laplace", "H"):
         "cc5a72addaee507eec15ce73b7a5c4cadd1c1bcda3b606bc06b1d38c6b02bda1",
     ("jump_model", "laplace", "I"):
@@ -363,11 +388,11 @@ CLI_DIGESTS = {
     ("jump_model", "sample", "H"):
         "b4bc4efd24ec5741e24c1c21bfe447ea1d4afa08b38be6a2b8a8d1b0f8233444",
     ("jump_model", "sample", "I"):
-        "5de65ba777ededce239bca3f1b2f490dd6f294ecf09770fb8c7052a56606496a",
+        "4c9d35e97b83151ff952558836e5d83fd0d8b9c37af618e4fef15c60487c7619",
     ("jump_model", "sample", "Itilde"):
-        "669036278c0185fad0b490e37e91631f805783f940caa0efc48b3499db2d8304",
+        "1599ddaab8194e6bfee631849008bac9b3c43b78d379e58b3ffe32d1eb5e65d4",
     ("jump_model", "sample", "K"):
-        "6da65a678792990ffb6a6db95df8f18f3d3146f5b7341d13b7a6a0eb08168c1a",
+        "6c2659ac69f8584696374ac69f2f8bb0afd8eea05134c8f3a11e6fe40dc426bf",
 }
 
 
@@ -387,14 +412,21 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
 # with run.n_samples set to 20000, in process. classical_cir has no jump
 # measure, so it has no sampler-Itilde report (that suite exits 2 there).
 # Recorded when the suites still had their own transition check and their
-# own H-sampler loop beside ``compare_component``.
+# own H-sampler loop beside ``compare_component``. The chapman-kolmogorov,
+# euler-convergence, sampler-I, sampler-Itilde and transition-K reports of
+# jump_model and infinite_activity were re-recorded with the boosted Gamma
+# shapes below 1 and the one Poisson total of the driving measure (the same
+# laws, new streams; the Euler batch reads the driving measure too). The
+# three kernels reports were re-recorded when gamma_equals_B_times_p, which
+# checked B/D against B (1/D) from one call, gave way to B against
+# exp(-int beta) and C against a quadrature of sigma^2/2 e^(int_0^v beta).
 SUITE_DIGESTS = {
     ("classical_cir", "chapman-kolmogorov"):
         "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
     ("classical_cir", "euler-convergence"):
         "ff01352c4770454a2de3e41bca91d522f74d3bba16fc0882432b1b570b72658c",
     ("classical_cir", "kernels"):
-        "1938a885b70b12ff7bf18a9d80408974a5618cc637cb08533e4b95b90077108f",
+        "e969d8daaa71a5ec902e5528785013f5a7d37ea8bc38d4a19bc6422e849cc1e9",
     ("classical_cir", "sampler-H"):
         "0ead6db928ea62e09446daa377e1ab8b115be710f171ad106f2ba400ea3b9a04",
     ("classical_cir", "sampler-I"):
@@ -404,35 +436,35 @@ SUITE_DIGESTS = {
     ("classical_cir", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
     ("infinite_activity", "chapman-kolmogorov"):
-        "a17f600d9927e458e4234e4243c24206d7393c96f7f94f7ad59c5cae61884995",
+        "f27fe57eaaec26082098dd5b61e7ce36a49258c96a98ebdc96666e3c31e78835",
     ("infinite_activity", "euler-convergence"):
-        "1010ae2cbf779272283cff7b8514340b92ccae4105f5200e34c3dcec9c1151d5",
+        "6379bcc9ef2cdd574e9502894417516ba088ca1a70ef6f6acd99880001265847",
     ("infinite_activity", "kernels"):
-        "ba8743f44431cfe29645c2721205b7c457b01d35c3572d6298ae7693aaaeb596",
+        "2e49dac3ea45076ee0ad0c3c1fd6069e77a5ddc28964e30061ebee26e00bead1",
     ("infinite_activity", "sampler-H"):
         "21e180d336c42a859b752a73943d46ccf2993b80a19ad2458db65f6ec50960dd",
     ("infinite_activity", "sampler-I"):
-        "27b3c52d540ebc219e48a4414a9aedf1793077e4112274eb75f271cd6f5b270e",
+        "0fa9f6b8cf2118512c6c48fc9704e3949cf513e967a074146bd74ba17bcc1fa5",
     ("infinite_activity", "sampler-Itilde"):
-        "ecda73b4c15af35b8033615cd9f6d87cc89067f87e5d74e164f828ccadf19983",
+        "24e37677ca973baa985cf0a03d43330f5a3b7fa93f04ec7f53a310c94e32f3ea",
     ("infinite_activity", "transition-K"):
-        "93cee891cafcd6e5935764b94940f0cbf86b7dede0e491cc68d7ee8b41481a4a",
+        "f5e2e2149a9c194d23fdb9aa4a4f98e3954f58b13de1df9cefe88e02382f574c",
     ("infinite_activity", "truncation"):
         "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
     ("jump_model", "chapman-kolmogorov"):
-        "1625bb6c3596ebc1cae5d74eb3525e1c8dd14a29c0d71582bf255bff9b04fdcc",
+        "572744dbda36765e02271e9216df3a3953825eaf5181d747256b1d8a7c7e7d2f",
     ("jump_model", "euler-convergence"):
-        "c07e6b08eaebfe3279d06d870fca9ea4ddcebfebe2af2b32bae136609aa9788c",
+        "f902db0d2596758b149e1a793914baab4bf8066ce94dab011fa1069928868198",
     ("jump_model", "kernels"):
-        "d01ac6dac90a8794422e9b6cfd026e34b4b1f72c55d71afaa2e8fedf784dd8e2",
+        "85703a42365bf7383c798babd0172a0cd5cc82e56a04ee2919ac8d89439ad931",
     ("jump_model", "sampler-H"):
         "0c89363e95a630db258495953782bdf6d39bd41827a477b6152a3aa245ad50f8",
     ("jump_model", "sampler-I"):
-        "1f56e55271cb6962c33034ed57cf6f2bf7afa3e9f3c3ef2abc204072165533b3",
+        "fc1f08aa87883ffd5c63095a2c2638403fa8f3407fc5ca0e75ae830fd882c848",
     ("jump_model", "sampler-Itilde"):
-        "0f02e8d8af08edac542afc3c75d02e0a8031da22c2d035ae830d0db84defc48b",
+        "81233b7aeca77c71c8ebcfc898757adf06a9bd6bf3953173c6e522d60e63de02",
     ("jump_model", "transition-K"):
-        "e3ba6fafe9bd98c0e22730c1943fb91ac1aacb10fde197ce8c739772343aed4a",
+        "c31d5b35c7a12326a85ec0b205a64210c792362d264b0993f71786710d58d19b",
     ("jump_model", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
 }
@@ -514,6 +546,23 @@ class TestUsageErrors:
             err = capsys.readouterr().err
             assert err.startswith("config error: controls.delta must be")
             assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("delta", [None, "auto", "0.01"])
+    @pytest.mark.parametrize("component", ["K", "Itilde"])
+    def test_no_square_root_condition(self, tmp_path, capsys, delta,
+                                      component):
+        # a model error (exit 1), not a usage one: every truncation level,
+        # chosen by the budget or given, gets the same one-line refusal
+        p = tmp_path / "rho07.yaml"
+        p.write_text(RHO07 if delta is None
+                     else RHO07 + f"controls: {{delta: {delta}}}\n")
+        assert _exit_code(["sample", str(p), "--n", "3",
+                           "--component", component]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: RestrictiveConditionViolated: "
+                              "infinite-activity jump measure without "
+                              "square-root integrability")
+        assert len(err.splitlines()) == 1
 
     def test_zero_workers(self, cfg):
         assert _exit_code(["verify", cfg, "--suite", "kernels",

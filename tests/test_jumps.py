@@ -365,7 +365,11 @@ class TestIncompleteGammaOracles:
 
 # Bit pins of the jump-measure values. Each digest is the SHA-256 of the
 # quantities of ``_jump_values`` for one measure, whole or truncated; a
-# quantity that raises enters as the name of its exception.
+# quantity that raises enters as the name of its exception. The whole
+# code0.7 and tempered0.95 digests were re-recorded when ``delta_for_budget``
+# on a summable measure without the square-root condition began raising
+# RestrictiveConditionViolated in place of NonIntegrable; every value kept
+# its bits.
 JUMP_MEASURES = {
     **{name: (lambda spec=spec: named_measure(spec)) for name, spec in NAMED.items()},
     "code0.4": lambda: tempered_power(0.4),
@@ -452,7 +456,7 @@ JUMP_DIGESTS = {
     ('tempered0.4', 1.0):
         "b5a9b1fec647bbfe7550026906f466b8e26422c2e0db75ad6e74b4b3172fc7d9",
     ('tempered0.95', None):
-        "33e241ef99dfcaed47facf9d690aa8c64123bbb31b7dd33b62785688b8c5f8b6",
+        "fe5f83b1462204330b91e2ca38dccff5bb184e5d0c833b762dffdd8444ce8963",
     ('tempered0.95', 1e-06):
         "fa3e741e23a0da0cfc07daa7e65d2a74f2b84244a829483e9062c77b280e9231",
     ('tempered0.95', 0.05):
@@ -468,7 +472,7 @@ JUMP_DIGESTS = {
     ('code0.4', 1.0):
         "b5a9b1fec647bbfe7550026906f466b8e26422c2e0db75ad6e74b4b3172fc7d9",
     ('code0.7', None):
-        "b6e651f58ede7e1529113b428e3d75bbed22df6ceaff9a3cfd980ad30aff2bb3",
+        "e29593de2115f96d3bf231db7b4c1196ea75fa4491519047c8e11de3ce1d77dc",
     ('code0.7', 1e-06):
         "ac00a81456e5c94161029338df592761f7e32b4495454ffdaf4a30a6ceaaf592",
     ('code0.7', 0.05):
