@@ -71,7 +71,7 @@ class PathRealization:
         rows = zip(self.times.tolist(), self.values.tolist(),
                    self.jump_flags.tolist())
         fileobj.write("time,value,jump_flag\r\n" + "".join(
-            f"{t:.17g},{v:.17g},{f:d}\r\n" for t, v, f in rows))
+            "%.17g,%.17g,%d\r\n" % row for row in rows))
 
 
 def _grid_checked(grid):
@@ -156,11 +156,11 @@ def exact_skeleton(rng, coeffs, nu=None, grid=None, n_cells=None, delta=None,
     grid = _grid_checked(grid)
     kwargs = {} if n_cells is None else {"n_cells": n_cells}
     sampler = get_sampler(coeffs, nu, delta=delta, **kwargs)
-    x = np.empty(grid.size)
-    x[0] = coeffs.x0 if y0 is None else float(y0)
-    for k in range(grid.size - 1):
-        x[k + 1] = sampler.sample_k(g, grid[k], grid[k + 1], x[k])
-    return PathRealization(grid, x, None, seed_info, "exact_skeleton")
+    times = grid.tolist()
+    x = [coeffs.x0 if y0 is None else float(y0)]
+    for k in range(1, grid.size):
+        x.append(sampler.sample_k(g, times[k - 1], times[k], x[-1]))
+    return PathRealization(grid, np.array(x), None, seed_info, "exact_skeleton")
 
 
 def _arrivals(g, sampler, grid, prm):

@@ -37,7 +37,10 @@ only needed for infinite-activity measures; the discarded sqrt-mass
 diagnostic controls the bias. A batch of m draws realizes the m measures as
 one: a Poisson(m mean) total of proposals, each labelled with its draw by a
 uniform integer in [0, m). By Poisson splitting the m counts are then
-independent Poisson(mean), the law of m separate realizations.
+independent Poisson(mean), the law of m separate realizations. One draw
+(``size`` None) has few points, so it pushes them through H with scalar
+calls, made in the order of the batch's array calls: it reads the stream
+as a size-1 batch does and returns the same bits.
 
 All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
@@ -301,7 +304,8 @@ class TransitionSampler:
         tot = g.poisson(mean * m)
         if not tot:
             return _NO_POINTS
-        idx = g.integers(0, m, tot)     # m = 1 reads no stream
+        # integers(0, 1, tot) reads no stream, so one draw skips the call
+        idx = np.zeros(tot, int) if m == 1 else g.integers(0, m, tot)
         props = s + (t - s) * g.random(tot)
         keep = g.random(tot) * amax < self.coeffs.a_tilde(props)
         times = props[keep]
@@ -357,10 +361,18 @@ class TransitionSampler:
         if not times.size:
             return 0.0 if m is None else np.zeros(m)
         bv, dv = self.kernels.bd_vec(times, t)
+        if m is None:
+            # the array calls' order: every count, then every Gamma, added
+            # from 0.0 in point order as bincount adds (sum() may compensate)
+            dv = dv.tolist()
+            counts = [g.poisson(y * b / d)
+                      for y, b, d in zip(sizes.tolist(), bv.tolist(), dv)]
+            x = 0.0
+            for k, d in zip(counts, dv):
+                x += _gamma_counts(g, k, d)
+            return x
         x = _gamma_counts(g, g.poisson(sizes * bv / dv), dv)
         # bincount adds in draw order; x.sum() would add pairwise
-        if m is None:
-            return float(np.bincount(idx, weights=x, minlength=1)[0])
         return np.bincount(idx, weights=x, minlength=m)
 
     def sample_k(self, rng, s, t, y, size=None):
@@ -371,7 +383,7 @@ class TransitionSampler:
         """
         g = _as_generator(rng)
         h = self.sample_h(g, s, t, y, size=size)
-        n = h.shape[0] if np.ndim(h) else None
+        n = h.shape[0] if isinstance(h, np.ndarray) else None
         return h + self.sample_i(g, s, t, size=n) \
                  + self.sample_itilde(g, s, t, size=n)
 

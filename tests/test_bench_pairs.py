@@ -1,0 +1,72 @@
+"""``tools/bench_pairs.py`` on canned results, without running the benchmark."""
+
+import importlib
+import json
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRICS = [{"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+           {"name": "throughput_per_s", "unit": "1/s", "better": "higher",
+            "bound": 0.25}]
+
+
+@pytest.fixture(scope="module")
+def pairs():
+    tools = os.path.join(ROOT, "tools")
+    if tools not in sys.path:
+        sys.path.insert(0, tools)
+    return importlib.import_module("bench_pairs")
+
+
+def _result(p50, rate, correct=True):
+    return {"correct": correct, "attempted": 10, "failed": 0,
+            "metrics": {"op_ms_p50": {"value": p50, "unit": "ms"},
+                        "throughput_per_s": {"value": rate, "unit": "1/s"}}}
+
+
+def test_summary_counts_wins_by_direction(pairs):
+    parent = [_result(p, r) for p, r in
+              [(1.0, 100.0), (2.0, 90.0), (3.0, 110.0), (4.0, 80.0), (5.0, 120.0)]]
+    # pair 3 ties on op_ms_p50; pair 5 loses on both; throughput ties in pair 2
+    change = [_result(p, r) for p, r in
+              [(0.5, 101.0), (1.5, 90.0), (3.0, 111.0), (3.5, 85.0), (5.5, 119.0)]]
+    rows = {r["name"]: r for r in pairs.summarize(parent, change, METRICS)}
+    p50, rate = rows["op_ms_p50"], rows["throughput_per_s"]
+    assert (p50["parent"], p50["change"], p50["pairs"]) == (3.0, 3.0, 5)
+    assert p50["parent_quartiles"] == (2.0, 4.0)
+    assert p50["wins"] == 3          # lower is better; the tie counts for neither
+    assert p50["rel"] == 0.0
+    assert (rate["parent"], rate["change"]) == (100.0, 101.0)
+    assert rate["parent_quartiles"] == (90.0, 110.0)
+    assert rate["wins"] == 3         # higher is better; the tie counts for neither
+    assert rate["rel"] == pytest.approx(0.01)
+
+
+def test_metrics_come_from_benchmark_json(pairs):
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["end_to_end"]
+    assert pairs.end_to_end_metrics(ROOT) == want
+    assert pairs.quartiles([7.0]) == (7.0, 7.0)
+
+
+def _fake_checkout(path, correct):
+    """A checkout whose ``perfbench/run.py`` prints one canned result."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (path / "perfbench" / "run.py").write_text(
+        "import json\nprint(json.dumps(%r))\n" % (_result(1.0, 100.0, correct),))
+    return str(path)
+
+
+@pytest.mark.parametrize("correct, code", [(True, 0), (False, 1)])
+def test_exit_code_follows_correctness(pairs, tmp_path, capsys, correct, code):
+    parent = _fake_checkout(tmp_path / "parent", True)
+    change = _fake_checkout(tmp_path / "change", correct)
+    assert pairs.main([parent, change, "--workload", "paths_jump", "--pairs", "2",
+                       "--seconds", "1", "--seed", "5"]) == code
+    out = capsys.readouterr().out
+    assert ("0/2" in out) == correct    # no pair passes, so no summary
+    assert ("FAILED" in out) != correct

@@ -65,9 +65,22 @@ class TestKernelValue:
         assert kv.p * dt == pytest.approx(1.0, abs=1e-3)
         assert kv.gamma * dt == pytest.approx(1.0, abs=1e-3)
 
-    def test_gamma_is_B_times_p(self, pc_coeffs):
-        kv = get_kernels(pc_coeffs).kernel_value(0.2, 1.4)
-        assert abs(kv.gamma - kv.B * kv.p) <= 1e-12 * kv.gamma
+    def test_gamma_against_quadrature(self, pc_coeffs):
+        # gamma = 1 / (B(0,s) C(s,t)) with C(s,t) = int_s^t sigma^2/2
+        # e^{int_0^v beta} dv, integrated outside the primitive table
+        s, t = 0.2, 1.4
+        beta, sigma = pc_coeffs.beta, pc_coeffs.sigma
+
+        def c_density(v):
+            return np.array([sigma(x) ** 2 / 2 * math.exp(beta.integral(0.0, x))
+                             for x in v.tolist()])
+
+        c_ref = cj.numerics.integrate(
+            c_density, s, t, tol=1e-14,
+            breakpoints=pc_coeffs.breakpoints(s, t, which=("beta", "sigma"))).value
+        want = math.exp(beta.integral(0.0, s)) / c_ref
+        kv = get_kernels(pc_coeffs).kernel_value(s, t)
+        assert abs(kv.gamma - want) <= 1e-12 * want
 
     def test_degenerate_interval(self, pc_coeffs):
         with pytest.raises(DegenerateInterval):

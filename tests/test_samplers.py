@@ -570,22 +570,37 @@ class TestStepRecord:
                 assert hits == misses
                 assert [type(x) for x in hits] == [type(x) for x in misses]
 
-    def test_scalar_itilde_is_size_one(self, pc_coeffs):
-        # heavy atoms and a high jump rate: about 160 jumps a draw, so a
-        # pairwise sum would round differently from the sequential one
-        c = cj.CoefficientSet(a=pc_coeffs.a, a_tilde=cj.constant(20.0),
-                              beta=pc_coeffs.beta, sigma=pc_coeffs.sigma,
-                              t_max=2.0)
-        sampler = get_sampler(c, cj.atoms([(0.7, 5.0), (1.8, 3.0)]))
+    @pytest.mark.parametrize("model", ["heavy", "two_atoms"])
+    def test_scalar_itilde_is_size_one(self, pc_coeffs, two_atoms, model):
+        if model == "heavy":
+            # heavy atoms and a high jump rate: about 160 jumps a draw, so a
+            # pairwise sum would round differently from the sequential one
+            c = cj.CoefficientSet(a=pc_coeffs.a, a_tilde=cj.constant(20.0),
+                                  beta=pc_coeffs.beta, sigma=pc_coeffs.sigma,
+                                  t_max=2.0)
+            sampler, n = get_sampler(c, cj.atoms([(0.7, 5.0), (1.8, 3.0)])), 200
+        else:
+            # no, one or a few jumps a draw, some of them pushed to 0 by H
+            sampler, n = get_sampler(pc_coeffs, two_atoms), 2000
         g = RngStream(82).generator()
-        got, want = [], []
-        for _ in range(200):
+        got, want, points = [], [], []
+        for _ in range(n):
+            one, batch = copy.deepcopy(g), copy.deepcopy(g)
+            drawn = sampler.prm_points_batch(one, 0.2, 1.2, None)
+            for x, y in zip(drawn, sampler.prm_points_batch(batch, 0.2, 1.2, 1)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert repr(one.bit_generator.state) == repr(batch.bit_generator.state)
+            points.append(drawn[1].size)
             clone = copy.deepcopy(g)
             got.append(sampler.sample_itilde(g, 0.2, 1.2))
             want.append(float(sampler.sample_itilde(clone, 0.2, 1.2, size=1)[0]))
             assert g.random() == clone.random()   # the same stream read
         assert got == want
-        assert min(got) > 0.0
+        if model == "heavy":
+            assert min(got) > 0.0
+        else:
+            assert sum(k > 1 for k in points) > 0
+            assert sum(k > 0 and x == 0.0 for k, x in zip(points, got)) > 0
 
     def test_threads_share_a_fresh_sampler(self):
         # four threads switching often: concurrent first draws on one
