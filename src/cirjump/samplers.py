@@ -17,9 +17,11 @@ A pushed cell (r_j < t) draws no U_j: integrating it out of H's
 Poisson(U_j B(r_j,t)/D(r_j,t)) count leaves K_j ~ NegBin(alpha_j, 1/(1+c_j))
 with c_j = D(r_{j-1},r_j) B(r_j,t)/D(r_j,t), drawn by inversion with one
 uniform each (sequential search on the pmf recurrence), then
-Gamma(K_j, scale D(r_j,t)) where K_j > 0. A cell with a wide count,
-max(alpha_j, 1) c_j > ``WALK_MAX`` (as for a cell ending just before t),
-keeps the Gamma -> Poisson mixture, which is the same law.
+Gamma(K_j, scale D(r_j,t)) where K_j > 0. Most counts are 0, so a batch
+inverts only the uniforms past P(0) and adds Gammas only where a count is
+nonzero; a draw with count 0 costs its uniform and no more. A cell with a
+wide count, max(alpha_j, 1) c_j > ``WALK_MAX`` (as for a cell ending just
+before t), keeps the Gamma -> Poisson mixture, which is the same law.
 The draw is exact, one cell per constant-``alpha`` piece: with
 D(v,t) = B(0,t) C(v,t), sigma^2/2 Psi_{v,t}(lam) = -d/dv log(1 + lam D(v,t)),
 so on a piece with constant ``alpha`` the cell factor equals
@@ -106,13 +108,16 @@ _NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int, float, float))
 def _gamma_counts(g, k, scale):
     """Gamma(k, scale) draws, exactly 0 where k == 0, bit for bit
     ``g.gamma(k, scale)``: numpy draws shape 0 as 0 without touching the
-    stream, and gamma(k, scale) is scale * standard_gamma(k)."""
+    stream, and gamma(k, scale) is scale * standard_gamma(k). An array
+    ``k`` (any shape, ``scale`` a float or one per count) is drawn and
+    scaled only at its nonzero counts."""
     if not isinstance(k, np.ndarray):   # numpy's scalar call is ten times cheaper
         return scale * g.standard_gamma(k) if k > 0 else 0.0
     x = np.zeros(k.shape)
-    pos = k > 0
-    x[pos] = g.standard_gamma(k[pos])
-    x *= scale
+    pos = np.flatnonzero(k > 0)
+    if np.ndim(scale):
+        scale = scale.ravel()[pos]
+    x.ravel()[pos] = g.standard_gamma(k.ravel()[pos]) * scale
     return x
 
 
@@ -123,7 +128,11 @@ def _gamma(g, alpha, scale, size=None):
     if size is None or alpha >= 1.0:
         return g.gamma(alpha, scale, size)
     x = g.gamma(alpha + 1.0, scale, size)
-    x *= np.exp(np.log1p(-g.random(size)) / alpha)
+    v = g.random(size)
+    np.negative(v, out=v)
+    np.log1p(v, out=v)
+    v /= alpha
+    x *= np.exp(v, out=v)
     return x
 
 
@@ -144,9 +153,10 @@ def _negbin_cdf(alpha, c, umax):
 def _pushed_count(g, alpha, d, ratio, size=None):
     """Counts of a Gamma(alpha, scale d) mass pushed through H with
     B/D = ``ratio``: NegBin(alpha, 1/(1+c)), c = d ratio, by inversion of
-    one uniform each. Wide counts (max(alpha, 1) c > ``WALK_MAX``) and the
-    uniforms past the walked CDF (odds at rounding level) take the mixture
-    Poisson(Gamma(alpha, scale d) ratio) instead."""
+    one uniform each; a batch searches the walked CDF only for the uniforms
+    past P(0), the others being counts of 0. Wide counts (max(alpha, 1) c >
+    ``WALK_MAX``) and the uniforms past the walked CDF (odds at rounding
+    level) take the mixture Poisson(Gamma(alpha, scale d) ratio) instead."""
     c = d * ratio
     if max(alpha, 1.0) * c > WALK_MAX:
         return g.poisson(_gamma(g, alpha, d, size) * ratio)
@@ -156,10 +166,14 @@ def _pushed_count(g, alpha, d, ratio, size=None):
         k = bisect.bisect_right(cdf, u)
         return k if k < len(cdf) else g.poisson(g.gamma(alpha, d) * ratio)
     cdf = _negbin_cdf(alpha, c, u.max(initial=0.0))
-    k = np.searchsorted(cdf, u, side="right")
-    lost = k == len(cdf)
+    # a uniform below P(0) = cdf[0] inverts to 0: search only the others
+    past = np.flatnonzero(u >= cdf[0])
+    kp = np.searchsorted(cdf, u[past], side="right")
+    lost = kp == len(cdf)
     if lost.any():
-        k = np.where(lost, g.poisson(_gamma(g, alpha, d, size) * ratio), k)
+        kp[lost] = g.poisson(_gamma(g, alpha, d, size) * ratio)[past[lost]]
+    k = np.zeros(size, kp.dtype)
+    k[past] = kp
     return k
 
 
@@ -340,17 +354,22 @@ class TransitionSampler:
         Gamma(alpha, rate p(r0, r1)) per cell of ``i_grid``, pushed to t
         through H. A pushed cell draws its H count first, NegBin(alpha,
         1/(1+c)) by inversion (the Gamma -> Poisson mixture when
-        max(alpha, 1) c > ``WALK_MAX``), then Gamma(count, D(r1, t)); the
-        last cell is Gamma(alpha, scale D(r0, t)) as is."""
+        max(alpha, 1) c > ``WALK_MAX``), then Gamma(count, D(r1, t)), which
+        a batch draws and adds only where the count is nonzero; the last
+        cell is Gamma(alpha, scale D(r0, t)) as is."""
         g = _as_generator(rng)
         m = None if size is None else int(size)
         acc = 0.0 if m is None else np.zeros(m)
         for alpha, d_cell, ratio, dt in self._step(s, t).cells:
             if ratio is None:
                 acc += _gamma(g, alpha, d_cell, m)
-            else:
-                acc += _gamma_counts(
-                    g, _pushed_count(g, alpha, d_cell, ratio, m), dt)
+                continue
+            k = _pushed_count(g, alpha, d_cell, ratio, m)
+            if m is None:
+                acc += _gamma_counts(g, k, dt)
+            else:   # acc + 0.0 is acc: add only where the count is nonzero
+                pos = np.flatnonzero(k > 0)
+                acc[pos] += dt * g.standard_gamma(k[pos])
         return acc
 
     def sample_itilde(self, rng, s, t, size=None):
@@ -383,9 +402,12 @@ class TransitionSampler:
         """
         g = _as_generator(rng)
         h = self.sample_h(g, s, t, y, size=size)
-        n = h.shape[0] if isinstance(h, np.ndarray) else None
-        return h + self.sample_i(g, s, t, size=n) \
-                 + self.sample_itilde(g, s, t, size=n)
+        if not isinstance(h, np.ndarray):
+            return h + self.sample_i(g, s, t) + self.sample_itilde(g, s, t)
+        # one I and one ITilde per element of h, in h's order and shape
+        h += self.sample_i(g, s, t, size=h.size).reshape(h.shape)
+        h += self.sample_itilde(g, s, t, size=h.size).reshape(h.shape)
+        return h
 
     def sample_prm(self, rng, s, t) -> PrmRealization:
         """One realization of the driving measure on (s, t] x (delta, inf)."""

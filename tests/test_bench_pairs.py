@@ -52,12 +52,16 @@ def test_metrics_come_from_benchmark_json(pairs):
     assert pairs.quartiles([7.0]) == (7.0, 7.0)
 
 
-def _fake_checkout(path, correct):
-    """A checkout whose ``perfbench/run.py`` prints one canned result."""
+def _fake_checkout(path, correct, traced_correct=None):
+    """A checkout whose ``perfbench/run.py`` prints one canned result, or
+    another one under ``--trace 1`` when ``traced_correct`` is given."""
     (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    traced = correct if traced_correct is None else traced_correct
     (path / "perfbench" / "run.py").write_text(
-        "import json\nprint(json.dumps(%r))\n" % (_result(1.0, 100.0, correct),))
+        "import json, sys\ntraced = sys.argv[-2:] == ['--trace', '1']\n"
+        "print(json.dumps(%r if traced else %r))\n"
+        % (_result(1.0, 100.0, traced), _result(1.0, 100.0, correct)))
     return str(path)
 
 
@@ -70,3 +74,16 @@ def test_exit_code_follows_correctness(pairs, tmp_path, capsys, correct, code):
     out = capsys.readouterr().out
     assert ("0/2" in out) == correct    # no pair passes, so no summary
     assert ("FAILED" in out) != correct
+
+
+def test_traced_run_must_be_correct(pairs, tmp_path, capsys):
+    # every untraced pair passes; the change's one traced run is not correct
+    parent = _fake_checkout(tmp_path / "parent", True)
+    change = _fake_checkout(tmp_path / "change", True, traced_correct=False)
+    assert pairs.main([parent, change, "--workload", "sample_jump", "--pairs", "2",
+                       "--seconds", "1", "--seed", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "sample_jump: 2 pairs" in out     # the pairs were summarized
+    assert "traced seed 5 parent: ok" in out
+    assert "traced seed 5 change: FAILED" in out
+    assert out.count("FAILED") == 1

@@ -14,8 +14,8 @@ from cirjump.errors import (DegenerateInterval, InvalidDelta,
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
 from cirjump.samplers import (COMPONENTS, STEP_CACHE, WALK_MAX, _gamma,
-                              _negbin_cdf, _pushed_count, get_component,
-                              get_sampler)
+                              _gamma_counts, _negbin_cdf, _pushed_count,
+                              get_component, get_sampler)
 from cirjump.verify import (mc_statistics, moment_check_from_sums,
                             transform_comparison, zero_fraction_z)
 
@@ -299,6 +299,131 @@ class TestPushedCount:
                            minlength=m)
         got = sampler.sample_itilde(RngStream(77).generator(), s, t, size=m)
         assert times.size > 0 and np.array_equal(got, want)
+
+
+def _dense_gamma(g, alpha, scale, m):
+    """A batch Gamma as the samplers draw it: the boost below shape 1."""
+    if alpha >= 1.0:
+        return g.gamma(alpha, scale, m)
+    return g.gamma(alpha + 1.0, scale, m) * np.exp(np.log1p(-g.random(m)) / alpha)
+
+
+def _dense_gamma_counts(g, k, scale):
+    x = np.zeros(k.shape)
+    pos = k > 0
+    x[pos] = g.standard_gamma(k[pos])
+    x *= scale
+    return x
+
+
+def _dense_pushed_count(g, alpha, d, ratio, m):
+    """Every uniform searched on the walked CDF, the lost ones replaced by
+    one dense mixture draw."""
+    c = d * ratio
+    if max(alpha, 1.0) * c > WALK_MAX:
+        return g.poisson(_dense_gamma(g, alpha, d, m) * ratio)
+    u = g.random(m)
+    cdf = _negbin_cdf(alpha, c, u.max(initial=0.0))
+    k = np.searchsorted(cdf, u, side="right")
+    lost = k == len(cdf)
+    if lost.any():
+        k = np.where(lost, g.poisson(_dense_gamma(g, alpha, d, m) * ratio), k)
+    return k
+
+
+def _dense_i(sampler, g, s, t, m):
+    acc = np.zeros(m)
+    for alpha, d_cell, ratio, dt in sampler._step(s, t).cells:
+        if ratio is None:
+            acc += _dense_gamma(g, alpha, d_cell, m)
+        else:
+            acc += _dense_gamma_counts(
+                g, _dense_pushed_count(g, alpha, d_cell, ratio, m), dt)
+    return acc
+
+
+class _TopEvery(np.random.Generator):
+    """A generator whose every 97th uniform of a batch is the largest double
+    below 1, which the walked CDF of jump_model's second cell does not
+    reach."""
+
+    def __init__(self, seed):
+        super().__init__(RngStream(seed).generator().bit_generator)
+
+    def random(self, size=None):
+        u = super().random(size)
+        if size is not None:
+            u[::97] = 1.0 - 2.0 ** -53
+        return u
+
+
+class TestSparseBits:
+    """Batches draw and add only at nonzero counts; each must give the bits
+    of the dense construction, written out above with plain numpy calls,
+    and leave the stream where it leaves it."""
+
+    @staticmethod
+    def _same(got, want, g, ref):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert repr(g.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("t", [1.2, 0.6 + 1e-6])
+    @pytest.mark.parametrize("m", [0, 1, 5000])
+    def test_sample_i(self, pc_coeffs, t, m):
+        # t = 1.2 walks both pushed cells; 0.6 + 1e-6 makes the first a mixture
+        sampler = get_sampler(pc_coeffs)
+        g, ref = RngStream(90).generator(), RngStream(90).generator()
+        self._same(sampler.sample_i(g, 0.2, t, size=m),
+                   _dense_i(sampler, ref, 0.2, t, m), g, ref)
+
+    def test_sample_i_unreachable_uniforms(self, pc_coeffs):
+        sampler = get_sampler(pc_coeffs)
+        alpha, d, ratio, _ = sampler._step(0.2, 1.2).cells[1]
+        assert _negbin_cdf(alpha, d * ratio, 1.0)[-1] <= 1.0 - 2.0 ** -53
+        g, ref = _TopEvery(91), _TopEvery(91)
+        self._same(sampler.sample_i(g, 0.2, 1.2, size=5000),
+                   _dense_i(sampler, ref, 0.2, 1.2, 5000), g, ref)
+
+    @pytest.mark.parametrize("k", [
+        np.zeros(300, np.int64),                       # all counts 0
+        np.zeros(0, np.int64),                         # no counts
+        np.array([0, 3, 0, 0, 1, 7, 0, 2] * 40),
+        np.array([[0, 2, 1], [4, 0, 0]]),              # any shape
+    ], ids=["zeros", "empty", "sparse", "2d"])
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_gamma_counts(self, k, per_point):
+        scale = (np.linspace(0.1, 2.0, k.size).reshape(k.shape) if per_point
+                 else 0.37)
+        g, ref = RngStream(92).generator(), RngStream(92).generator()
+        got = _gamma_counts(g, k, scale)
+        self._same(got, _dense_gamma_counts(ref, k, scale), g, ref)
+
+    @pytest.mark.parametrize("t", [1.2, 0.6 + 1e-6])
+    def test_sample_k(self, pc_coeffs, two_atoms, t):
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        s, y, m = 0.2, 0.8, 5000
+        B, D = sampler.kernels.bd(s, t)
+        g, ref = RngStream(93).generator(), RngStream(93).generator()
+        got = sampler.sample_k(g, s, t, y, size=m)
+        h = ref.gamma(ref.poisson(y * (B / D), m), D)
+        i = _dense_i(sampler, ref, s, t, m)
+        idx, times, sizes = sampler.prm_points_batch(ref, s, t, m)
+        bv, dv = sampler.kernels.bd_vec(times, t)
+        it = np.bincount(idx, weights=ref.gamma(ref.poisson(sizes * bv / dv), dv),
+                         minlength=m)
+        assert times.size > 0
+        self._same(got, h + i + it, g, ref)
+
+    def test_sample_k_any_shape_of_y(self, pc_coeffs, two_atoms):
+        # one independent draw per element, as for the flattened y
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        for shape in [(2, 2), (3, 2), (2, 3, 4)]:
+            y = np.linspace(0.0, 3.0, math.prod(shape)).reshape(shape)
+            g, ref = RngStream(94).generator(), RngStream(94).generator()
+            got = sampler.sample_k(g, 0.2, 1.2, y)
+            want = sampler.sample_k(ref, 0.2, 1.2, y.ravel()).reshape(shape)
+            self._same(got, want, g, ref)
 
 
 class TestGammaBoost:

@@ -1,0 +1,142 @@
+"""Per-layer sampler timings of this checkout, written to ``BENCH_<LABEL>.json``.
+
+    python3 tools/bench_layers.py LABEL
+
+For every configuration under ``demos/configs`` and each of ``sample_h``,
+``sample_i``, ``sample_itilde`` (given a jump measure) and ``sample_k`` it
+draws 10^6 values at the configuration's (s, t, y), in chunks on
+substreams (``SEED``, j) as ``verify`` draws them, three times in this one
+process. A row gives the best of the three sampler times as seconds per
+10^6 draws, and the max |z| of the draws' empirical transform against the
+component's closed form on the configuration's lambda grid: a change that
+is faster but draws the wrong law shows in the same row. Only the sampler
+calls are timed, not the transform sums.
+
+The file also records the environment: core count, Python, numpy and
+PyYAML versions, the git revision, whether the tree differs from it, and
+a digest of ``src/cirjump``, which names the code measured when the file
+is made before that code is committed. It is written at the root of the
+checkout; the tool imports ``cirjump`` from the checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+import numpy as np  # noqa: E402
+import yaml  # noqa: E402
+
+import cirjump as cj  # noqa: E402
+from cirjump.verify import _engines, mc_statistics  # noqa: E402
+
+CONFIGS = os.path.join(ROOT, "demos", "configs")
+# component of COMPONENTS timed for each sampler method
+LAYERS = {"sample_h": "H", "sample_i": "I", "sample_itilde": "Itilde",
+          "sample_k": "K"}
+SEED = 20201019
+
+
+def _git(*args):
+    try:
+        out = subprocess.run(["git", "-C", ROOT, *args], capture_output=True,
+                             text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def environment():
+    """Core count, library versions, git revision and source digest."""
+    digest = hashlib.sha256()
+    src = os.path.join(SRC, "cirjump")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "pyyaml": yaml.__version__,
+            "git_revision": _git("rev-parse", "HEAD"),
+            "git_dirty": None if status is None else bool(status),
+            "src_sha256": digest.hexdigest()}
+
+
+def layer_row(cfg, layer, draws, repeats, seed):
+    """Seconds per 10^6 draws (best of ``repeats``) and the transform's
+    max |z| of one sampler method on one configuration."""
+    comp = cj.COMPONENTS[LAYERS[layer]]
+    sampler, kernels = _engines(cfg.coeffs, cfg.nu, cfg.n_cells, cfg.delta)
+    grid = np.asarray(cfg.lambda_grid, dtype=float)
+    s, t, y = cfg.s, cfg.t, cfg.y
+    spent = []
+
+    def draw(g, m):
+        t0 = perf_counter()
+        x = comp.draw(sampler, g, s, t, y, m)
+        spent.append(perf_counter() - t0)
+        return x
+
+    best = float("inf")
+    for _ in range(repeats):    # the same seed: every repeat draws the same values
+        spent.clear()
+        stats = mc_statistics(draw, draws, grid, seed)
+        best = min(best, sum(spent))
+    cmp = cj.LaplaceComparison.from_stats(
+        stats, comp.laplace(kernels, s, t, y, grid)[0], grid, seed=seed)
+    return {"layer": layer, "s_per_1e6_draws": best * 1e6 / draws,
+            "transform_max_abs_z": float(cmp.max_abs_z),
+            "transform_passed": bool(cmp.passed)}
+
+
+def bench_layers(draws=10 ** 6, repeats=3, seed=SEED):
+    """The content of a ``BENCH_<LABEL>.json`` file."""
+    rows = []
+    for name in sorted(os.listdir(CONFIGS)):
+        if not name.endswith(".yaml"):
+            continue
+        cfg = cj.load_config(os.path.join(CONFIGS, name))
+        for layer in LAYERS:
+            if layer == "sample_itilde" and cfg.nu is None:
+                continue    # no jump input: nothing to draw, no transform
+            row = {"config": name[:-len(".yaml")], "s": cfg.s, "t": cfg.t,
+                   "y": cfg.y}
+            row.update(layer_row(cfg, layer, draws, repeats, seed))
+            rows.append(row)
+    return {"environment": environment(), "draws": draws, "repeats": repeats,
+            "seed": seed, "rows": rows}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("label")
+    args = p.parse_args(argv)
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
+        p.error("LABEL may hold letters, digits, '_', '.' and '-' only")
+    result = bench_layers()
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result, fh, indent=1)
+        fh.write("\n")
+    for r in result["rows"]:
+        print(f"{r['config']:18s} {r['layer']:14s} {r['s_per_1e6_draws']:8.3f} s/1e6 "
+              f"max|z| {r['transform_max_abs_z']:.2f}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,10 @@ in both checkouts, one after the other; even pairs run the parent first, odd
 pairs the change. For every end-to-end metric of the change's
 ``BENCHMARK.json`` it prints both sides' medians, the parent's quartiles and
 the pairs the change wins in the direction of the metric's ``better`` (ties
-count for neither side). It exits 1 when any run fails, that is exits
-nonzero, prints no result or gives ``correct`` false or ``failed`` above 0.
+count for neither side). After the pairs it makes one traced run
+(``--trace 1``, seed K) in each checkout, whose result is checked alone.
+It exits 1 when any run fails, that is exits nonzero, prints no result or
+gives ``correct`` false or ``failed`` above 0.
 
 Stdlib only. It writes no file of its own; each ``perfbench/run.py`` run
 writes its report under its own checkout, as it always does.
@@ -30,11 +32,11 @@ def end_to_end_metrics(checkout):
         return json.load(fh)["end_to_end"]
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One untraced benchmark run; the JSON result, or None if it fails."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """One benchmark run; the JSON result, or None if it fails."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                          timeout=600 + 20 * seconds)
     lines = out.stdout.strip().splitlines()
@@ -113,8 +115,13 @@ def main(argv=None):
             print(f"  {r['name']:18s} {r['parent']:.6g} [{q1:.6g}, {q3:.6g}] -> "
                   f"{r['change']:.6g} {r['unit']} ({100 * r['rel']:+.1f} %), "
                   f"{r['wins']}/{r['pairs']}")
+    for side, checkout in sides.items():
+        ok = run_once(checkout, args.workload, args.seed, args.seconds, trace=1)
+        print(f"traced seed {args.seed} {side}: " + ("ok" if ok else "FAILED"),
+              flush=True)
+        failed += ok is None
     if failed:
-        print(f"{failed} pair(s) had a failed run", file=sys.stderr)
+        print(f"{failed} pair(s) or traced run(s) failed", file=sys.stderr)
         return 1
     return 0
 
