@@ -10,26 +10,30 @@ with three independent ingredients:
 draw M ~ Poisson(y gamma(s,t)); M = 0 gives an exact zero (the atom at 0),
 otherwise the value is Gamma(shape M, rate p(s,t)).
 
-``I`` -- the continuous-input component. On a grid s = r_0 < ... < r_n = t,
-draw U_j ~ Gamma(alpha_j, rate p(r_{j-1}, r_j)) with alpha_j = 2 a / sigma^2
-evaluated inside the cell, and propagate each U_j from r_j to t through H.
-A pushed cell (r_j < t) draws no U_j: integrating it out of H's
-Poisson(U_j B(r_j,t)/D(r_j,t)) count leaves K_j ~ NegBin(alpha_j, 1/(1+c_j))
-with c_j = D(r_{j-1},r_j) B(r_j,t)/D(r_j,t), drawn by inversion with one
-uniform each (sequential search on the pmf recurrence), then
-Gamma(K_j, scale D(r_j,t)) where K_j > 0. Most counts are 0, so a batch
-inverts only the uniforms past P(0) and adds Gammas only where a count is
-nonzero; a draw with count 0 costs its uniform and no more. A cell with a
-wide count, max(alpha_j, 1) c_j > ``WALK_MAX`` (as for a cell ending just
-before t), keeps the Gamma -> Poisson mixture, which is the same law.
-The draw is exact, one cell per constant-``alpha`` piece: with
-D(v,t) = B(0,t) C(v,t), sigma^2/2 Psi_{v,t}(lam) = -d/dv log(1 + lam D(v,t)),
-so on a piece with constant ``alpha`` the cell factor equals
-((1 + lam D(r_{j-1},t)) / (1 + lam D(r_j,t)))^-alpha, the exact transform of
-I over that piece. When ``a`` and ``sigma`` are piecewise constant the cells
-are therefore s, their knots inside (s, t), and t; ``n_cells`` refines a
-non-piecewise-constant ``alpha``, whose law converges weakly as the grid
-refines.
+``I`` -- the continuous-input component. On a grid s = r_0 < ... < r_n = t
+take alpha_j = 2 a / sigma^2 evaluated inside cell j. The last cell, which
+ends at t, is Gamma(alpha_n, scale D(r_{n-1}, t)). Every other cell is its
+Gamma input pushed to t through H, which is a compound Poisson: with
+D(v,t) = B(0,t) C(v,t), a Psi_{v,t}(lam) = -alpha d/dv log(1 + lam D(v,t))
+is the exponent of points at rate alpha (sigma^2/2) B/D(v,t) with values
+Exp(scale D(v,t)). On a cell with constant alpha_j that is
+Poisson(alpha_j L_j) points, L_j = log1p(c_j) = log(D(r_{j-1},t)/D(r_j,t))
+with c_j = D(r_{j-1},r_j) B(r_j,t)/D(r_j,t), each of value
+D(r_{j-1},t) exp(-L_j U) E, U uniform and E standard exponential. Its
+transform ((1 + lam D(r_{j-1},t)) / (1 + lam D(r_j,t)))^-alpha_j is the
+exact transform of I over the cell, and its mean count grows only as
+log c_j, also for a cell ending just before t. A batch of m draws takes
+one Poisson(m R) total of points, R = sum_j alpha_j L_j, and gives each a
+uniform draw label in [0, m) and a uniform position on [0, R), where the
+cells lie end to end: the position picks cell j with probability
+alpha_j L_j / R, and its distance past the cell's start, over alpha_j, is
+L_j U. By Poisson splitting (as for ITilde below) the points of each cell
+and draw are then independent Poisson(alpha_j L_j) with i.i.d. U, the law
+of separate draws. The values are added per draw with ``bincount``; one
+draw is a batch of one. When ``a`` and ``sigma`` are piecewise constant
+the cells are s, their knots inside (s, t), and t, and the draw is exact;
+``n_cells`` refines a non-piecewise-constant ``alpha``, whose law
+converges weakly as the grid refines.
 
 ``ITilde`` -- the jump-input component. Realize the driving Poisson random
 measure on (s, t] x (delta, inf) (times by thinning with rate
@@ -52,13 +56,14 @@ Gamma(alpha + 1) V^(1/alpha) with V = 1 - U uniform on (0, 1], the same law
 one above it; scalar draws call ``g.gamma`` as is.
 
 Every law parameter of a step depends on (s, t) alone: B/D and D of H, the
-I cells with their alpha, D(r_{j-1}, r_j), B/D(r_j, t) and D(r_j, t), and
-the thinning rate max a~ on [s, t]. A sampler keeps them in one step
-record per (s, t), for the ``STEP_CACHE`` most recently used intervals, so
-the draws of a path or a batch on one grid compute them once; only y and
-the stream change from draw to draw. A record is built with the calls, in
-the order of operations, that the draws would make without it, and its
-entries are plain floats, so a hit and a miss give the same bits.
+pushed I cells' alpha_j L_j, L_j and D(r_{j-1}, t), the last cell's alpha
+and D, and the thinning rate max a~ on [s, t]. A sampler keeps them in one
+step record per (s, t), for the ``STEP_CACHE`` most recently used
+intervals, so the draws of a path or a batch on one grid compute them
+once; only y and the stream change from draw to draw. A record is built
+with the calls, in the order of operations, that the draws would make
+without it, and its entries are floats and read-only float arrays, so a
+hit and a miss give the same bits.
 
 ``COMPONENTS`` is the one table of the four laws K, H, I and ITilde: for
 each, its transform on a ``TransitionKernels`` and its draws on a
@@ -67,7 +72,6 @@ each, its transform on a ``TransitionKernels`` and its draws on a
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -77,7 +81,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import InvalidDelta
+from .errors import DegenerateInterval, InvalidDelta
 from .jumps import JumpMeasure, delta_for_budget
 from .kernels import get_kernels
 from .numerics import _as_generator
@@ -94,11 +98,6 @@ __all__ = [
 
 DELTA_BUDGET = 4.0 ** -8   # default sqrt-tail budget for the truncation level
 DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
-# Pushed I cells with max(alpha, 1) * c above this draw their count as the
-# Gamma -> Poisson mixture: it bounds the mean, the inversion table's
-# length (about (1 + c) log(1/eps) past the mode) and keeps P(0) = (1+c)^-alpha
-# >= e^-WALK_MAX clear of underflow.
-WALK_MAX = 64.0
 STEP_CACHE = 4096          # (s, t) step records a sampler keeps (LRU)
 MAX_POINTS = 2 ** 26       # expected driving-measure points of one batch call
 # (draw_index, times, sizes) of every batch without points: read-only views
@@ -136,58 +135,23 @@ def _gamma(g, alpha, scale, size=None):
     return x
 
 
-def _negbin_cdf(alpha, c, umax):
-    """CDF of NegBin(alpha, 1/(1+c)) at 0, 1, ..., walked with
-    P(k+1) = P(k) (alpha+k)/(k+1) c/(1+c) until it passes ``umax`` or stops
-    growing in floating point (what is left is rounding)."""
-    q, pk = c / (1.0 + c), math.exp(-alpha * math.log1p(c))
-    cdf = [pk]
-    while cdf[-1] <= umax:
-        pk *= (alpha + len(cdf) - 1) / len(cdf) * q
-        if cdf[-1] + pk == cdf[-1]:
-            break
-        cdf.append(cdf[-1] + pk)
-    return cdf
-
-
-def _pushed_count(g, alpha, d, ratio, size=None):
-    """Counts of a Gamma(alpha, scale d) mass pushed through H with
-    B/D = ``ratio``: NegBin(alpha, 1/(1+c)), c = d ratio, by inversion of
-    one uniform each; a batch searches the walked CDF only for the uniforms
-    past P(0), the others being counts of 0. Wide counts (max(alpha, 1) c >
-    ``WALK_MAX``) and the uniforms past the walked CDF (odds at rounding
-    level) take the mixture Poisson(Gamma(alpha, scale d) ratio) instead."""
-    c = d * ratio
-    if max(alpha, 1.0) * c > WALK_MAX:
-        return g.poisson(_gamma(g, alpha, d, size) * ratio)
-    u = g.random(size)
-    if size is None:    # bisect is ten times cheaper than numpy on one value
-        cdf = _negbin_cdf(alpha, c, u)
-        k = bisect.bisect_right(cdf, u)
-        return k if k < len(cdf) else g.poisson(g.gamma(alpha, d) * ratio)
-    cdf = _negbin_cdf(alpha, c, u.max(initial=0.0))
-    # a uniform below P(0) = cdf[0] inverts to 0: search only the others
-    past = np.flatnonzero(u >= cdf[0])
-    kp = np.searchsorted(cdf, u[past], side="right")
-    lost = kp == len(cdf)
-    if lost.any():
-        kp[lost] = g.poisson(_gamma(g, alpha, d, size) * ratio)[past[lost]]
-    k = np.zeros(size, kp.dtype)
-    k[past] = kp
-    return k
-
-
 class _Step(NamedTuple):
     """What a step (s, t) draws with, whatever y and the stream are.
 
-    ``cells`` has one (alpha, D(r0, r1), B/D(r1, t), D(r1, t)) per I cell
-    with alpha > 0, in grid order; the last cell, which ends at t, is
-    (alpha, D(r0, t), None, None)."""
+    The pushed I cells [r0, r1] (r1 < t, alpha > 0) lie end to end, in
+    grid order, on a rate axis [0, ``rate``): cell j takes alpha_j L_j of
+    it from ``starts[j]``, and has ``alphas[j]`` and ``scales[j]`` =
+    D(r0, t). ``last`` is (alpha, D(r0, t)) of the cell that ends at t,
+    None where its alpha is 0."""
 
-    gamma: float     # B/D of (s, t): H's Poisson rate per unit of mass
-    d: float         # D(s, t): the scale of H's Gamma
-    cells: tuple
-    amax: float      # max of a~ on [s, t], the thinning rate (0 without nu)
+    gamma: float          # B/D of (s, t): H's Poisson rate per unit of mass
+    d: float              # D(s, t): the scale of H's Gamma
+    rate: float           # mean count of pushed I points per draw
+    starts: np.ndarray
+    alphas: np.ndarray
+    scales: np.ndarray
+    last: Optional[tuple]
+    amax: float           # max of a~ on [s, t], the thinning rate (0 without nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +185,9 @@ class TransitionSampler:
     I cells and max a~, computed on the first draw on (s, t) and kept for
     the ``STEP_CACHE`` most recently used intervals. It holds exactly the
     floats the draws would compute, so cached draws keep their bits. An
-    invalid interval raises ``DegenerateInterval`` on every call (errors
-    are not cached).
+    invalid interval, or one too short for the primitive table to give a
+    positive D(s, t) or D(r1, t) of a pushed I cell, raises
+    ``DegenerateInterval`` on every call (errors are not cached).
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -261,24 +226,41 @@ class TransitionSampler:
                     self._marks = self.nu.mark_sampler(self.delta)
         return self._marks
 
+    def _bd_positive(self, s, t):
+        """``kernels.bd(s, t)``, refused where D(s, t), which the step
+        record divides by, is not positive: the primitive table cannot
+        resolve an interval that short."""
+        B, D = self.kernels.bd(s, t)
+        if not D > 0.0:
+            raise DegenerateInterval(
+                f"D({float(s)!r}, {float(t)!r}) = {D:g} is not positive: "
+                f"the interval is too short for the primitive table")
+        return B, D
+
     def _step_record(self, s, t) -> _Step:
         """The record ``_step`` memoizes (see the class docstring)."""
-        B, D = self.kernels.bd(s, t)
-        cells = []
+        B, D = self._bd_positive(s, t)
+        pushed, rate, last = [], 0.0, None
         if self.coeffs.a.max_on(s, t) > 0.0:
             grid = self.i_grid(s, t)
             alphas = self.coeffs.alpha(0.5 * (grid[:-1] + grid[1:])).tolist()
             for r0, r1, alpha in zip(grid[:-1], grid[1:], alphas):
                 if alpha <= 0.0:
                     continue
-                _, d_cell = self.kernels.bd(r0, r1)
+                _, d0 = self.kernels.bd(r0, t)
                 if r1 < t:
-                    bt, dt = self.kernels.bd(r1, t)
-                    cells.append((alpha, d_cell, bt / dt, dt))
+                    _, d_cell = self.kernels.bd(r0, r1)
+                    bt, dt = self._bd_positive(r1, t)
+                    pushed.append((rate, alpha, d0))
+                    rate += alpha * math.log1p(d_cell * (bt / dt))
                 else:
-                    cells.append((alpha, d_cell, None, None))
+                    last = (alpha, d0)
+        cols = [np.array(col, dtype=float) for col in zip(*pushed)] \
+            or [np.empty(0)] * 3
+        for col in cols:
+            col.flags.writeable = False
         amax = 0.0 if self.nu is None else self.coeffs.a_tilde.max_on(s, t)
-        return _Step(B / D, D, tuple(cells), amax)
+        return _Step(B / D, D, rate, *cols, last, amax)
 
     def i_grid(self, s, t):
         """Cells ``sample_i`` draws on: the knots of the input and volatility
@@ -350,27 +332,37 @@ class TransitionSampler:
         return _gamma_counts(g, g.poisson(y * step.gamma, size), step.d)
 
     def sample_i(self, rng, s, t, size=None):
-        """Draw from the continuous-input component I_{s,t}: one
-        Gamma(alpha, rate p(r0, r1)) per cell of ``i_grid``, pushed to t
-        through H. A pushed cell draws its H count first, NegBin(alpha,
-        1/(1+c)) by inversion (the Gamma -> Poisson mixture when
-        max(alpha, 1) c > ``WALK_MAX``), then Gamma(count, D(r1, t)), which
-        a batch draws and adds only where the count is nonzero; the last
-        cell is Gamma(alpha, scale D(r0, t)) as is."""
+        """Draw from the continuous-input component I_{s,t} on the cells of
+        ``i_grid``: the last cell's Gamma(alpha, scale D(r0, t)), plus the
+        points of the cells [r0, r1] that end before t, Poisson(alpha L)
+        a cell with L = log1p(c), each of value D(r0, t) exp(-L U) E. The
+        points of all cells and draws are one Poisson total; each gets a
+        uniform draw label and a uniform position on the step's rate axis,
+        which picks its cell and, past the cell's start, is alpha L U (see
+        the module docstring). One draw (``size`` None) is a batch of one
+        that returns a float."""
         g = _as_generator(rng)
-        m = None if size is None else int(size)
-        acc = 0.0 if m is None else np.zeros(m)
-        for alpha, d_cell, ratio, dt in self._step(s, t).cells:
-            if ratio is None:
-                acc += _gamma(g, alpha, d_cell, m)
-                continue
-            k = _pushed_count(g, alpha, d_cell, ratio, m)
-            if m is None:
-                acc += _gamma_counts(g, k, dt)
-            else:   # acc + 0.0 is acc: add only where the count is nonzero
-                pos = np.flatnonzero(k > 0)
-                acc[pos] += dt * g.standard_gamma(k[pos])
-        return acc
+        m = 1 if size is None else int(size)
+        step = self._step(s, t)
+        if step.last is not None:
+            x = _gamma(g, *step.last, size)
+        else:
+            x = 0.0 if size is None else np.zeros(m)
+        tot = g.poisson(step.rate * m) if step.rate > 0.0 else 0
+        if tot:
+            # integers(0, 1, tot) reads no stream, so one draw skips the call
+            idx = g.integers(0, m, tot) if m > 1 else np.zeros(tot, int)
+            pos = g.random(tot)
+            pos *= step.rate
+            j = np.searchsorted(step.starts, pos, side="right") - 1
+            pos -= step.starts[j]
+            pos /= -step.alphas[j]
+            v = np.exp(pos, out=pos)
+            v *= step.scales[j]
+            v *= g.standard_exponential(tot)
+            v = np.bincount(idx, weights=v, minlength=m)
+            x = x + (v if size is not None else float(v[0]))
+        return x
 
     def sample_itilde(self, rng, s, t, size=None):
         """Draw from the jump-input component ITilde_{s,t} (at truncation delta)."""

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+import cirjump as cj
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -29,13 +31,24 @@ def test_rows_and_environment(layers):
     got = {(r["config"], r["layer"]) for r in out["rows"]}
     want = {(c, layer) for c in ("classical_cir", "infinite_activity", "jump_model")
             for layer in ("sample_h", "sample_i", "sample_itilde", "sample_k")}
-    # classical_cir has no jump measure, so no ITilde row
-    assert got == want - {("classical_cir", "sample_itilde")}
+    # classical_cir has no jump measure, so no ITilde row; the clipped-sine
+    # input rate changes only I, so its row set is I and K
+    want -= {("classical_cir", "sample_itilde")}
+    want |= {("jump_model_sine_a", "sample_i"), ("jump_model_sine_a", "sample_k")}
+    assert got == want
     for r in out["rows"]:
         assert set(r) == {"config", "s", "t", "y", "layer", "s_per_1e6_draws",
                           "transform_max_abs_z", "transform_passed"}
         assert r["s_per_1e6_draws"] > 0.0 and r["transform_max_abs_z"] >= 0.0
+        # the 64-cell I-grid has a known bias: recorded, not judged
+        assert (r["transform_passed"] is None) == (r["config"] == "jump_model_sine_a")
     json.dumps(out)    # plain JSON types only
+
+
+def test_sine_row_set_draws_64_cells(layers):
+    _, cfg, _, bounded = layers.row_sets()[-1]
+    sampler = cj.TransitionSampler(cfg.coeffs, cfg.nu, n_cells=cfg.n_cells)
+    assert not bounded and len(sampler.i_grid(cfg.s, cfg.t)) - 1 == 64
 
 
 def test_label_is_checked(layers, capsys):

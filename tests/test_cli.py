@@ -294,14 +294,18 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # path as they are. The three branching digests were re-recorded when the
 # branching scheme became the exact H chain (a new law); without a jump
 # measure that chain draws what the exact skeleton draws, so classical_cir
-# has one digest for both.
+# has one digest for both. The jump_model exact_skeleton and branching
+# digests were re-recorded when pushed I cells became compound-Poisson
+# points (Poisson(alpha log1p(c)) a cell, each D(r0,t) exp(-L U) E) in place
+# of a NegBin count and a Gamma: the same law, a new stream. The other
+# configs draw I as one last cell and keep their bits.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
         "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
     ("infinite_activity", "exact_skeleton"):
         "7364e60f404c376a150decab0b32e90a7f82f4ca6f0605cbec66ad4235d2741b",
     ("jump_model", "exact_skeleton"):
-        "84ddc58249efc25df76587cece5232cca3a625f77d7189463bdfe7de0e279f5f",
+        "29b9ef52b5bffca5c03cd5028a5f2c3a91ebd5222c27883a47d7ca4570447d6b",
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
@@ -313,7 +317,7 @@ PATH_DIGESTS = {
     ("jump_model", "euler"):
         "3c07ab2827c455aed307288f5b738976983558220b470c73a2e751df01742c3e",
     ("jump_model", "branching"):
-        "5a321798b68cc476a2e1396c06bc841109a04dc2917541a8c2d4a118b91b3bbb",
+        "3dc6068087dcb589c1d03830333cf29297cb264554cf044c5c06716cbb574c49",
 }
 
 
@@ -346,6 +350,9 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # Gamma(alpha + 1) V^(1/alpha) and the driving measure as one Poisson total
 # split over the draws by uniform labels: the same laws, new streams.
 # classical_cir draws I with alpha = 1.6 and no jumps, so it keeps its bits.
+# The jump_model sample I and K digests were re-recorded when pushed I cells
+# became compound-Poisson points in place of a NegBin count and a Gamma: the
+# same law, a new stream. H, Itilde and the last I cell keep their bits.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
@@ -388,11 +395,11 @@ CLI_DIGESTS = {
     ("jump_model", "sample", "H"):
         "b4bc4efd24ec5741e24c1c21bfe447ea1d4afa08b38be6a2b8a8d1b0f8233444",
     ("jump_model", "sample", "I"):
-        "4c9d35e97b83151ff952558836e5d83fd0d8b9c37af618e4fef15c60487c7619",
+        "0b5fdd0930490da07d85de26d8459e360a8543fbcc1e1b2a78c0471cfbf10f2b",
     ("jump_model", "sample", "Itilde"):
         "1599ddaab8194e6bfee631849008bac9b3c43b78d379e58b3ffe32d1eb5e65d4",
     ("jump_model", "sample", "K"):
-        "6c2659ac69f8584696374ac69f2f8bb0afd8eea05134c8f3a11e6fe40dc426bf",
+        "0d1314fff8b2a47a04d166b611f004e92cc82e06fb17ad8da62633918572d1e4",
 }
 
 
@@ -420,6 +427,9 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
 # three kernels reports were re-recorded when gamma_equals_B_times_p, which
 # checked B/D against B (1/D) from one call, gave way to B against
 # exp(-int beta) and C against a quadrature of sigma^2/2 e^(int_0^v beta).
+# The jump_model chapman-kolmogorov, sampler-I and transition-K reports were
+# re-recorded when pushed I cells became compound-Poisson points in place of
+# a NegBin count and a Gamma: the same law, a new stream.
 SUITE_DIGESTS = {
     ("classical_cir", "chapman-kolmogorov"):
         "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
@@ -452,7 +462,7 @@ SUITE_DIGESTS = {
     ("infinite_activity", "truncation"):
         "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
     ("jump_model", "chapman-kolmogorov"):
-        "572744dbda36765e02271e9216df3a3953825eaf5181d747256b1d8a7c7e7d2f",
+        "999ee9a5d6ae7e7e7355742d47678442461bf2350f4726c7d4c379fe1774cff4",
     ("jump_model", "euler-convergence"):
         "f902db0d2596758b149e1a793914baab4bf8066ce94dab011fa1069928868198",
     ("jump_model", "kernels"):
@@ -460,11 +470,11 @@ SUITE_DIGESTS = {
     ("jump_model", "sampler-H"):
         "0c89363e95a630db258495953782bdf6d39bd41827a477b6152a3aa245ad50f8",
     ("jump_model", "sampler-I"):
-        "fc1f08aa87883ffd5c63095a2c2638403fa8f3407fc5ca0e75ae830fd882c848",
+        "c590593245bec51a784f99afc1ed0d8ed827b3be8e3520df343884845ee3d9d7",
     ("jump_model", "sampler-Itilde"):
         "81233b7aeca77c71c8ebcfc898757adf06a9bd6bf3953173c6e522d60e63de02",
     ("jump_model", "transition-K"):
-        "c31d5b35c7a12326a85ec0b205a64210c792362d264b0993f71786710d58d19b",
+        "53479f14e42f449f4b07829e3c9332e418b2b7c39a9ea7f8ee543b761a81f88b",
     ("jump_model", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
 }
@@ -563,6 +573,20 @@ class TestUsageErrors:
                               "infinite-activity jump measure without "
                               "square-root integrability")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("config,s,t", [
+        ("classical_cir", "0.9999999999999999", "1.0"),
+        ("jump_model", "1.9999999999999998", "2.0"),
+    ])
+    def test_one_ulp_interval(self, capsys, config, s, t):
+        # D(s, t) rounds to 0 on these valid intervals; sampling used to stop
+        # with a ZeroDivisionError traceback, the transform still answers
+        path = os.path.join(DEMO_CONFIGS, config + ".yaml")
+        assert _exit_code(["sample", path, "--s", s, "--t", t, "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateInterval: D(")
+        assert "not positive" in err and len(err.splitlines()) == 1
+        assert _exit_code(["laplace", path, "--s", s, "--t", t]) == 0
 
     def test_zero_workers(self, cfg):
         assert _exit_code(["verify", cfg, "--suite", "kernels",

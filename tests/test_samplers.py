@@ -13,8 +13,7 @@ from cirjump.errors import (DegenerateInterval, InvalidDelta,
                             RestrictiveConditionViolated)
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
-from cirjump.samplers import (COMPONENTS, STEP_CACHE, WALK_MAX, _gamma,
-                              _gamma_counts, _negbin_cdf, _pushed_count,
+from cirjump.samplers import (COMPONENTS, STEP_CACHE, _gamma, _gamma_counts,
                               get_component, get_sampler)
 from cirjump.verify import (mc_statistics, moment_check_from_sums,
                             transform_comparison, zero_fraction_z)
@@ -196,74 +195,43 @@ class TestSampleI:
 
 
 class TestPushedCount:
-    """The H count of a pushed Gamma(alpha, scale d) cell is
-    NegBin(alpha, 1/(1+c)) with c = d B/D, whichever way it is drawn."""
+    """A pushed cell [r0, r1] (r1 < t) with constant alpha sends
+    Poisson(alpha log1p(c)) points to t, c = D(r0,r1) B(r1,t)/D(r1,t). Its
+    transform is ((1 + lam D(r0,t)) / (1 + lam D(r1,t)))^-alpha, its mean
+    alpha c D(r1,t), its variance alpha (D(r0,t)^2 - D(r1,t)^2) and its
+    zero fraction (1 + c)^-alpha."""
 
-    @pytest.mark.parametrize("alpha,d,ratio,branch", [
-        (0.6, 0.12, 1.0, "walk"),       # the jump_model cell: 93 % zeros
-        (2.5, 1.5, 2.0, "walk"),        # c = 3
-        (0.6, 2.0, 250.0, "mixture"),   # c = 500
-        (3.0, 1.0, 30.0, "mixture"),    # mean 90
+    @pytest.mark.parametrize("alpha,r0,r1,t,c", [
+        (1.6, 0.3, 0.43, 1.43, 0.07),     # jump_model's cells: 0.12 and 0.048
+        (2.5, 0.3, 0.8, 0.923, 3.0),
+        (0.6, 0.3, 0.8, 0.8008, 500.0),
+        (0.6, 0.3, 0.8, 0.800001, 4e5),   # the cell ends 1e-6 before t
     ])
-    def test_negbin_law(self, alpha, d, ratio, branch):
-        c = d * ratio
-        assert (max(alpha, 1.0) * c <= WALK_MAX) == (branch == "walk")
-        k = _pushed_count(RngStream(70).generator(), alpha, d, ratio, N)
-        law = stats.nbinom(alpha, 1.0 / (1.0 + c))
-        # chi-square against scipy's pmf, consecutive counts merged until
-        # each bin expects at least 5 draws
-        edges, acc = [], 0.0
-        for j, e in enumerate(law.pmf(np.arange(int(law.isf(5.0 / N)) + 1)) * N):
-            acc += e
-            if acc >= 5.0:
-                edges.append(j)
-                acc = 0.0
-        if law.sf(edges[-1]) * N < 5.0:
-            edges.pop()
-        observed = np.bincount(np.searchsorted(edges, k), minlength=len(edges) + 1)
-        expected = np.diff(np.concatenate(([0.0], law.cdf(edges), [1.0]))) * N
-        assert len(edges) >= 3
-        assert stats.chisquare(observed, expected).pvalue > ALPHA
-
-    def test_scalar_draws_follow_the_batch(self):
-        # one uniform per draw: scalar draws read the stream as a batch does
-        g = RngStream(71).generator()
-        scalars = [_pushed_count(g, 0.6, 0.12, 1.0) for _ in range(500)]
-        batch = _pushed_count(RngStream(71).generator(), 0.6, 0.12, 1.0, 500)
-        assert scalars == batch.tolist()
-
-    def test_unreachable_uniform_is_not_clamped(self):
-        # the walked CDF of NegBin(2.5, 1/4) stops growing below the largest
-        # uniform numpy can return; such a uniform takes a mixture draw,
-        # never the last table entry
-        alpha, d, ratio, top = 2.5, 1.5, 2.0, 1.0 - 2.0 ** -53
-        cdf = _negbin_cdf(alpha, d * ratio, top)
-        assert cdf[-1] <= top
-
-        class Uniforms:
-            def __init__(self, u):
-                self.u, self.g = np.asarray(u), RngStream(72).generator()
-
-            def random(self, size=None):
-                return self.u if size is not None else float(self.u[0])
-
-            def __getattr__(self, name):
-                return getattr(self.g, name)
-
-        u = [0.5, top, 0.1, top]
-        got = _pushed_count(Uniforms(u), alpha, d, ratio, 4)
-        ref = RngStream(72).generator()
-        mix = ref.poisson(ref.gamma(alpha, d, 4) * ratio)
-        walk = np.searchsorted(cdf, u, side="right")
-        assert np.array_equal(got, [walk[0], mix[1], walk[2], mix[3]])
-        ref = RngStream(72).generator()
-        assert _pushed_count(Uniforms([top]), alpha, d, ratio) \
-            == ref.poisson(ref.gamma(alpha, d) * ratio)
+    def test_cell_law(self, alpha, r0, r1, t, c):
+        # a = 0 past r1: I_{r0,t} is this one pushed cell
+        co = cj.CoefficientSet(a=cj.piecewise_constant([r1], [0.5 * alpha, 0.0]),
+                               a_tilde=cj.constant(0.0), beta=cj.constant(1.0),
+                               sigma=cj.constant(1.0), t_max=2.0)
+        sampler = cj.TransitionSampler(co)
+        assert sampler.i_grid(r0, t).tolist() == [r0, r1, t]
+        bd = sampler.kernels.bd
+        (_, d01), (b1, d1), (_, d0) = bd(r0, r1), bd(r1, t), bd(r0, t)
+        assert d01 * b1 / d1 == pytest.approx(c, rel=0.1)
+        c = d01 * b1 / d1
+        lam = _grid()
+        stats = mc_statistics(lambda g, m: sampler.sample_i(g, r0, t, size=m),
+                              N, lam, seed=70)
+        cmp = cj.LaplaceComparison.from_stats(
+            stats, ((1.0 + lam * d0) / (1.0 + lam * d1)) ** -alpha, lam)
+        assert cmp.passed
+        assert moment_check_from_sums(stats, alpha * c * d1,
+                                      alpha * (d0 ** 2 - d1 ** 2)).passed
+        assert abs(zero_fraction_z(stats["zeros"], N, (1.0 + c) ** -alpha)) <= 4.0
 
     @pytest.mark.parametrize("t", [0.6 + 1e-6, 1.2])
     def test_sample_i_transform_both_branches(self, pc_coeffs, t):
-        # t just past the knot 0.6 makes the cell [0.2, 0.6] a mixture
-        # (mean about 2e5); t = 1.2 walks both pushed cells
+        # t just past the knot 0.6 makes the cell [0.2, 0.6] end 1e-6 before
+        # t (c about 2e5); t = 1.2 pushes two cells with c of 0.12 and 0.048
         s = 0.2
         sampler = get_sampler(pc_coeffs)
         analytic, _ = get_kernels(pc_coeffs).laplace_I(s, t, _grid())
@@ -316,51 +284,40 @@ def _dense_gamma_counts(g, k, scale):
     return x
 
 
-def _dense_pushed_count(g, alpha, d, ratio, m):
-    """Every uniform searched on the walked CDF, the lost ones replaced by
-    one dense mixture draw."""
-    c = d * ratio
-    if max(alpha, 1.0) * c > WALK_MAX:
-        return g.poisson(_dense_gamma(g, alpha, d, m) * ratio)
-    u = g.random(m)
-    cdf = _negbin_cdf(alpha, c, u.max(initial=0.0))
-    k = np.searchsorted(cdf, u, side="right")
-    lost = k == len(cdf)
-    if lost.any():
-        k = np.where(lost, g.poisson(_dense_gamma(g, alpha, d, m) * ratio), k)
-    return k
-
-
 def _dense_i(sampler, g, s, t, m):
-    acc = np.zeros(m)
-    for alpha, d_cell, ratio, dt in sampler._step(s, t).cells:
-        if ratio is None:
-            acc += _dense_gamma(g, alpha, d_cell, m)
-        else:
-            acc += _dense_gamma_counts(
-                g, _dense_pushed_count(g, alpha, d_cell, ratio, m), dt)
-    return acc
-
-
-class _TopEvery(np.random.Generator):
-    """A generator whose every 97th uniform of a batch is the largest double
-    below 1, which the walked CDF of jump_model's second cell does not
-    reach."""
-
-    def __init__(self, seed):
-        super().__init__(RngStream(seed).generator().bit_generator)
-
-    def random(self, size=None):
-        u = super().random(size)
-        if size is not None:
-            u[::97] = 1.0 - 2.0 ** -53
-        return u
+    """A batch of ``sample_i`` written out with plain numpy calls from the
+    kernels: the last cell's Gamma, then one Poisson total of the pushed
+    cells' points, each with a draw label, a position on the rate axis
+    (which picks its cell) and a standard exponential."""
+    bd, grid = sampler.kernels.bd, sampler.i_grid(s, t)
+    x, starts, alphas, scales, rate = np.zeros(m), [], [], [], 0.0
+    for r0, r1 in zip(grid[:-1], grid[1:]):
+        alpha = sampler.coeffs.alpha(0.5 * (r0 + r1))
+        if alpha <= 0.0:
+            continue
+        if r1 == t:
+            x += _dense_gamma(g, alpha, bd(r0, t)[1], m)
+            continue
+        starts.append(rate)
+        alphas.append(alpha)
+        scales.append(bd(r0, t)[1])
+        rate += alpha * math.log1p(bd(r0, r1)[1] * (bd(r1, t)[0] / bd(r1, t)[1]))
+    tot = g.poisson(rate * m) if rate > 0.0 else 0
+    if tot:
+        idx = g.integers(0, m, tot)
+        pos = g.random(tot) * rate
+        cell = (pos[:, None] >= np.array(starts)).sum(axis=1) - 1
+        v = np.array(scales)[cell] * np.exp(
+            -(pos - np.array(starts)[cell]) / np.array(alphas)[cell])
+        x += np.bincount(idx, weights=v * g.standard_exponential(tot),
+                         minlength=m)
+    return x
 
 
 class TestSparseBits:
-    """Batches draw and add only at nonzero counts; each must give the bits
-    of the dense construction, written out above with plain numpy calls,
-    and leave the stream where it leaves it."""
+    """Batches draw and add only where there is something to draw; each
+    must give the bits of the construction written out above with plain
+    numpy calls, and leave the stream where it leaves it."""
 
     @staticmethod
     def _same(got, want, g, ref):
@@ -371,19 +328,11 @@ class TestSparseBits:
     @pytest.mark.parametrize("t", [1.2, 0.6 + 1e-6])
     @pytest.mark.parametrize("m", [0, 1, 5000])
     def test_sample_i(self, pc_coeffs, t, m):
-        # t = 1.2 walks both pushed cells; 0.6 + 1e-6 makes the first a mixture
+        # t = 1.2 pushes two cells; at 0.6 + 1e-6 the first ends 1e-6 before t
         sampler = get_sampler(pc_coeffs)
         g, ref = RngStream(90).generator(), RngStream(90).generator()
         self._same(sampler.sample_i(g, 0.2, t, size=m),
                    _dense_i(sampler, ref, 0.2, t, m), g, ref)
-
-    def test_sample_i_unreachable_uniforms(self, pc_coeffs):
-        sampler = get_sampler(pc_coeffs)
-        alpha, d, ratio, _ = sampler._step(0.2, 1.2).cells[1]
-        assert _negbin_cdf(alpha, d * ratio, 1.0)[-1] <= 1.0 - 2.0 ** -53
-        g, ref = _TopEvery(91), _TopEvery(91)
-        self._same(sampler.sample_i(g, 0.2, 1.2, size=5000),
-                   _dense_i(sampler, ref, 0.2, 1.2, 5000), g, ref)
 
     @pytest.mark.parametrize("k", [
         np.zeros(300, np.int64),                       # all counts 0
@@ -694,6 +643,23 @@ class TestStepRecord:
                     misses.append(comp.draw(sampler, ref, s, t, cfg.y, None))
                 assert hits == misses
                 assert [type(x) for x in hits] == [type(x) for x in misses]
+
+    def test_unresolved_d_is_refused(self):
+        # one ulp below t = 1.0 the primitive table gives D = 0: the record,
+        # which divides by D(s, t) and by D(r1, t) of a pushed cell, refuses
+        # the step on every call instead of dividing by zero
+        r1 = math.nextafter(1.0, 0.0)
+        co = cj.CoefficientSet(a=cj.piecewise_constant([r1], [0.3, 0.8]),
+                               a_tilde=cj.constant(0.0), beta=cj.constant(1.0),
+                               sigma=cj.constant(1.0), t_max=2.0)
+        sampler = cj.TransitionSampler(co)
+        assert sampler.i_grid(0.5, 1.0).tolist() == [0.5, r1, 1.0]
+        assert sampler.kernels.bd(r1, 1.0)[1] == 0.0 < sampler.kernels.bd(0.5, 1.0)[1]
+        g = RngStream(82).generator()
+        for s in (r1, 0.5):     # D(s, t) = 0, then D(r1, t) = 0 of a pushed cell
+            for _ in range(2):
+                with pytest.raises(DegenerateInterval, match="not positive"):
+                    sampler.sample_k(g, s, 1.0, 0.5, size=4)
 
     @pytest.mark.parametrize("model", ["heavy", "two_atoms"])
     def test_scalar_itilde_is_size_one(self, pc_coeffs, two_atoms, model):

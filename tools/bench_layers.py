@@ -12,6 +12,13 @@ component's closed form on the configuration's lambda grid: a change that
 is faster but draws the wrong law shows in the same row. Only the sampler
 calls are timed, not the transform sums.
 
+One more row set, ``jump_model_sine_a``, times ``sample_i`` and
+``sample_k`` on ``jump_model`` with the clipped-sine input rate ``SINE_A``:
+a non-piecewise-constant ``alpha``, so I is drawn on the 64-cell grid of
+``n_cells``. Its law converges only as the grid refines, so its max |z|
+records that known I-grid bias and its ``transform_passed`` is null: no
+bound applies.
+
 The file also records the environment: core count, Python, numpy and
 PyYAML versions, the git revision, whether the tree differs from it, and
 a digest of ``src/cirjump``, which names the code measured when the file
@@ -22,6 +29,7 @@ checkout; the tool imports ``cirjump`` from the checkout's ``src``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -47,6 +55,8 @@ CONFIGS = os.path.join(ROOT, "demos", "configs")
 LAYERS = {"sample_h": "H", "sample_i": "I", "sample_itilde": "Itilde",
           "sample_k": "K"}
 SEED = 20201019
+# the clipped-sine input rate of the jump_model_sine_a row set
+SINE_A = cj.clipped_sine(0.4, 0.5, 3.0)
 
 
 def _git(*args):
@@ -74,9 +84,10 @@ def environment():
             "src_sha256": digest.hexdigest()}
 
 
-def layer_row(cfg, layer, draws, repeats, seed):
+def layer_row(cfg, layer, draws, repeats, seed, bounded=True):
     """Seconds per 10^6 draws (best of ``repeats``) and the transform's
-    max |z| of one sampler method on one configuration."""
+    max |z| of one sampler method on one configuration; its pass flag is
+    None where the law is not ``bounded``."""
     comp = cj.COMPONENTS[LAYERS[layer]]
     sampler, kernels = _engines(cfg.coeffs, cfg.nu, cfg.n_cells, cfg.delta)
     grid = np.asarray(cfg.lambda_grid, dtype=float)
@@ -98,22 +109,34 @@ def layer_row(cfg, layer, draws, repeats, seed):
         stats, comp.laplace(kernels, s, t, y, grid)[0], grid, seed=seed)
     return {"layer": layer, "s_per_1e6_draws": best * 1e6 / draws,
             "transform_max_abs_z": float(cmp.max_abs_z),
-            "transform_passed": bool(cmp.passed)}
+            "transform_passed": bool(cmp.passed) if bounded else None}
+
+
+def row_sets():
+    """(name, configuration, layers, bounded) of every row set: each demo
+    config with every layer it can draw, then jump_model_sine_a."""
+    sets = []
+    for name in sorted(os.listdir(CONFIGS)):
+        if not name.endswith(".yaml"):
+            continue
+        cfg = cj.load_config(os.path.join(CONFIGS, name))
+        # no jump input: no ITilde to draw, no transform
+        layers = [l for l in LAYERS if l != "sample_itilde" or cfg.nu is not None]
+        sets.append((name[:-len(".yaml")], cfg, layers, True))
+    jump = cj.load_config(os.path.join(CONFIGS, "jump_model.yaml"))
+    sine = dataclasses.replace(jump, coeffs=dataclasses.replace(jump.coeffs,
+                                                                a=SINE_A))
+    sets.append(("jump_model_sine_a", sine, ["sample_i", "sample_k"], False))
+    return sets
 
 
 def bench_layers(draws=10 ** 6, repeats=3, seed=SEED):
     """The content of a ``BENCH_<LABEL>.json`` file."""
     rows = []
-    for name in sorted(os.listdir(CONFIGS)):
-        if not name.endswith(".yaml"):
-            continue
-        cfg = cj.load_config(os.path.join(CONFIGS, name))
-        for layer in LAYERS:
-            if layer == "sample_itilde" and cfg.nu is None:
-                continue    # no jump input: nothing to draw, no transform
-            row = {"config": name[:-len(".yaml")], "s": cfg.s, "t": cfg.t,
-                   "y": cfg.y}
-            row.update(layer_row(cfg, layer, draws, repeats, seed))
+    for name, cfg, layers, bounded in row_sets():
+        for layer in layers:
+            row = {"config": name, "s": cfg.s, "t": cfg.t, "y": cfg.y}
+            row.update(layer_row(cfg, layer, draws, repeats, seed, bounded))
             rows.append(row)
     return {"environment": environment(), "draws": draws, "repeats": repeats,
             "seed": seed, "rows": rows}
