@@ -342,7 +342,8 @@ class TransitionSampler:
         the module docstring). One draw (``size`` None) is a batch of one
         that returns a float."""
         g = _as_generator(rng)
-        m = 1 if size is None else int(size)
+        size = None if size is None else int(size)
+        m = 1 if size is None else size
         step = self._step(s, t)
         if step.last is not None:
             x = _gamma(g, *step.last, size)
