@@ -33,13 +33,11 @@ from .jumps import atoms
 from .kernels import get_kernels
 from .numerics import RngStream
 from .paths import branching_path, euler_path, exact_skeleton
-from .samplers import COMPONENTS, DEFAULT_CELLS, get_component, get_sampler
+from .samplers import (COMPONENTS, DEFAULT_CELLS, POISSON_MEAN_MAX,
+                       get_component, get_sampler)
 from .suites import SUITES, run_suite
 
 SCHEMA_VERSION = 1
-# largest Poisson mean numpy's generator accepts
-POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
-                         - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def _fmt(x) -> str:

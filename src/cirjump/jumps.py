@@ -198,9 +198,12 @@ class JumpMeasure:
 
 
 class MarkSampler:
-    """Draws jump sizes from a normalized restriction of a measure."""
+    """The normalized restriction of a measure to (delta, infinity) that
+    jump sizes come from: its ``mass``, and either its ``atoms`` (sizes,
+    weights), which a sampler draws by count, or ``sample``."""
 
     mass: float
+    atoms: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -208,16 +211,9 @@ class MarkSampler:
 
 class _DiscreteMarks(MarkSampler):
     def __init__(self, sizes, weights):
-        self._sizes = np.asarray(sizes, dtype=float)
-        w = np.asarray(weights, dtype=float)
-        self.mass = float(w.sum())
-        self._cum = np.cumsum(w) / self.mass if self.mass > 0 else None
-
-    def sample(self, rng, size):
-        if self._cum is None:
-            raise ValueError("empty restriction has no marks to draw")
-        idx = np.searchsorted(self._cum, rng.random(size), side="right")
-        return self._sizes[np.minimum(idx, self._sizes.size - 1)]
+        self.atoms = (np.asarray(sizes, dtype=float),
+                      np.asarray(weights, dtype=float))
+        self.mass = float(self.atoms[1].sum())
 
 
 class _TableMarks(MarkSampler):

@@ -102,7 +102,8 @@ def _euler(g, sampler, grid, x0, size=None):
     path (``size`` None) or (grid.size, size), and the times and sizes of
     the driving-measure points, each added at the end of its grid step.
     The stream gives the points, then at each step one normal per path."""
-    rows, times, sizes = sampler.prm_points_batch(g, grid[0], grid[-1], size)
+    rows, times, sizes = sampler.prm_points_batch(g, grid[0], grid[-1],
+                                                  size)[:3]
     if size is None:    # one path deposits, and returns, its points in time order
         order = times.argsort()
         times, sizes = times[order], sizes[order]

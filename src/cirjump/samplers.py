@@ -22,31 +22,40 @@ with c_j = D(r_{j-1},r_j) B(r_j,t)/D(r_j,t), each of value
 D(r_{j-1},t) exp(-L_j U) E, U uniform and E standard exponential. Its
 transform ((1 + lam D(r_{j-1},t)) / (1 + lam D(r_j,t)))^-alpha_j is the
 exact transform of I over the cell, and its mean count grows only as
-log c_j, also for a cell ending just before t. A batch of m draws takes
-one Poisson(m R) total of points, R = sum_j alpha_j L_j, and gives each a
-uniform draw label in [0, m) and a uniform position on [0, R), where the
-cells lie end to end: the position picks cell j with probability
-alpha_j L_j / R, and its distance past the cell's start, over alpha_j, is
-L_j U. By Poisson splitting (as for ITilde below) the points of each cell
-and draw are then independent Poisson(alpha_j L_j) with i.i.d. U, the law
-of separate draws. The values are added per draw with ``bincount``; one
-draw is a batch of one. When ``a`` and ``sigma`` are piecewise constant
-the cells are s, their knots inside (s, t), and t, and the draw is exact;
+log c_j, also for a cell ending just before t. The pushed cells are
+entries of rate alpha_j L_j, laid out as ITilde's below, and one draw is a
+batch of one. When ``a`` and ``sigma`` are piecewise constant the cells
+are s, their knots inside (s, t), and t, and the draw is exact;
 ``n_cells`` refines a non-piecewise-constant ``alpha``, whose law
 converges weakly as the grid refines.
 
 ``ITilde`` -- the jump-input component. Realize the driving Poisson random
-measure on (s, t] x (delta, inf) (times by thinning with rate
-a~(v) nu((delta, inf)), marks i.i.d. from the normalized restriction of nu)
-and propagate every point (T_i, Y_i) to t through H. Truncation at delta is
-only needed for infinite-activity measures; the discarded sqrt-mass
-diagnostic controls the bias. A batch of m draws realizes the m measures as
-one: a Poisson(m mean) total of proposals, each labelled with its draw by a
-uniform integer in [0, m). By Poisson splitting the m counts are then
-independent Poisson(mean), the law of m separate realizations. One draw
-(``size`` None) has few points, so it pushes them through H with scalar
-calls, made in the order of the batch's array calls: it reads the stream
-as a size-1 batch does and returns the same bits.
+measure on [s, t) x (delta, inf) and propagate every point (T_i, Y_i) to t
+through H. Truncation at delta is only needed for infinite-activity
+measures; the discarded sqrt-mass diagnostic controls the bias. On each
+piece [lo, hi] of [s, t] between the knots of a~, beta and sigma the
+measure is one homogeneous Poisson process per atom (y_k, w_k) of the mark
+law, of rate a~ w_k (for a density, one process with i.i.d. marks from the
+normalized restriction): the entries of the step's jump table. A point at
+distance Delta = (hi - lo)(1 - U) in (0, hi - lo] from hi gets the
+piece's closed forms
+
+    B(T,t) = B(hi,t) exp(-beta Delta)
+    D(T,t) = D(hi,t) + B(hi,t) sigma^2/(2 beta) (1 - exp(-beta Delta)),
+
+sigma^2/2 Delta in place of the fraction where beta = 0, which subtract
+no primitives and are positive. A batch of m draws of any entries is one
+Poisson(m R) total of points, R the summed entry rates, split over the
+entries by one multinomial and laid out entry by entry, each point with a
+uniform draw label in [0, m) and a uniform U: by Poisson splitting the
+counts of each entry and draw are independent Poisson, the law of m
+separate draws, and no point needs a table search. Three inputs fall back:
+an a~ that is not piecewise constant is thinned against each piece's max,
+a tabulated primitive table gives B and D by ``bd_vec``, and a density's
+marks come from its mark table. One draw (``size`` None) has
+few points, so it pushes them through H with scalar calls, made in the
+order of the batch's array calls: it reads the stream as a size-1 batch
+does and returns the same bits.
 
 All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
@@ -57,13 +66,14 @@ one above it; scalar draws call ``g.gamma`` as is.
 
 Every law parameter of a step depends on (s, t) alone: B/D and D of H, the
 pushed I cells' alpha_j L_j, L_j and D(r_{j-1}, t), the last cell's alpha
-and D, and the thinning rate max a~ on [s, t]. A sampler keeps them in one
-step record per (s, t), for the ``STEP_CACHE`` most recently used
-intervals, so the draws of a path or a batch on one grid compute them
-once; only y and the stream change from draw to draw. A record is built
-with the calls, in the order of operations, that the draws would make
-without it, and its entries are floats and read-only float arrays, so a
-hit and a miss give the same bits.
+and D, and the jump table. A sampler keeps them in two records per (s, t),
+the step record and the jump table, for the ``STEP_CACHE`` most recently
+used intervals, so the draws of a path or a batch on one grid compute them
+once; only y and the stream change from draw to draw. The jump table needs
+no D(s, t), so the driving measure is drawn also on an interval too short
+for H. A record is built with the calls, in the order of operations, that
+the draws would make without it, and its entries are floats and read-only
+float arrays, so a hit and a miss give the same bits.
 
 ``COMPONENTS`` is the one table of the four laws K, H, I and ITilde: for
 each, its transform on a ``TransitionKernels`` and its draws on a
@@ -82,7 +92,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import DegenerateInterval, InvalidDelta
-from .jumps import JumpMeasure, delta_for_budget
+from .jumps import JumpMeasure, MarkSampler, delta_for_budget
 from .kernels import get_kernels
 from .numerics import _as_generator
 
@@ -94,14 +104,18 @@ __all__ = [
     "get_component",
     "get_sampler",
     "DELTA_BUDGET",
+    "POISSON_MEAN_MAX",
 ]
 
 DELTA_BUDGET = 4.0 ** -8   # default sqrt-tail budget for the truncation level
 DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
 STEP_CACHE = 4096          # (s, t) step records a sampler keeps (LRU)
 MAX_POINTS = 2 ** 26       # expected driving-measure points of one batch call
-# (draw_index, times, sizes) of every batch without points: read-only views
-_NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int, float, float))
+# largest Poisson mean numpy's generator accepts
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
+                         - 10.0 * np.sqrt(np.iinfo(np.int64).max))
+# (draw_index, times, sizes, B, D) of every batch without points: read-only
+_NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int,) + (float,) * 4)
 
 
 def _gamma_counts(g, k, scale):
@@ -135,23 +149,76 @@ def _gamma(g, alpha, scale, size=None):
     return x
 
 
-class _Step(NamedTuple):
-    """What a step (s, t) draws with, whatever y and the stream are.
+class _Entries(NamedTuple):
+    """Homogeneous Poisson processes that ``_lay_out`` draws together, one
+    per entry: ``rate`` is the mean count of points per draw over all
+    entries, ``p`` each entry's share of it, and ``cols`` the entries'
+    constants, one row per quantity and one column per entry."""
 
-    The pushed I cells [r0, r1] (r1 < t, alpha > 0) lie end to end, in
-    grid order, on a rate axis [0, ``rate``): cell j takes alpha_j L_j of
-    it from ``starts[j]``, and has ``alphas[j]`` and ``scales[j]`` =
-    D(r0, t). ``last`` is (alpha, D(r0, t)) of the cell that ends at t,
-    None where its alpha is 0."""
+    rate: float
+    p: np.ndarray
+    cols: np.ndarray
+
+
+def _entries(rates, rows) -> _Entries:
+    """The entries of positive rate among ``rates`` (mean counts per draw),
+    with their columns of ``rows``, read-only."""
+    rates = np.asarray(rates, dtype=float).ravel()
+    keep = rates > 0.0
+    rate = float(rates[keep].sum())
+    p = rates[keep] / rate
+    cols = np.array(rows, dtype=float)[:, keep]
+    for a in (p, cols):
+        a.flags.writeable = False
+    return _Entries(rate, p, cols)
+
+
+def _lay_out(g, entries, m):
+    """The points of ``m`` draws of ``entries``: one Poisson(m rate) total,
+    split over the entries by one multinomial and laid out entry by entry,
+    each with a uniform draw label in [0, m) and a uniform U on [0, 1). By
+    Poisson splitting the counts of each entry and draw are independent
+    Poisson(rate p_e), the law of separate draws. Returns the entry
+    constants repeated per point (the rows of ``cols``), the labels and U,
+    or None without points; a rate of 0 reads no stream."""
+    if not entries.rate:
+        return None
+    tot = g.poisson(entries.rate * m)
+    if not tot:
+        return None
+    cols = np.repeat(entries.cols, g.multinomial(tot, entries.p), axis=1)
+    # integers(0, 1, tot) reads no stream, so one draw skips the call
+    idx = g.integers(0, m, tot) if m > 1 else np.zeros(tot, int)
+    return cols, idx, g.random(tot)
+
+
+class _Step(NamedTuple):
+    """What a step (s, t) draws H and I with, whatever y and the stream are.
+
+    ``cells`` are the pushed I cells [r0, r1] (r1 < t, alpha > 0), entry
+    rate alpha L, with rows L = log1p(c) and D(r0, t). ``last`` is (alpha,
+    D(r0, t)) of the cell that ends at t, None where its alpha is 0."""
 
     gamma: float          # B/D of (s, t): H's Poisson rate per unit of mass
     d: float              # D(s, t): the scale of H's Gamma
-    rate: float           # mean count of pushed I points per draw
-    starts: np.ndarray
-    alphas: np.ndarray
-    scales: np.ndarray
+    cells: _Entries
     last: Optional[tuple]
-    amax: float           # max of a~ on [s, t], the thinning rate (0 without nu)
+
+
+class _Jumps(NamedTuple):
+    """The jump table of a step (s, t): one entry per piece [lo, hi] of
+    [s, t] between the knots of a~, beta and sigma and per atom (y, w) of
+    the mark law (one per piece for a density, w its mass), of rate a~ w
+    (hi - lo). Its rows are hi - lo, hi, beta, B(hi, t) sigma^2/(2 beta)
+    (sigma^2/2 where beta = 0), B(hi, t), D(hi, t), the piece's max of a~
+    where a~ is not piecewise constant, and y."""
+
+    entries: _Entries
+    marks: Optional[MarkSampler]   # a density's mark table; None for atoms
+    flat: bool                     # some piece has beta = 0
+
+
+_NO_JUMPS = _Jumps(_entries([], [[]]), None, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,13 +248,14 @@ class TransitionSampler:
     included); with piecewise-constant ``a`` and ``sigma`` the I-grid is one
     exact cell per constant-``alpha`` piece.
 
-    ``_step(s, t)`` is the step record the draws read: B/D and D of H, the
-    I cells and max a~, computed on the first draw on (s, t) and kept for
-    the ``STEP_CACHE`` most recently used intervals. It holds exactly the
+    ``_step(s, t)`` is the step record H and I read (B/D and D of H, the
+    I cells) and ``_jumps(s, t)`` the jump table of the driving measure,
+    each computed on the first draw on (s, t) and kept for the
+    ``STEP_CACHE`` most recently used intervals. They hold exactly the
     floats the draws would compute, so cached draws keep their bits. An
-    invalid interval, or one too short for the primitive table to give a
-    positive D(s, t) or D(r1, t) of a pushed I cell, raises
-    ``DegenerateInterval`` on every call (errors are not cached).
+    invalid interval raises ``DegenerateInterval`` on every call (errors
+    are not cached), and so does a step record where the primitive table
+    gives no positive D(s, t) or D(r1, t) of a pushed I cell.
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -215,6 +283,7 @@ class TransitionSampler:
         self._marks = None
         self._marks_lock = threading.Lock()
         self._step = lru_cache(maxsize=STEP_CACHE)(self._step_record)
+        self._jumps = lru_cache(maxsize=STEP_CACHE)(self._jump_record)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -240,7 +309,7 @@ class TransitionSampler:
     def _step_record(self, s, t) -> _Step:
         """The record ``_step`` memoizes (see the class docstring)."""
         B, D = self._bd_positive(s, t)
-        pushed, rate, last = [], 0.0, None
+        rates, log_c, scales, last = [], [], [], None
         if self.coeffs.a.max_on(s, t) > 0.0:
             grid = self.i_grid(s, t)
             alphas = self.coeffs.alpha(0.5 * (grid[:-1] + grid[1:])).tolist()
@@ -251,16 +320,45 @@ class TransitionSampler:
                 if r1 < t:
                     _, d_cell = self.kernels.bd(r0, r1)
                     bt, dt = self._bd_positive(r1, t)
-                    pushed.append((rate, alpha, d0))
-                    rate += alpha * math.log1p(d_cell * (bt / dt))
+                    log_c.append(math.log1p(d_cell * (bt / dt)))
+                    rates.append(alpha * log_c[-1])
+                    scales.append(d0)
                 else:
                     last = (alpha, d0)
-        cols = [np.array(col, dtype=float) for col in zip(*pushed)] \
-            or [np.empty(0)] * 3
-        for col in cols:
-            col.flags.writeable = False
-        amax = 0.0 if self.nu is None else self.coeffs.a_tilde.max_on(s, t)
-        return _Step(B / D, D, rate, *cols, last, amax)
+        return _Step(B / D, D, _entries(rates, [log_c, scales]), last)
+
+    def _jump_record(self, s, t) -> _Jumps:
+        """The record ``_jumps`` memoizes (see the class docstring)."""
+        self.kernels._check(s, t)
+        co = self.coeffs
+        if self.nu is None or co.a_tilde.max_on(s, t) == 0.0:
+            return _NO_JUMPS
+        marks = self._mark_sampler()
+        if marks.mass == 0.0:
+            return _NO_JUMPS
+        edges = np.concatenate((
+            [s], co.breakpoints(s, t, which=("a_tilde", "beta", "sigma")), [t]))
+        lo, hi = edges[:-1], edges[1:]
+        length = hi - lo
+        # hi - length must not round below lo: a jump at hi - length U' with
+        # U' in (0, 1] then lies in [lo, hi]
+        length = np.where(hi - length < lo, np.nextafter(length, 0.0), length)
+        mids = 0.5 * (lo + hi)
+        beta = np.asarray(co.beta(mids), dtype=float)
+        half_s2 = 0.5 * np.square(np.asarray(co.sigma(mids), dtype=float))
+        b_hi, d_hi = self.kernels.bd(hi[:-1], t)
+        b_hi, d_hi = np.append(b_hi, 1.0), np.append(d_hi, 0.0)
+        flat = beta == 0.0
+        bc = b_hi * half_s2 / np.where(flat, 1.0, beta)
+        thin = not co.a_tilde.is_piecewise_constant
+        a_tilde = np.array([co.a_tilde.max_on(a, b) for a, b in zip(lo, hi)]) \
+            if thin else np.asarray(co.a_tilde(mids), dtype=float)
+        sizes, weights = marks.atoms or ([math.nan], [marks.mass])
+        rows = [np.repeat(r, len(sizes)) for r in
+                [length, hi, beta, bc, b_hi, d_hi] + [a_tilde] * thin]
+        rows.append(np.tile(sizes, lo.size))
+        return _Jumps(_entries(np.outer(a_tilde * length, weights), rows),
+                      None if marks.atoms else marks, bool(flat.any()))
 
     def i_grid(self, s, t):
         """Cells ``sample_i`` draws on: the knots of the input and volatility
@@ -279,34 +377,49 @@ class TransitionSampler:
 
     def prm_points_batch(self, rng, s, t, size):
         """Flattened driving-measure realizations for ``size`` independent
-        draws: (draw_index, times, sizes) with times thinned against the
-        jump-time intensity and sizes from the truncated mark law. ``size``
-        None is one draw whose count is a scalar Poisson, which reads the
-        stream as ``size=1`` does. Raises :class:`InvalidDelta` before any
-        draw when more than ``MAX_POINTS`` points are expected."""
+        draws: (draw_index, times, sizes, B, D), with B(T, t) and D(T, t)
+        of every point (T, Y). The points come entry by entry from the
+        step's jump table (module docstring). ``size`` None is one draw,
+        which reads the stream as ``size=1`` does. Raises
+        :class:`InvalidDelta` before any draw when more than ``MAX_POINTS``
+        points are expected."""
         g = _as_generator(rng)
-        amax = self._step(s, t).amax
-        if amax == 0.0:
-            return _NO_POINTS
-        marks = self._mark_sampler()
-        if marks.mass == 0.0:
-            return _NO_POINTS
-        mean = amax * marks.mass * (t - s)
-        if mean * (1 if size is None else size) > MAX_POINTS:
+        jumps, m = self._jumps(s, t), 1 if size is None else size
+        mean = jumps.entries.rate
+        if mean * m > MAX_POINTS:
             raise InvalidDelta(
                 f"truncation level delta={self.delta:g} gives {mean:.3g} "
                 f"expected jumps per draw, over {MAX_POINTS} points per call")
-        m = 1 if size is None else size
-        tot = g.poisson(mean * m)
-        if not tot:
+        laid = _lay_out(g, jumps.entries, m)
+        if laid is None:
             return _NO_POINTS
-        # integers(0, 1, tot) reads no stream, so one draw skips the call
-        idx = np.zeros(tot, int) if m == 1 else g.integers(0, m, tot)
-        props = s + (t - s) * g.random(tot)
-        keep = g.random(tot) * amax < self.coeffs.a_tilde(props)
-        times = props[keep]
-        sizes = marks.sample(g, times.size)
-        return idx[keep], times, sizes
+        (length, hi, beta, bc, b_hi, d_hi, *amax, sizes), idx, u = laid
+        # distance to the piece's right end, in (0, length]
+        gap = np.subtract(1.0, u, out=u)
+        gap *= length
+        times = hi - gap
+        # hi - gap may round to t
+        np.minimum(times, math.nextafter(t, -math.inf), out=times)
+        if amax:
+            keep = g.random(times.size) * amax[0] < self.coeffs.a_tilde(times)
+            idx, times, sizes, gap, beta, bc, b_hi, d_hi = (
+                a[keep] for a in (idx, times, sizes, gap, beta, bc, b_hi, d_hi))
+        if jumps.marks is not None:
+            sizes = jumps.marks.sample(g, times.size)
+        if not self.kernels.table.exact:
+            return (idx, times, sizes, *self.kernels.bd_vec(times, t))
+        # the piece's closed forms from its right end: no cancellation
+        w = np.multiply(beta, gap)
+        np.negative(w, out=w)
+        b = np.exp(w)
+        b *= b_hi
+        grow = np.expm1(w, out=w)
+        np.negative(grow, out=grow)
+        if jumps.flat:
+            grow = np.where(beta == 0.0, gap, grow)
+        grow *= bc
+        grow += d_hi
+        return idx, times, sizes, b, grow
 
     @staticmethod
     def _starts(y, size):
@@ -336,11 +449,9 @@ class TransitionSampler:
         ``i_grid``: the last cell's Gamma(alpha, scale D(r0, t)), plus the
         points of the cells [r0, r1] that end before t, Poisson(alpha L)
         a cell with L = log1p(c), each of value D(r0, t) exp(-L U) E. The
-        points of all cells and draws are one Poisson total; each gets a
-        uniform draw label and a uniform position on the step's rate axis,
-        which picks its cell and, past the cell's start, is alpha L U (see
-        the module docstring). One draw (``size`` None) is a batch of one
-        that returns a float."""
+        points of all cells and draws are laid out cell by cell from one
+        Poisson total (module docstring). One draw (``size`` None) is a
+        batch of one that returns a float."""
         g = _as_generator(rng)
         size = None if size is None else int(size)
         m = 1 if size is None else size
@@ -349,41 +460,41 @@ class TransitionSampler:
             x = _gamma(g, *step.last, size)
         else:
             x = 0.0 if size is None else np.zeros(m)
-        tot = g.poisson(step.rate * m) if step.rate > 0.0 else 0
-        if tot:
-            # integers(0, 1, tot) reads no stream, so one draw skips the call
-            idx = g.integers(0, m, tot) if m > 1 else np.zeros(tot, int)
-            pos = g.random(tot)
-            pos *= step.rate
-            j = np.searchsorted(step.starts, pos, side="right") - 1
-            pos -= step.starts[j]
-            pos /= -step.alphas[j]
-            v = np.exp(pos, out=pos)
-            v *= step.scales[j]
-            v *= g.standard_exponential(tot)
+        laid = _lay_out(g, step.cells, m)
+        if laid is not None:
+            (log_c, scales), idx, u = laid
+            u *= log_c
+            np.negative(u, out=u)
+            v = np.exp(u, out=u)
+            v *= scales
+            v *= g.standard_exponential(v.size)
             v = np.bincount(idx, weights=v, minlength=m)
             x = x + (v if size is not None else float(v[0]))
         return x
 
     def sample_itilde(self, rng, s, t, size=None):
-        """Draw from the jump-input component ITilde_{s,t} (at truncation delta)."""
+        """Draw from the jump-input component ITilde_{s,t} (at truncation
+        delta): every point of the driving measure pushed to t through H."""
         g = _as_generator(rng)
         m = None if size is None else int(size)
-        idx, times, sizes = self.prm_points_batch(g, s, t, m)
-        if not times.size:
+        idx, _, sizes, bv, dv = self.prm_points_batch(g, s, t, m)
+        if not dv.size:
             return 0.0 if m is None else np.zeros(m)
-        bv, dv = self.kernels.bd_vec(times, t)
+        with np.errstate(divide="ignore"):   # D = 0 is refused below
+            lam = sizes * bv / dv
+        if not lam.max() <= POISSON_MEAN_MAX:
+            raise DegenerateInterval(
+                f"D(T, {float(t)!r}) of a jump at T is too small for its H "
+                f"count: mean {lam.max():.3g} over {POISSON_MEAN_MAX:.3g}")
         if m is None:
             # the array calls' order: every count, then every Gamma, added
             # from 0.0 in point order as bincount adds (sum() may compensate)
-            dv = dv.tolist()
-            counts = [g.poisson(y * b / d)
-                      for y, b, d in zip(sizes.tolist(), bv.tolist(), dv)]
+            counts = [g.poisson(mu) for mu in lam.tolist()]
             x = 0.0
-            for k, d in zip(counts, dv):
+            for k, d in zip(counts, dv.tolist()):
                 x += _gamma_counts(g, k, d)
             return x
-        x = _gamma_counts(g, g.poisson(sizes * bv / dv), dv)
+        x = _gamma_counts(g, g.poisson(lam), dv)
         # bincount adds in draw order; x.sum() would add pairwise
         return np.bincount(idx, weights=x, minlength=m)
 
@@ -403,9 +514,9 @@ class TransitionSampler:
         return h
 
     def sample_prm(self, rng, s, t) -> PrmRealization:
-        """One realization of the driving measure on (s, t] x (delta, inf)."""
+        """One realization of the driving measure on [s, t) x (delta, inf)."""
         g = _as_generator(rng)
-        _, times, sizes = self.prm_points_batch(g, s, t, None)
+        times, sizes = self.prm_points_batch(g, s, t, None)[1:3]
         order = np.argsort(times)
         return PrmRealization(times[order], sizes[order], self.delta)
 

@@ -298,26 +298,32 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # digests were re-recorded when pushed I cells became compound-Poisson
 # points (Poisson(alpha log1p(c)) a cell, each D(r0,t) exp(-L U) E) in place
 # of a NegBin count and a Gamma: the same law, a new stream. The other
-# configs draw I as one last cell and keep their bits.
+# configs draw I as one last cell and keep their bits. The jump_model and
+# infinite_activity euler, exact_skeleton and branching digests were
+# re-recorded when the driving measure came from the step's jump table
+# (points laid out piece by piece and atom by atom from one Poisson total
+# and one multinomial, B and D from the piece's closed forms) in place of
+# thinned proposals with searched marks: the same law, a new stream.
+# classical_cir has no jump measure and keeps its bits.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
         "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
     ("infinite_activity", "exact_skeleton"):
-        "7364e60f404c376a150decab0b32e90a7f82f4ca6f0605cbec66ad4235d2741b",
+        "51a5500813b2321506932004a06b6dfecff0bb016902b98da4462dc5a19ba256",
     ("jump_model", "exact_skeleton"):
-        "29b9ef52b5bffca5c03cd5028a5f2c3a91ebd5222c27883a47d7ca4570447d6b",
+        "3ccc569ed41c45e9ac0b1a0d61905a60d66bb7ce1611ecd4e8e9d5bdcc139889",
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
         "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
     ("infinite_activity", "euler"):
-        "e41adb251f006ea51161267e1b54e52a546a4cce9f8c5c3ddbdd28824e9dae32",
+        "5f800c5d2b658c660a2548b8beb44db2a4671a489429681bb6239b60375d307a",
     ("infinite_activity", "branching"):
-        "a862b0718ff6358bf6a0286081f334b8f73aa4f9750c6c3623e246a5809c9ff7",
+        "155e16e28fd91e99cd48802628771282bf475c3e1678e41155334fe3139cb514",
     ("jump_model", "euler"):
-        "3c07ab2827c455aed307288f5b738976983558220b470c73a2e751df01742c3e",
+        "e7ad41bc116a93eecd692c6008675078bf1c23d959dbf0c90a0ce0db6fb9df38",
     ("jump_model", "branching"):
-        "3dc6068087dcb589c1d03830333cf29297cb264554cf044c5c06716cbb574c49",
+        "29c37fb0dce60a65ffb8063fb32147668e13fc725f140ec17fba2be81a2acc6a",
 }
 
 
@@ -353,6 +359,12 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # The jump_model sample I and K digests were re-recorded when pushed I cells
 # became compound-Poisson points in place of a NegBin count and a Gamma: the
 # same law, a new stream. H, Itilde and the last I cell keep their bits.
+# The jump_model and infinite_activity sample Itilde and K digests, and the
+# jump_model sample I digest, were re-recorded when the driving measure and
+# the pushed I cells were laid out entry by entry from one Poisson total and
+# one multinomial, in place of a table search per point: the same laws, new
+# streams. Every H digest, every transform and infinite_activity's I (one
+# last cell) keep their bits.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
@@ -381,9 +393,9 @@ CLI_DIGESTS = {
     ("infinite_activity", "sample", "I"):
         "c0f47b07bf633ef63f940b230ef5cb2cc70184282f0d474fb2a959daf035fa50",
     ("infinite_activity", "sample", "Itilde"):
-        "552b5a36b956a6480c070eb9b9ce71fd5baac8fd632a00049a22f5d78fc46cb5",
+        "62ab5f81bf5b5ebfb6bb40611e574d47c755549478ab7ae1e851d00e096f6329",
     ("infinite_activity", "sample", "K"):
-        "f5c77260a6d6882c42feecdd05aaf8a5329a112706a3d45379ec1dee23b2a813",
+        "0a02ab1969972bcf0556602facad7fac270d923c8fdb3f5b71a076ff811c597a",
     ("jump_model", "laplace", "H"):
         "cc5a72addaee507eec15ce73b7a5c4cadd1c1bcda3b606bc06b1d38c6b02bda1",
     ("jump_model", "laplace", "I"):
@@ -395,11 +407,11 @@ CLI_DIGESTS = {
     ("jump_model", "sample", "H"):
         "b4bc4efd24ec5741e24c1c21bfe447ea1d4afa08b38be6a2b8a8d1b0f8233444",
     ("jump_model", "sample", "I"):
-        "0b5fdd0930490da07d85de26d8459e360a8543fbcc1e1b2a78c0471cfbf10f2b",
+        "a3d51e76541c1ef14d1cae4c37582c4cfc4b2f3454d2e81473de0820c6fb0dda",
     ("jump_model", "sample", "Itilde"):
-        "1599ddaab8194e6bfee631849008bac9b3c43b78d379e58b3ffe32d1eb5e65d4",
+        "3ada33c93f78bee9ce40eb4a0039e4780becb75adbb5018fe251375834eaef81",
     ("jump_model", "sample", "K"):
-        "0d1314fff8b2a47a04d166b611f004e92cc82e06fb17ad8da62633918572d1e4",
+        "7c0c22c945ca9949292446d3320d82dfbe8164b207c85029db465a3d8d30f918",
 }
 
 
@@ -429,7 +441,12 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
 # exp(-int beta) and C against a quadrature of sigma^2/2 e^(int_0^v beta).
 # The jump_model chapman-kolmogorov, sampler-I and transition-K reports were
 # re-recorded when pushed I cells became compound-Poisson points in place of
-# a NegBin count and a Gamma: the same law, a new stream.
+# a NegBin count and a Gamma: the same law, a new stream. The jump_model
+# and infinite_activity chapman-kolmogorov, euler-convergence,
+# sampler-Itilde and transition-K reports, and the jump_model sampler-I
+# report, were re-recorded when the driving measure and the pushed I cells
+# were laid out entry by entry from one Poisson total and one multinomial:
+# the same laws, new streams.
 SUITE_DIGESTS = {
     ("classical_cir", "chapman-kolmogorov"):
         "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
@@ -446,9 +463,9 @@ SUITE_DIGESTS = {
     ("classical_cir", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
     ("infinite_activity", "chapman-kolmogorov"):
-        "f27fe57eaaec26082098dd5b61e7ce36a49258c96a98ebdc96666e3c31e78835",
+        "568e0ec53463f7425976974c59541c25dcd9e5b67d076f7598fcc2ddcb7a5c3c",
     ("infinite_activity", "euler-convergence"):
-        "6379bcc9ef2cdd574e9502894417516ba088ca1a70ef6f6acd99880001265847",
+        "f57fd720527187d730f039911b608bb0df718a8fc1d47df5489da7b1188b4efe",
     ("infinite_activity", "kernels"):
         "2e49dac3ea45076ee0ad0c3c1fd6069e77a5ddc28964e30061ebee26e00bead1",
     ("infinite_activity", "sampler-H"):
@@ -456,25 +473,25 @@ SUITE_DIGESTS = {
     ("infinite_activity", "sampler-I"):
         "0fa9f6b8cf2118512c6c48fc9704e3949cf513e967a074146bd74ba17bcc1fa5",
     ("infinite_activity", "sampler-Itilde"):
-        "24e37677ca973baa985cf0a03d43330f5a3b7fa93f04ec7f53a310c94e32f3ea",
+        "3581ca20b0876057fc94921d60f8450f6c3efbd56cf070d52207e3d6fe34424f",
     ("infinite_activity", "transition-K"):
-        "f5e2e2149a9c194d23fdb9aa4a4f98e3954f58b13de1df9cefe88e02382f574c",
+        "14e7525510396e8fd4b27d6f289da3c1af3c3689a55694a034af00103b4b7e5d",
     ("infinite_activity", "truncation"):
         "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
     ("jump_model", "chapman-kolmogorov"):
-        "999ee9a5d6ae7e7e7355742d47678442461bf2350f4726c7d4c379fe1774cff4",
+        "3ad4058d4c97ae591a80060503cc1bb2d4d431789c6d5a2f6be688b4351f7ea2",
     ("jump_model", "euler-convergence"):
-        "f902db0d2596758b149e1a793914baab4bf8066ce94dab011fa1069928868198",
+        "0c9ad9dcf39758ee5c5fa5e8b2eb07e580ad4921be8c08021b639b9e8017a8c4",
     ("jump_model", "kernels"):
         "85703a42365bf7383c798babd0172a0cd5cc82e56a04ee2919ac8d89439ad931",
     ("jump_model", "sampler-H"):
         "0c89363e95a630db258495953782bdf6d39bd41827a477b6152a3aa245ad50f8",
     ("jump_model", "sampler-I"):
-        "c590593245bec51a784f99afc1ed0d8ed827b3be8e3520df343884845ee3d9d7",
+        "ceb6afaba0d0c30ac1c6cca2045d288423dd89201d1b26e2b20b09ac8fe1ea28",
     ("jump_model", "sampler-Itilde"):
-        "81233b7aeca77c71c8ebcfc898757adf06a9bd6bf3953173c6e522d60e63de02",
+        "456ba7d1e0c22a984d8df335cf311232b93ca78ef8a862899812808b4c290750",
     ("jump_model", "transition-K"):
-        "53479f14e42f449f4b07829e3c9332e418b2b7c39a9ea7f8ee543b761a81f88b",
+        "d33cb660e062d1392983c2db187454451fcebd46c49c7e48a48533605721a1de",
     ("jump_model", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
 }
@@ -587,6 +604,27 @@ class TestUsageErrors:
         assert err.startswith("error: DegenerateInterval: D(")
         assert "not positive" in err and len(err.splitlines()) == 1
         assert _exit_code(["laplace", path, "--s", s, "--t", t]) == 0
+
+    @pytest.mark.parametrize("config,s,t", [
+        ("classical_cir", "0.9999999999999999", "1.0"),
+        ("jump_model", "1.9999999999999998", "2.0"),
+    ])
+    def test_one_ulp_interval_euler(self, capsys, tmp_path, config, s, t):
+        # the Euler scheme draws only the driving measure, whose jump table
+        # needs no D(s, t): it runs where the exact schemes refuse the step
+        path = os.path.join(DEMO_CONFIGS, config + ".yaml")
+        argv = ["simulate", path, "--s", s, "--t", t, "--outdir"]
+        assert _exit_code(argv + [str(tmp_path / "euler"),
+                                  "--scheme", "euler"]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "euler" / "path_0000.csv").read_text().splitlines()
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [float(s), float(t)]
+        for scheme in ("exact_skeleton", "branching"):
+            assert _exit_code(argv + [str(tmp_path / scheme),
+                                      "--scheme", scheme]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: DegenerateInterval: D(")
+            assert len(err.splitlines()) == 1
 
     def test_zero_workers(self, cfg):
         assert _exit_code(["verify", cfg, "--suite", "kernels",

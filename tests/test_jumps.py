@@ -209,9 +209,14 @@ class TestTruncation:
 
 class TestMarkSampling:
     def test_atom_frequencies(self, two_atoms):
-        ms = two_atoms.mark_sampler(0.0)
+        # a sampler draws atoms by count, one jump-table entry per atom
+        co = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(1.0),
+                               beta=cj.constant(1.0), sigma=cj.constant(1.0),
+                               t_max=2.0)
+        sampler = cj.TransitionSampler(co, two_atoms)
         g = RngStream(21).generator()
-        x = ms.sample(g, 200_000)
+        x = sampler.prm_points_batch(g, 0.0, 1.0, 125_000)[2]
+        assert x.size > 190_000
         frac = np.mean(x == 0.7)
         p = 1.2 / 1.6
         se = math.sqrt(p * (1 - p) / x.size)
@@ -220,8 +225,7 @@ class TestMarkSampling:
 
     def test_atoms_respect_delta(self, two_atoms):
         ms = two_atoms.mark_sampler(1.0)
-        g = RngStream(22).generator()
-        assert np.all(ms.sample(g, 1000) == 1.8)
+        assert [a.tolist() for a in ms.atoms] == [[1.8], [0.4]]
         assert ms.mass == pytest.approx(0.4)
 
     def test_exponential_marks_are_exponential(self, exp_density):
@@ -369,7 +373,10 @@ class TestIncompleteGammaOracles:
 # code0.7 and tempered0.95 digests were re-recorded when ``delta_for_budget``
 # on a summable measure without the square-root condition began raising
 # RestrictiveConditionViolated in place of NonIntegrable; every value kept
-# its bits.
+# its bits. The twelve atoms digests were re-recorded when an atoms
+# restriction stopped drawing marks by a table search (the sampler draws
+# atoms by count): they pin the restriction's sizes and weights in place of
+# 4096 draws from them. Every density digest kept its bits.
 JUMP_MEASURES = {
     **{name: (lambda spec=spec: named_measure(spec)) for name, spec in NAMED.items()},
     "code0.4": lambda: tempered_power(0.4),
@@ -391,9 +398,16 @@ def _jump_values(nu):
     yield lambda: nu.one_minus_exp_integral(np.array([0.0, 0.3, 2.0, 50.0, 1e6]))
     for delta in (1e-6, 0.05, 1.0):
         yield lambda: nu.mark_sampler(delta).mass
-        yield lambda: nu.mark_sampler(delta).sample(RngStream(7, 0).generator(), 4096)
+        yield lambda: _marks(nu.mark_sampler(delta))
     for budget in (4.0 ** -3, 4.0 ** -8):
         yield lambda: delta_for_budget(nu, budget)
+
+
+def _marks(ms):
+    """The atoms of a discrete restriction, or 4096 draws of a mark table."""
+    if ms.atoms is not None:
+        return np.concatenate(ms.atoms)
+    return ms.sample(RngStream(7, 0).generator(), 4096)
 
 
 def _jump_digest(nu):
@@ -480,29 +494,29 @@ JUMP_DIGESTS = {
     ('code0.7', 1.0):
         "40fc47af1de5aab35667f6485beb003c24aa883c3159b27ffccadd55b0de57a6",
     ('atoms-jump_model', None):
-        "080691986c18f37136d4726b5dd8a4233e60797b813631018ca06d826328ac83",
+        "e451ecb77f370ba297bb4194ffae63fa989662521de4ece2d99cffa6cd8c6ad4",
     ('atoms-jump_model', 1e-06):
-        "080691986c18f37136d4726b5dd8a4233e60797b813631018ca06d826328ac83",
+        "e451ecb77f370ba297bb4194ffae63fa989662521de4ece2d99cffa6cd8c6ad4",
     ('atoms-jump_model', 0.05):
-        "080691986c18f37136d4726b5dd8a4233e60797b813631018ca06d826328ac83",
+        "e451ecb77f370ba297bb4194ffae63fa989662521de4ece2d99cffa6cd8c6ad4",
     ('atoms-jump_model', 1.0):
-        "78b56cfbc4828580238e688a7a19beb9e7a98d65fcccc3af29ec5f99975e7cce",
+        "6bb2e4ff40d59fe43760ea25da2aac33d58d3f54b9f9c02f564f3505134f5734",
     ('atoms-one', None):
-        "5af16c829319bb875c54db7b67001873a62466997fe0e43e86d5e3b642594b0d",
+        "6f80097deb7b0b92fc761d25cc36875ed9dc763a96e3c9f2739b51303cc79a91",
     ('atoms-one', 1e-06):
-        "5af16c829319bb875c54db7b67001873a62466997fe0e43e86d5e3b642594b0d",
+        "6f80097deb7b0b92fc761d25cc36875ed9dc763a96e3c9f2739b51303cc79a91",
     ('atoms-one', 0.05):
-        "5af16c829319bb875c54db7b67001873a62466997fe0e43e86d5e3b642594b0d",
+        "6f80097deb7b0b92fc761d25cc36875ed9dc763a96e3c9f2739b51303cc79a91",
     ('atoms-one', 1.0):
-        "34aed899576ed18b40e722f05e130611238065d9579f3cbde18867f0c20b7cc2",
+        "f86e62ee49bd3fb4282fb287951148598c30d0a0d82a09ea2713d1f1bb08722b",
     ('atoms-spread', None):
-        "e153bd06184d9a45a2619385c8448eead32d8eadfbcd2626ae78f109c39bdb45",
+        "3eb84e0551726eb914c2ce2f7b31b2ead65ae6865080365589a7e998a5d2b607",
     ('atoms-spread', 1e-06):
-        "1cf25243e84da9fd336513b4561d812a06b802c2f57dbb335c43233bc09815e9",
+        "25c46a38a6f9f50c0438e39ebe81d0299c58823819e5713331d82b0bba4636d6",
     ('atoms-spread', 0.05):
-        "1cf25243e84da9fd336513b4561d812a06b802c2f57dbb335c43233bc09815e9",
+        "25c46a38a6f9f50c0438e39ebe81d0299c58823819e5713331d82b0bba4636d6",
     ('atoms-spread', 1.0):
-        "ce727ee7b7cc6165cc6841e681f9b56cdd19c0b225ca3e377dddc20d1fe3f81e",
+        "f9e9ecf37f394d4848bbda47de04d67becc1e6ea42a8fcab4778b0bdbad02d19",
 }
 
 

@@ -152,18 +152,18 @@ def _jump_sampler(a_tilde, t_max):
 
 
 def _jump_counts(sampler, g, s, t, reps):
-    idx, _, _ = sampler.prm_points_batch(g, s, t, reps)
+    idx = sampler.prm_points_batch(g, s, t, reps)[0]
     return np.bincount(idx, minlength=reps).astype(float)
 
 
 class TestInhomogeneousTimes:
-    """Jump times by thinning, as ``TransitionSampler.prm_points_batch``
-    draws them."""
+    """Jump times as ``TransitionSampler.prm_points_batch`` draws them:
+    piece by piece, thinned where a~ is not piecewise constant."""
 
     def test_zero_rate_empty(self):
         g = RngStream(9).generator()
         sampler = _jump_sampler(cj.constant(0.0), 5.0)
-        idx, times, sizes = sampler.prm_points_batch(g, 0.0, 5.0, 10)
+        idx, times, sizes = sampler.prm_points_batch(g, 0.0, 5.0, 10)[:3]
         assert idx.size == times.size == sizes.size == 0
 
     def test_constant_rate_counts(self):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import sys
@@ -260,13 +261,9 @@ class TestPushedCount:
         assert all(type(x) is float for x in one) and min(one) == 0.0 < max(one)
         assert one == [ref.gamma(ref.poisson(y * (B / D)), D) for _ in range(50)]
 
-        g = RngStream(77).generator()
-        idx, times, sizes = sampler.prm_points_batch(g, s, t, m)
-        bv, dv = sampler.kernels.bd_vec(times, t)
-        want = np.bincount(idx, weights=g.gamma(g.poisson(sizes * bv / dv), dv),
-                           minlength=m)
         got = sampler.sample_itilde(RngStream(77).generator(), s, t, size=m)
-        assert times.size > 0 and np.array_equal(got, want)
+        want = _dense_itilde(sampler, RngStream(77).generator(), s, t, m)
+        assert (got > 0.0).any() and np.array_equal(got, want)
 
 
 def _dense_gamma(g, alpha, scale, m):
@@ -287,10 +284,10 @@ def _dense_gamma_counts(g, k, scale):
 def _dense_i(sampler, g, s, t, m):
     """A batch of ``sample_i`` written out with plain numpy calls from the
     kernels: the last cell's Gamma, then one Poisson total of the pushed
-    cells' points, each with a draw label, a position on the rate axis
-    (which picks its cell) and a standard exponential."""
+    cells' points, split over the cells by a multinomial, each point with a
+    draw label, a U and a standard exponential."""
     bd, grid = sampler.kernels.bd, sampler.i_grid(s, t)
-    x, starts, alphas, scales, rate = np.zeros(m), [], [], [], 0.0
+    x, rates, log_c, scales = np.zeros(m), [], [], []
     for r0, r1 in zip(grid[:-1], grid[1:]):
         alpha = sampler.coeffs.alpha(0.5 * (r0 + r1))
         if alpha <= 0.0:
@@ -298,20 +295,39 @@ def _dense_i(sampler, g, s, t, m):
         if r1 == t:
             x += _dense_gamma(g, alpha, bd(r0, t)[1], m)
             continue
-        starts.append(rate)
-        alphas.append(alpha)
+        log_c.append(math.log1p(bd(r0, r1)[1] * (bd(r1, t)[0] / bd(r1, t)[1])))
+        rates.append(alpha * log_c[-1])
         scales.append(bd(r0, t)[1])
-        rate += alpha * math.log1p(bd(r0, r1)[1] * (bd(r1, t)[0] / bd(r1, t)[1]))
+    rate = float(np.sum(rates))
     tot = g.poisson(rate * m) if rate > 0.0 else 0
     if tot:
+        cell = np.repeat(np.arange(len(rates)),
+                         g.multinomial(tot, np.array(rates) / rate))
         idx = g.integers(0, m, tot)
-        pos = g.random(tot) * rate
-        cell = (pos[:, None] >= np.array(starts)).sum(axis=1) - 1
-        v = np.array(scales)[cell] * np.exp(
-            -(pos - np.array(starts)[cell]) / np.array(alphas)[cell])
+        v = np.array(scales)[cell] * np.exp(-(g.random(tot) * np.array(log_c)[cell]))
         x += np.bincount(idx, weights=v * g.standard_exponential(tot),
                          minlength=m)
     return x
+
+
+def _dense_itilde(sampler, g, s, t, m):
+    """A batch of ``sample_itilde`` written out with plain numpy calls from
+    the documented rows of the step's jump table (exact primitives, a
+    piecewise-constant a~, atoms): one Poisson total of points, split over
+    the entries by a multinomial, a draw label and a U per point, B and D
+    from the piece's closed forms at the distance gap to its right end, and
+    each point's H count and Gamma."""
+    rate, p, (length, _, beta, bc, b_hi, d_hi, size) = sampler._jumps(s, t).entries
+    tot = g.poisson(rate * m)
+    if not tot:
+        return np.zeros(m)
+    e = np.repeat(np.arange(p.size), g.multinomial(tot, p))
+    idx = g.integers(0, m, tot)
+    gap = length[e] * (1.0 - g.random(tot))
+    B = b_hi[e] * np.exp(-beta[e] * gap)
+    D = d_hi[e] + bc[e] * -np.expm1(-beta[e] * gap)
+    return np.bincount(idx, minlength=m, weights=_dense_gamma_counts(
+        g, g.poisson(size[e] * B / D), D))
 
 
 class TestSparseBits:
@@ -333,6 +349,14 @@ class TestSparseBits:
         g, ref = RngStream(90).generator(), RngStream(90).generator()
         self._same(sampler.sample_i(g, 0.2, t, size=m),
                    _dense_i(sampler, ref, 0.2, t, m), g, ref)
+
+    @pytest.mark.parametrize("t", [1.2, 0.6 + 1e-6])
+    @pytest.mark.parametrize("m", [0, 1, 5000])
+    def test_sample_itilde(self, pc_coeffs, two_atoms, t, m):
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        g, ref = RngStream(91).generator(), RngStream(91).generator()
+        self._same(sampler.sample_itilde(g, 0.2, t, size=m),
+                   _dense_itilde(sampler, ref, 0.2, t, m), g, ref)
 
     @pytest.mark.parametrize("k", [
         np.zeros(300, np.int64),                       # all counts 0
@@ -357,11 +381,8 @@ class TestSparseBits:
         got = sampler.sample_k(g, s, t, y, size=m)
         h = ref.gamma(ref.poisson(y * (B / D), m), D)
         i = _dense_i(sampler, ref, s, t, m)
-        idx, times, sizes = sampler.prm_points_batch(ref, s, t, m)
-        bv, dv = sampler.kernels.bd_vec(times, t)
-        it = np.bincount(idx, weights=ref.gamma(ref.poisson(sizes * bv / dv), dv),
-                         minlength=m)
-        assert times.size > 0
+        it = _dense_itilde(sampler, ref, s, t, m)
+        assert (it > 0.0).any()
         self._same(got, h + i + it, g, ref)
 
     def test_sample_k_any_shape_of_y(self, pc_coeffs, two_atoms):
@@ -487,6 +508,97 @@ class TestSampleItilde:
         assert cmp.passed
 
 
+def _fallback(name, pc_coeffs, two_atoms, exp_density):
+    """(coefficients, jump measure) on which the jump table takes each of
+    its branches: the closed forms, thinning against a clipped-sine a~ (its
+    clipping adds knots), a tabulated primitive table, and the marks of a
+    density."""
+    co, nu = pc_coeffs, two_atoms
+    if name == "sine_a_tilde":
+        co = dataclasses.replace(co, a_tilde=cj.clipped_sine(0.1, 0.5, 3.0))
+    elif name == "tabulated":
+        co = dataclasses.replace(co, beta=cj.clipped_sine(0.3, 0.6, 2.0, 0.5),
+                                 sigma=cj.clipped_sine(1.2, 0.3, 2.0))
+    elif name == "density":
+        nu = exp_density
+    return co, nu
+
+
+class _Edges(np.random.Generator):
+    """A generator whose uniforms are 0 and 1 - 2^-53 in turn."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return 0.0 if size is None else np.resize([0.0, 1.0 - 2.0 ** -53], size)
+
+
+FALLBACKS = ["closed_form", "sine_a_tilde", "tabulated", "density"]
+
+
+class TestJumpTable:
+    """The driving measure drawn entry by entry from the step's jump table,
+    on each of its branches."""
+
+    @pytest.mark.parametrize("name", FALLBACKS[1:])
+    def test_fallback_law(self, name, pc_coeffs, two_atoms, exp_density):
+        co, nu = _fallback(name, pc_coeffs, two_atoms, exp_density)
+        sampler = cj.TransitionSampler(co, nu)
+        s, t = 0.2, 1.6
+        analytic, _ = get_kernels(co, nu).laplace_Itilde(s, t, _grid())
+        cmp = transform_comparison(
+            lambda g, m: sampler.sample_itilde(g, s, t, size=m),
+            analytic, _grid(), 2 ** 18, seed=86, label=f"Itilde-{name}")
+        assert cmp.passed
+
+    @pytest.mark.parametrize("name", FALLBACKS)
+    def test_extreme_uniforms(self, name, pc_coeffs, two_atoms, exp_density):
+        # U = 0 puts a jump at its piece's left end; U = 1 - 2^-53 puts it
+        # within an ulp of the right end, which for the last piece rounds to
+        # t unless it is held below t. Two steps are refused, by one error
+        # line: bd_vec forms D(T, t) as a difference of primitives, which is
+        # 0 an ulp below t (the short-step D of ROADMAP item 5); and a
+        # density's top mark (U = 1 - 2^-53 again) 6e-18 before t has an H
+        # count of mean 1.1e19, past what numpy draws
+        refused = {("tabulated", 1.2), ("density", 0.4)}
+        co, nu = _fallback(name, pc_coeffs, two_atoms, exp_density)
+        sampler = cj.TransitionSampler(co, nu)
+        for s, t in ((0.2, 1.2), (0.0, 2.0), (0.35, 0.4)):
+            idx, times, sizes, b, d = sampler.prm_points_batch(
+                _Edges(np.random.PCG64(87)), s, t, 2000)
+            assert times.size > 20
+            assert times.min() >= s and times.max() < t
+            assert np.isfinite(sizes).all() and (sizes > 0.0).all()
+            assert np.isfinite(b).all() and (b > 0.0).all()
+            assert np.isfinite(d).all() and (d >= 0.0).all()
+            draw = lambda: sampler.sample_itilde(_Edges(np.random.PCG64(87)),
+                                                 s, t, size=2000)
+            if (name, t) in refused:
+                with pytest.raises(DegenerateInterval, match="too small"):
+                    draw()
+                continue
+            assert (d > 0.0).all()
+            x = draw()
+            assert np.isfinite(x).all() and (x > 0.0).any()
+
+    @pytest.mark.parametrize("beta", [(0.5, 2.0, 1.0), (0.5, 0.0, 1.0)],
+                             ids=["positive", "flat"])
+    def test_closed_forms_match_the_kernels(self, pc_coeffs, two_atoms, beta):
+        # B(T, t) and D(T, t) of every drawn point, from its piece's right
+        # end, against kernels.bd at T, which subtracts the primitives: away
+        # from t, where that difference keeps its digits, they agree to
+        # 1e-12. The flat case has beta = 0 on [0.4, 1.1)
+        co = dataclasses.replace(
+            pc_coeffs, beta=cj.piecewise_constant([0.4, 1.1], list(beta)))
+        sampler = cj.TransitionSampler(co, two_atoms)
+        s, t = 0.2, 1.2
+        _, times, _, b, d = sampler.prm_points_batch(
+            RngStream(88).generator(), s, t, 20_000)
+        far = times < t - 0.01
+        assert far.mean() > 0.95
+        want_b, want_d = sampler.kernels.bd(times[far], t)
+        assert np.allclose(b[far], want_b, rtol=1e-12, atol=0.0)
+        assert np.allclose(d[far], want_d, rtol=1e-12, atol=0.0)
+
+
 class TestSampleK:
     def test_reduces_to_H(self, two_atoms):
         c = cj.CoefficientSet(a=cj.constant(0.0), a_tilde=cj.constant(0.0),
@@ -521,7 +633,7 @@ class TestPrmAndGates:
         # the points per draw of a batch are i.i.d. Poisson(mass * int a~)
         s, t = 0.2, 1.2
         sampler = get_sampler(pc_coeffs, two_atoms)
-        idx, _, _ = sampler.prm_points_batch(RngStream(81).generator(), s, t, N)
+        idx = sampler.prm_points_batch(RngStream(81).generator(), s, t, N)[0]
         k = np.bincount(idx, minlength=N)
         assert k.size == N
         law = stats.poisson(two_atoms.mass_above(0.0)
@@ -565,7 +677,7 @@ class TestPrmAndGates:
         g = RngStream(63).generator()
         first = sampler.prm_points_batch(g, 0.2, 1.2, 8)
         assert first is sampler.prm_points_batch(g, 0.2, 1.2, None)
-        assert [a.size for a in first] == [0, 0, 0]
+        assert [a.size for a in first] == [0] * 5
         assert not any(a.flags.writeable for a in first)
 
     def test_restrictive_gate_blocks_sampling(self, pc_coeffs, rho07):
@@ -632,6 +744,7 @@ class TestStepRecord:
                                      s, t, cfg.y, n)
 
                 sampler._step.cache_clear()
+                sampler._jumps.cache_clear()
                 miss = draw(80, 1000)
                 assert np.array_equal(draw(80, 1000), miss)
                 g, ref = RngStream(81).generator(), RngStream(81).generator()
@@ -640,6 +753,7 @@ class TestStepRecord:
                 misses = []
                 for _ in range(40):
                     sampler._step.cache_clear()
+                    sampler._jumps.cache_clear()
                     misses.append(comp.draw(sampler, ref, s, t, cfg.y, None))
                 assert hits == misses
                 assert [type(x) for x in hits] == [type(x) for x in misses]

@@ -6,8 +6,10 @@ For every configuration under ``demos/configs`` and each of ``sample_h``,
 ``sample_i``, ``sample_itilde`` (given a jump measure) and ``sample_k`` it
 draws 10^6 values at the configuration's (s, t, y), in chunks on
 substreams (``SEED``, j) as ``verify`` draws them, three times in this one
-process. A row gives the best of the three sampler times as seconds per
-10^6 draws, and the max |z| of the draws' empirical transform against the
+process. A row gives every repeat's sampler time as seconds per 10^6
+draws, their best and their median (two runs of unchanged code can differ
+by tens of percent, so compare the repeats, not one number), and the max
+|z| of the draws' empirical transform against the
 component's closed form on the configuration's lambda grid: a change that
 is faster but draws the wrong law shows in the same row. Only the sampler
 calls are timed, not the transform sums.
@@ -35,6 +37,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 from time import perf_counter
@@ -85,9 +88,9 @@ def environment():
 
 
 def layer_row(cfg, layer, draws, repeats, seed, bounded=True):
-    """Seconds per 10^6 draws (best of ``repeats``) and the transform's
-    max |z| of one sampler method on one configuration; its pass flag is
-    None where the law is not ``bounded``."""
+    """Seconds per 10^6 draws of every one of ``repeats`` runs, their best
+    and median, and the transform's max |z| of one sampler method on one
+    configuration; its pass flag is None where the law is not ``bounded``."""
     comp = cj.COMPONENTS[LAYERS[layer]]
     sampler, kernels = _engines(cfg.coeffs, cfg.nu, cfg.n_cells, cfg.delta)
     grid = np.asarray(cfg.lambda_grid, dtype=float)
@@ -100,14 +103,16 @@ def layer_row(cfg, layer, draws, repeats, seed, bounded=True):
         spent.append(perf_counter() - t0)
         return x
 
-    best = float("inf")
+    times = []
     for _ in range(repeats):    # the same seed: every repeat draws the same values
         spent.clear()
         stats = mc_statistics(draw, draws, grid, seed)
-        best = min(best, sum(spent))
+        times.append(sum(spent) * 1e6 / draws)
     cmp = cj.LaplaceComparison.from_stats(
         stats, comp.laplace(kernels, s, t, y, grid)[0], grid, seed=seed)
-    return {"layer": layer, "s_per_1e6_draws": best * 1e6 / draws,
+    return {"layer": layer, "s_per_1e6_draws": min(times),
+            "s_per_1e6_draws_median": statistics.median(times),
+            "s_per_1e6_draws_repeats": times,
             "transform_max_abs_z": float(cmp.max_abs_z),
             "transform_passed": bool(cmp.passed) if bounded else None}
 
@@ -156,6 +161,7 @@ def main(argv=None):
         fh.write("\n")
     for r in result["rows"]:
         print(f"{r['config']:18s} {r['layer']:14s} {r['s_per_1e6_draws']:8.3f} s/1e6 "
+              f"(median {r['s_per_1e6_draws_median']:.3f}) "
               f"max|z| {r['transform_max_abs_z']:.2f}")
     print(f"wrote {path}")
     return 0
