@@ -173,19 +173,14 @@ def _entries(rates, rows) -> _Entries:
     return _Entries(rate, p, cols)
 
 
-def _lay_out(g, entries, m):
-    """The points of ``m`` draws of ``entries``: one Poisson(m rate) total,
-    split over the entries by one multinomial and laid out entry by entry,
-    each with a uniform draw label in [0, m) and a uniform U on [0, 1). By
-    Poisson splitting the counts of each entry and draw are independent
-    Poisson(rate p_e), the law of separate draws. Returns the entry
-    constants repeated per point (the rows of ``cols``), the labels and U,
-    or None without points; a rate of 0 reads no stream."""
-    if not entries.rate:
-        return None
-    tot = g.poisson(entries.rate * m)
-    if not tot:
-        return None
+def _lay_out(g, entries, tot, m):
+    """The ``tot`` points, a Poisson(m rate) total, of ``m`` draws of
+    ``entries``: split over the entries by one multinomial and laid out
+    entry by entry, each with a uniform draw label in [0, m) and a uniform
+    U on [0, 1). By Poisson splitting the counts of each entry and draw are
+    independent Poisson(rate p_e), the law of separate draws. Returns the
+    entry constants repeated per point (the rows of ``cols``), the labels
+    and U."""
     cols = np.repeat(entries.cols, g.multinomial(tot, entries.p), axis=1)
     # integers(0, 1, tot) reads no stream, so one draw skips the call
     idx = g.integers(0, m, tot) if m > 1 else np.zeros(tot, int)
@@ -209,9 +204,9 @@ class _Jumps(NamedTuple):
     """The jump table of a step (s, t): one entry per piece [lo, hi] of
     [s, t] between the knots of a~, beta and sigma and per atom (y, w) of
     the mark law (one per piece for a density, w its mass), of rate a~ w
-    (hi - lo). Its rows are hi - lo, hi, beta, B(hi, t) sigma^2/(2 beta)
-    (sigma^2/2 where beta = 0), B(hi, t), D(hi, t), the piece's max of a~
-    where a~ is not piecewise constant, and y."""
+    (hi - lo). Its rows are hi - lo, hi, -beta, -B(hi, t) sigma^2/(2 beta)
+    (-B(hi, t) sigma^2/2 where beta = 0), B(hi, t), D(hi, t), the piece's
+    max of a~ where a~ is not piecewise constant, and y."""
 
     entries: _Entries
     marks: Optional[MarkSampler]   # a density's mark table; None for atoms
@@ -349,13 +344,13 @@ class TransitionSampler:
         b_hi, d_hi = self.kernels.bd(hi[:-1], t)
         b_hi, d_hi = np.append(b_hi, 1.0), np.append(d_hi, 0.0)
         flat = beta == 0.0
-        bc = b_hi * half_s2 / np.where(flat, 1.0, beta)
+        nbc = -b_hi * half_s2 / np.where(flat, 1.0, beta)
         thin = not co.a_tilde.is_piecewise_constant
         a_tilde = np.array([co.a_tilde.max_on(a, b) for a, b in zip(lo, hi)]) \
             if thin else np.asarray(co.a_tilde(mids), dtype=float)
         sizes, weights = marks.atoms or ([math.nan], [marks.mass])
         rows = [np.repeat(r, len(sizes)) for r in
-                [length, hi, beta, bc, b_hi, d_hi] + [a_tilde] * thin]
+                [length, hi, -beta, nbc, b_hi, d_hi] + [a_tilde] * thin]
         rows.append(np.tile(sizes, lo.size))
         return _Jumps(_entries(np.outer(a_tilde * length, weights), rows),
                       None if marks.atoms else marks, bool(flat.any()))
@@ -390,36 +385,34 @@ class TransitionSampler:
             raise InvalidDelta(
                 f"truncation level delta={self.delta:g} gives {mean:.3g} "
                 f"expected jumps per draw, over {MAX_POINTS} points per call")
-        laid = _lay_out(g, jumps.entries, m)
-        if laid is None:
+        tot = g.poisson(mean * m) if mean else 0   # a rate of 0 reads no stream
+        if not tot:
             return _NO_POINTS
-        (length, hi, beta, bc, b_hi, d_hi, *amax, sizes), idx, u = laid
-        # distance to the piece's right end, in (0, length]
-        gap = np.subtract(1.0, u, out=u)
+        (length, hi, nbeta, nbc, b_hi, d_hi, *amax, sizes), idx, u = \
+            _lay_out(g, jumps.entries, tot, m)
+        gap = 1.0 - u    # distance to the piece's right end, in (0, length]
         gap *= length
         times = hi - gap
         # hi - gap may round to t
         np.minimum(times, math.nextafter(t, -math.inf), out=times)
         if amax:
             keep = g.random(times.size) * amax[0] < self.coeffs.a_tilde(times)
-            idx, times, sizes, gap, beta, bc, b_hi, d_hi = (
-                a[keep] for a in (idx, times, sizes, gap, beta, bc, b_hi, d_hi))
+            idx, times, sizes, gap, nbeta, nbc, b_hi, d_hi = (
+                a[keep] for a in (idx, times, sizes, gap, nbeta, nbc, b_hi, d_hi))
         if jumps.marks is not None:
             sizes = jumps.marks.sample(g, times.size)
         if not self.kernels.table.exact:
             return (idx, times, sizes, *self.kernels.bd_vec(times, t))
         # the piece's closed forms from its right end: no cancellation
-        w = np.multiply(beta, gap)
-        np.negative(w, out=w)
+        w = nbeta * gap
         b = np.exp(w)
         b *= b_hi
-        grow = np.expm1(w, out=w)
-        np.negative(grow, out=grow)
+        d = np.expm1(w)
         if jumps.flat:
-            grow = np.where(beta == 0.0, gap, grow)
-        grow *= bc
-        grow += d_hi
-        return idx, times, sizes, b, grow
+            d = np.where(nbeta == 0.0, -gap, d)
+        d *= nbc
+        d += d_hi
+        return idx, times, sizes, b, d
 
     @staticmethod
     def _starts(y, size):
@@ -460,9 +453,10 @@ class TransitionSampler:
             x = _gamma(g, *step.last, size)
         else:
             x = 0.0 if size is None else np.zeros(m)
-        laid = _lay_out(g, step.cells, m)
-        if laid is not None:
-            (log_c, scales), idx, u = laid
+        rate = step.cells.rate
+        tot = g.poisson(rate * m) if rate else 0
+        if tot:
+            (log_c, scales), idx, u = _lay_out(g, step.cells, tot, m)
             u *= log_c
             np.negative(u, out=u)
             v = np.exp(u, out=u)

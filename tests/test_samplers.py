@@ -317,15 +317,16 @@ def _dense_itilde(sampler, g, s, t, m):
     the entries by a multinomial, a draw label and a U per point, B and D
     from the piece's closed forms at the distance gap to its right end, and
     each point's H count and Gamma."""
-    rate, p, (length, _, beta, bc, b_hi, d_hi, size) = sampler._jumps(s, t).entries
+    rate, p, (length, _, nbeta, nbc, b_hi, d_hi, size) = \
+        sampler._jumps(s, t).entries
     tot = g.poisson(rate * m)
     if not tot:
         return np.zeros(m)
     e = np.repeat(np.arange(p.size), g.multinomial(tot, p))
     idx = g.integers(0, m, tot)
     gap = length[e] * (1.0 - g.random(tot))
-    B = b_hi[e] * np.exp(-beta[e] * gap)
-    D = d_hi[e] + bc[e] * -np.expm1(-beta[e] * gap)
+    B = b_hi[e] * np.exp(nbeta[e] * gap)
+    D = d_hi[e] + nbc[e] * np.expm1(nbeta[e] * gap)
     return np.bincount(idx, minlength=m, weights=_dense_gamma_counts(
         g, g.poisson(size[e] * B / D), D))
 
