@@ -556,7 +556,7 @@ class TestJumpTable:
         # within an ulp of the right end, which for the last piece rounds to
         # t unless it is held below t. Two steps are refused, by one error
         # line: bd_vec forms D(T, t) as a difference of primitives, which is
-        # 0 an ulp below t (the short-step D of ROADMAP item 5); and a
+        # 0 an ulp below t (a cancellation-free bd would resolve it); and a
         # density's top mark (U = 1 - 2^-53 again) 6e-18 before t has an H
         # count of mean 1.1e19, past what numpy draws
         refused = {("tabulated", 1.2), ("density", 0.4)}
