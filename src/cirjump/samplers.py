@@ -57,6 +57,22 @@ few points, so it pushes them through H with scalar calls, made in the
 order of the batch's array calls: it reads the stream as a size-1 batch
 does and returns the same bits.
 
+``K`` -- the sum of the three, which are independent. One draw and a
+batch of one take H, then I, then ITilde from the stream. A larger batch
+on a step whose jump table has entries first takes two 64-bit words of the
+stream and seeds ITilde's own generator with them (Philox through a
+``SeedSequence``, as ``RngStream`` does), then takes H and then I from the
+stream, and ITilde from its own generator. With two streams, a batch of
+``LANE_MIN`` draws or more draws ITilde on the lane, one extra thread of
+the process made at the first such batch, while the calling thread draws
+H and I; it waits for the lane before it returns or raises. It draws
+ITilde inline instead, with the same bits, where the process may use one
+core only or as many lane-sized batches draw at once as there are cores
+(chunk workers that already fill the cores). The lane is not a chunk
+worker: ``--workers`` and ``CIRJUMP_THREADS`` still count chunk workers
+only. A step without jumps reads no words, and a batch there is H then I
+from the stream.
+
 All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
 output. A batch Gamma with shape alpha < 1 is drawn as
@@ -83,7 +99,10 @@ each, its transform on a ``TransitionKernels`` and its draws on a
 from __future__ import annotations
 
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -91,7 +110,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import DegenerateInterval, InvalidDelta
+from .errors import CirJumpError, DegenerateInterval, InvalidDelta
 from .jumps import JumpMeasure, MarkSampler, delta_for_budget
 from .kernels import get_kernels
 from .numerics import _as_generator
@@ -116,6 +135,57 @@ POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
                          - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 # (draw_index, times, sizes, B, D) of every batch without points: read-only
 _NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int,) + (float,) * 4)
+# batch draws from which ITilde may take the lane: a lane round trip (the
+# submit, the interpreter lock passed back and forth, the result) costs
+# 150-200 us on 2 cores, which ITilde's share of a batch passes at about
+# 4000-6000 draws on the demo configs
+LANE_MIN = 8192
+
+
+class _Lane:
+    """One thread that draws a batch's ITilde beside its H and I. A batch
+    may use it only while fewer lane-sized batches draw than the process
+    has usable cores, so chunk workers that already fill the cores draw
+    ITilde inline and do not queue for the lane. The thread is made at the
+    first batch that uses it, never at import."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.cores = None
+        self.pool = None
+        self.drawing = 0      # batches inside ``slot``
+
+    @contextmanager
+    def slot(self):
+        """The block of one lane-sized batch: yields the executor where the
+        batch may use the lane, else None."""
+        with self.lock:
+            if self.cores is None:
+                self.cores = (len(os.sched_getaffinity(0))
+                              if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1)
+            self.drawing += 1
+            free = self.drawing < self.cores
+            if free and self.pool is None:
+                self.pool = ThreadPoolExecutor(1, "cirjump-itilde")
+        try:
+            yield self.pool if free else None
+        finally:
+            with self.lock:
+                self.drawing -= 1
+
+
+_LANE = _Lane()
+
+
+def _new_lane():
+    """A forked child has none of the parent's threads: it makes its own."""
+    global _LANE
+    _LANE = _Lane()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lane)
 
 
 def _gamma_counts(g, k, scale):
@@ -179,9 +249,13 @@ def _lay_out(g, entries, tot, m):
     entry by entry, each with a uniform draw label in [0, m) and a uniform
     U on [0, 1). By Poisson splitting the counts of each entry and draw are
     independent Poisson(rate p_e), the law of separate draws. Returns the
-    entry constants repeated per point (the rows of ``cols``), the labels
-    and U."""
-    cols = np.repeat(entries.cols, g.multinomial(tot, entries.p), axis=1)
+    entry constants per point (the rows of ``cols``; read-only views that
+    repeat nothing for a one-entry table, whose multinomial would read no
+    stream), the labels and U."""
+    if entries.p.size == 1:
+        cols = np.broadcast_to(entries.cols, (entries.cols.shape[0], tot))
+    else:
+        cols = np.repeat(entries.cols, g.multinomial(tot, entries.p), axis=1)
     # integers(0, 1, tot) reads no stream, so one draw skips the call
     idx = g.integers(0, m, tot) if m > 1 else np.zeros(tot, int)
     return cols, idx, g.random(tot)
@@ -206,7 +280,7 @@ class _Jumps(NamedTuple):
     the mark law (one per piece for a density, w its mass), of rate a~ w
     (hi - lo). Its rows are hi - lo, hi, -beta, -B(hi, t) sigma^2/(2 beta)
     (-B(hi, t) sigma^2/2 where beta = 0), B(hi, t), D(hi, t), the piece's
-    max of a~ where a~ is not piecewise constant, and y."""
+    max of a~ where a~ is not piecewise constant, and y for atoms."""
 
     entries: _Entries
     marks: Optional[MarkSampler]   # a density's mark table; None for atoms
@@ -348,10 +422,11 @@ class TransitionSampler:
         thin = not co.a_tilde.is_piecewise_constant
         a_tilde = np.array([co.a_tilde.max_on(a, b) for a, b in zip(lo, hi)]) \
             if thin else np.asarray(co.a_tilde(mids), dtype=float)
-        sizes, weights = marks.atoms or ([math.nan], [marks.mass])
-        rows = [np.repeat(r, len(sizes)) for r in
+        sizes, weights = marks.atoms or ([], [marks.mass])
+        rows = [np.repeat(r, len(weights)) for r in
                 [length, hi, -beta, nbc, b_hi, d_hi] + [a_tilde] * thin]
-        rows.append(np.tile(sizes, lo.size))
+        if marks.atoms:
+            rows.append(np.tile(sizes, lo.size))
         return _Jumps(_entries(np.outer(a_tilde * length, weights), rows),
                       None if marks.atoms else marks, bool(flat.any()))
 
@@ -388,18 +463,20 @@ class TransitionSampler:
         tot = g.poisson(mean * m) if mean else 0   # a rate of 0 reads no stream
         if not tot:
             return _NO_POINTS
-        (length, hi, nbeta, nbc, b_hi, d_hi, *amax, sizes), idx, u = \
+        (length, hi, nbeta, nbc, b_hi, d_hi, *more), idx, u = \
             _lay_out(g, jumps.entries, tot, m)
+        sizes = more.pop() if jumps.marks is None else None
         gap = 1.0 - u    # distance to the piece's right end, in (0, length]
         gap *= length
         times = hi - gap
         # hi - gap may round to t
         np.minimum(times, math.nextafter(t, -math.inf), out=times)
-        if amax:
-            keep = g.random(times.size) * amax[0] < self.coeffs.a_tilde(times)
-            idx, times, sizes, gap, nbeta, nbc, b_hi, d_hi = (
-                a[keep] for a in (idx, times, sizes, gap, nbeta, nbc, b_hi, d_hi))
-        if jumps.marks is not None:
+        if more:    # thinned against the piece's max of a~
+            keep = g.random(times.size) * more[0] < self.coeffs.a_tilde(times)
+            idx, times, gap, nbeta, nbc, b_hi, d_hi = (
+                a[keep] for a in (idx, times, gap, nbeta, nbc, b_hi, d_hi))
+            sizes = None if sizes is None else sizes[keep]
+        if sizes is None:
             sizes = jumps.marks.sample(g, times.size)
         if not self.kernels.table.exact:
             return (idx, times, sizes, *self.kernels.bd_vec(times, t))
@@ -492,19 +569,52 @@ class TransitionSampler:
         # bincount adds in draw order; x.sum() would add pairwise
         return np.bincount(idx, weights=x, minlength=m)
 
+    def _itilde_stream(self, g, s, t):
+        """The generator a batch draws ITilde from: Philox seeded from two
+        64-bit words of ``g``, or None, reading nothing, where the step's
+        jump table is empty. A table that cannot be built counts as not
+        empty, so ITilde raises its error again, after H's and I's."""
+        try:
+            if not self._jumps(s, t).entries.rate:
+                return None
+        except CirJumpError:
+            pass
+        words = g.integers(0, 2 ** 64, 2, dtype=np.uint64).tolist()
+        ss = np.random.SeedSequence(words)
+        return np.random.Generator(np.random.Philox(ss))
+
     def sample_k(self, rng, s, t, y, size=None):
         """Draw from the one-step transition law K_{s,t}(y, .).
 
-        The three components are drawn independently from the same stream
-        (H, then I, then ITilde) and summed.
+        The three components are independent and summed. One draw (``size``
+        None, a scalar y) and a batch of one take H, then I, then ITilde
+        from the stream. A larger batch takes ITilde's own generator from
+        the stream first (where the step has jumps), then H and I, and draws
+        ITilde from that generator, on the lane from ``LANE_MIN`` draws
+        (module docstring). Errors come in the order H's, I's, ITilde's.
         """
         g = _as_generator(rng)
-        h = self.sample_h(g, s, t, y, size=size)
-        if not isinstance(h, np.ndarray):
-            return h + self.sample_i(g, s, t) + self.sample_itilde(g, s, t)
-        # one I and one ITilde per element of h, in h's order and shape
-        h += self.sample_i(g, s, t, size=h.size).reshape(h.shape)
-        h += self.sample_itilde(g, s, t, size=h.size).reshape(h.shape)
+        if size is None and (isinstance(y, float) or np.ndim(y) == 0):
+            return (self.sample_h(g, s, t, y) + self.sample_i(g, s, t)
+                    + self.sample_itilde(g, s, t))
+        y, size = self._starts(y, size)
+        m = y.size if size is None else size
+        # a batch of one reads the stream as one draw does
+        child = g if m == 1 else self._itilde_stream(g, s, t)
+        slot = (_LANE.slot() if child is not None and m >= LANE_MIN
+                else nullcontext())
+        with slot as pool:
+            job = pool and pool.submit(self.sample_itilde, child, s, t, m)
+            try:
+                # one I and one ITilde per element of h, in h's order and shape
+                h = self.sample_h(g, s, t, y, size=size)
+                h += self.sample_i(g, s, t, size=m).reshape(h.shape)
+            finally:
+                if job is not None:
+                    job.exception()    # waits: no lane work outlives the call
+            if child is not None:
+                it = job.result() if job else self.sample_itilde(child, s, t, m)
+                h += it.reshape(h.shape)
         return h
 
     def sample_prm(self, rng, s, t) -> PrmRealization:

@@ -25,9 +25,11 @@ def test_rows_and_environment(layers):
     assert set(out) == {"environment", "draws", "repeats", "seed", "rows"}
     assert (out["draws"], out["repeats"], out["seed"]) == (10 ** 4, 3, layers.SEED)
     env = out["environment"]
-    assert set(env) == {"cores", "python", "numpy", "pyyaml", "git_revision",
-                        "git_dirty", "src_sha256"}
+    assert set(env) == {"cores", "usable_cores", "python", "numpy", "pyyaml",
+                        "git_revision", "git_dirty", "src_sha256"}
     assert env["cores"] >= 1 and len(env["src_sha256"]) == 64
+    # the sample_k rows depend on it: ITilde takes a second thread at 2 or more
+    assert 1 <= env["usable_cores"] <= env["cores"]
     got = {(r["config"], r["layer"]) for r in out["rows"]}
     want = {(c, layer) for c in ("classical_cir", "infinite_activity", "jump_model")
             for layer in ("sample_h", "sample_i", "sample_itilde", "sample_k")}

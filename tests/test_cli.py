@@ -364,7 +364,10 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # the pushed I cells were laid out entry by entry from one Poisson total and
 # one multinomial, in place of a table search per point: the same laws, new
 # streams. Every H digest, every transform and infinite_activity's I (one
-# last cell) keep their bits.
+# last cell) keep their bits. The jump_model and infinite_activity sample K
+# digests were re-recorded when a batch K began drawing ITilde from its own
+# generator, seeded from two words of the stream before H and I: the same
+# law, a new stream. classical_cir has no jumps and keeps its bits.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
@@ -395,7 +398,7 @@ CLI_DIGESTS = {
     ("infinite_activity", "sample", "Itilde"):
         "62ab5f81bf5b5ebfb6bb40611e574d47c755549478ab7ae1e851d00e096f6329",
     ("infinite_activity", "sample", "K"):
-        "0a02ab1969972bcf0556602facad7fac270d923c8fdb3f5b71a076ff811c597a",
+        "bde4f9c7fda97da3aec1b1f2b051d6e226dd44f9a9829971a255471cd9d93e07",
     ("jump_model", "laplace", "H"):
         "cc5a72addaee507eec15ce73b7a5c4cadd1c1bcda3b606bc06b1d38c6b02bda1",
     ("jump_model", "laplace", "I"):
@@ -411,7 +414,7 @@ CLI_DIGESTS = {
     ("jump_model", "sample", "Itilde"):
         "3ada33c93f78bee9ce40eb4a0039e4780becb75adbb5018fe251375834eaef81",
     ("jump_model", "sample", "K"):
-        "7c0c22c945ca9949292446d3320d82dfbe8164b207c85029db465a3d8d30f918",
+        "b528fc85a6a4330eeb9c5a8ed1dcfc99d1db6b1b1c34003835055b4747baa7df",
 }
 
 
@@ -446,7 +449,10 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
 # sampler-Itilde and transition-K reports, and the jump_model sampler-I
 # report, were re-recorded when the driving measure and the pushed I cells
 # were laid out entry by entry from one Poisson total and one multinomial:
-# the same laws, new streams.
+# the same laws, new streams. The jump_model and infinite_activity
+# chapman-kolmogorov and transition-K reports were re-recorded when a batch
+# K began drawing ITilde from its own generator, seeded from two words of
+# the stream before H and I: the same law, a new stream.
 SUITE_DIGESTS = {
     ("classical_cir", "chapman-kolmogorov"):
         "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
@@ -463,7 +469,7 @@ SUITE_DIGESTS = {
     ("classical_cir", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
     ("infinite_activity", "chapman-kolmogorov"):
-        "568e0ec53463f7425976974c59541c25dcd9e5b67d076f7598fcc2ddcb7a5c3c",
+        "1ae70efa238f715062df78198c9fc9036c833d5a5157a50099d5ae3f48f73e67",
     ("infinite_activity", "euler-convergence"):
         "f57fd720527187d730f039911b608bb0df718a8fc1d47df5489da7b1188b4efe",
     ("infinite_activity", "kernels"):
@@ -475,11 +481,11 @@ SUITE_DIGESTS = {
     ("infinite_activity", "sampler-Itilde"):
         "3581ca20b0876057fc94921d60f8450f6c3efbd56cf070d52207e3d6fe34424f",
     ("infinite_activity", "transition-K"):
-        "14e7525510396e8fd4b27d6f289da3c1af3c3689a55694a034af00103b4b7e5d",
+        "38e721a31dcea5c613327ccf49665c832b85f166b501e64a7705e67cc0085644",
     ("infinite_activity", "truncation"):
         "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
     ("jump_model", "chapman-kolmogorov"):
-        "3ad4058d4c97ae591a80060503cc1bb2d4d431789c6d5a2f6be688b4351f7ea2",
+        "d8ccff03f6d3630aa2805be36651feb6228309add57927e98ea406f808b0cda4",
     ("jump_model", "euler-convergence"):
         "0c9ad9dcf39758ee5c5fa5e8b2eb07e580ad4921be8c08021b639b9e8017a8c4",
     ("jump_model", "kernels"):
@@ -491,7 +497,7 @@ SUITE_DIGESTS = {
     ("jump_model", "sampler-Itilde"):
         "456ba7d1e0c22a984d8df335cf311232b93ca78ef8a862899812808b4c290750",
     ("jump_model", "transition-K"):
-        "d33cb660e062d1392983c2db187454451fcebd46c49c7e48a48533605721a1de",
+        "7028711dc3d0980beaf4d4d8574fe1dec6ef363d95ea7cbac449210f29fc9335",
     ("jump_model", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
 }

@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import math
 import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from cirjump.errors import (DegenerateInterval, InvalidDelta,
                             RestrictiveConditionViolated)
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream
-from cirjump.samplers import (COMPONENTS, STEP_CACHE, _gamma, _gamma_counts,
-                              get_component, get_sampler)
+from cirjump import samplers
+from cirjump.samplers import (COMPONENTS, LANE_MIN, STEP_CACHE, _gamma,
+                              _gamma_counts, get_component, get_sampler)
 from cirjump.verify import (mc_statistics, moment_check_from_sums,
                             transform_comparison, zero_fraction_z)
 
@@ -331,6 +334,13 @@ def _dense_itilde(sampler, g, s, t, m):
         g, g.poisson(size[e] * B / D), D))
 
 
+def _child(g):
+    """ITilde's generator of a batch K: Philox seeded from the next two
+    64-bit words of ``g``."""
+    words = g.bit_generator.random_raw(2).tolist()
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+
+
 class TestSparseBits:
     """Batches draw and add only where there is something to draw; each
     must give the bits of the construction written out above with plain
@@ -375,16 +385,36 @@ class TestSparseBits:
 
     @pytest.mark.parametrize("t", [1.2, 0.6 + 1e-6])
     def test_sample_k(self, pc_coeffs, two_atoms, t):
+        # a batch of m != 1 draws: two 64-bit words of the stream seed
+        # ITilde's own Philox generator, then H and I come from the stream
+        # and ITilde from that generator; a batch of one reads the stream
+        # as one draw does (H, I, ITilde). The last size takes the lane
         sampler = get_sampler(pc_coeffs, two_atoms)
-        s, y, m = 0.2, 0.8, 5000
+        s, y = 0.2, 0.8
         B, D = sampler.kernels.bd(s, t)
-        g, ref = RngStream(93).generator(), RngStream(93).generator()
-        got = sampler.sample_k(g, s, t, y, size=m)
-        h = ref.gamma(ref.poisson(y * (B / D), m), D)
-        i = _dense_i(sampler, ref, s, t, m)
-        it = _dense_itilde(sampler, ref, s, t, m)
-        assert (it > 0.0).any()
-        self._same(got, h + i + it, g, ref)
+        for m in (0, 1, 5000, 2 * LANE_MIN):
+            g, ref = RngStream(93).generator(), RngStream(93).generator()
+            got = sampler.sample_k(g, s, t, y, size=m)
+            child = ref if m == 1 else _child(ref)
+            h = ref.gamma(ref.poisson(y * (B / D), m), D)
+            i = _dense_i(sampler, ref, s, t, m)
+            it = _dense_itilde(sampler, child, s, t, m)
+            assert m < 2 or (it > 0.0).any()
+            self._same(got, h + i + it, g, ref)
+
+    def test_sample_k_without_jumps(self, pc_coeffs, two_atoms):
+        # no jump measure, or no jump rate on the step: no words are read,
+        # and a batch is H then I from the stream, as it was before ITilde
+        # had its own generator
+        no_rate = dataclasses.replace(pc_coeffs, a_tilde=cj.constant(0.0))
+        s, t, y = 0.2, 1.2, 0.8
+        for sampler in (get_sampler(pc_coeffs), get_sampler(no_rate, two_atoms)):
+            B, D = sampler.kernels.bd(s, t)
+            for m in (5000, 2 * LANE_MIN):
+                g, ref = RngStream(95).generator(), RngStream(95).generator()
+                got = sampler.sample_k(g, s, t, y, size=m)
+                h = ref.gamma(ref.poisson(y * (B / D), m), D)
+                self._same(got, h + _dense_i(sampler, ref, s, t, m), g, ref)
 
     def test_sample_k_any_shape_of_y(self, pc_coeffs, two_atoms):
         # one independent draw per element, as for the flattened y
@@ -395,6 +425,148 @@ class TestSparseBits:
             got = sampler.sample_k(g, 0.2, 1.2, y)
             want = sampler.sample_k(ref, 0.2, 1.2, y.ravel()).reshape(shape)
             self._same(got, want, g, ref)
+
+
+@pytest.fixture
+def two_core_lane(monkeypatch):
+    """A fresh lane that takes two usable cores as given, so that a
+    lane-sized batch uses it on any machine; its thread ends with the
+    test."""
+    lane = samplers._Lane()
+    lane.cores = 2
+    monkeypatch.setattr(samplers, "_LANE", lane)
+    yield lane
+    if lane.pool is not None:
+        lane.pool.shutdown(wait=True)
+
+
+class TestConcurrentK:
+    """A batch K of ``LANE_MIN`` draws or more draws ITilde on the lane, a
+    second thread, from its own generator: its bits do not depend on the
+    lane, the cores or the scheduling of threads, and its errors are those
+    of one thread."""
+
+    def test_lane_and_inline_give_the_same_bits(self, pc_coeffs, two_atoms,
+                                                monkeypatch, two_core_lane):
+        # one usable core draws ITilde inline: the same generator, the same
+        # bits and the same stream state after the call
+        sampler = get_sampler(pc_coeffs, two_atoms)
+        out = []
+        for cores in (2, 1):
+            lane = two_core_lane if cores == 2 else samplers._Lane()
+            lane.cores = cores
+            monkeypatch.setattr(samplers, "_LANE", lane)
+            g = RngStream(96).generator()
+            out.append((sampler.sample_k(g, 0.2, 1.2, 0.8, size=2 * LANE_MIN),
+                        repr(g.bit_generator.state)))
+            assert (lane.pool is None) == (cores == 1) and lane.drawing == 0
+        assert np.array_equal(out[0][0], out[1][0]) and out[0][1] == out[1][1]
+
+    def test_threads_share_a_fresh_sampler(self, pc_coeffs, exp_density,
+                                           two_core_lane):
+        # more threads than cores, switching often, on one fresh sampler
+        # (cold step records, jump tables and mark table): each thread draws
+        # what the same calls draw in sequence, and every batch has left the
+        # lane's count when the threads end
+        def draws(sampler, seed):
+            g = RngStream(97, seed).generator()
+            x = sampler.sample_k(g, 0.2, 0.7, 0.8, size=2 * LANE_MIN)
+            return [x, sampler.sample_k(g, 0.7, 1.2, x),       # y an array
+                    sampler.sample_k(g, 0.0, 2.0, 0.8, size=LANE_MIN),
+                    sampler.sample_k(g, 0.3, 1.7, 0.8, size=5000),
+                    sampler.sample_k(g, 0.2, 1.2, 0.8, size=1)]
+
+        n = 4
+        alone = cj.TransitionSampler(pc_coeffs, exp_density)
+        want = [draws(alone, seed) for seed in range(n)]
+        shared = cj.TransitionSampler(pc_coeffs, exp_density)
+        got = [None] * n
+        start = threading.Barrier(n)
+
+        def run(seed):
+            start.wait(timeout=30)
+            got[seed] = draws(shared, seed)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert two_core_lane.pool is not None and two_core_lane.drawing == 0
+        for a, b in zip(got, want):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_mc_statistics_same_bytes_at_1_and_2_workers(self, pc_coeffs,
+                                                          two_atoms,
+                                                          two_core_lane):
+        sampler = get_sampler(pc_coeffs, two_atoms)
+
+        def draw(g, m):
+            return sampler.sample_k(g, 0.2, 1.2, 0.8, size=m)
+
+        one, two = (mc_statistics(draw, 8 * LANE_MIN, _grid(), seed=98,
+                                  workers=w, chunk_size=2 * LANE_MIN)
+                    for w in (1, 2))
+        assert set(one) == set(two)
+        for key in one:
+            assert np.asarray(one[key]).tobytes() == np.asarray(two[key]).tobytes()
+
+    @pytest.mark.parametrize("case", ["max_points", "restrictive"])
+    def test_itilde_errors_from_the_lane(self, pc_coeffs, rho04, rho07, case,
+                                         two_core_lane):
+        # ITilde's error comes out of the lane as it came out of one
+        # thread; an error of H raised meanwhile comes first, and no batch
+        # is left on the lane after either
+        if case == "max_points":     # the automatic delta: 1e23 jumps a draw
+            sampler, err = cj.TransitionSampler(pc_coeffs, rho04), InvalidDelta
+        else:
+            sampler = cj.TransitionSampler(pc_coeffs, rho07, delta=0.05)
+            err = RestrictiveConditionViolated
+        g = RngStream(99).generator()
+        for _ in range(2):
+            with pytest.raises(err):
+                sampler.sample_k(g, 0.2, 1.2, 0.8, size=2 * LANE_MIN)
+            # H's Poisson mean y B/D is past what numpy draws
+            with pytest.raises(ValueError, match="lam value too large"):
+                sampler.sample_k(g, 0.2, 1.2, 1e300, size=2 * LANE_MIN)
+        assert two_core_lane.pool is not None and two_core_lane.drawing == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_lane(self, pc_coeffs, two_atoms,
+                                             two_core_lane):
+        # a child forked after the lane started has no lane thread: it must
+        # make its own, not queue work for a thread that does not exist
+        sampler = get_sampler(pc_coeffs, two_atoms)
+
+        def draw():
+            return sampler.sample_k(RngStream(100).generator(), 0.2, 1.2, 0.8,
+                                    size=2 * LANE_MIN)
+
+        want = draw()
+        assert two_core_lane.pool is not None
+        pid = os.fork()
+        if pid == 0:    # the child: exit 0 when it draws the parent's values
+            code = 2
+            try:
+                code = 0 if np.array_equal(draw(), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its draw")
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestGammaBoost:

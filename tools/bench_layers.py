@@ -21,7 +21,9 @@ a non-piecewise-constant ``alpha``, so I is drawn on the 64-cell grid of
 records that known I-grid bias and its ``transform_passed`` is null: no
 bound applies.
 
-The file also records the environment: core count, Python, numpy and
+The file also records the environment: the core count and the cores
+this process may run on (from two on, a batch ``sample_k`` draws ITilde
+on a second thread, so its row depends on them), the Python, numpy and
 PyYAML versions, the git revision, whether the tree differs from it, and
 a digest of ``src/cirjump``, which names the code measured when the file
 is made before that code is committed. It is written at the root of the
@@ -72,7 +74,7 @@ def _git(*args):
 
 
 def environment():
-    """Core count, library versions, git revision and source digest."""
+    """Core counts, library versions, git revision and source digest."""
     digest = hashlib.sha256()
     src = os.path.join(SRC, "cirjump")
     for name in sorted(os.listdir(src)):
@@ -80,7 +82,9 @@ def environment():
             with open(os.path.join(src, name), "rb") as fh:
                 digest.update(name.encode() + b"\0" + fh.read())
     status = _git("status", "--porcelain", "--untracked-files=no")
-    return {"cores": os.cpu_count(), "python": platform.python_version(),
+    return {"cores": os.cpu_count(),
+            "usable_cores": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
             "numpy": np.__version__, "pyyaml": yaml.__version__,
             "git_revision": _git("rev-parse", "HEAD"),
             "git_dirty": None if status is None else bool(status),
