@@ -135,10 +135,10 @@ POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
                          - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 # (draw_index, times, sizes, B, D) of every batch without points: read-only
 _NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int,) + (float,) * 4)
-# batch draws from which ITilde may take the lane: a lane round trip (the
-# submit, the interpreter lock passed back and forth, the result) costs
-# 150-200 us on 2 cores, which ITilde's share of a batch passes at about
-# 4000-6000 draws on the demo configs
+# batch draws from which ITilde may take the lane: below 2048 draws the lane
+# costs about 100-200 us more than drawing inline (the submit, the
+# interpreter lock passed back and forth, the result; 2 cores), and it
+# wins from about 6000 draws on the demo configs
 LANE_MIN = 8192
 
 
@@ -151,7 +151,9 @@ class _Lane:
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.cores = None
+        self.cores = (len(os.sched_getaffinity(0))
+                      if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
         self.pool = None
         self.drawing = 0      # batches inside ``slot``
 
@@ -160,10 +162,6 @@ class _Lane:
         """The block of one lane-sized batch: yields the executor where the
         batch may use the lane, else None."""
         with self.lock:
-            if self.cores is None:
-                self.cores = (len(os.sched_getaffinity(0))
-                              if hasattr(os, "sched_getaffinity")
-                              else os.cpu_count() or 1)
             self.drawing += 1
             free = self.drawing < self.cores
             if free and self.pool is None:

@@ -388,7 +388,7 @@ class TestSparseBits:
         # a batch of m != 1 draws: two 64-bit words of the stream seed
         # ITilde's own Philox generator, then H and I come from the stream
         # and ITilde from that generator; a batch of one reads the stream
-        # as one draw does (H, I, ITilde). The last size takes the lane
+        # as one draw does (H, I, ITilde). The last size is lane-sized
         sampler = get_sampler(pc_coeffs, two_atoms)
         s, y = 0.2, 0.8
         B, D = sampler.kernels.bd(s, t)
@@ -404,8 +404,7 @@ class TestSparseBits:
 
     def test_sample_k_without_jumps(self, pc_coeffs, two_atoms):
         # no jump measure, or no jump rate on the step: no words are read,
-        # and a batch is H then I from the stream, as it was before ITilde
-        # had its own generator
+        # and a batch is H then I from the stream
         no_rate = dataclasses.replace(pc_coeffs, a_tilde=cj.constant(0.0))
         s, t, y = 0.2, 1.2, 0.8
         for sampler in (get_sampler(pc_coeffs), get_sampler(no_rate, two_atoms)):
