@@ -67,11 +67,11 @@ stream, and ITilde from its own generator. With two streams, a batch of
 the process made at the first such batch, while the calling thread draws
 H and I; it waits for the lane before it returns or raises. It draws
 ITilde inline instead, with the same bits, where the process may use one
-core only or as many lane-sized batches draw at once as there are cores
-(chunk workers that already fill the cores). The lane is not a chunk
-worker: ``--workers`` and ``CIRJUMP_THREADS`` still count chunk workers
-only. A step without jumps reads no words, and a batch there is H then I
-from the stream.
+core only or another lane-sized batch draws at the same time (chunk
+workers), so no batch waits for the lane's one thread. The lane is not a
+chunk worker: ``--workers`` and ``CIRJUMP_THREADS`` still count chunk
+workers only. A step without jumps reads no words, and a batch there is H
+then I from the stream.
 
 All samplers are pure given a generator; batch draws use the same
 construction vectorized across draws, so a fixed stream reproduces bit-equal
@@ -110,7 +110,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import CirJumpError, DegenerateInterval, InvalidDelta
+from .errors import DegenerateInterval, InvalidDelta
 from .jumps import JumpMeasure, MarkSampler, delta_for_budget
 from .kernels import get_kernels
 from .numerics import _as_generator
@@ -144,10 +144,10 @@ LANE_MIN = 8192
 
 class _Lane:
     """One thread that draws a batch's ITilde beside its H and I. A batch
-    may use it only while fewer lane-sized batches draw than the process
-    has usable cores, so chunk workers that already fill the cores draw
-    ITilde inline and do not queue for the lane. The thread is made at the
-    first batch that uses it, never at import."""
+    may use it only where the process has two usable cores or more and no
+    other lane-sized batch draws, so the lane never queues work and chunk
+    workers draw ITilde inline. The thread is made at the first batch that
+    uses it, never at import."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -163,7 +163,7 @@ class _Lane:
         batch may use the lane, else None."""
         with self.lock:
             self.drawing += 1
-            free = self.drawing < self.cores
+            free = self.drawing < min(self.cores, 2)
             if free and self.pool is None:
                 self.pool = ThreadPoolExecutor(1, "cirjump-itilde")
         try:
@@ -575,7 +575,7 @@ class TransitionSampler:
         try:
             if not self._jumps(s, t).entries.rate:
                 return None
-        except CirJumpError:
+        except Exception:   # e.g. a density without mass above delta
             pass
         words = g.integers(0, 2 ** 64, 2, dtype=np.uint64).tolist()
         ss = np.random.SeedSequence(words)

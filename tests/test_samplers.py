@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -426,13 +427,28 @@ class TestSparseBits:
             self._same(got, want, g, ref)
 
 
-@pytest.fixture
-def two_core_lane(monkeypatch):
-    """A fresh lane that takes two usable cores as given, so that a
-    lane-sized batch uses it on any machine; its thread ends with the
-    test."""
+class _CountingExecutor(ThreadPoolExecutor):
+    """The lane's executor, noting at each submit how many of its jobs had
+    not finished: a job submitted behind another waits for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.jobs, self.waiting = [], []
+
+    def submit(self, *args, **kwargs):
+        self.waiting.append(sum(not job.done() for job in self.jobs))
+        self.jobs.append(super().submit(*args, **kwargs))
+        return self.jobs[-1]
+
+
+@pytest.fixture(params=[2, 4], ids=["2cores", "4cores"])
+def lane(request, monkeypatch):
+    """A fresh lane that takes 2 or 4 usable cores as given, so that a
+    lane-sized batch uses it on any machine, with a counting executor; its
+    thread ends with the test."""
+    monkeypatch.setattr(samplers, "ThreadPoolExecutor", _CountingExecutor)
     lane = samplers._Lane()
-    lane.cores = 2
+    lane.cores = request.param
     monkeypatch.setattr(samplers, "_LANE", lane)
     yield lane
     if lane.pool is not None:
@@ -445,28 +461,38 @@ class TestConcurrentK:
     lane, the cores or the scheduling of threads, and its errors are those
     of one thread."""
 
+    def test_one_batch_at_a_time_on_the_lane(self, lane):
+        # whatever the cores, a batch that draws while another does goes
+        # inline: the lane's one thread never has a job waiting
+        with lane.slot() as first, lane.slot() as second, lane.slot() as third:
+            assert first is not None and first is lane.pool
+            assert second is None and third is None and lane.drawing == 3
+        with lane.slot() as again:
+            assert again is lane.pool and lane.drawing == 1
+        assert lane.drawing == 0
+
     def test_lane_and_inline_give_the_same_bits(self, pc_coeffs, two_atoms,
-                                                monkeypatch, two_core_lane):
+                                                monkeypatch, lane):
         # one usable core draws ITilde inline: the same generator, the same
         # bits and the same stream state after the call
         sampler = get_sampler(pc_coeffs, two_atoms)
         out = []
-        for cores in (2, 1):
-            lane = two_core_lane if cores == 2 else samplers._Lane()
-            lane.cores = cores
-            monkeypatch.setattr(samplers, "_LANE", lane)
+        for use in (lane, samplers._Lane()):
+            use.cores = 1 if use is not lane else use.cores
+            monkeypatch.setattr(samplers, "_LANE", use)
             g = RngStream(96).generator()
             out.append((sampler.sample_k(g, 0.2, 1.2, 0.8, size=2 * LANE_MIN),
                         repr(g.bit_generator.state)))
-            assert (lane.pool is None) == (cores == 1) and lane.drawing == 0
+            assert (use.pool is None) == (use is not lane) and use.drawing == 0
         assert np.array_equal(out[0][0], out[1][0]) and out[0][1] == out[1][1]
 
     def test_threads_share_a_fresh_sampler(self, pc_coeffs, exp_density,
-                                           two_core_lane):
-        # more threads than cores, switching often, on one fresh sampler
-        # (cold step records, jump tables and mark table): each thread draws
-        # what the same calls draw in sequence, and every batch has left the
-        # lane's count when the threads end
+                                           lane):
+        # as many threads as cores or more, switching often, on one fresh
+        # sampler (cold step records, jump tables and mark table): each
+        # thread draws what the same calls draw in sequence, no job waited
+        # for the lane, and every batch has left the lane's count when the
+        # threads end
         def draws(sampler, seed):
             g = RngStream(97, seed).generator()
             x = sampler.sample_k(g, 0.2, 0.7, 0.8, size=2 * LANE_MIN)
@@ -497,13 +523,13 @@ class TestConcurrentK:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert two_core_lane.pool is not None and two_core_lane.drawing == 0
+        assert lane.pool is not None and lane.drawing == 0
+        assert lane.pool.jobs and not any(lane.pool.waiting)
         for a, b in zip(got, want):
             assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_mc_statistics_same_bytes_at_1_and_2_workers(self, pc_coeffs,
-                                                          two_atoms,
-                                                          two_core_lane):
+                                                          two_atoms, lane):
         sampler = get_sampler(pc_coeffs, two_atoms)
 
         def draw(g, m):
@@ -516,29 +542,36 @@ class TestConcurrentK:
         for key in one:
             assert np.asarray(one[key]).tobytes() == np.asarray(two[key]).tobytes()
 
-    @pytest.mark.parametrize("case", ["max_points", "restrictive"])
+    @pytest.mark.parametrize("case", ["max_points", "restrictive", "no_mass"])
     def test_itilde_errors_from_the_lane(self, pc_coeffs, rho04, rho07, case,
-                                         two_core_lane):
+                                         lane):
         # ITilde's error comes out of the lane as it came out of one
         # thread; an error of H raised meanwhile comes first, and no batch
         # is left on the lane after either
         if case == "max_points":     # the automatic delta: 1e23 jumps a draw
-            sampler, err = cj.TransitionSampler(pc_coeffs, rho04), InvalidDelta
-        else:
+            sampler = cj.TransitionSampler(pc_coeffs, rho04)
+            err, match = InvalidDelta, None
+        elif case == "restrictive":
             sampler = cj.TransitionSampler(pc_coeffs, rho07, delta=0.05)
-            err = RestrictiveConditionViolated
+            err, match = RestrictiveConditionViolated, None
+        else:   # a density without mass above delta has no mark table
+            box = cj.density_measure(
+                lambda y: np.where(np.asarray(y) < 1.0, 1.0, 0.0), rho=None,
+                label="box")
+            sampler = cj.TransitionSampler(pc_coeffs, box, delta=2.0)
+            err, match = ValueError, "no mass"
         g = RngStream(99).generator()
         for _ in range(2):
-            with pytest.raises(err):
+            with pytest.raises(err, match=match):
                 sampler.sample_k(g, 0.2, 1.2, 0.8, size=2 * LANE_MIN)
             # H's Poisson mean y B/D is past what numpy draws
             with pytest.raises(ValueError, match="lam value too large"):
                 sampler.sample_k(g, 0.2, 1.2, 1e300, size=2 * LANE_MIN)
-        assert two_core_lane.pool is not None and two_core_lane.drawing == 0
+        assert lane.pool is not None and lane.drawing == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_makes_its_own_lane(self, pc_coeffs, two_atoms,
-                                             two_core_lane):
+                                             lane):
         # a child forked after the lane started has no lane thread: it must
         # make its own, not queue work for a thread that does not exist
         sampler = get_sampler(pc_coeffs, two_atoms)
@@ -548,12 +581,16 @@ class TestConcurrentK:
                                     size=2 * LANE_MIN)
 
         want = draw()
-        assert two_core_lane.pool is not None
+        assert lane.pool is not None
         pid = os.fork()
-        if pid == 0:    # the child: exit 0 when it draws the parent's values
-            code = 2
+        if pid == 0:    # the child: exit 0 when its own lane draws the
+            code = 2    # parent's values, also on a one-core machine
             try:
-                code = 0 if np.array_equal(draw(), want) else 1
+                own = samplers._LANE
+                if own is not lane:
+                    own.cores = 2
+                    code = 0 if (np.array_equal(draw(), want)
+                                 and own.pool is not None) else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60
