@@ -183,7 +183,8 @@ class JumpMeasure:
         raise NotImplementedError
 
     def mark_sampler(self, delta: float = 0.0) -> "MarkSampler":
-        """Sampler of the normalized restriction to (delta, infinity)."""
+        """Sampler of the normalized restriction to (delta, infinity); one
+        of mass 0 without atoms where the restriction has no mass."""
         raise NotImplementedError
 
     def require_sampling(self, delta: float) -> None:
@@ -397,8 +398,8 @@ class DensityJumpMeasure(JumpMeasure):
         lo = max(self.lower, delta)
         self.require_sampling(lo)
         total = self.mass_above(lo)
-        if not (total > 0):
-            raise ValueError("restriction has no mass to sample from")
+        if not (total > 0):    # no jumps above delta: ITilde is 0
+            return _DiscreteMarks((), ())
         if lo == 0.0:
             # integrable singularity allowed: push the floor down until the
             # ignored head mass is negligible

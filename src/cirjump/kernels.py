@@ -84,14 +84,6 @@ class KernelValue:
     quadrature_error: float
 
 
-def _exp_each(x):
-    """math.exp of a float, or of every element of an array."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.exp, x.ravel().tolist()), float,
-                           x.size).reshape(x.shape)
-    return math.exp(x)
-
-
 class _PrimitiveTable:
     """Primitives Lam(v) and E(v) on [0, t_max], vectorized in v."""
 
@@ -186,6 +178,16 @@ class _PrimitiveTable:
                          self._dE[k + 1])
         return (lam, E) if v.ndim else (float(lam), float(E))
 
+    def bd(self, s, t):
+        """(B(s,t), D(s,t)) without the interval check: floats for a scalar
+        pair, at s == t exactly (1.0, 0.0). A nonpositive D, which the
+        subtraction can give on intervals too short for the table, is 0."""
+        lam_s, e_s = self.primitives(s)
+        lam_t, e_t = self.primitives(t)
+        B = np.exp(lam_s - lam_t)
+        D = np.maximum(np.exp(-lam_t) * (e_t - e_s), 0.0)
+        return (B, D) if np.ndim(B) else (float(B), float(D))
+
 
 class TransitionKernels:
     """Evaluator of kernel quantities and transition-law transforms.
@@ -220,25 +222,18 @@ class TransitionKernels:
                 f"need 0 <= s < t <= t_max, got s={s}, t={t}")
 
     def bd(self, s, t):
-        """(B(s,t), D(s,t)) with D = B(0,t) C(s,t); the stable pair.
+        """(B(s,t), D(s,t)) with D = B(0,t) C(s,t); the stable pair, from
+        the table's one formula after the interval check.
 
         ``s`` and ``t`` broadcast against each other, and every element is
-        bit-identical to the call on that one pair: the exponentials are
-        ``math.exp`` per element, which ``np.exp`` may miss by an ulp.
+        bit-identical to the call on that one pair: numpy's ``exp`` gives a
+        float the bits it gives that float as an array element, which
+        ``math.exp`` may miss by an ulp.
         """
         if isinstance(s, np.ndarray) and not s.size:    # skip check and lookups
             return np.empty(0), np.empty(0)
         self._check(s, t)
-        lam_s, e_s = self.table.primitives(s)
-        lam_t, e_t = self.table.primitives(t)
-        return _exp_each(lam_s - lam_t), _exp_each(-lam_t) * (e_t - e_s)
-
-    def bd_vec(self, v, t):
-        """Vectorized (B(v,t), D(v,t)) for an array of start times v <= t."""
-        lam_v, e_v = self.table.primitives(v)
-        lam_t, e_t = self.table.primitives(t)
-        D = np.exp(-lam_t) * (e_t - e_v)
-        return np.exp(lam_v - lam_t), np.maximum(D, 0.0)
+        return self.table.bd(s, t)
 
     def kernel_value(self, s, t) -> KernelValue:
         B, D = self.bd(s, t)
@@ -298,7 +293,7 @@ class TransitionKernels:
             raise ValueError("transform with jump input needs a jump measure")
 
         def integrand(v):
-            B, D = self.bd_vec(v, t)
+            B, D = self.table.bd(v, t)    # nodes may round onto t: no check
             psi_v = self._psi_from_bd(B[:, None], D[:, None], lam)
             out = np.zeros_like(psi_v)
             if use_a:
@@ -310,15 +305,9 @@ class TransitionKernels:
         return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)
 
     def laplace_H(self, s, t, y, lam):
-        """Transform of the component started from mass y (no input)."""
-        if y < 0:
-            raise ValueError("y must be nonnegative")
-        self._check_lam(lam)
-        B, D = self.bd(s, t)
-        lam_arr = np.asarray(lam, dtype=float)
-        val = np.exp(-y * self._psi_from_bd(B, D, lam_arr))
-        err = np.abs(val) * y * self.table.error_scale
-        return (val, err) if lam_arr.ndim else (float(val), float(err))
+        """Transform of the component started from mass y: ``laplace_K``
+        with both inputs switched off."""
+        return self._transform(s, t, y, lam, continuous=False, jumps=False)
 
     def laplace_I(self, s, t, lam):
         """Transform of the continuous-input component: ``laplace_K`` at
@@ -341,7 +330,7 @@ class TransitionKernels:
         self._check_lam(lam)
         if y < 0:
             raise ValueError("y must be nonnegative")
-        if not continuous and self.nu is None:
+        if jumps and not continuous and self.nu is None:
             raise ValueError("transform with jump input needs a jump measure")
         if warn and not self.coeffs.beta_strictly_positive:
             warnings.warn(

@@ -51,11 +51,11 @@ uniform draw label in [0, m) and a uniform U: by Poisson splitting the
 counts of each entry and draw are independent Poisson, the law of m
 separate draws, and no point needs a table search. Three inputs fall back:
 an a~ that is not piecewise constant is thinned against each piece's max,
-a tabulated primitive table gives B and D by ``bd_vec``, and a density's
-marks come from its mark table. One draw (``size`` None) has
-few points, so it pushes them through H with scalar calls, made in the
-order of the batch's array calls: it reads the stream as a size-1 batch
-does and returns the same bits.
+a tabulated primitive table gives every point B and D from its primitives
+(``_PrimitiveTable.bd``), and a density's marks come from its mark table.
+One draw (``size`` None) has few points, so it pushes them through H with
+scalar calls, made in the order of the batch's array calls: it reads the
+stream as a size-1 batch does and returns the same bits.
 
 ``K`` -- the sum of the three, which are independent. One draw and a
 batch of one take H, then I, then ITilde from the stream. A larger batch
@@ -413,8 +413,7 @@ class TransitionSampler:
         mids = 0.5 * (lo + hi)
         beta = np.asarray(co.beta(mids), dtype=float)
         half_s2 = 0.5 * np.square(np.asarray(co.sigma(mids), dtype=float))
-        b_hi, d_hi = self.kernels.bd(hi[:-1], t)
-        b_hi, d_hi = np.append(b_hi, 1.0), np.append(d_hi, 0.0)
+        b_hi, d_hi = self.kernels.table.bd(hi, t)    # (1.0, 0.0) at hi == t
         flat = beta == 0.0
         nbc = -b_hi * half_s2 / np.where(flat, 1.0, beta)
         thin = not co.a_tilde.is_piecewise_constant
@@ -477,7 +476,7 @@ class TransitionSampler:
         if sizes is None:
             sizes = jumps.marks.sample(g, times.size)
         if not self.kernels.table.exact:
-            return (idx, times, sizes, *self.kernels.bd_vec(times, t))
+            return (idx, times, sizes, *self.kernels.table.bd(times, t))
         # the piece's closed forms from its right end: no cancellation
         w = nbeta * gap
         b = np.exp(w)
@@ -575,7 +574,7 @@ class TransitionSampler:
         try:
             if not self._jumps(s, t).entries.rate:
                 return None
-        except Exception:   # e.g. a density without mass above delta
+        except Exception:   # e.g. no square-root condition for delta > 0
             pass
         words = g.integers(0, 2 ** 64, 2, dtype=np.uint64).tolist()
         ss = np.random.SeedSequence(words)

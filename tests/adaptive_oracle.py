@@ -3,9 +3,9 @@
 This is the route the transforms took before the fixed node sets: an
 adaptive ``quad_vec`` over the jump size y (the jump kernel
 ``int (1 - exp(-y c)) nu(dy)``) nested inside an adaptive ``quad_vec`` over
-the time v. It shares only the primitive table, through ``bd_vec``, with the
-engine it checks, and runs at tighter tolerances than the engine's
-``kernel_tol``.
+the time v. It shares only the primitive table, through its unchecked
+``bd``, with the engine it checks, and runs at tighter tolerances than the
+engine's ``kernel_tol``.
 """
 
 import numpy as np
@@ -55,7 +55,7 @@ def exponent_integral(eng, s, t, lam, use_a, use_atilde):
     co = eng.coeffs
 
     def integrand(v):
-        B, D = eng.bd_vec(np.asarray(v), t)
+        B, D = eng.table.bd(v, t)
         psi_v = B * lam / (1.0 + lam * D)
         out = np.zeros_like(lam)
         if use_a:

@@ -21,9 +21,11 @@ def layers():
 
 
 def test_rows_and_environment(layers):
-    out = layers.bench_layers(draws=10 ** 4, repeats=3)
-    assert set(out) == {"environment", "draws", "repeats", "seed", "rows"}
-    assert (out["draws"], out["repeats"], out["seed"]) == (10 ** 4, 3, layers.SEED)
+    out = layers.bench_layers(draws=10 ** 4, repeats=3, calls=2)
+    assert set(out) == {"environment", "draws", "repeats", "seed", "calls",
+                        "rows", "transforms"}
+    assert (out["draws"], out["repeats"], out["seed"], out["calls"]) == \
+        (10 ** 4, 3, layers.SEED, 2)
     env = out["environment"]
     assert set(env) == {"cores", "usable_cores", "python", "numpy", "pyyaml",
                         "git_revision", "git_dirty", "src_sha256"}
@@ -49,6 +51,21 @@ def test_rows_and_environment(layers):
         assert r["s_per_1e6_draws_median"] == sorted(times)[1]
         # the 64-cell I-grid has a known bias: recorded, not judged
         assert (r["transform_passed"] is None) == (r["config"] == "jump_model_sine_a")
+    # transform rows: each demo config, no ITilde transform without a jump
+    # measure
+    got = {(r["config"], r["layer"]) for r in out["transforms"]}
+    want = {(c, "laplace_" + comp)
+            for c in ("classical_cir", "infinite_activity", "jump_model")
+            for comp in ("K", "H", "I", "Itilde")}
+    assert got == want - {("classical_cir", "laplace_Itilde")}
+    for r in out["transforms"]:
+        assert set(r) == {"config", "s", "t", "y", "layer", "ms_per_call",
+                          "ms_per_call_median", "ms_per_call_repeats",
+                          "max_error_estimate"}
+        times = r["ms_per_call_repeats"]
+        assert len(times) == 3 and r["ms_per_call"] == min(times) > 0.0
+        assert r["ms_per_call_median"] == sorted(times)[1]
+        assert 0.0 < r["max_error_estimate"] < 1e-6
     json.dumps(out)    # plain JSON types only
 
 

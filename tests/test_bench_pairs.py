@@ -52,16 +52,18 @@ def test_metrics_come_from_benchmark_json(pairs):
     assert pairs.quartiles([7.0]) == (7.0, 7.0)
 
 
-def _fake_checkout(path, correct, traced_correct=None):
+def _fake_checkout(path, correct, traced_correct=None, checks=None):
     """A checkout whose ``perfbench/run.py`` prints one canned result, or
-    another one under ``--trace 1`` when ``traced_correct`` is given."""
+    another one under ``--trace 1`` when ``traced_correct`` is given, after
+    a report line with ``checks``."""
     (path / "perfbench").mkdir(parents=True)
     (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     traced = correct if traced_correct is None else traced_correct
     (path / "perfbench" / "run.py").write_text(
         "import json, sys\ntraced = sys.argv[-2:] == ['--trace', '1']\n"
-        "print(json.dumps(%r if traced else %r))\n"
-        % (_result(1.0, 100.0, traced), _result(1.0, 100.0, correct)))
+        "print(json.dumps(%r))\nprint(json.dumps(%r if traced else %r))\n"
+        % ({"report": {"checks": checks or {}}}, _result(1.0, 100.0, traced),
+           _result(1.0, 100.0, correct)))
     return str(path)
 
 
@@ -74,6 +76,7 @@ def test_exit_code_follows_correctness(pairs, tmp_path, capsys, correct, code):
     out = capsys.readouterr().out
     assert ("0/2" in out) == correct    # no pair passes, so no summary
     assert ("FAILED" in out) != correct
+    assert ("FAILED (correct=False failed=0)" in out) != correct
 
 
 def test_traced_run_must_be_correct(pairs, tmp_path, capsys):
@@ -87,3 +90,25 @@ def test_traced_run_must_be_correct(pairs, tmp_path, capsys):
     assert "traced seed 5 parent: ok" in out
     assert "traced seed 5 change: FAILED" in out
     assert out.count("FAILED") == 1
+
+
+def test_failed_run_names_its_checks(pairs, tmp_path, capsys):
+    # a run that is not correct names its seed, its side and every failed
+    # check of its report line with the check's summary
+    checks = {"main": {"passed": True, "laplace_K_max_abs_z": 1.2},
+              "second_seed": {"passed": False, "laplace_K_max_abs_z": 3.2571,
+                              "laplace_K_passed": False}}
+    parent = _fake_checkout(tmp_path / "parent", True)
+    change = _fake_checkout(tmp_path / "change", False, checks=checks)
+    assert pairs.main([parent, change, "--workload", "sample_jump", "--pairs", "1",
+                       "--seconds", "1", "--seed", "7"]) == 1
+    out = capsys.readouterr().out
+    why = "FAILED (second_seed: laplace_K_max_abs_z=3.26 laplace_K_passed=False)"
+    assert f"pair 1 seed 7 change: {why}" in out
+    assert f"traced seed 7 change: {why}" in out
+    assert "pair 1 seed 7 parent: ok" in out and "main:" not in out
+    # an unreadable report line names no check: the line then names the
+    # result's ``correct`` and ``failed``
+    assert pairs.failed_checks("not json") == ""
+    assert pairs.failed_checks(json.dumps({"report": {"checks": checks}})) == \
+        "second_seed: laplace_K_max_abs_z=3.26 laplace_K_passed=False"

@@ -304,22 +304,26 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # (points laid out piece by piece and atom by atom from one Poisson total
 # and one multinomial, B and D from the piece's closed forms) in place of
 # thinned proposals with searched marks: the same law, a new stream.
-# classical_cir has no jump measure and keeps its bits.
+# classical_cir has no jump measure and keeps its bits. The classical_cir
+# and infinite_activity exact_skeleton and branching digests were
+# re-recorded when kernels.bd took numpy's exp in place of math.exp, which
+# differs in the last bit for some arguments: B and D of a step moved by an
+# ulp, and the draws with them. jump_model's steps keep their bits.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
-        "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
+        "e51decb96e7c0cb9d1783af58f15960b3c19a7220af825fe1b24d5686f1e170d",
     ("infinite_activity", "exact_skeleton"):
-        "51a5500813b2321506932004a06b6dfecff0bb016902b98da4462dc5a19ba256",
+        "4e675b25038d2f724c62390b9e524928ec9d3d669c0a15a481fd7c9eadf69e8a",
     ("jump_model", "exact_skeleton"):
         "3ccc569ed41c45e9ac0b1a0d61905a60d66bb7ce1611ecd4e8e9d5bdcc139889",
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
-        "0729410652cde9c3d614936f02075ec67f3dcb18a4b177da9100338e69896e7a",
+        "e51decb96e7c0cb9d1783af58f15960b3c19a7220af825fe1b24d5686f1e170d",
     ("infinite_activity", "euler"):
         "5f800c5d2b658c660a2548b8beb44db2a4671a489429681bb6239b60375d307a",
     ("infinite_activity", "branching"):
-        "155e16e28fd91e99cd48802628771282bf475c3e1678e41155334fe3139cb514",
+        "396c31a74a5d5ef25e84523ff438c097676bce469fd93286eaab9d402718d719",
     ("jump_model", "euler"):
         "e7ad41bc116a93eecd692c6008675078bf1c23d959dbf0c90a0ce0db6fb9df38",
     ("jump_model", "branching"):
@@ -367,10 +371,18 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # last cell) keep their bits. The jump_model and infinite_activity sample K
 # digests were re-recorded when a batch K began drawing ITilde from its own
 # generator, seeded from two words of the stream before H and I: the same
-# law, a new stream. classical_cir has no jumps and keeps its bits.
+# law, a new stream. classical_cir has no jumps and keeps its bits. The
+# three laplace H digests were re-recorded when laplace_H became the shared
+# transform with both inputs off: the values keep their bits (except below)
+# and the error estimate is (1 + y) times the table's error scale, as every
+# transform's is, in place of y times it. The infinite_activity laplace H
+# digest and its sample H, I and K digests also moved when kernels.bd took
+# numpy's exp in place of math.exp, which differs in the last bit for some
+# arguments: B and D of (s, t) and of the I cells moved by an ulp, and the
+# draws with them. jump_model's draws keep their bits.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
-        "24b7c7ac88ccea5fca100d21681920a4481b889cdaefdbc883ff02b495fd6fa3",
+        "d64e6e3dbaba8f047b0d1ad1837fd0f795707bce73ffed45177fc2daf4133ad1",
     ("classical_cir", "laplace", "I"):
         "63b8f37f1384287240dbd8e9535e8eb3f023cea92fd967cce44251e108789f06",
     ("classical_cir", "laplace", "K"):
@@ -384,7 +396,7 @@ CLI_DIGESTS = {
     ("classical_cir", "sample", "K"):
         "525989de307d98f255e8032fd921c389ad40f8d79b91ef67604d19895ef6f09e",
     ("infinite_activity", "laplace", "H"):
-        "dd35b21c2c646499f612f1b9b333e060a9c490426404f6ca2e913395a27a5d89",
+        "b908cba6e731ae7553f9426b12533651e59002a8bd9f4710765cdb66eb7765b2",
     ("infinite_activity", "laplace", "I"):
         "c3516d56b44155dfb8387ff94d08ccb66ac0a2bab7d0d36297b756ea000dc15a",
     ("infinite_activity", "laplace", "Itilde"):
@@ -392,15 +404,15 @@ CLI_DIGESTS = {
     ("infinite_activity", "laplace", "K"):
         "1379cd0c124710a4095e6c5a8d0546923e6810971a0eb37554c3b82075062475",
     ("infinite_activity", "sample", "H"):
-        "16fb4f36e589ef72c192e4c159196b15f0dde7325ddc089f9c73f6a36832fbbc",
+        "8273dd3c3e0cc2cbb03c0e23cdd601e9b7670fbd528c545897facf6b8dacca1f",
     ("infinite_activity", "sample", "I"):
-        "c0f47b07bf633ef63f940b230ef5cb2cc70184282f0d474fb2a959daf035fa50",
+        "1f87f379758add676c6acf26114db97ca58f27a7b44b78db682e863d8fb4473c",
     ("infinite_activity", "sample", "Itilde"):
         "62ab5f81bf5b5ebfb6bb40611e574d47c755549478ab7ae1e851d00e096f6329",
     ("infinite_activity", "sample", "K"):
-        "bde4f9c7fda97da3aec1b1f2b051d6e226dd44f9a9829971a255471cd9d93e07",
+        "ae7057dec7fb2ede1c5f9e8be966bd1ce5a4df506021d7c4a8025e16ab54bda2",
     ("jump_model", "laplace", "H"):
-        "cc5a72addaee507eec15ce73b7a5c4cadd1c1bcda3b606bc06b1d38c6b02bda1",
+        "6ccf9b0c281303fb0ae973cd7d1850c6bc9acbce2a528e4b6281e2857c717264",
     ("jump_model", "laplace", "I"):
         "6aa8ce1533be57aeb85531ddf3271dca7b62da1611c0b315f7275417f4557821",
     ("jump_model", "laplace", "Itilde"):
@@ -452,7 +464,11 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
 # the same laws, new streams. The jump_model and infinite_activity
 # chapman-kolmogorov and transition-K reports were re-recorded when a batch
 # K began drawing ITilde from its own generator, seeded from two words of
-# the stream before H and I: the same law, a new stream.
+# the stream before H and I: the same law, a new stream. The
+# infinite_activity chapman-kolmogorov, kernels, sampler-H and transition-K
+# reports were re-recorded when kernels.bd took numpy's exp in place of
+# math.exp, which differs in the last bit for some arguments: B and D moved
+# by an ulp, and the draws and reported kernel values with them.
 SUITE_DIGESTS = {
     ("classical_cir", "chapman-kolmogorov"):
         "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
@@ -469,19 +485,19 @@ SUITE_DIGESTS = {
     ("classical_cir", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
     ("infinite_activity", "chapman-kolmogorov"):
-        "1ae70efa238f715062df78198c9fc9036c833d5a5157a50099d5ae3f48f73e67",
+        "155fe32606e223597d07100d60ba863eb865d044fe93bc38424f892fe8fa8e90",
     ("infinite_activity", "euler-convergence"):
         "f57fd720527187d730f039911b608bb0df718a8fc1d47df5489da7b1188b4efe",
     ("infinite_activity", "kernels"):
-        "2e49dac3ea45076ee0ad0c3c1fd6069e77a5ddc28964e30061ebee26e00bead1",
+        "1fb249a5953cf1ac983e3fe924d6037ba6d7881e819d72a8a9fd9b9029f22ead",
     ("infinite_activity", "sampler-H"):
-        "21e180d336c42a859b752a73943d46ccf2993b80a19ad2458db65f6ec50960dd",
+        "0654eadacc29f920ab452f01d7f1513a166a92bff8d0d7ada3c91c667d698804",
     ("infinite_activity", "sampler-I"):
         "0fa9f6b8cf2118512c6c48fc9704e3949cf513e967a074146bd74ba17bcc1fa5",
     ("infinite_activity", "sampler-Itilde"):
         "3581ca20b0876057fc94921d60f8450f6c3efbd56cf070d52207e3d6fe34424f",
     ("infinite_activity", "transition-K"):
-        "38e721a31dcea5c613327ccf49665c832b85f166b501e64a7705e67cc0085644",
+        "f00c36eb3400e4aedd6c7a5b64977bcfb2a431ba7d58fb2d9628f4f3042e14e7",
     ("infinite_activity", "truncation"):
         "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
     ("jump_model", "chapman-kolmogorov"):
@@ -742,3 +758,25 @@ class TestTruncationLevels:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: InvalidDelta:")
         assert "expected jumps per draw" in err[0]
+
+    @pytest.mark.parametrize("command,flags", [
+        ("sample", ["--component", "K", "--n", "2000"]),
+        ("sample", ["--component", "Itilde", "--n", "2000"]),
+        ("verify", ["--suite", "sampler-Itilde"]),
+        ("verify", ["--suite", "transition-K"]),
+        ("simulate", ["--scheme", "euler"]),
+    ])
+    def test_delta_above_all_mass_draws_no_jumps(self, tmp_path, capsys,
+                                                 command, flags):
+        # the density has no mass above delta = 1000 (e^-1000 underflows),
+        # so ITilde is 0, the truncated law, and no command stops
+        path = _with_delta(tmp_path, "1000.0")
+        cfg = tmp_path / "delta.yaml"
+        cfg.write_text(re.sub(r"n_samples: \d+", "n_samples: 20000",
+                              cfg.read_text()))
+        if command == "simulate":
+            flags = flags + ["--outdir", str(tmp_path / "paths")]
+        assert _exit_code([command, path] + flags) == 0
+        err = capsys.readouterr().err
+        if flags[:2] == ["--component", "Itilde"]:
+            assert err.startswith("n=2000 mean=0 variance=0 zero_fraction=1")

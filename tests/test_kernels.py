@@ -242,6 +242,16 @@ class TestLaplaceH:
         d = (4 * math.log(v1) - math.log(v2)) / (2 * h)
         assert -d == pytest.approx(y * kv.B, rel=1e-5)
 
+    def test_needs_no_jump_measure(self, pc_coeffs, lambda_grid):
+        # H has no jump input, so a~ > 0 without a measure is no error for
+        # its transform; ITilde's transform still needs the measure
+        eng = get_kernels(pc_coeffs)
+        assert eng.nu is None and pc_coeffs.a_tilde.max_on(0.2, 1.2) > 0.0
+        vals, _ = eng.laplace_H(0.2, 1.2, 0.7, lambda_grid)
+        assert vals.tobytes() == np.exp(-0.7 * eng.psi(0.2, 1.2, lambda_grid)).tobytes()
+        with pytest.raises(ValueError, match="needs a jump measure"):
+            eng.laplace_Itilde(0.2, 1.2, lambda_grid)
+
 
 class TestLaplaceIK:
     def test_lambda_zero_exactly_one(self, pc_coeffs, two_atoms):
@@ -539,6 +549,27 @@ class TestArrayBd:
             eng.bd(np.array([0.1, 0.5]), np.array([0.4, 0.5]))
         with pytest.raises(DegenerateInterval):
             eng.bd(np.array([-0.1, 0.5]), 1.0)
+
+
+class TestTableBd:
+    """The primitive table's one (B, D) formula, which the transforms'
+    integrand, the jump table and the tabulated draws call unchecked."""
+
+    def test_exact_and_tabulated_sets(self):
+        assert {get_kernels(k[1]).table.exact for k in KERNEL_SETS} == {True, False}
+
+    @pytest.mark.parametrize("label,coeffs,s,t", KERNEL_SETS,
+                             ids=[k[0] for k in KERNEL_SETS])
+    def test_equal_ends(self, label, coeffs, s, t):
+        # exactly (1.0, 0.0) at s == t: the jump table reads its last
+        # piece's end t as an array element against the scalar t
+        table = get_kernels(coeffs).table
+        v = np.concatenate((table.edges, np.linspace(s, t, 17)))
+        B, D = table.bd(v, v)
+        assert np.all(B == 1.0) and np.all(D == 0.0)
+        assert all(table.bd(x, x) == (1.0, 0.0) for x in v.tolist())
+        B, D = table.bd(np.array([s, t]), t)
+        assert (B[1], D[1]) == (1.0, 0.0) and D[0] > 0.0
 
 
 class TestPrimitiveIndex:

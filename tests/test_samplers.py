@@ -547,27 +547,40 @@ class TestConcurrentK:
                                          lane):
         # ITilde's error comes out of the lane as it came out of one
         # thread; an error of H raised meanwhile comes first, and no batch
-        # is left on the lane after either
+        # is left on the lane after either. A density without mass above
+        # delta raises nothing: its ITilde is 0, the truncated law, and a
+        # batch K is H + I, with no stream words for ITilde
+        m = 2 * LANE_MIN
         if case == "max_points":     # the automatic delta: 1e23 jumps a draw
             sampler = cj.TransitionSampler(pc_coeffs, rho04)
-            err, match = InvalidDelta, None
+            err = InvalidDelta
         elif case == "restrictive":
             sampler = cj.TransitionSampler(pc_coeffs, rho07, delta=0.05)
-            err, match = RestrictiveConditionViolated, None
-        else:   # a density without mass above delta has no mark table
+            err = RestrictiveConditionViolated
+        else:
             box = cj.density_measure(
                 lambda y: np.where(np.asarray(y) < 1.0, 1.0, 0.0), rho=None,
                 label="box")
             sampler = cj.TransitionSampler(pc_coeffs, box, delta=2.0)
-            err, match = ValueError, "no mass"
-        g = RngStream(99).generator()
+            err = None
         for _ in range(2):
-            with pytest.raises(err, match=match):
-                sampler.sample_k(g, 0.2, 1.2, 0.8, size=2 * LANE_MIN)
+            g = RngStream(99).generator()
+            if err is None:
+                want = RngStream(99).generator()
+                h = sampler.sample_h(want, 0.2, 1.2, 0.8, size=m)
+                h += sampler.sample_i(want, 0.2, 1.2, size=m)
+                assert np.array_equal(sampler.sample_k(g, 0.2, 1.2, 0.8, size=m), h)
+                assert g.random() == want.random()
+                assert not sampler.sample_itilde(g, 0.2, 1.2, size=m).any()
+                assert sampler.sample_itilde(g, 0.2, 1.2) == 0.0
+            else:
+                with pytest.raises(err):
+                    sampler.sample_k(g, 0.2, 1.2, 0.8, size=m)
             # H's Poisson mean y B/D is past what numpy draws
             with pytest.raises(ValueError, match="lam value too large"):
-                sampler.sample_k(g, 0.2, 1.2, 1e300, size=2 * LANE_MIN)
-        assert lane.pool is not None and lane.drawing == 0
+                sampler.sample_k(g, 0.2, 1.2, 1e300, size=m)
+        # a step without jumps draws inline: it never starts the lane
+        assert (lane.pool is None) == (err is None) and lane.drawing == 0
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_makes_its_own_lane(self, pc_coeffs, two_atoms,
@@ -763,10 +776,11 @@ class TestJumpTable:
         # U = 0 puts a jump at its piece's left end; U = 1 - 2^-53 puts it
         # within an ulp of the right end, which for the last piece rounds to
         # t unless it is held below t. Two steps are refused, by one error
-        # line: bd_vec forms D(T, t) as a difference of primitives, which is
-        # 0 an ulp below t (a cancellation-free bd would resolve it); and a
-        # density's top mark (U = 1 - 2^-53 again) 6e-18 before t has an H
-        # count of mean 1.1e19, past what numpy draws
+        # line: the tabulated table forms D(T, t) as a difference of
+        # primitives, which is 0 an ulp below t (a cancellation-free bd
+        # would resolve it); and a density's top mark (U = 1 - 2^-53 again)
+        # 6e-18 before t has an H count of mean 1.1e19, past what numpy
+        # draws
         refused = {("tabulated", 1.2), ("density", 0.4)}
         co, nu = _fallback(name, pc_coeffs, two_atoms, exp_density)
         sampler = cj.TransitionSampler(co, nu)

@@ -1,4 +1,4 @@
-"""Per-layer sampler timings of this checkout, written to ``BENCH_<LABEL>.json``.
+"""Per-layer sampler and transform timings, written to ``BENCH_<LABEL>.json``.
 
     python3 tools/bench_layers.py LABEL
 
@@ -13,6 +13,13 @@ by tens of percent, so compare the repeats, not one number), and the max
 component's closed form on the configuration's lambda grid: a change that
 is faster but draws the wrong law shows in the same row. Only the sampler
 calls are timed, not the transform sums.
+
+Transform rows time ``laplace_K``, ``laplace_H``, ``laplace_I`` and
+``laplace_Itilde`` (given a jump measure) as ``cirjump laplace`` computes
+them, on every demo configuration's lambda grid at its (s, t, y): one
+measure kind each, none, atoms or a density. A row gives every repeat's
+milliseconds per call (a repeat is ``CALLS`` calls), their best and their
+median, and the largest error estimate the transform returns.
 
 One more row set, ``jump_model_sine_a``, times ``sample_i`` and
 ``sample_k`` on ``jump_model`` with the clipped-sine input rate ``SINE_A``:
@@ -60,6 +67,7 @@ CONFIGS = os.path.join(ROOT, "demos", "configs")
 LAYERS = {"sample_h": "H", "sample_i": "I", "sample_itilde": "Itilde",
           "sample_k": "K"}
 SEED = 20201019
+CALLS = 50    # transform calls timed per repeat
 # the clipped-sine input rate of the jump_model_sine_a row set
 SINE_A = cj.clipped_sine(0.4, 0.5, 3.0)
 
@@ -121,6 +129,26 @@ def layer_row(cfg, layer, draws, repeats, seed, bounded=True):
             "transform_passed": bool(cmp.passed) if bounded else None}
 
 
+def transform_row(cfg, name, repeats, calls=CALLS):
+    """Milliseconds per call of every one of ``repeats`` runs of ``calls``
+    calls, their best and median, and the largest error estimate of the
+    transform of component ``name`` on one configuration's lambda grid."""
+    comp = cj.COMPONENTS[name]
+    kernels = cj.get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol,
+                             nu_tol=cfg.nu_tol)    # as ``cirjump laplace``
+    grid = np.asarray(cfg.lambda_grid, dtype=float)
+    times = []
+    for _ in range(repeats):
+        t0 = perf_counter()
+        for _ in range(calls):
+            _, err = comp.laplace(kernels, cfg.s, cfg.t, cfg.y, grid)
+        times.append((perf_counter() - t0) * 1e3 / calls)
+    return {"layer": f"laplace_{name}", "ms_per_call": min(times),
+            "ms_per_call_median": statistics.median(times),
+            "ms_per_call_repeats": times,
+            "max_error_estimate": float(np.max(err))}
+
+
 def row_sets():
     """(name, configuration, layers, bounded) of every row set: each demo
     config with every layer it can draw, then jump_model_sine_a."""
@@ -139,16 +167,20 @@ def row_sets():
     return sets
 
 
-def bench_layers(draws=10 ** 6, repeats=3, seed=SEED):
+def bench_layers(draws=10 ** 6, repeats=3, seed=SEED, calls=CALLS):
     """The content of a ``BENCH_<LABEL>.json`` file."""
-    rows = []
+    rows, transforms = [], []
     for name, cfg, layers, bounded in row_sets():
         for layer in layers:
-            row = {"config": name, "s": cfg.s, "t": cfg.t, "y": cfg.y}
-            row.update(layer_row(cfg, layer, draws, repeats, seed, bounded))
-            rows.append(row)
+            at = {"config": name, "s": cfg.s, "t": cfg.t, "y": cfg.y}
+            rows.append({**at, **layer_row(cfg, layer, draws, repeats, seed,
+                                           bounded)})
+            if bounded:    # a demo config: the transform of every component
+                transforms.append({**at, **transform_row(cfg, LAYERS[layer],
+                                                         repeats, calls)})
     return {"environment": environment(), "draws": draws, "repeats": repeats,
-            "seed": seed, "rows": rows}
+            "seed": seed, "calls": calls, "rows": rows,
+            "transforms": transforms}
 
 
 def main(argv=None):
@@ -167,6 +199,10 @@ def main(argv=None):
         print(f"{r['config']:18s} {r['layer']:14s} {r['s_per_1e6_draws']:8.3f} s/1e6 "
               f"(median {r['s_per_1e6_draws_median']:.3f}) "
               f"max|z| {r['transform_max_abs_z']:.2f}")
+    for r in result["transforms"]:
+        print(f"{r['config']:18s} {r['layer']:14s} {r['ms_per_call']:8.3f} ms/call "
+              f"(median {r['ms_per_call_median']:.3f}) "
+              f"max error {r['max_error_estimate']:.2g}")
     print(f"wrote {path}")
     return 0
 

@@ -10,7 +10,10 @@ the pairs the change wins in the direction of the metric's ``better`` (ties
 count for neither side). After the pairs it makes one traced run
 (``--trace 1``, seed K) in each checkout, whose result is checked alone.
 It exits 1 when any run fails, that is exits nonzero, prints no result or
-gives ``correct`` false or ``failed`` above 0.
+gives ``correct`` false or ``failed`` above 0. A failed run's line names
+why: every failed check of its report line with that check's summary (for
+instance ``second_seed: laplace_K_max_abs_z=3.26``), so a known false
+failure of a check can be told from a fault.
 
 Stdlib only. It writes no file of its own; each ``perfbench/run.py`` run
 writes its report under its own checkout, as it always does.
@@ -32,8 +35,22 @@ def end_to_end_metrics(checkout):
         return json.load(fh)["end_to_end"]
 
 
+def failed_checks(report_line):
+    """Every check that the ``{"report": ...}`` line marks failed, with its
+    summary: ``label: key=value ...``, joined by "; "."""
+    try:
+        checks = json.loads(report_line)["report"]["checks"]
+    except (json.JSONDecodeError, KeyError, TypeError):
+        return ""
+    return "; ".join(
+        label + ":" + "".join(f" {k}={v:.3g}" if isinstance(v, float) else f" {k}={v}"
+                              for k, v in check.items() if k != "passed")
+        for label, check in checks.items() if not check.get("passed", True))
+
+
 def run_once(checkout, workload, seed, seconds, trace=0):
-    """One benchmark run; the JSON result, or None if it fails."""
+    """One benchmark run: (the JSON result, None), or (None, why it
+    failed)."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -42,14 +59,20 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     lines = out.stdout.strip().splitlines()
     if out.returncode or not lines:
         sys.stderr.write(out.stderr)
-        return None
+        return None, f"exit {out.returncode}, no result"
     try:
         result = json.loads(lines[-1])
     except json.JSONDecodeError:
-        return None
+        return None, "no result line"
     if not result.get("correct") or result.get("failed", 1) > 0:
-        return None
-    return result
+        why = failed_checks(lines[-2]) if len(lines) > 1 else ""
+        return None, why or (f"correct={result.get('correct')} "
+                             f"failed={result.get('failed')}")
+    return result, None
+
+
+def _status(result, why):
+    return "ok" if result else f"FAILED ({why})"
 
 
 def quartiles(values):
@@ -98,9 +121,10 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {}
         for side in order:
-            results[side] = run_once(sides[side], args.workload, seed, args.seconds)
+            results[side], why = run_once(sides[side], args.workload, seed,
+                                          args.seconds)
             print(f"pair {i + 1} seed {seed} {side}: "
-                  + ("ok" if results[side] else "FAILED"), flush=True)
+                  + _status(results[side], why), flush=True)
         if None in results.values():
             failed += 1
             continue
@@ -116,9 +140,9 @@ def main(argv=None):
                   f"{r['change']:.6g} {r['unit']} ({100 * r['rel']:+.1f} %), "
                   f"{r['wins']}/{r['pairs']}")
     for side, checkout in sides.items():
-        ok = run_once(checkout, args.workload, args.seed, args.seconds, trace=1)
-        print(f"traced seed {args.seed} {side}: " + ("ok" if ok else "FAILED"),
-              flush=True)
+        ok, why = run_once(checkout, args.workload, args.seed, args.seconds,
+                           trace=1)
+        print(f"traced seed {args.seed} {side}: " + _status(ok, why), flush=True)
         failed += ok is None
     if failed:
         print(f"{failed} pair(s) or traced run(s) failed", file=sys.stderr)
