@@ -15,7 +15,7 @@ Schema (all sections except ``model`` are optional)::
       a_tilde: {kind: constant, value: 0.4}
       beta:    {kind: constant, value: 1.0}
       sigma:   {kind: constant, value: 1.0}
-      nu:                      # omit for a jump-free model
+      nu:                      # omit only where a_tilde is 0
         kind: atoms            # atoms | exponential | gamma | tempered_power
         points: [[0.7, 1.2], [1.8, 0.4]]
     run:
@@ -248,6 +248,8 @@ def parse_config(doc) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
     nu = _jump_measure(model["nu"], "model.nu") if model.get("nu") else None
+    if nu is None and coeffs.a_tilde.max_on(0.0, coeffs.t_max) > 0.0:
+        raise ConfigError("missing field 'model.nu' for a_tilde > 0")
 
     run = doc.get("run", {}) or {}
     controls = doc.get("controls", {}) or {}

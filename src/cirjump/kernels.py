@@ -23,17 +23,21 @@ which factorizes into the three component transforms handled below
 
 Internally everything is computed from two primitives cached on a shared
 grid: ``Lam(v) = int_0^v beta`` and ``E(v) = int_0^v sigma^2/2 exp(Lam)``,
-so that
+so that B(s,t) = exp(Lam(s) - Lam(t)), D(s,t) := B(0,t) C(s,t) =
+exp(-Lam(t)) (E(t) - E(s)), p = 1/D, gamma = B/D and Psi(lam) = B lam /
+(1 + lam D), finite for t -> s. Where beta and sigma are piecewise
+constant the table is exact, and its one formula of the pair subtracts
+nothing: on a piece with constant beta and sigma, at distance gap before a
+point hi of the piece,
 
-    B(s,t) = exp(Lam(s) - Lam(t)),   D(s,t) := B(0,t) C(s,t)
-           = exp(-Lam(t)) (E(t) - E(s)),
-    p = 1/D,   gamma = B/D,   Psi(lam) = B lam / (1 + lam D),
+    B = B(hi,t) exp(-beta gap),
+    D = D(hi,t) + B(hi,t) sigma^2/2 (1 - exp(-beta gap))/beta
 
-the last form staying finite for t -> s. When both beta and sigma are
-piecewise constant the primitives are exact closed forms per segment;
-otherwise they are tabulated by per-panel Gauss-Legendre quadrature with
-cubic-Hermite evaluation between panel ends (derivatives of both primitives
-are known exactly).
+(sigma^2/2 gap at beta = 0), from hi = min(end of s's piece, t), whose
+pair comes from t back to its piece's start plus the E increments of the
+whole pieces between. Otherwise the primitives are tabulated by per-panel
+Gauss-Legendre quadrature with cubic-Hermite evaluation between panel
+ends, and ``bd`` subtracts them, losing digits as t - s shrinks.
 
 The time integral of the transforms is a fixed rule
 (``numerics.panel_integral``): order-16 Gauss-Legendre panels whose edges
@@ -85,7 +89,8 @@ class KernelValue:
 
 
 class _PrimitiveTable:
-    """Primitives Lam(v) and E(v) on [0, t_max], vectorized in v."""
+    """Primitives Lam(v) and E(v) on [0, t_max] and the pair (B, D),
+    vectorized in v (module docstring)."""
 
     def __init__(self, coeffs: CoefficientSet):
         beta, sigma, t_max = coeffs.beta, coeffs.sigma, coeffs.t_max
@@ -96,23 +101,17 @@ class _PrimitiveTable:
             sigma.breakpoints(0.0, t_max))))
         self.exact = beta.is_piecewise_constant and sigma.is_piecewise_constant
         if self.exact:
-            edges = base
+            self.edges = edges = base
             mids = 0.5 * (edges[:-1] + edges[1:])
             b = np.asarray(beta(mids), dtype=float)
-            s2 = np.square(np.asarray(sigma(mids), dtype=float))
-            dx = np.diff(edges)
-            lam = np.concatenate(([0.0], np.cumsum(b * dx)))
-            expl = np.exp(lam)
-            half_s2 = 0.5 * s2
-            safe_b = np.where(b != 0.0, b, 1.0)
-            inc = np.where(b != 0.0, half_s2 * (expl[1:] - expl[:-1]) / safe_b,
-                           half_s2 * expl[:-1] * dx)
-            E = np.concatenate(([0.0], np.cumsum(inc)))
-            self.edges, self._b, self._safe_b = edges, b, safe_b
-            self._lam, self._E, self._expl = lam, E, expl
-            # per-piece factors of E(v) - E(edge): growth with and without beta
-            self._half_s2, self._rate0 = half_s2, half_s2 * expl[:-1]
-            self._has_flat = not np.all(b != 0.0)
+            half_s2 = 0.5 * np.square(np.asarray(sigma(mids), dtype=float))
+            # per piece -beta and sigma^2/2 over it (sigma^2/2 at beta = 0)
+            self._nb, self._c = -b, half_s2 / np.where(b != 0.0, -b, 1.0)
+            self._flat = (b == 0.0) if (b == 0.0).any() else None
+            self._lam = lam = np.concatenate(([0.0], np.cumsum(b * np.diff(edges))))
+            # E's increment over a piece: exp(Lam(its end)) D(piece)
+            d_piece = self.before(np.arange(b.size), np.diff(edges), 1.0, 0.0)[1]
+            self._E = np.concatenate(([0.0], np.cumsum(np.exp(lam[1:]) * d_piece)))
             self.error_scale = 1e-15
         else:
             scale = coeffs.smoothness_scale()
@@ -160,32 +159,50 @@ class _PrimitiveTable:
         return self._inner.searchsorted(v, side="right")
 
     def primitives(self, v):
-        """(Lam(v), E(v)), floats for a scalar v, arrays of v's shape else."""
+        """(Lam(v), E(v)) of a tabulated table by Hermite interpolation,
+        floats for a scalar v, arrays of v's shape else."""
         v = np.asarray(v, dtype=float)
         k = self._idx(v)
-        if self.exact:
-            b, dv = self._b[k], v - self.edges[k]
-            lam = self._lam[k] + b * dv
-            grow = self._half_s2[k] * (np.exp(lam) - self._expl[k]) / self._safe_b[k]
-            if self._has_flat:    # a piece without mean reversion grows linearly
-                grow = np.where(b != 0.0, grow, self._rate0[k] * dv)
-            E = self._E[k] + grow
-        else:
-            w = _hermite_weights(v, self.edges[k], self.edges[k + 1])
-            lam = _hermite(w, self._lam[k], self._dlam[k], self._lam[k + 1],
-                           self._dlam[k + 1])
-            E = _hermite(w, self._E[k], self._dE[k], self._E[k + 1],
-                         self._dE[k + 1])
+        w = _hermite_weights(v, self.edges[k], self.edges[k + 1])
+        lam = _hermite(w, self._lam[k], self._dlam[k], self._lam[k + 1],
+                       self._dlam[k + 1])
+        E = _hermite(w, self._E[k], self._dE[k], self._E[k + 1], self._dE[k + 1])
         return (lam, E) if v.ndim else (float(lam), float(E))
 
-    def bd(self, s, t):
-        """(B(s,t), D(s,t)) without the interval check: floats for a scalar
-        pair, at s == t exactly (1.0, 0.0). A nonpositive D, which the
-        subtraction can give on intervals too short for the table, is 0."""
-        lam_s, e_s = self.primitives(s)
-        lam_t, e_t = self.primitives(t)
-        B = np.exp(lam_s - lam_t)
-        D = np.maximum(np.exp(-lam_t) * (e_t - e_s), 0.0)
+    def before(self, k, gap, b_hi, d_hi):
+        """The pair at hi - gap from (B(hi, t), D(hi, t)), both points in
+        piece k of an exact table; exactly (b_hi, d_hi) at gap 0."""
+        w = self._nb[k] * gap
+        grow = np.expm1(w)
+        if self._flat is not None:    # no mean reversion: linear growth
+            grow = np.where(self._flat[k], gap, grow)
+        return np.exp(w) * b_hi, d_hi + b_hi * (self._c[k] * grow)
+
+    def ends(self, k, t):
+        """hi = min(end of piece k, t) and its pair to t, for the pieces k up
+        to t's of an exact table; exactly (t, 1.0, 0.0) for t's piece."""
+        kt = self._idx(t)
+        hi = np.minimum(self.edges[k + 1], t)
+        b_t, d_t = self.before(kt, t - np.maximum(hi, self.edges[kt]), 1.0, 0.0)
+        j = np.minimum(k + 1, kt)
+        # E(edge kt) - E(edge j): a sum of positive increments, 0 for j == kt
+        d_mid = (self._E[kt] - self._E[j]) * np.exp(-self._lam[kt])
+        return hi, b_t * np.exp(self._lam[j] - self._lam[kt]), d_t + b_t * d_mid
+
+    def bd(self, s, t, ends=None):
+        """(B(s,t), D(s,t)) without the interval check, ``ends`` those of
+        every piece for a scalar t: floats for a scalar pair, at s == t
+        exactly (1.0, 0.0). A tabulated table's nonpositive D, which its
+        subtraction gives on intervals too short for it, is 0."""
+        if self.exact:
+            k = self._idx(s)
+            hi, b_hi, d_hi = self.ends(k, t) if ends is None else (e[k] for e in ends)
+            B, D = self.before(k, hi - s, b_hi, d_hi)
+        else:
+            lam_s, e_s = self.primitives(s)
+            lam_t, e_t = self.primitives(t)
+            B = np.exp(lam_s - lam_t)
+            D = np.maximum(np.exp(-lam_t) * (e_t - e_s), 0.0)
         return (B, D) if np.ndim(B) else (float(B), float(D))
 
 
@@ -237,7 +254,7 @@ class TransitionKernels:
 
     def kernel_value(self, s, t) -> KernelValue:
         B, D = self.bd(s, t)
-        C = self.table.primitives(t)[1] - self.table.primitives(s)[1]
+        C = D / self.table.bd(0.0, t)[0]
         p = 1.0 / D
         gamma = B / D
         err = self.table.error_scale * max(abs(C), abs(p), abs(gamma))
@@ -254,9 +271,12 @@ class TransitionKernels:
         """B lam / (1 + lam D) for every finite lam; the limit gamma = B/D
         only at lam = inf."""
         lam = np.asarray(lam, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(np.isinf(lam), B / np.asarray(D, dtype=float),
-                           B * lam / (1.0 + lam * D))
+        if np.isinf(lam).any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.where(np.isinf(lam), B / np.asarray(D, dtype=float),
+                               B * lam / (1.0 + lam * D))
+        else:
+            out = B * lam / (1.0 + lam * D)
         return out if lam.ndim else float(out)
 
     def psi(self, s, t, lam):
@@ -284,26 +304,6 @@ class TransitionKernels:
                                     in zip(edges[:-1], edges[1:], n)] + [[t]])
         return edges
 
-    def _exponent_integral(self, s, t, lam, use_a, use_atilde):
-        """int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}](lam) dv, vectorized in
-        lam; returns (value, error estimate), one entry per lam."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        a, at = self.coeffs.a, self.coeffs.a_tilde
-        if use_atilde and self.nu is None:
-            raise ValueError("transform with jump input needs a jump measure")
-
-        def integrand(v):
-            B, D = self.table.bd(v, t)    # nodes may round onto t: no check
-            psi_v = self._psi_from_bd(B[:, None], D[:, None], lam)
-            out = np.zeros_like(psi_v)
-            if use_a:
-                out += a(v)[:, None] * psi_v
-            if use_atilde:
-                out += at(v)[:, None] * self.nu.one_minus_exp_integral(psi_v)
-            return out
-
-        return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)
-
     def laplace_H(self, s, t, y, lam):
         """Transform of the component started from mass y: ``laplace_K``
         with both inputs switched off."""
@@ -324,28 +324,40 @@ class TransitionKernels:
         return self._transform(s, t, y, lam, warn=True)
 
     def _transform(self, s, t, y, lam, continuous=True, jumps=True, warn=False):
-        """exp(-y Psi_{s,t}(lam) - exponent integral) over the inputs that
-        are switched on; an input whose rate vanishes on [s, t] adds 0."""
+        """exp(-y Psi_{s,t}(lam) - int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}]
+        (lam) dv) over the inputs that are switched on, vectorized in lam; an
+        input whose rate vanishes on [s, t] adds 0."""
         self._check(s, t)
         self._check_lam(lam)
         if y < 0:
             raise ValueError("y must be nonnegative")
-        if jumps and not continuous and self.nu is None:
-            raise ValueError("transform with jump input needs a jump measure")
         if warn and not self.coeffs.beta_strictly_positive:
             warnings.warn(
                 "mean reversion is not strictly positive; the transform "
                 "formula is applied outside its proved hypothesis",
                 BetaNotStrictlyPositiveWarning, stacklevel=3)
-        use_a = continuous and self.coeffs.a.max_on(s, t) > 0.0
-        use_atilde = jumps and self.coeffs.a_tilde.max_on(s, t) > 0.0
+        a, at = self.coeffs.a, self.coeffs.a_tilde
+        use_a = continuous and a.max_on(s, t) > 0.0
+        use_atilde = jumps and at.max_on(s, t) > 0.0
+        if use_atilde and self.nu is None:
+            raise ValueError("transform with jump input needs a jump measure")
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        if use_a or use_atilde:
-            ex, err = self._exponent_integral(s, t, lam, use_a=use_a,
-                                              use_atilde=use_atilde)
-        else:
-            ex, err = np.zeros_like(lam_arr), 0.0
-        B, D = self.bd(s, t)
+        table = self.table    # the ends of every piece to t, formed once
+        ends = table.ends(np.arange(table.edges.size - 1), t) if table.exact else None
+
+        def integrand(v):
+            B, D = table.bd(v, t, ends)    # nodes may round onto t: no check
+            psi_v = self._psi_from_bd(B[:, None], D[:, None], lam_arr)
+            out = np.zeros_like(psi_v)
+            if use_a:
+                out += a(v)[:, None] * psi_v
+            if use_atilde:
+                out += at(v)[:, None] * self.nu.one_minus_exp_integral(psi_v)
+            return out
+
+        ex, err = (panel_integral(integrand, self._v_panels(s, t, lam_arr), self.tol)
+                   if use_a or use_atilde else (np.zeros_like(lam_arr), 0.0))
+        B, D = table.bd(s, t, ends)
         val = np.exp(-(y * self._psi_from_bd(B, D, lam_arr) + ex))
         e = np.abs(val) * (err + (1.0 + y) * self.table.error_scale)
         scalar = np.ndim(lam) == 0

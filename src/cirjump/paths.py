@@ -30,7 +30,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .jumps import JumpMeasure
 from .numerics import _as_generator
-from .samplers import PrmRealization, _gamma_counts, get_sampler
+from .samplers import PrmRealization, _push, get_sampler
 
 __all__ = [
     "PathRealization",
@@ -168,19 +168,15 @@ def _arrivals(g, sampler, grid, prm):
     """Every point (T, Y) of ``prm`` carried to the end t_k of its grid step
     through H, summed per grid index k. A point on a grid time enters as Y,
     H over an empty interval being the identity; the others get B and D from
-    one array ``bd`` call, made also when there are none. A path has a few
-    points, so each draws its H count and Gamma as scalars."""
+    one array ``bd`` call, made also when there are none, and are pushed as
+    a one-draw ITilde pushes its points."""
     k = _step_of(grid, prm.times)
-    ends = grid[k]
-    inside = prm.times < ends
-    B, D = sampler.kernels.bd(prm.times[inside], ends[inside])
-    pushed = zip(B.tolist(), D.tolist())
+    inside = prm.times < grid[k]
+    B, D = sampler.kernels.bd(prm.times[inside], grid[k][inside])
+    pushed = iter(_push(g, prm.sizes[inside], B, D, scalar=True))
     out = [0.0] * grid.size
     for j, y, on in zip(k.tolist(), prm.sizes.tolist(), inside.tolist()):
-        if on:
-            b, d = next(pushed)
-            y = _gamma_counts(g, g.poisson(y * (b / d)), d)
-        out[j] += y
+        out[j] += next(pushed) if on else y
     return out
 
 

@@ -36,26 +36,22 @@ measures; the discarded sqrt-mass diagnostic controls the bias. On each
 piece [lo, hi] of [s, t] between the knots of a~, beta and sigma the
 measure is one homogeneous Poisson process per atom (y_k, w_k) of the mark
 law, of rate a~ w_k (for a density, one process with i.i.d. marks from the
-normalized restriction): the entries of the step's jump table. A point at
-distance Delta = (hi - lo)(1 - U) in (0, hi - lo] from hi gets the
-piece's closed forms
-
-    B(T,t) = B(hi,t) exp(-beta Delta)
-    D(T,t) = D(hi,t) + B(hi,t) sigma^2/(2 beta) (1 - exp(-beta Delta)),
-
-sigma^2/2 Delta in place of the fraction where beta = 0, which subtract
-no primitives and are positive. A batch of m draws of any entries is one
+normalized restriction): the entries of the step's jump table, with
+B(hi,t) and D(hi,t). A point at distance (hi - lo)(1 - U) from hi gets
+B(T,t) and D(T,t) from them by the exact primitive table's one formula
+(``kernels``). A batch of m draws of any entries is one
 Poisson(m R) total of points, R the summed entry rates, split over the
 entries by one multinomial and laid out entry by entry, each point with a
 uniform draw label in [0, m) and a uniform U: by Poisson splitting the
 counts of each entry and draw are independent Poisson, the law of m
 separate draws, and no point needs a table search. Three inputs fall back:
 an a~ that is not piecewise constant is thinned against each piece's max,
-a tabulated primitive table gives every point B and D from its primitives
-(``_PrimitiveTable.bd``), and a density's marks come from its mark table.
-One draw (``size`` None) has few points, so it pushes them through H with
-scalar calls, made in the order of the batch's array calls: it reads the
-stream as a size-1 batch does and returns the same bits.
+a tabulated primitive table gives every point B and D by subtracting its
+primitives, and a density's marks come from its mark table. One draw
+(``size`` None) has few points, so it pushes them through H with scalar
+calls (``_push``, as branching paths push theirs), made in the order of the
+batch's array calls: it reads the stream as a size-1 batch does and
+returns the same bits.
 
 ``K`` -- the sum of the three, which are independent. One draw and a
 batch of one take H, then I, then ITilde from the stream. A larger batch
@@ -85,11 +81,10 @@ pushed I cells' alpha_j L_j, L_j and D(r_{j-1}, t), the last cell's alpha
 and D, and the jump table. A sampler keeps them in two records per (s, t),
 the step record and the jump table, for the ``STEP_CACHE`` most recently
 used intervals, so the draws of a path or a batch on one grid compute them
-once; only y and the stream change from draw to draw. The jump table needs
-no D(s, t), so the driving measure is drawn also on an interval too short
-for H. A record is built with the calls, in the order of operations, that
-the draws would make without it, and its entries are floats and read-only
-float arrays, so a hit and a miss give the same bits.
+once; only y and the stream change from draw to draw. A record is built
+with the calls, in the order of operations, that the draws would make
+without it, and its entries are floats and read-only float arrays, so a
+hit and a miss give the same bits.
 
 ``COMPONENTS`` is the one table of the four laws K, H, I and ITilde: for
 each, its transform on a ``TransitionKernels`` and its draws on a
@@ -99,12 +94,13 @@ each, its transform on a ``TransitionKernels`` and its draws on a
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -217,6 +213,22 @@ def _gamma(g, alpha, scale, size=None):
     return x
 
 
+def _push(g, y, b, d, scalar=False):
+    """Masses y carried through H with their (B, D): every H count, then
+    every Gamma, by array calls or by scalar calls into a list. Refused
+    where a count's mean is over ``POISSON_MEAN_MAX`` (or D is 0)."""
+    with np.errstate(divide="ignore"):   # D = 0 is refused below
+        lam = y * b / d
+    if not lam.max(initial=0.0) <= POISSON_MEAN_MAX:
+        raise DegenerateInterval(
+            f"D(T, t) of a jump at T is too small for its H count: mean "
+            f"{lam.max():.3g} over {POISSON_MEAN_MAX:.3g}")
+    if not scalar:
+        return _gamma_counts(g, g.poisson(lam), d)
+    counts = [g.poisson(mu) for mu in lam.tolist()]
+    return [_gamma_counts(g, k, scale) for k, scale in zip(counts, d.tolist())]
+
+
 class _Entries(NamedTuple):
     """Homogeneous Poisson processes that ``_lay_out`` draws together, one
     per entry: ``rate`` is the mean count of points per draw over all
@@ -276,16 +288,15 @@ class _Jumps(NamedTuple):
     """The jump table of a step (s, t): one entry per piece [lo, hi] of
     [s, t] between the knots of a~, beta and sigma and per atom (y, w) of
     the mark law (one per piece for a density, w its mass), of rate a~ w
-    (hi - lo). Its rows are hi - lo, hi, -beta, -B(hi, t) sigma^2/(2 beta)
-    (-B(hi, t) sigma^2/2 where beta = 0), B(hi, t), D(hi, t), the piece's
-    max of a~ where a~ is not piecewise constant, and y for atoms."""
+    (hi - lo). Its rows are hi - lo, hi, the primitive table's piece that
+    holds [lo, hi], B(hi, t), D(hi, t), the piece's max of a~ where a~ is
+    not piecewise constant, and y for atoms."""
 
     entries: _Entries
     marks: Optional[MarkSampler]   # a density's mark table; None for atoms
-    flat: bool                     # some piece has beta = 0
 
 
-_NO_JUMPS = _Jumps(_entries([], [[]]), None, False)
+_NO_JUMPS = _Jumps(_entries([], [[]]), None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,8 +332,9 @@ class TransitionSampler:
     ``STEP_CACHE`` most recently used intervals. They hold exactly the
     floats the draws would compute, so cached draws keep their bits. An
     invalid interval raises ``DegenerateInterval`` on every call (errors
-    are not cached), and so does a step record where the primitive table
-    gives no positive D(s, t) or D(r1, t) of a pushed I cell.
+    are not cached), and so does a step record where a tabulated primitive
+    table gives no positive D(s, t) or D(r1, t) of a pushed I cell (the
+    jump table needs neither).
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -411,21 +423,18 @@ class TransitionSampler:
         # U' in (0, 1] then lies in [lo, hi]
         length = np.where(hi - length < lo, np.nextafter(length, 0.0), length)
         mids = 0.5 * (lo + hi)
-        beta = np.asarray(co.beta(mids), dtype=float)
-        half_s2 = 0.5 * np.square(np.asarray(co.sigma(mids), dtype=float))
         b_hi, d_hi = self.kernels.table.bd(hi, t)    # (1.0, 0.0) at hi == t
-        flat = beta == 0.0
-        nbc = -b_hi * half_s2 / np.where(flat, 1.0, beta)
         thin = not co.a_tilde.is_piecewise_constant
         a_tilde = np.array([co.a_tilde.max_on(a, b) for a, b in zip(lo, hi)]) \
             if thin else np.asarray(co.a_tilde(mids), dtype=float)
         sizes, weights = marks.atoms or ([], [marks.mass])
         rows = [np.repeat(r, len(weights)) for r in
-                [length, hi, -beta, nbc, b_hi, d_hi] + [a_tilde] * thin]
+                [length, hi, self.kernels.table._idx(mids), b_hi, d_hi]
+                + [a_tilde] * thin]
         if marks.atoms:
             rows.append(np.tile(sizes, lo.size))
         return _Jumps(_entries(np.outer(a_tilde * length, weights), rows),
-                      None if marks.atoms else marks, bool(flat.any()))
+                      None if marks.atoms else marks)
 
     def i_grid(self, s, t):
         """Cells ``sample_i`` draws on: the knots of the input and volatility
@@ -460,7 +469,7 @@ class TransitionSampler:
         tot = g.poisson(mean * m) if mean else 0   # a rate of 0 reads no stream
         if not tot:
             return _NO_POINTS
-        (length, hi, nbeta, nbc, b_hi, d_hi, *more), idx, u = \
+        (length, hi, piece, b_hi, d_hi, *more), idx, u = \
             _lay_out(g, jumps.entries, tot, m)
         sizes = more.pop() if jumps.marks is None else None
         gap = 1.0 - u    # distance to the piece's right end, in (0, length]
@@ -470,23 +479,14 @@ class TransitionSampler:
         np.minimum(times, math.nextafter(t, -math.inf), out=times)
         if more:    # thinned against the piece's max of a~
             keep = g.random(times.size) * more[0] < self.coeffs.a_tilde(times)
-            idx, times, gap, nbeta, nbc, b_hi, d_hi = (
-                a[keep] for a in (idx, times, gap, nbeta, nbc, b_hi, d_hi))
+            idx, times, gap, piece, b_hi, d_hi = (
+                a[keep] for a in (idx, times, gap, piece, b_hi, d_hi))
             sizes = None if sizes is None else sizes[keep]
         if sizes is None:
             sizes = jumps.marks.sample(g, times.size)
-        if not self.kernels.table.exact:
-            return (idx, times, sizes, *self.kernels.table.bd(times, t))
-        # the piece's closed forms from its right end: no cancellation
-        w = nbeta * gap
-        b = np.exp(w)
-        b *= b_hi
-        d = np.expm1(w)
-        if jumps.flat:
-            d = np.where(nbeta == 0.0, -gap, d)
-        d *= nbc
-        d += d_hi
-        return idx, times, sizes, b, d
+        table = self.kernels.table    # an exact one: from the piece's right end
+        return idx, times, sizes, *(table.before(piece.astype(np.intp), gap, b_hi, d_hi)
+                                    if table.exact else table.bd(times, t))
 
     @staticmethod
     def _starts(y, size):
@@ -548,21 +548,9 @@ class TransitionSampler:
         idx, _, sizes, bv, dv = self.prm_points_batch(g, s, t, m)
         if not dv.size:
             return 0.0 if m is None else np.zeros(m)
-        with np.errstate(divide="ignore"):   # D = 0 is refused below
-            lam = sizes * bv / dv
-        if not lam.max() <= POISSON_MEAN_MAX:
-            raise DegenerateInterval(
-                f"D(T, {float(t)!r}) of a jump at T is too small for its H "
-                f"count: mean {lam.max():.3g} over {POISSON_MEAN_MAX:.3g}")
-        if m is None:
-            # the array calls' order: every count, then every Gamma, added
-            # from 0.0 in point order as bincount adds (sum() may compensate)
-            counts = [g.poisson(mu) for mu in lam.tolist()]
-            x = 0.0
-            for k, d in zip(counts, dv.tolist()):
-                x += _gamma_counts(g, k, d)
-            return x
-        x = _gamma_counts(g, g.poisson(lam), dv)
+        x = _push(g, sizes, bv, dv, scalar=m is None)
+        if m is None:    # from 0.0 in point order, as bincount adds
+            return reduce(operator.add, x, 0.0)
         # bincount adds in draw order; x.sum() would add pairwise
         return np.bincount(idx, weights=x, minlength=m)
 

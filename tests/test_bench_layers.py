@@ -21,11 +21,11 @@ def layers():
 
 
 def test_rows_and_environment(layers):
-    out = layers.bench_layers(draws=10 ** 4, repeats=3, calls=2)
+    out = layers.bench_layers(draws=10 ** 4, repeats=3, calls=2, bd_calls=200)
     assert set(out) == {"environment", "draws", "repeats", "seed", "calls",
-                        "rows", "transforms"}
-    assert (out["draws"], out["repeats"], out["seed"], out["calls"]) == \
-        (10 ** 4, 3, layers.SEED, 2)
+                        "bd_calls", "rows", "transforms", "bd"}
+    assert (out["draws"], out["repeats"], out["seed"], out["calls"],
+            out["bd_calls"]) == (10 ** 4, 3, layers.SEED, 2, 200)
     env = out["environment"]
     assert set(env) == {"cores", "usable_cores", "python", "numpy", "pyyaml",
                         "git_revision", "git_dirty", "src_sha256"}
@@ -66,6 +66,20 @@ def test_rows_and_environment(layers):
         assert len(times) == 3 and r["ms_per_call"] == min(times) > 0.0
         assert r["ms_per_call_median"] == sorted(times)[1]
         assert 0.0 < r["max_error_estimate"] < 1e-6
+    # bd rows: each demo config and the tabulated set, the table build, one
+    # pair and a node array
+    configs = ("classical_cir", "infinite_activity", "jump_model",
+               "jump_model_tabulated")
+    got = {(r["config"], r["layer"]) for r in out["bd"]}
+    assert got == {(c, layer) for c in configs
+                   for layer in ("table_build", "bd_pair", "bd_nodes")}
+    for r in out["bd"]:
+        assert set(r) == {"config", "s", "t", "layer", "exact", "us_per_call",
+                          "us_per_call_median", "us_per_call_repeats"}
+        assert r["exact"] == (r["config"] != "jump_model_tabulated")
+        times = r["us_per_call_repeats"]
+        assert len(times) == 3 and r["us_per_call"] == min(times) > 0.0
+        assert r["us_per_call_median"] == sorted(times)[1]
     json.dumps(out)    # plain JSON types only
 
 

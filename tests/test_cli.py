@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cirjump.cli import main
@@ -308,26 +309,34 @@ DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
 # and infinite_activity exact_skeleton and branching digests were
 # re-recorded when kernels.bd took numpy's exp in place of math.exp, which
 # differs in the last bit for some arguments: B and D of a step moved by an
-# ulp, and the draws with them. jump_model's steps keep their bits.
+# ulp, and the draws with them. jump_model's steps keep their bits. Every
+# exact_skeleton and branching digest was re-recorded when an exact
+# primitive table's (B, D) became the per-piece formula from the piece's
+# right end, which subtracts no primitives: B and D of a step moved in their
+# last bits, and the draws with them. The jump_model and infinite_activity
+# branching digests also moved when a path's points began to be pushed
+# through H as a one-draw ITilde pushes its points (every H count, then
+# every Gamma) in place of a count and a Gamma point by point: the same law,
+# a new stream. The euler digests read no (B, D) and keep their bits.
 PATH_DIGESTS = {
     ("classical_cir", "exact_skeleton"):
-        "e51decb96e7c0cb9d1783af58f15960b3c19a7220af825fe1b24d5686f1e170d",
+        "a0bdd404cbbe4850df34c3fdadc5938db570149d9be43b775c686f6c02333555",
     ("infinite_activity", "exact_skeleton"):
-        "4e675b25038d2f724c62390b9e524928ec9d3d669c0a15a481fd7c9eadf69e8a",
+        "e28f9ed402d47a9413ccf65ea01eb2eb664faef28cdf9f91e3c46d025b1787ba",
     ("jump_model", "exact_skeleton"):
-        "3ccc569ed41c45e9ac0b1a0d61905a60d66bb7ce1611ecd4e8e9d5bdcc139889",
+        "80d85128e779b84fb14c1ed522c9360e3d10e017a631b8d2ca96ae161240f213",
     ("classical_cir", "euler"):
         "f04d1ca3b0aad3e3bde26ddfecb7869959ed2a2fdd9e3eaf0a038ce37dcd098e",
     ("classical_cir", "branching"):
-        "e51decb96e7c0cb9d1783af58f15960b3c19a7220af825fe1b24d5686f1e170d",
+        "a0bdd404cbbe4850df34c3fdadc5938db570149d9be43b775c686f6c02333555",
     ("infinite_activity", "euler"):
         "5f800c5d2b658c660a2548b8beb44db2a4671a489429681bb6239b60375d307a",
     ("infinite_activity", "branching"):
-        "396c31a74a5d5ef25e84523ff438c097676bce469fd93286eaab9d402718d719",
+        "596f6b963a4b5f9f7fb6e5de84d966ddaf95d167c33a1a4ddc1b96da2b339bf5",
     ("jump_model", "euler"):
         "e7ad41bc116a93eecd692c6008675078bf1c23d959dbf0c90a0ce0db6fb9df38",
     ("jump_model", "branching"):
-        "29c37fb0dce60a65ffb8063fb32147668e13fc725f140ec17fba2be81a2acc6a",
+        "3ea9f253f4d95519b132f0b83e4be4baedfbd304ed491a6ac25255226902da63",
 }
 
 
@@ -379,14 +388,22 @@ def test_demo_paths_byte_identical(config, scheme, tmp_path, capsys):
 # digest and its sample H, I and K digests also moved when kernels.bd took
 # numpy's exp in place of math.exp, which differs in the last bit for some
 # arguments: B and D of (s, t) and of the I cells moved by an ulp, and the
-# draws with them. jump_model's draws keep their bits.
+# draws with them. jump_model's draws keep their bits. The laplace I, Itilde
+# and K digests of every config were re-recorded when an exact primitive
+# table's (B, D) became the per-piece formula from the piece's right end,
+# which subtracts no primitives: each value moved by at most 2.8e-16, at
+# most 0.15 of the error estimate printed beside it, and laplace H kept its
+# values. The jump_model sample H, I, Itilde and K digests moved with it:
+# B and D of (s, t), of the I cells and of the jump table's piece ends
+# moved in their last bits. infinite_activity's one-piece table and
+# classical_cir's (0, 1) give the same bits as before.
 CLI_DIGESTS = {
     ("classical_cir", "laplace", "H"):
         "d64e6e3dbaba8f047b0d1ad1837fd0f795707bce73ffed45177fc2daf4133ad1",
     ("classical_cir", "laplace", "I"):
-        "63b8f37f1384287240dbd8e9535e8eb3f023cea92fd967cce44251e108789f06",
+        "c912584ebdf8f8a27a2358300c929537f53a3421ad8062cdbff65ca4c0447508",
     ("classical_cir", "laplace", "K"):
-        "ba166cbb6e16ffc0c49adbe516b457487be4731933c02f6d82e9fe39e57b206f",
+        "03b62bed8b0fd47babdb75782f9b7e13ff32af41c281ecb984579344368ef702",
     ("classical_cir", "sample", "H"):
         "4ca4cb9a4328383a34554607725c9d7e6eab600cd00d8962b650f5435bf72c5c",
     ("classical_cir", "sample", "I"):
@@ -398,11 +415,11 @@ CLI_DIGESTS = {
     ("infinite_activity", "laplace", "H"):
         "b908cba6e731ae7553f9426b12533651e59002a8bd9f4710765cdb66eb7765b2",
     ("infinite_activity", "laplace", "I"):
-        "c3516d56b44155dfb8387ff94d08ccb66ac0a2bab7d0d36297b756ea000dc15a",
+        "80b39337cd9755b20aa901a02b1b9631fb4bedb6ce12785c5c8b66ff734dd660",
     ("infinite_activity", "laplace", "Itilde"):
-        "382abadb0c9759cfe880c4605c84b30edc08377f92a957392473619c0ad1d65a",
+        "4ac6da0fb1fe0982b00da26211a091a7ddbe6f74e87f61973b65c975f8d15125",
     ("infinite_activity", "laplace", "K"):
-        "1379cd0c124710a4095e6c5a8d0546923e6810971a0eb37554c3b82075062475",
+        "a8f39ced09d6b39d3fe5505272635a77017a9f5c90c69944bedbec76f366090f",
     ("infinite_activity", "sample", "H"):
         "8273dd3c3e0cc2cbb03c0e23cdd601e9b7670fbd528c545897facf6b8dacca1f",
     ("infinite_activity", "sample", "I"):
@@ -414,19 +431,19 @@ CLI_DIGESTS = {
     ("jump_model", "laplace", "H"):
         "6ccf9b0c281303fb0ae973cd7d1850c6bc9acbce2a528e4b6281e2857c717264",
     ("jump_model", "laplace", "I"):
-        "6aa8ce1533be57aeb85531ddf3271dca7b62da1611c0b315f7275417f4557821",
+        "d55ddd9c507fc7f91683407f49a258b5b39e2d877e071cd3cfb41c7c424c9771",
     ("jump_model", "laplace", "Itilde"):
-        "0e7cd3749413daf73e4d84abb9f62598292574a8856c0564c8f2517120043cac",
+        "52b11db4751a24aad8378f9294c08f7a83b4294b314a2d3474b46731e3f458b4",
     ("jump_model", "laplace", "K"):
-        "4e194e53d12f2049ba4961b57793465e24813f0cbc5f5be0062bdca533c93e11",
+        "ae4a56658f6b3544e38d2b0a17c9b77d99c3c237494faaeca9f25f2e93f6c409",
     ("jump_model", "sample", "H"):
-        "b4bc4efd24ec5741e24c1c21bfe447ea1d4afa08b38be6a2b8a8d1b0f8233444",
+        "82c206d184cb43531aff7b7dcaa04f3f1bf8584c265fce10d99939e75f363d19",
     ("jump_model", "sample", "I"):
-        "a3d51e76541c1ef14d1cae4c37582c4cfc4b2f3454d2e81473de0820c6fb0dda",
+        "4465123cefbab0941a8f2f27af0476816c30f608ba776665b88d50d86bfafcb5",
     ("jump_model", "sample", "Itilde"):
-        "3ada33c93f78bee9ce40eb4a0039e4780becb75adbb5018fe251375834eaef81",
+        "975a5dc9fb995752dd4d53f459d7d989cb85a62585362ac4ede01b853431407f",
     ("jump_model", "sample", "K"):
-        "b528fc85a6a4330eeb9c5a8ed1dcfc99d1db6b1b1c34003835055b4747baa7df",
+        "abb2a46f95a707dc2437192819f622f4391242e8dc3e22654994b4461e132f3d",
 }
 
 
@@ -468,28 +485,34 @@ def test_demo_cli_output_byte_identical(config, command, component, capsys):
 # infinite_activity chapman-kolmogorov, kernels, sampler-H and transition-K
 # reports were re-recorded when kernels.bd took numpy's exp in place of
 # math.exp, which differs in the last bit for some arguments: B and D moved
-# by an ulp, and the draws and reported kernel values with them.
+# by an ulp, and the draws and reported kernel values with them. The
+# kernels and chapman-kolmogorov reports of every config, the classical_cir
+# sampler-I and transition-K reports and the jump_model sampler-H,
+# sampler-I, sampler-Itilde and transition-K reports were re-recorded when
+# an exact primitive table's (B, D) became the per-piece formula from the
+# piece's right end, which subtracts no primitives: the reported kernel
+# values and the draws moved in their last bits. Every report passes.
 SUITE_DIGESTS = {
     ("classical_cir", "chapman-kolmogorov"):
-        "65544146863289aa7f9ee15b93c82e7a3b8cb9cfcc882e3290cc4b5812481534",
+        "69726673af9c322aa3763cc56d848d0c6d17d75c2b4a5a8bfd16d9f779922951",
     ("classical_cir", "euler-convergence"):
         "ff01352c4770454a2de3e41bca91d522f74d3bba16fc0882432b1b570b72658c",
     ("classical_cir", "kernels"):
-        "e969d8daaa71a5ec902e5528785013f5a7d37ea8bc38d4a19bc6422e849cc1e9",
+        "d412e2884fd6930e69a0f28d1f7c65cfa0fb7b731dafcaf6e57ba835431b0610",
     ("classical_cir", "sampler-H"):
         "0ead6db928ea62e09446daa377e1ab8b115be710f171ad106f2ba400ea3b9a04",
     ("classical_cir", "sampler-I"):
-        "923ff9dca9910858ff9764b94d740efc5c8257f1d0475ab41031b15cb7da7081",
+        "b3e3015049ff63c853394562c1dbcc5cae30397d0d91bc35cb7cf75c5d696879",
     ("classical_cir", "transition-K"):
-        "7387ce8438dd8cbf41b43951a69d5577ee0994ba101e4eaf0fda8062e7ee7170",
+        "fb78e729e8e5c171bdd37a19127b42e1cbaa321da1b074ba7c24823acde38f76",
     ("classical_cir", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
     ("infinite_activity", "chapman-kolmogorov"):
-        "155fe32606e223597d07100d60ba863eb865d044fe93bc38424f892fe8fa8e90",
+        "17c3c707eac481db52ed5c04a2f24f5d2de2ca4d03769e05f96c91bafc598d67",
     ("infinite_activity", "euler-convergence"):
         "f57fd720527187d730f039911b608bb0df718a8fc1d47df5489da7b1188b4efe",
     ("infinite_activity", "kernels"):
-        "1fb249a5953cf1ac983e3fe924d6037ba6d7881e819d72a8a9fd9b9029f22ead",
+        "9a99f8ad35bd90611a611c39f1391a2641debf2f4769e6648d766a92584a20b1",
     ("infinite_activity", "sampler-H"):
         "0654eadacc29f920ab452f01d7f1513a166a92bff8d0d7ada3c91c667d698804",
     ("infinite_activity", "sampler-I"):
@@ -501,19 +524,19 @@ SUITE_DIGESTS = {
     ("infinite_activity", "truncation"):
         "6eade2616fa0dab7b431549c0fa9ac51042269e6055c995b244899cf2c1a90bf",
     ("jump_model", "chapman-kolmogorov"):
-        "d8ccff03f6d3630aa2805be36651feb6228309add57927e98ea406f808b0cda4",
+        "cb21919d967aae5fec676e016676247fb17bb7bbe12ecb87f195a5808597b17c",
     ("jump_model", "euler-convergence"):
         "0c9ad9dcf39758ee5c5fa5e8b2eb07e580ad4921be8c08021b639b9e8017a8c4",
     ("jump_model", "kernels"):
-        "85703a42365bf7383c798babd0172a0cd5cc82e56a04ee2919ac8d89439ad931",
+        "57be4d9ecd617aff2e00648301ff950c06f32df0ff5c4b7a6bdf2fadf26758ac",
     ("jump_model", "sampler-H"):
-        "0c89363e95a630db258495953782bdf6d39bd41827a477b6152a3aa245ad50f8",
+        "ac0472b953215a31811f3ef9c48df777c39f626aaa3c8fd3c8bdacd47acdc4e3",
     ("jump_model", "sampler-I"):
-        "ceb6afaba0d0c30ac1c6cca2045d288423dd89201d1b26e2b20b09ac8fe1ea28",
+        "6e1f819657c6f7f2bf1ead0c5376151d155fd9574e451ee4a18fec6a5afae8a0",
     ("jump_model", "sampler-Itilde"):
-        "456ba7d1e0c22a984d8df335cf311232b93ca78ef8a862899812808b4c290750",
+        "1e3c7689a3985e2b9f6c46cb8a6aab4b72d86ee20abcf889444f44713daf520b",
     ("jump_model", "transition-K"):
-        "7028711dc3d0980beaf4d4d8574fe1dec6ef363d95ea7cbac449210f29fc9335",
+        "cbb673a3514276b4baf9e68284eeb7ee15684df4348b8b083d5a723b4fb24fe1",
     ("jump_model", "truncation"):
         "8ebfbf52d20ec98dd8be196a9cc3c89e96b042ea95b705836104eee52408ea63",
 }
@@ -618,13 +641,20 @@ class TestUsageErrors:
         ("jump_model", "1.9999999999999998", "2.0"),
     ])
     def test_one_ulp_interval(self, capsys, config, s, t):
-        # D(s, t) rounds to 0 on these valid intervals; sampling used to stop
-        # with a ZeroDivisionError traceback, the transform still answers
+        # the exact primitive table resolves D(s, t), about sigma^2/2 (t - s),
+        # on these valid intervals: every component samples the step. The
+        # draws are finite, and H stays within its standard deviation
+        # sqrt(2 y B D), about 2e-8, of y
         path = os.path.join(DEMO_CONFIGS, config + ".yaml")
-        assert _exit_code(["sample", path, "--s", s, "--t", t, "--n", "3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: DegenerateInterval: D(")
-        assert "not positive" in err and len(err.splitlines()) == 1
+        for component in ("K", "H", "I", "Itilde"):
+            assert _exit_code(["sample", path, "--s", s, "--t", t, "--y", "0.8",
+                               "--n", "200", "--component", component]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            x = np.array([float(v) for v in lines[1:]])
+            assert lines[0] == "value" and x.size == 200
+            assert np.isfinite(x).all() and (x >= 0.0).all()
+            if component == "H":
+                assert np.abs(x - 0.8).max() < 1e-6
         assert _exit_code(["laplace", path, "--s", s, "--t", t]) == 0
 
     @pytest.mark.parametrize("config,s,t", [
@@ -632,21 +662,18 @@ class TestUsageErrors:
         ("jump_model", "1.9999999999999998", "2.0"),
     ])
     def test_one_ulp_interval_euler(self, capsys, tmp_path, config, s, t):
-        # the Euler scheme draws only the driving measure, whose jump table
-        # needs no D(s, t): it runs where the exact schemes refuse the step
+        # the exact schemes run on the step as the Euler scheme does: one
+        # row per end, finite values
         path = os.path.join(DEMO_CONFIGS, config + ".yaml")
         argv = ["simulate", path, "--s", s, "--t", t, "--outdir"]
-        assert _exit_code(argv + [str(tmp_path / "euler"),
-                                  "--scheme", "euler"]) == 0
-        capsys.readouterr()
-        rows = (tmp_path / "euler" / "path_0000.csv").read_text().splitlines()
-        assert [float(r.split(",")[0]) for r in rows[1:]] == [float(s), float(t)]
-        for scheme in ("exact_skeleton", "branching"):
+        for scheme in ("euler", "exact_skeleton", "branching"):
             assert _exit_code(argv + [str(tmp_path / scheme),
-                                      "--scheme", scheme]) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: DegenerateInterval: D(")
-            assert len(err.splitlines()) == 1
+                                      "--scheme", scheme]) == 0
+            capsys.readouterr()
+            rows = (tmp_path / scheme / "path_0000.csv").read_text().splitlines()
+            assert [float(r.split(",")[0]) for r in rows[1:]] == \
+                [float(s), float(t)]
+            assert all(math.isfinite(float(r.split(",")[1])) for r in rows[1:])
 
     def test_zero_workers(self, cfg):
         assert _exit_code(["verify", cfg, "--suite", "kernels",
@@ -707,6 +734,30 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and where in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["laplace", "--component", "K"],
+        ["verify", "--suite", "kernels"],
+        ["verify", "--suite", "transition-K"],
+        ["sample", "--n", "3"],
+        ["simulate", "--scheme", "exact_skeleton", "--outdir", "paths"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[2:3]))
+    def test_jump_rate_without_jump_measure(self, tmp_path, capsys, argv):
+        # a positive a_tilde without model.nu used to end laplace and verify
+        # in a traceback, while sample and simulate drew no jumps
+        with open(os.path.join(DEMO_CONFIGS, "jump_model.yaml"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        nu = "  nu:\n    kind: atoms\n    points: [[0.7, 1.2], [1.8, 0.4]]\n"
+        assert nu in text
+        p = tmp_path / "no_nu.yaml"
+        p.write_text(text.replace(nu, ""))
+        argv = [a if a != "paths" else str(tmp_path / a) for a in argv]
+        assert _exit_code(argv[:1] + [str(p)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: missing field 'model.nu'")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "paths").exists()
 
     def test_itilde_suite_without_jump_measure(self, capsys):
         cfg = os.path.join(DEMO_CONFIGS, "classical_cir.yaml")

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -12,6 +13,8 @@ import cirjump as cj
 from cirjump.errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
 from cirjump.kernels import DEFAULT_TOL, get_kernels
 from conftest import NAMED, named_measure
+
+Dec = decimal.Decimal
 
 
 def constant_closed_form(beta, sigma2, s, t):
@@ -570,6 +573,70 @@ class TestTableBd:
         assert all(table.bd(x, x) == (1.0, 0.0) for x in v.tolist())
         B, D = table.bd(np.array([s, t]), t)
         assert (B[1], D[1]) == (1.0, 0.0) and D[0] > 0.0
+
+
+def _decimal_bd(coeffs, s, t):
+    """(B(s,t), D(s,t)) at 40 digits, independent of the primitive table:
+    Lam and E formed piece by piece from the knots of beta and sigma, each
+    piece's integral in closed form with ``Decimal.exp``."""
+    knots = sorted({0.0, coeffs.t_max, *coeffs.beta.breakpoints(0.0, coeffs.t_max),
+                    *coeffs.sigma.breakpoints(0.0, coeffs.t_max)})
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        s, t = Dec(s), Dec(t)
+        lam, lam_s, lam_t, int_st = Dec(0), None, None, Dec(0)
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            mid = 0.5 * (lo + hi)
+            b = Dec(float(coeffs.beta(mid)))
+            h = Dec(float(coeffs.sigma(mid))) ** 2 / 2
+            lo, hi = Dec(lo), Dec(hi)
+            if lam_s is None and s <= hi:
+                lam_s = lam + b * (s - lo)
+            if t <= hi:
+                lam_t = lam + b * (t - lo)
+            # int of h exp(Lam(v)) over [lo, hi] within [s, t]
+            a, c = max(lo, s), min(hi, t)
+            if a < c:
+                grow = (b * (c - a)).exp() - 1 if b else None
+                int_st += h * (lam + b * (a - lo)).exp() * (grow / b if b else c - a)
+            if lam_t is not None:
+                break
+            lam += b * (hi - lo)
+        return (lam_s - lam_t).exp(), (-lam_t).exp() * int_st
+
+
+class TestDecimalBd:
+    """``bd`` on exact tables against ``_decimal_bd``: t - s from 1e-12 to
+    the horizon, ends on and across the knots, a piece with beta = 0."""
+
+    EXACT = [k for k in KERNEL_SETS if get_kernels(k[1]).table.exact]
+
+    def test_sets(self):
+        # the demo configurations and the set with a piece where beta = 0
+        assert [k[0] for k in self.EXACT] == ["classical_cir", "infinite_activity",
+                                              "jump_model", "flat_beta"]
+        assert 0.0 in flat_beta_coeffs().beta(np.linspace(0.0, 2.0, 21))
+
+    @pytest.mark.parametrize("label,coeffs,s,t", EXACT, ids=[k[0] for k in EXACT])
+    def test_relative_error(self, label, coeffs, s, t):
+        t_max = coeffs.t_max
+        knots = coeffs.breakpoints(0.0, t_max).tolist()
+        ends = [t, t_max] + knots + [math.nextafter(k, 2.0) for k in knots]
+        worst_b = worst_d = 0.0
+        for end in ends:
+            gaps = np.geomspace(1e-12, end, 60).tolist()
+            starts = [end - g for g in gaps] + [k for k in knots if k < end]
+            starts += [math.nextafter(end, 0.0)]
+            for start in starts:
+                if not 0.0 <= start < end:
+                    continue
+                B, D = get_kernels(coeffs).bd(start, end)
+                want_b, want_d = _decimal_bd(coeffs, start, end)
+                assert D > 0.0
+                worst_b = max(worst_b, abs(float((Dec(B) - want_b) / want_b)))
+                worst_d = max(worst_d, abs(float((Dec(D) - want_d) / want_d)))
+        assert worst_d <= 1e-15
+        assert worst_b <= 1e-15
 
 
 class TestPrimitiveIndex:

@@ -252,7 +252,8 @@ class TestBranchingPath:
         # the chain against its scalar construction, bit for bit, on
         # coefficients whose alpha vanishes on part of the interval
         # (clipped a) and that need tabulated primitives: the points first,
-        # each through sample_h to the end of its step, then H + I per step
+        # carried to the ends of their steps as one ITilde draw carries its
+        # points (every H count, then every Gamma), then H + I per step
         c = cj.CoefficientSet(a=cj.clipped_sine(0.1, 0.5, 6.0),
                               a_tilde=cj.constant(3.0),
                               beta=cj.piecewise_linear([0.0, 2.0], [0.5, 1.5]),
@@ -263,10 +264,14 @@ class TestBranchingPath:
         sampler = get_sampler(c, two_atoms, n_cells=n_cells)
         g = RngStream(94).generator()
         prm = sampler.sample_prm(g, s, t)
+        ends = np.searchsorted(grid, prm.times).tolist()
+        pairs = [sampler.kernels.bd(T, grid[k])
+                 for T, k in zip(prm.times.tolist(), ends)]
+        counts = [g.poisson(Y * b / d)
+                  for Y, (b, d) in zip(prm.sizes.tolist(), pairs)]
         arrived = np.zeros(grid.size)
-        for T, Y in zip(prm.times.tolist(), prm.sizes.tolist()):
-            k = int(np.searchsorted(grid, T))
-            arrived[k] += sampler.sample_h(g, T, grid[k], Y)
+        for k, n, (_, d) in zip(ends, counts, pairs):
+            arrived[k] += g.gamma(n, d)
         want = [y]
         for k in range(1, grid.size):
             want.append(sampler.sample_h(g, grid[k - 1], grid[k], want[-1])

@@ -318,19 +318,26 @@ def _dense_itilde(sampler, g, s, t, m):
     """A batch of ``sample_itilde`` written out with plain numpy calls from
     the documented rows of the step's jump table (exact primitives, a
     piecewise-constant a~, atoms): one Poisson total of points, split over
-    the entries by a multinomial, a draw label and a U per point, B and D
-    from the piece's closed forms at the distance gap to its right end, and
-    each point's H count and Gamma."""
-    rate, p, (length, _, nbeta, nbc, b_hi, d_hi, size) = \
+    the entries by a multinomial, a draw label and a U per point, and B and
+    D from B(hi, t) and D(hi, t) at the distance gap to the right end hi of
+    the entry's piece, by the piece's beta and sigma read from the
+    coefficients, then each point's H count and Gamma."""
+    rate, p, (length, _, piece, b_hi, d_hi, size) = \
         sampler._jumps(s, t).entries
+    edges, k = sampler.kernels.table.edges, piece.astype(int)
+    mid = 0.5 * (edges[k] + edges[k + 1])
+    beta = np.asarray(sampler.coeffs.beta(mid), dtype=float)
+    half_s2 = 0.5 * np.asarray(sampler.coeffs.sigma(mid), dtype=float) ** 2
     tot = g.poisson(rate * m)
     if not tot:
         return np.zeros(m)
     e = np.repeat(np.arange(p.size), g.multinomial(tot, p))
     idx = g.integers(0, m, tot)
     gap = length[e] * (1.0 - g.random(tot))
-    B = b_hi[e] * np.exp(nbeta[e] * gap)
-    D = d_hi[e] + nbc[e] * np.expm1(nbeta[e] * gap)
+    w = -beta[e] * gap
+    B = b_hi[e] * np.exp(w)
+    # sigma^2/2 (1 - exp(-beta gap))/beta
+    D = d_hi[e] + b_hi[e] * (half_s2[e] / -beta[e] * np.expm1(w))
     return np.bincount(idx, minlength=m, weights=_dense_gamma_counts(
         g, g.poisson(size[e] * B / D), D))
 
@@ -982,21 +989,35 @@ class TestStepRecord:
                 assert [type(x) for x in hits] == [type(x) for x in misses]
 
     def test_unresolved_d_is_refused(self):
-        # one ulp below t = 1.0 the primitive table gives D = 0: the record,
-        # which divides by D(s, t) and by D(r1, t) of a pushed cell, refuses
-        # the step on every call instead of dividing by zero
-        r1 = math.nextafter(1.0, 0.0)
-        co = cj.CoefficientSet(a=cj.piecewise_constant([r1], [0.3, 0.8]),
-                               a_tilde=cj.constant(0.0), beta=cj.constant(1.0),
-                               sigma=cj.constant(1.0), t_max=2.0)
-        sampler = cj.TransitionSampler(co)
-        assert sampler.i_grid(0.5, 1.0).tolist() == [0.5, r1, 1.0]
-        assert sampler.kernels.bd(r1, 1.0)[1] == 0.0 < sampler.kernels.bd(0.5, 1.0)[1]
+        # one ulp below t = 1.26 a tabulated primitive table (beta not
+        # piecewise constant) gives D = 0: the record, which divides by
+        # D(s, t) and by D(r1, t) of a pushed cell, refuses the step on
+        # every call instead of dividing by zero. An exact table resolves
+        # the same step, and samples it
+        t = 1.26
+        r1 = math.nextafter(t, 0.0)
+        exact = cj.CoefficientSet(a=cj.piecewise_constant([r1], [0.3, 0.8]),
+                                  a_tilde=cj.constant(0.0),
+                                  beta=cj.constant(1.0), sigma=cj.constant(1.0),
+                                  t_max=2.0)
+        tabulated = dataclasses.replace(
+            exact, beta=cj.piecewise_linear([0.0, 2.0], [0.5, 1.5]))
         g = RngStream(82).generator()
-        for s in (r1, 0.5):     # D(s, t) = 0, then D(r1, t) = 0 of a pushed cell
-            for _ in range(2):
-                with pytest.raises(DegenerateInterval, match="not positive"):
-                    sampler.sample_k(g, s, 1.0, 0.5, size=4)
+        for co in (tabulated, exact):
+            sampler = cj.TransitionSampler(co)
+            assert sampler.i_grid(0.2, t).tolist() == [0.2, r1, t]
+            assert sampler.kernels.table.exact == (co is exact)
+            if co is exact:
+                assert 0.0 < sampler.kernels.bd(r1, t)[1]
+                for s in (r1, 0.2):
+                    assert np.isfinite(sampler.sample_k(g, s, t, 0.5, size=4)).all()
+                continue
+            assert sampler.kernels.bd(r1, t)[1] == 0.0 < sampler.kernels.bd(0.2, t)[1]
+            # D(s, t) = 0, then D(r1, t) = 0 of a pushed cell
+            for s in (r1, 0.2):
+                for _ in range(2):
+                    with pytest.raises(DegenerateInterval, match="not positive"):
+                        sampler.sample_k(g, s, t, 0.5, size=4)
 
     @pytest.mark.parametrize("model", ["heavy", "two_atoms"])
     def test_scalar_itilde_is_size_one(self, pc_coeffs, two_atoms, model):

@@ -21,6 +21,15 @@ measure kind each, none, atoms or a density. A row gives every repeat's
 milliseconds per call (a repeat is ``CALLS`` calls), their best and their
 median, and the largest error estimate the transform returns.
 
+``bd`` rows time the kernel pair (B, D) on every demo configuration and
+on ``jump_model_tabulated``, jump_model with the smooth ``TABULATED_BETA``
+and ``TABULATED_SIGMA``, whose primitive table is tabulated: the
+primitive-table build, ``kernels.bd`` on the configuration's (s, t) (one
+scalar pair), and ``kernels.bd`` on ``NODES`` points of [s, t) against the
+scalar t (a node array, as a transform's integrand reads it). A row gives
+every repeat's microseconds per call (a repeat is ``BD_CALLS`` calls),
+their best and their median, and whether the table is exact.
+
 One more row set, ``jump_model_sine_a``, times ``sample_i`` and
 ``sample_k`` on ``jump_model`` with the clipped-sine input rate ``SINE_A``:
 a non-piecewise-constant ``alpha``, so I is drawn on the 64-cell grid of
@@ -60,6 +69,7 @@ import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
 import cirjump as cj  # noqa: E402
+from cirjump.kernels import _PrimitiveTable  # noqa: E402
 from cirjump.verify import _engines, mc_statistics  # noqa: E402
 
 CONFIGS = os.path.join(ROOT, "demos", "configs")
@@ -70,6 +80,11 @@ SEED = 20201019
 CALLS = 50    # transform calls timed per repeat
 # the clipped-sine input rate of the jump_model_sine_a row set
 SINE_A = cj.clipped_sine(0.4, 0.5, 3.0)
+# smooth beta and sigma of the jump_model_tabulated bd rows
+TABULATED_BETA = cj.piecewise_linear([0.0, 0.8, 2.0], [0.5, 1.5, 1.0])
+TABULATED_SIGMA = cj.clipped_sine(1.2, 0.3, 2.0, 0.4)
+BD_CALLS = 2000    # bd calls (or table builds) timed per repeat
+NODES = 128        # points of the node-array bd row
 
 
 def _git(*args):
@@ -149,6 +164,31 @@ def transform_row(cfg, name, repeats, calls=CALLS):
             "max_error_estimate": float(np.max(err))}
 
 
+def bd_rows(cfg, name, repeats, calls=BD_CALLS):
+    """Microseconds per call of every one of ``repeats`` runs of ``calls``
+    calls, their best and median, of the primitive-table build and of
+    ``kernels.bd`` on one pair and on a node array of one configuration."""
+    kernels = cj.get_kernels(cfg.coeffs)
+    nodes = np.linspace(cfg.s, cfg.t, NODES + 1)[:-1]
+    work = {"table_build": lambda: _PrimitiveTable(cfg.coeffs),
+            "bd_pair": lambda: kernels.bd(cfg.s, cfg.t),
+            "bd_nodes": lambda: kernels.bd(nodes, cfg.t)}
+    rows = []
+    for layer, call in work.items():
+        n = max(1, calls // 100) if layer == "table_build" else calls
+        times = []
+        for _ in range(repeats):
+            t0 = perf_counter()
+            for _ in range(n):
+                call()
+            times.append((perf_counter() - t0) * 1e6 / n)
+        rows.append({"config": name, "s": cfg.s, "t": cfg.t, "layer": layer,
+                     "exact": kernels.table.exact, "us_per_call": min(times),
+                     "us_per_call_median": statistics.median(times),
+                     "us_per_call_repeats": times})
+    return rows
+
+
 def row_sets():
     """(name, configuration, layers, bounded) of every row set: each demo
     config with every layer it can draw, then jump_model_sine_a."""
@@ -167,10 +207,13 @@ def row_sets():
     return sets
 
 
-def bench_layers(draws=10 ** 6, repeats=3, seed=SEED, calls=CALLS):
+def bench_layers(draws=10 ** 6, repeats=3, seed=SEED, calls=CALLS,
+                 bd_calls=BD_CALLS):
     """The content of a ``BENCH_<LABEL>.json`` file."""
-    rows, transforms = [], []
+    rows, transforms, bd = [], [], []
     for name, cfg, layers, bounded in row_sets():
+        if bounded:
+            bd += bd_rows(cfg, name, repeats, bd_calls)
         for layer in layers:
             at = {"config": name, "s": cfg.s, "t": cfg.t, "y": cfg.y}
             rows.append({**at, **layer_row(cfg, layer, draws, repeats, seed,
@@ -178,9 +221,13 @@ def bench_layers(draws=10 ** 6, repeats=3, seed=SEED, calls=CALLS):
             if bounded:    # a demo config: the transform of every component
                 transforms.append({**at, **transform_row(cfg, LAYERS[layer],
                                                          repeats, calls)})
+    jump = cj.load_config(os.path.join(CONFIGS, "jump_model.yaml"))
+    tabulated = dataclasses.replace(jump, coeffs=dataclasses.replace(
+        jump.coeffs, beta=TABULATED_BETA, sigma=TABULATED_SIGMA))
+    bd += bd_rows(tabulated, "jump_model_tabulated", repeats, bd_calls)
     return {"environment": environment(), "draws": draws, "repeats": repeats,
-            "seed": seed, "calls": calls, "rows": rows,
-            "transforms": transforms}
+            "seed": seed, "calls": calls, "bd_calls": bd_calls, "rows": rows,
+            "transforms": transforms, "bd": bd}
 
 
 def main(argv=None):
@@ -203,6 +250,9 @@ def main(argv=None):
         print(f"{r['config']:18s} {r['layer']:14s} {r['ms_per_call']:8.3f} ms/call "
               f"(median {r['ms_per_call_median']:.3f}) "
               f"max error {r['max_error_estimate']:.2g}")
+    for r in result["bd"]:
+        print(f"{r['config']:20s} {r['layer']:12s} {r['us_per_call']:8.2f} us/call "
+              f"(median {r['us_per_call_median']:.2f}) exact {r['exact']}")
     print(f"wrote {path}")
     return 0
 
