@@ -31,7 +31,7 @@ from .config import RunConfig, check_run, load_config
 from .errors import CirJumpError, ConfigError
 from .jumps import atoms
 from .kernels import get_kernels
-from .numerics import RngStream
+from .numerics import BIT_GENERATOR, RngStream
 from .paths import branching_path, euler_path, exact_skeleton
 from .samplers import (COMPONENTS, DEFAULT_CELLS, POISSON_MEAN_MAX,
                        get_component, get_sampler)
@@ -57,12 +57,9 @@ def _default_workers(args, cfg: RunConfig) -> int:
 
 
 def _override_run(cfg: RunConfig, args) -> RunConfig:
-    changes = {}
-    for field, attr in (("s", "s"), ("t", "t"), ("y", "y"),
-                        ("n_samples", "n"), ("seed", "seed")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            changes[field] = v
+    changes = {field: v for field, attr in (("s", "s"), ("t", "t"), ("y", "y"),
+                                            ("n_samples", "n"), ("seed", "seed"))
+               if (v := getattr(args, attr, None)) is not None}
     return check_run(replace(cfg, **changes)) if changes else cfg
 
 
@@ -127,12 +124,8 @@ def cmd_sample(args) -> int:
     var = x.var(ddof=1) if x.size > 1 else 0.0
     summary = (f"n={n} mean={_fmt(x.mean())} variance={_fmt(var)} "
                f"zero_fraction={_fmt(np.mean(x == 0.0))}")
-    if args.out:
-        _write_lines(args.out, lines)
-        print(summary)
-    else:
-        _write_lines(None, lines)
-        print(summary, file=sys.stderr)
+    _write_lines(args.out, lines)    # the summary goes where the draws do not
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -172,6 +165,7 @@ def cmd_simulate(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "scheme": args.scheme,
         "seed": cfg.seed,
+        "bit_generator": BIT_GENERATOR,
         "streams": [[cfg.seed, i] for i in range(args.n_paths)],
         "s": cfg.s, "t": cfg.t, "y": cfg.y, "step": step,
         "n_steps": n_steps, "n_paths": args.n_paths,
@@ -196,12 +190,9 @@ def cmd_verify(args) -> int:
         print(line)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            for e in report.entries:
+            for e in (*report.entries, {"passed": report.passed}):
                 fh.write(json.dumps({"schema_version": SCHEMA_VERSION,
                                      "suite": report.suite, **e}) + "\n")
-            fh.write(json.dumps({"schema_version": SCHEMA_VERSION,
-                                 "suite": report.suite,
-                                 "passed": report.passed}) + "\n")
     return 0 if report.passed else 1
 
 

@@ -13,10 +13,10 @@ nodes and weights of such panels for callers that build their own node
 sets, and ``_hermite`` is the cubic Hermite interpolant that the primitive
 table and the mark table share.
 
-Random streams are built on the counter-based Philox generator keyed by
-``(seed, stream_id)`` through ``numpy.random.SeedSequence``, so a worker
-substream reproduces the same variates regardless of scheduling or worker
-count.
+Every random stream is numpy's ``BIT_GENERATOR`` (PCG64DXSM), which
+``seeded_generator`` builds from a ``numpy.random.SeedSequence``; an
+``RngStream`` keys it by ``(seed, stream_id)``, so a worker substream
+reproduces the same variates regardless of scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "RngStream",
     "integrate",
     "panel_integral",
+    "seeded_generator",
 ]
 
 
@@ -153,9 +154,16 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed,
-                                    spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(ss))
+        return seeded_generator(np.random.SeedSequence(
+            entropy=self.seed, spawn_key=(self.stream_id,)))
+
+
+BIT_GENERATOR = "PCG64DXSM"   # by name, so importing does not load numpy.random
+
+
+def seeded_generator(ss: np.random.SeedSequence) -> np.random.Generator:
+    """The generator of every stream, ``RngStream``'s and a batch K's ITilde's."""
+    return np.random.Generator(getattr(np.random, BIT_GENERATOR)(ss))
 
 
 def _as_generator(rng) -> np.random.Generator:

@@ -53,17 +53,17 @@ calls (``_push``, as branching paths push theirs), made in the order of the
 batch's array calls: it reads the stream as a size-1 batch does and
 returns the same bits.
 
-``K`` -- the sum of the three, which are independent. One draw and a
-batch of one take H, then I, then ITilde from the stream. A larger batch
-on a step whose jump table has entries first takes two 64-bit words of the
-stream and seeds ITilde's own generator with them (Philox through a
-``SeedSequence``, as ``RngStream`` does), then takes H and then I from the
-stream, and ITilde from its own generator. With two streams, a batch of
-``LANE_MIN`` draws or more draws ITilde on the lane, one extra thread of
-the process made at the first such batch, while the calling thread draws
-H and I; it waits for the lane before it returns or raises. It draws
-ITilde inline instead, with the same bits, where the process may use one
-core only or another lane-sized batch draws at the same time (chunk
+``K`` -- the sum of the three, which are independent. One draw and a batch
+of one take H, then I, then ITilde from the stream. A larger batch on a
+step whose jump table has entries first takes two 64-bit words of the
+stream and seeds ITilde's own generator with them (``seeded_generator``
+through a ``SeedSequence``, as ``RngStream`` does), then takes H and then I
+from the stream, and ITilde from its own generator. With two streams, a
+batch of ``LANE_MIN`` draws or more draws ITilde on the lane, one extra
+thread of the process made at the first such batch, while the calling
+thread draws H and I; it waits for the lane before it returns or raises. It
+draws ITilde inline instead, with the same bits, where the process may use
+one core only or another lane-sized batch draws at the same time (chunk
 workers), so no batch waits for the lane's one thread. The lane is not a
 chunk worker: ``--workers`` and ``CIRJUMP_THREADS`` still count chunk
 workers only. A step without jumps reads no words, and a batch there is H
@@ -109,7 +109,7 @@ from .coefficients import CoefficientSet
 from .errors import DegenerateInterval, InvalidDelta
 from .jumps import JumpMeasure, MarkSampler, delta_for_budget
 from .kernels import get_kernels
-from .numerics import _as_generator
+from .numerics import _as_generator, seeded_generator
 
 __all__ = [
     "COMPONENTS",
@@ -131,10 +131,10 @@ POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
                          - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 # (draw_index, times, sizes, B, D) of every batch without points: read-only
 _NO_POINTS = tuple(np.frombuffer(b"", dtype=d) for d in (int,) + (float,) * 4)
-# batch draws from which ITilde may take the lane: below 2048 draws the lane
-# costs about 100-200 us more than drawing inline (the submit, the
-# interpreter lock passed back and forth, the result; 2 cores), and it
-# wins from about 6000 draws on the demo configs
+# batch draws from which ITilde may take the lane: at 2048 draws the lane
+# costs 0.1-0.2 ms more than inline (submit, lock hand-offs, result; 2
+# cores), it breaks even at 5000 (jump_model) to 7000 (infinite_activity)
+# draws, and from 8192 it wins in 29 or more of 30 interleaved rounds
 LANE_MIN = 8192
 
 
@@ -201,14 +201,15 @@ def _gamma_counts(g, k, scale):
 def _gamma(g, alpha, scale, size=None):
     """``g.gamma(alpha, scale, size)`` in law; an array draw with alpha < 1
     takes the boost of the module docstring, its power formed as
-    exp(log1p(-U)/alpha) so that log(0) cannot occur."""
+    exp(log1p(-U)/alpha): no log(0), and a tiny alpha gives the limit 0."""
     if size is None or alpha >= 1.0:
         return g.gamma(alpha, scale, size)
     x = g.gamma(alpha + 1.0, scale, size)
     v = g.random(size)
     np.negative(v, out=v)
     np.log1p(v, out=v)
-    v /= alpha
+    with np.errstate(over="ignore"):
+        v /= alpha
     x *= np.exp(v, out=v)
     return x
 
@@ -555,8 +556,8 @@ class TransitionSampler:
         return np.bincount(idx, weights=x, minlength=m)
 
     def _itilde_stream(self, g, s, t):
-        """The generator a batch draws ITilde from: Philox seeded from two
-        64-bit words of ``g``, or None, reading nothing, where the step's
+        """The generator a batch draws ITilde from: ``seeded_generator`` of
+        two 64-bit words of ``g``, or None, reading nothing, where the step's
         jump table is empty. A table that cannot be built counts as not
         empty, so ITilde raises its error again, after H's and I's."""
         try:
@@ -565,8 +566,7 @@ class TransitionSampler:
         except Exception:   # e.g. no square-root condition for delta > 0
             pass
         words = g.integers(0, 2 ** 64, 2, dtype=np.uint64).tolist()
-        ss = np.random.SeedSequence(words)
-        return np.random.Generator(np.random.Philox(ss))
+        return seeded_generator(np.random.SeedSequence(words))
 
     def sample_k(self, rng, s, t, y, size=None):
         """Draw from the one-step transition law K_{s,t}(y, .).

@@ -28,7 +28,9 @@ def test_rows_and_environment(layers):
             out["bd_calls"]) == (10 ** 4, 3, layers.SEED, 2, 200)
     env = out["environment"]
     assert set(env) == {"cores", "usable_cores", "python", "numpy", "pyyaml",
-                        "git_revision", "git_dirty", "src_sha256"}
+                        "bit_generator", "git_revision", "git_dirty",
+                        "src_sha256"}
+    assert env["bit_generator"] == "PCG64DXSM"
     assert env["cores"] >= 1 and len(env["src_sha256"]) == 64
     # the sample_k rows depend on it: ITilde takes a second thread at 2 or more
     assert 1 <= env["usable_cores"] <= env["cores"]

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import py_compile
 import sys
 
 import pytest
@@ -112,3 +113,27 @@ def test_failed_run_names_its_checks(pairs, tmp_path, capsys):
     assert pairs.failed_checks("not json") == ""
     assert pairs.failed_checks(json.dumps({"report": {"checks": checks}})) == \
         "second_seed: laplace_K_max_abs_z=3.26 laplace_K_passed=False"
+
+
+def test_both_checkouts_get_the_same_bytecode_caches(pairs, tmp_path, capsys):
+    # the parent holds a cache of its package, the change none: before the
+    # first pair both get up-to-date caches of src/ and perfbench/
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = _fake_checkout(tmp_path / side, True)
+        pkg = tmp_path / side / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text("X = 1\n")
+    py_compile.compile(str(tmp_path / "parent" / "src" / "pkg" / "__init__.py"))
+    assert not (tmp_path / "change" / "src" / "pkg" / "__pycache__").exists()
+    assert pairs.main([sides["parent"], sides["change"], "--workload",
+                       "paths_jump", "--pairs", "1", "--seconds", "1",
+                       "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    tag = sys.implementation.cache_tag
+    for side in ("parent", "change"):
+        assert (f"compiled src/, perfbench/ of {side}: bytecode caches up to "
+                "date") in out
+        for d in ("src/pkg", "perfbench"):
+            assert list((tmp_path / side / d / "__pycache__").glob(f"*.{tag}.pyc"))
+    assert out.index("compiled") < out.index("pair 1 ")

@@ -376,7 +376,12 @@ class TestIncompleteGammaOracles:
 # its bits. The twelve atoms digests were re-recorded when an atoms
 # restriction stopped drawing marks by a table search (the sampler draws
 # atoms by count): they pin the restriction's sizes and weights in place of
-# 4096 draws from them. Every density digest kept its bits.
+# 4096 draws from them. Every density digest kept its bits. Every digest
+# that holds the 4096 mark-table draws was re-recorded when the stream family
+# became PCG64DXSM in place of Philox (``numerics.seeded_generator``): the
+# same mark law, new variates. The atoms digests and the whole code0.7 and
+# tempered0.95 digests (whose mark tables raise) draw nothing and keep their
+# bits.
 JUMP_MEASURES = {
     **{name: (lambda spec=spec: named_measure(spec)) for name, spec in NAMED.items()},
     "code0.4": lambda: tempered_power(0.4),
@@ -422,77 +427,77 @@ def _jump_digest(nu):
 
 JUMP_DIGESTS = {
     ('exponential', None):
-        "06dd392f37dbfaff66f0607e8e9dce93cb5d1df9653b2d8e3d9129993c573fe2",
+        "8cb95aef5ebce91f449ec4a7915c5c9000bcc13cb1bba8a384be5a14443ed06a",
     ('exponential', 1e-06):
-        "57f5f29077573c0cc4c7263ba78a5fea6ff1f5dcf407a7505a479fbf08d574c0",
+        "8dda8424c12b210812e3c2a042ebaff83d283393e2dd3b6350b342824116aa6d",
     ('exponential', 0.05):
-        "2e9a293ff64b3040d08b4a7bb2c71e8b06e0e3ae6b5370009c6ba5b5e1b86c68",
+        "f734e72ada5367f51c6ed63009d3a3caf361246d5df397b798704c3622d2c955",
     ('exponential', 1.0):
-        "91209b8b99c6de83feee29024490d414b5af1967b6d49b41e2643f4b39c6039e",
+        "db1222c51aaa3605d4c421e4c770ecafcdd774b60b18a3005ad7f08876660ada",
     ('gamma2.5', None):
-        "0a00230971e60d958466ecb11ae6fe55f0a18ad70d5937c4ae5667ac343ab409",
+        "fcec4c45ae71d88b9297e565ca1eec6148baae17bb50610fb344c10e1f1ca00f",
     ('gamma2.5', 1e-06):
-        "a224093bde891cd5fa1367b898713f8d58970cffe82c48d5c13b754e07e6aa20",
+        "068e5c547bf605392c5c3448e210848ea04bb785f8845fe47b365a2e00c9efb5",
     ('gamma2.5', 0.05):
-        "077e862485dd96cd82937d89195306d216a12ebfc68e337c13663ab2c4c93a60",
+        "3b0ce08b5782df735bf92742ab92936a9085a629e641b7329d932931025add43",
     ('gamma2.5', 1.0):
-        "3b65315b2fa077e98c3594c023ea69612481a70c6c44f392a6e4ade74f6a4bce",
+        "8cd3dc1c24adb999cb5c6e959a722bcd9d68c81128522cf5c309886f33ac0f1b",
     ('gamma0.5', None):
-        "706c322e816d54e40d55365be6237f837626e6c730b98d9dabc08ff662641b9a",
+        "55b20eeed216c291c20aa8558c8ee28c1104d652d5e827177624b4f4ee242546",
     ('gamma0.5', 1e-06):
-        "17ec874e4d7c193b1e64e7ed17edda5b6b0e24f79874b90748c31ada3f0ad9fa",
+        "f97cd1fcca2b5dd71f779aa0cb513f95e080d0724b722843cab9a42fc3c584e6",
     ('gamma0.5', 0.05):
-        "33007f4262a12ece16c1e68c0b370b382cafa1077ef0c1e950321a112f23b2b2",
+        "6ac6965147f8311bcb144efe69d3c5981e4791989689a3ac72e3d646eb0e79af",
     ('gamma0.5', 1.0):
-        "4be19e188a3737e0c079307dcf82c20f315b23d788d766ad5696585679df1dbc",
+        "c650e6bb872d614d1d30de2ce83166233114ca53402ace40e3fb75040113203d",
     ('tempered-0.5', None):
-        "d9046f7c6b39ecb87655f80b67228516e31687e138694e54cdcfd5e4840fe354",
+        "f9c9a9aa32c536372faa194b693afada46bd686040b20705bc7f8225ccc53160",
     ('tempered-0.5', 1e-06):
-        "22f64cad4e9b97e6d93426329e5ce2c27661ad9e9f013e43b8f7cc60760d29ec",
+        "1aad3724f581e6b37b40faeec1f47fb3be78e327b3eba1959380d1937b3512cd",
     ('tempered-0.5', 0.05):
-        "e1d83f0cb907e400c3c7f5b7edefc9e54cf13ee66fb6d56ffe29b1f2735e13ab",
+        "04ec98ababb1e2e7ed07b0c04bfd8add9747c9d82b2d7216c84ca87062c99003",
     ('tempered-0.5', 1.0):
-        "5dc252681c9adbc7012004cba018c8c30d54c04e29e7e7e7603c9b72d88b188d",
+        "92864f6c4d5929d99d99ee7166eca7aee9facdfa8db7b20e04efd1f465097377",
     ('tempered0', None):
-        "ae868f5b8f02d81600d5a23241ed37222f1723ce60f3d8b2354ec6e848fe9489",
+        "0fd3f796bc2e8e9a4d08b9b7a223a27b4e40b9e5b5ff98218d0f70972d997a72",
     ('tempered0', 1e-06):
-        "d7fcd8689a71eb1171be94585337fc87a88738cee7e58aa32bb4bf92db4c3e6c",
+        "adf2f99d55f555d95391d9428bfd4cf1bf51b58d3c9fe234620e144b810d4ba8",
     ('tempered0', 0.05):
-        "b46a78076303551e1b2f4b99c49be186faab8e373edcb1b4db05491df4297887",
+        "9afb058b0feaf22eb85e5bc22fc431705c53d2df9ad64f12d02223f8f2978768",
     ('tempered0', 1.0):
-        "c28eb2b75aee1066d5b445c37fb6f14627fd0ba9ba2d9977737fde88fe71e639",
+        "c71859070510502a858c644b945e02e95ddf5285c4d64165be7aeb04c757dd6f",
     ('tempered0.4', None):
-        "cb944ba0760cb7be2cc3b7173ff978e6c423a80fcd9339578e4fb47d1337e729",
+        "eef8c31791e54eed1aa2adbf4cf30597c226e8ac465931f0090b87111ed6530d",
     ('tempered0.4', 1e-06):
-        "66d0348f739d312b0a41affa443fd73b5dfaa16e97ca30ac1c84b42d41dbfde2",
+        "3896a0cce7d126cf2a77067e19a706d3e9aea4a371fc5be97f1d71d18910d090",
     ('tempered0.4', 0.05):
-        "33a41d5a5a855eb285f11bdcf85ba9122cee9a26338b4c60e018f3212990f588",
+        "d7ecf5a77b325012fddd13327e531a7c07f7cd487e55a002820bcd6652b26887",
     ('tempered0.4', 1.0):
-        "b5a9b1fec647bbfe7550026906f466b8e26422c2e0db75ad6e74b4b3172fc7d9",
+        "36a268c3153889ab4ba4815ef8b6f44eae52879bd013279fec264924c7e5bef6",
     ('tempered0.95', None):
         "fe5f83b1462204330b91e2ca38dccff5bb184e5d0c833b762dffdd8444ce8963",
     ('tempered0.95', 1e-06):
-        "fa3e741e23a0da0cfc07daa7e65d2a74f2b84244a829483e9062c77b280e9231",
+        "9789a428365514a9227023a2844026d8770c3265f2937593e7a59bc57403be98",
     ('tempered0.95', 0.05):
-        "495c49f03cc4994b371e5f43272ed9a646779073759a5312f5bd00d9d3c28402",
+        "f1c8caa04da869afe8456b3dd04e58f41f89e62510b26b80f734d9fe933bee83",
     ('tempered0.95', 1.0):
-        "bf8a78af6a4a94b92a4b84cd42154675f16c47b21de67b8d490f06f042973525",
+        "e1cdc9b69df5f59f6c6a85ad4b5dfa1f0d59778cacb2a9f871f350585e95b957",
     ('code0.4', None):
-        "b3b6c07bb3f079f036c077c4046d12fcb350deddd63f169bf13cad7f66b8606a",
+        "2d16fd92122dbe45a41ec1479d662d7c5ab51934abf377d90223816f30a81e42",
     ('code0.4', 1e-06):
-        "66d0348f739d312b0a41affa443fd73b5dfaa16e97ca30ac1c84b42d41dbfde2",
+        "3896a0cce7d126cf2a77067e19a706d3e9aea4a371fc5be97f1d71d18910d090",
     ('code0.4', 0.05):
-        "33a41d5a5a855eb285f11bdcf85ba9122cee9a26338b4c60e018f3212990f588",
+        "d7ecf5a77b325012fddd13327e531a7c07f7cd487e55a002820bcd6652b26887",
     ('code0.4', 1.0):
-        "b5a9b1fec647bbfe7550026906f466b8e26422c2e0db75ad6e74b4b3172fc7d9",
+        "36a268c3153889ab4ba4815ef8b6f44eae52879bd013279fec264924c7e5bef6",
     ('code0.7', None):
         "e29593de2115f96d3bf231db7b4c1196ea75fa4491519047c8e11de3ce1d77dc",
     ('code0.7', 1e-06):
-        "ac00a81456e5c94161029338df592761f7e32b4495454ffdaf4a30a6ceaaf592",
+        "5440e485ace7777ed4366a2059043a81888e0dd463fa311a6c524f423223f084",
     ('code0.7', 0.05):
-        "940a458e26497c498c06b7bf8e4878ca9b81db8e398a22c38e76f811b9452699",
+        "f097e02bf58896d692fa279d71795902599edca359ae489ca6bc0e77b795745e",
     ('code0.7', 1.0):
-        "40fc47af1de5aab35667f6485beb003c24aa883c3159b27ffccadd55b0de57a6",
+        "2be3511fc1d840a56eb815e53ff9c7a22a99bda1cac7d0a3c646303a9b152fea",
     ('atoms-jump_model', None):
         "e451ecb77f370ba297bb4194ffae63fa989662521de4ece2d99cffa6cd8c6ad4",
     ('atoms-jump_model', 1e-06):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +79,17 @@ class TestRngStream:
         y = RngStream(7, 1).generator().standard_normal(n)
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) * math.sqrt(n) < 4.0
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy loads numpy.random at its first use (about 10 ms): naming
+        # the stream family must not make every start-up pay it
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import cirjump, "
+                "cirjump.cli; print('numpy.random' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestGammaSample:

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,7 +17,7 @@ import cirjump as cj
 from cirjump.errors import (DegenerateInterval, InvalidDelta,
                             RestrictiveConditionViolated)
 from cirjump.kernels import get_kernels
-from cirjump.numerics import RngStream
+from cirjump.numerics import RngStream, seeded_generator
 from cirjump import samplers
 from cirjump.samplers import (COMPONENTS, LANE_MIN, STEP_CACHE, _gamma,
                               _gamma_counts, get_component, get_sampler)
@@ -343,10 +344,21 @@ def _dense_itilde(sampler, g, s, t, m):
 
 
 def _child(g):
-    """ITilde's generator of a batch K: Philox seeded from the next two
-    64-bit words of ``g``."""
+    """ITilde's generator of a batch K: the package's generator seeded from
+    the next two 64-bit words of ``g``."""
     words = g.bit_generator.random_raw(2).tolist()
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(words)))
+    return seeded_generator(np.random.SeedSequence(words))
+
+
+def test_stream_family(pc_coeffs, two_atoms):
+    # every stream is PCG64DXSM: an RngStream's and a batch K's ITilde
+    # child, each checked by class, not through the constructor they share
+    for seed, stream_id in [(0, 0), (2026, 7), (2 ** 63, 12345)]:
+        g = RngStream(seed, stream_id).generator()
+        assert type(g.bit_generator) is np.random.PCG64DXSM
+    sampler = get_sampler(pc_coeffs, two_atoms)
+    child = sampler._itilde_stream(RngStream(5).generator(), 0.2, 1.2)
+    assert type(child.bit_generator) is np.random.PCG64DXSM
 
 
 class TestSparseBits:
@@ -394,7 +406,7 @@ class TestSparseBits:
     @pytest.mark.parametrize("t", [1.2, 0.6 + 1e-6])
     def test_sample_k(self, pc_coeffs, two_atoms, t):
         # a batch of m != 1 draws: two 64-bit words of the stream seed
-        # ITilde's own Philox generator, then H and I come from the stream
+        # ITilde's own generator, then H and I come from the stream
         # and ITilde from that generator; a batch of one reads the stream
         # as one draw does (H, I, ITilde). The last size is lane-sized
         sampler = get_sampler(pc_coeffs, two_atoms)
@@ -661,6 +673,15 @@ class TestGammaBoost:
         ref = RngStream(80).generator().gamma(1.5, 1.0, 2)
         assert x[0] == ref[0]
         assert x[1] == pytest.approx(ref[1] * 2.0 ** -106, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-310, 5e-324])
+    def test_tiny_shape_is_zero_without_warning(self, alpha):
+        # log1p(-U)/alpha is far below -745 or overflows to -inf (the two
+        # subnormal alphas): either way its exp is the limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = _gamma(RngStream(81).generator(), alpha, 1.0, 2000)
+        assert np.array_equal(x, np.zeros(2000))
 
 
 class TestSampleItilde:

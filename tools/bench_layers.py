@@ -40,9 +40,10 @@ bound applies.
 The file also records the environment: the core count and the cores
 this process may run on (from two on, a batch ``sample_k`` draws ITilde
 on a second thread, so its row depends on them), the Python, numpy and
-PyYAML versions, the git revision, whether the tree differs from it, and
-a digest of ``src/cirjump``, which names the code measured when the file
-is made before that code is committed. It is written at the root of the
+PyYAML versions, the bit generator of every stream, the git revision,
+whether the tree differs from it, and a digest of ``src/cirjump``, which
+names the code measured when the file is made before that code is
+committed. It is written at the root of the
 checkout; the tool imports ``cirjump`` from the checkout's ``src``.
 """
 
@@ -70,6 +71,7 @@ import yaml  # noqa: E402
 
 import cirjump as cj  # noqa: E402
 from cirjump.kernels import _PrimitiveTable  # noqa: E402
+from cirjump.numerics import BIT_GENERATOR  # noqa: E402
 from cirjump.verify import _engines, mc_statistics  # noqa: E402
 
 CONFIGS = os.path.join(ROOT, "demos", "configs")
@@ -97,7 +99,8 @@ def _git(*args):
 
 
 def environment():
-    """Core counts, library versions, git revision and source digest."""
+    """Core counts, library versions, bit generator, git revision and
+    source digest."""
     digest = hashlib.sha256()
     src = os.path.join(SRC, "cirjump")
     for name in sorted(os.listdir(src)):
@@ -109,6 +112,7 @@ def environment():
             "usable_cores": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
             "numpy": np.__version__, "pyyaml": yaml.__version__,
+            "bit_generator": BIT_GENERATOR,
             "git_revision": _git("rev-parse", "HEAD"),
             "git_dirty": None if status is None else bool(status),
             "src_sha256": digest.hexdigest()}

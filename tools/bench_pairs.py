@@ -2,6 +2,12 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
 
+Before the first pair it compiles ``src/`` and ``perfbench/`` of both
+checkouts (``compileall``, with this interpreter), so both start with the
+same up-to-date bytecode caches: ``setup_s`` times ``import cirjump`` in a
+fresh interpreter, and a checkout without a cache would otherwise compile
+every module on every run under ``PYTHONDONTWRITEBYTECODE=1``.
+
 Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0``
 in both checkouts, one after the other; even pairs run the parent first, odd
 pairs the change. For every end-to-end metric of the change's
@@ -15,13 +21,15 @@ why: every failed check of its report line with that check's summary (for
 instance ``second_seed: laplace_K_max_abs_z=3.26``), so a known false
 failure of a check can be told from a fault.
 
-Stdlib only. It writes no file of its own; each ``perfbench/run.py`` run
-writes its report under its own checkout, as it always does.
+Stdlib only. It writes no file of its own but the bytecode caches; each
+``perfbench/run.py`` run writes its report under its own checkout, as it
+always does.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -46,6 +54,18 @@ def failed_checks(report_line):
         label + ":" + "".join(f" {k}={v:.3g}" if isinstance(v, float) else f" {k}={v}"
                               for k, v in check.items() if k != "passed")
         for label, check in checks.items() if not check.get("passed", True))
+
+
+def compile_caches(checkout):
+    """Compile the modules a run imports, ``src/`` and ``perfbench/`` of
+    ``checkout``, into their ``__pycache__``; returns the directories
+    compiled."""
+    dirs = [d for d in ("src", "perfbench")
+            if os.path.isdir(os.path.join(checkout, d))]
+    for d in dirs:
+        if not compileall.compile_dir(os.path.join(checkout, d), quiet=1):
+            raise SystemExit(f"compileall failed in {os.path.join(checkout, d)}")
+    return dirs
 
 
 def run_once(checkout, workload, seed, seconds, trace=0):
@@ -114,6 +134,10 @@ def main(argv=None):
     args = p.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    for side, checkout in sides.items():
+        dirs = compile_caches(checkout)
+        print(f"compiled {', '.join(d + '/' for d in dirs) or 'nothing'} of "
+              f"{side}: bytecode caches up to date", flush=True)
     runs = {"parent": [], "change": []}
     failed = 0
     for i in range(args.pairs):
