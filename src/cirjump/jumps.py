@@ -39,7 +39,7 @@ and about 2e-11 at 1e10; beyond that it grows like ``(1e-14 c)^2``, where
 the head atom no longer resolves ``1 - exp(-c y)``. The node set is also the
 test oracle of the closed forms. It is built once per measure, when a
 ``TransitionKernels`` that uses it is made, and the product ``c (x) y`` is
-formed in blocks of ``BLOCK_ROWS`` rows of ``c`` so its memory stays
+formed in blocks of at most ``BLOCK_SIZE`` elements so its memory stays
 bounded. A declared ``rho >= 1`` raises :class:`NonIntegrable` on both
 routes, and so does a density whose tail mass stays above the threshold up
 to ``TAIL_CAP_MAX``.
@@ -74,7 +74,7 @@ _TAIL_EPS = 1e-13       # relative mass ignored beyond the tabulated tail
 NODE_FLOOR = 1e-14      # lowest panel edge of a density on (0, inf)
 NODE_RATIO = 2.0        # largest edge ratio of the geometric density panels
 NODE_TAIL = 1e-13       # density mass beyond the cap, kept as one atom
-BLOCK_ROWS = 256        # rows of c per block of the c (x) y product
+BLOCK_SIZE = 2 ** 18    # elements of one block of the c (x) y product
 TAIL_CAP_MAX = 1e100    # largest tail cap tried before NonIntegrable
 GUIDE = 8192            # buckets in u of the mark table's panel guide
 MARK_NODES = 2049       # edges of the mark table's geometric grid
@@ -88,16 +88,17 @@ def one_minus_exp_sum(nodes, c):
     """``sum_i w_i (1 - exp(-c y_i))`` for scalar or array ``c >= 0``.
 
     ``nodes`` is ``(y, w)``. The product ``c (x) y`` is formed in one buffer
-    of ``BLOCK_ROWS`` rows, reused for every block of ``c``.
+    of at most ``BLOCK_SIZE`` elements, reused for every block of ``c``.
     """
     y, w = nodes
     c = np.asarray(c, dtype=float)
     flat = c.ravel()
     out = np.empty(flat.size)
-    buf = np.empty((min(flat.size, BLOCK_ROWS), y.size))
+    rows = max(1, BLOCK_SIZE // max(y.size, 1))
+    buf = np.empty((min(flat.size, rows), y.size))
     neg_y, neg_w = -y, -w
-    for i in range(0, flat.size, BLOCK_ROWS):
-        blk = buf[:min(BLOCK_ROWS, flat.size - i)]
+    for i in range(0, flat.size, rows):
+        blk = buf[:min(rows, flat.size - i)]
         np.multiply.outer(flat[i:i + blk.shape[0]], neg_y, out=blk)
         np.expm1(blk, out=blk)
         blk *= neg_w

@@ -39,12 +39,35 @@ whole pieces between. Otherwise the primitives are tabulated by per-panel
 Gauss-Legendre quadrature with cubic-Hermite evaluation between panel
 ends, and ``bd`` subtracts them, losing digits as t - s shrinks.
 
-The time integral of the transforms is a fixed rule
-(``numerics.panel_integral``): order-16 Gauss-Legendre panels whose edges
-are s, t and the coefficient breakpoints, no wider than 1/32 of the
-coefficients' smoothness scale, and graded geometrically (ratio 2) toward
-v = t down to the scale ``2 / (lam_max sigma_max^2)`` below which
-``Psi_{v,t}(lam)`` is nearly linear in v. The error estimate is the
+The time integral of the transforms takes one of two routes, picked from
+the inputs alone. The u-rule serves an exact table with piecewise-constant
+a and a~ and beta > 0 on [s, t]. It cuts [s, t] at the knots of all four
+coefficients; on each piece psi(v) = Psi_{v,t}(lam) solves the Riccati
+equation d psi/dv = beta psi + sigma^2/2 psi^2, psi(t) = lam, so that
+
+    int a psi dv     = (2 a / sigma^2) log((1 + lam D(lo,t)) / (1 + lam D(hi,t)))
+    int a~ PsiTilde(psi) dv = a~ int PsiTilde(e^u) / (beta + sigma^2/2 e^u) du
+
+with u = log psi between log psi(lo) and log psi(hi), limits from the
+table's (B, D) at the cut points. The first is a closed form, so
+``laplace_I`` there runs no quadrature. The second is smooth in u and
+needs no grading: equal u-panels no wider than ``U_PANEL``, order-32
+Gauss-Legendre with the difference from order 16 as the estimate,
+vectorized over pieces x lam x nodes. Above psi = ``PSI_CAP`` (where a
+density's node set stops resolving the kernel) the integrand is continued
+by its decay exp(-u / q), q = 1/(1 - rho) for an infinite-activity measure
+and 1 else, in closed form out to log psi(hi) (inf on t's piece at lam =
+inf), with 2 q |g(U) - g(U - q log 2) / 2| as that part's estimate (g the
+integrand, U its start). lam = 0 gives exactly 1 and lam = inf the mass at
+0.
+
+Every other input takes the v-rule (``numerics.panel_integral``): order-16
+Gauss-Legendre panels whose edges are s, t and the coefficient breakpoints,
+no wider than 1/32 of the coefficients' smoothness scale, and graded
+geometrically (ratio 2) toward v = t down to the scale ``2 / (lam_max
+sigma_max^2)`` below which ``Psi_{v,t}(lam)`` is nearly linear in v; nothing
+grades them at lam = inf. A piece with beta = 0 keeps it, since there
+beta + sigma^2/2 e^u tends to 0 with psi. The error estimate is the
 difference from order 8 on the same panels; panels above the tolerance are
 bisected a bounded number of times and the final estimate is returned as it
 is. ``PsiTilde`` at every node is ``nu.one_minus_exp_integral``: the closed
@@ -73,6 +96,10 @@ __all__ = ["KernelValue", "TransitionKernels", "get_kernels"]
 
 DEFAULT_TOL = 1e-9       # absolute tolerance of kernel time-integrals
 DEFAULT_NU_TOL = 1e-8    # absolute tolerance of jump-measure integrals
+PSI_CAP = 1e10           # psi above which the u-rule extrapolates its integrand
+U_PANEL = 2.0            # widest initial u-panel of the u-rule
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -229,6 +256,22 @@ class TransitionKernels:
         if nu is not None:
             # builds the node set if the measure uses one; NonIntegrable here
             nu.one_minus_exp_integral(0.0)
+        # the u-rule's pieces: the knots of all four coefficients inside
+        # (0, t_max), and on each piece 2 a / sigma^2, a~, beta, sigma^2/2
+        self._pieces = None
+        if self.table.exact and coeffs.a.is_piecewise_constant \
+                and coeffs.a_tilde.is_piecewise_constant:
+            knots = coeffs.breakpoints(0.0, coeffs.t_max)
+            edges = np.concatenate(([0.0], knots, [coeffs.t_max]))
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            half_s2 = 0.5 * np.square(coeffs.sigma(mids))
+            beta = np.asarray(coeffs.beta(mids), dtype=float)
+            self._pieces = (knots, coeffs.a(mids) / half_s2,
+                            *(np.reshape(c, (-1, 1, 1)) for c in (
+                                coeffs.a_tilde(mids), beta, half_s2)), beta > 0.0)
+        # decay of the u-integrand at large psi: exp(-u / q), q = 1/(1 - rho)
+        self._q = 1.0 / (1.0 - nu.rho) if nu is not None and nu.infinite_activity \
+            else 1.0
 
     # -- kernel quantities -------------------------------------------------
 
@@ -263,7 +306,7 @@ class TransitionKernels:
 
     @staticmethod
     def _check_lam(lam):
-        if np.any(np.asarray(lam) < 0):
+        if not np.all(np.asarray(lam) >= 0):    # NaN fails too
             raise ValueError("transform arguments must be nonnegative")
 
     @staticmethod
@@ -326,11 +369,13 @@ class TransitionKernels:
     def _transform(self, s, t, y, lam, continuous=True, jumps=True, warn=False):
         """exp(-y Psi_{s,t}(lam) - int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}]
         (lam) dv) over the inputs that are switched on, vectorized in lam; an
-        input whose rate vanishes on [s, t] adds 0."""
+        input whose rate vanishes on [s, t] adds 0. The time integral takes
+        the u-rule where ``_riccati_pieces`` gives pieces, else the v-rule
+        (module docstring)."""
         self._check(s, t)
         self._check_lam(lam)
-        if y < 0:
-            raise ValueError("y must be nonnegative")
+        if not 0.0 <= y < math.inf:
+            raise ValueError("y must be finite and nonnegative")
         if warn and not self.coeffs.beta_strictly_positive:
             warnings.warn(
                 "mean reversion is not strictly positive; the transform "
@@ -342,12 +387,28 @@ class TransitionKernels:
         if use_atilde and self.nu is None:
             raise ValueError("transform with jump input needs a jump measure")
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+        pieces = self._riccati_pieces(s, t) if use_a or use_atilde else None
+        if pieces is not None:
+            ex, err, psi = self._u_rule(t, lam_arr, *pieces, use_a, use_atilde)
+        else:
+            ex, err = (self._v_rule(s, t, lam_arr, use_a, use_atilde)
+                       if use_a or use_atilde else (np.zeros_like(lam_arr), 0.0))
+            psi = self._psi_from_bd(*self.table.bd(s, t), lam_arr)
+        val = np.exp(-(y * psi + ex))
+        e = np.abs(val) * (err + (1.0 + y) * self.table.error_scale)
+        scalar = np.ndim(lam) == 0
+        return (float(val[0]), float(e[0])) if scalar else (val, e)
+
+    def _v_rule(self, s, t, lam, use_a, use_atilde):
+        """(exponent, error) of the time integral by ``panel_integral`` on
+        the v-panels of ``_v_panels``, for any coefficients."""
+        a, at = self.coeffs.a, self.coeffs.a_tilde
         table = self.table    # the ends of every piece to t, formed once
         ends = table.ends(np.arange(table.edges.size - 1), t) if table.exact else None
 
         def integrand(v):
             B, D = table.bd(v, t, ends)    # nodes may round onto t: no check
-            psi_v = self._psi_from_bd(B[:, None], D[:, None], lam_arr)
+            psi_v = self._psi_from_bd(B[:, None], D[:, None], lam)
             out = np.zeros_like(psi_v)
             if use_a:
                 out += a(v)[:, None] * psi_v
@@ -355,13 +416,72 @@ class TransitionKernels:
                 out += at(v)[:, None] * self.nu.one_minus_exp_integral(psi_v)
             return out
 
-        ex, err = (panel_integral(integrand, self._v_panels(s, t, lam_arr), self.tol)
-                   if use_a or use_atilde else (np.zeros_like(lam_arr), 0.0))
-        B, D = table.bd(s, t, ends)
-        val = np.exp(-(y * self._psi_from_bd(B, D, lam_arr) + ex))
-        e = np.abs(val) * (err + (1.0 + y) * self.table.error_scale)
-        scalar = np.ndim(lam) == 0
-        return (float(val[0]), float(e[0])) if scalar else (val, e)
+        return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)
+
+    def _riccati_pieces(self, s, t):
+        """(cut, k): the points that cut [s, t] at the knots of the four
+        coefficients and the slice k of the engine's pieces between them, or
+        None where the u-rule does not apply: a tabulated table, ``a`` or
+        ``a~`` not piecewise constant, or beta = 0 on a piece."""
+        if self._pieces is None:
+            return None
+        knots = self._pieces[0]
+        i0, i1 = knots.searchsorted(s, "right"), knots.searchsorted(t, "left")
+        k = slice(i0, i1 + 1)
+        if not self._pieces[-1][k].all():
+            return None
+        return np.concatenate(([s], knots[i0:i1], [t])), k
+
+    def _u_rule(self, t, lam, cut, k, use_a, use_atilde):
+        """(exponent, error, Psi_{s,t}(lam)) of the time integral piece by
+        piece in u = log psi (module docstring)."""
+        _, alpha, at, beta, half_s2, _ = self._pieces
+        B, D = self.table.bd(cut, t)
+        psi = self._psi_from_bd(B[:, None], D[:, None], lam)    # cuts x lam
+        ex, err = np.zeros(lam.shape), 0.0
+        if use_a:    # alpha log((1 + lam D(lo)) / (1 + lam D(hi)))
+            with np.errstate(divide="ignore"):
+                grow = np.log1p((D[:-1] - D[1:])[:, None] / (1.0 / lam + D[1:, None]))
+            alpha = alpha[k]
+            grow[alpha == 0.0] = 0.0    # not 0 * inf on t's piece at lam = inf
+            ex += alpha @ grow
+        if use_atilde:
+            at, beta, half_s2 = at[k], beta[k], half_s2[k]
+            u = np.log(np.maximum(psi, _TINY))    # psi = 0 at lam = 0: no range
+            u0, u1 = u[:-1], u[1:]
+            top = np.minimum(u1, np.maximum(u0, math.log(PSI_CAP)))
+            width = top - u0
+
+            def g(u):    # a~ PsiTilde(e^u) / (beta + sigma^2/2 e^u) per piece, lam
+                c = np.exp(u)
+                return self.nu.one_minus_exp_integral(c) * at / (beta + half_s2 * c)
+
+            n = max(1, math.ceil(width.max() / U_PANEL))
+            x, w32, w16 = _u_panels(n)
+            vals = g(u0[..., None] + width[..., None] * x).reshape(*width.shape, n, 48)
+            q32, q16 = vals[..., :32] @ w32, vals[..., 32:] @ w16    # per panel
+            val = q32.sum(axis=-1) * width
+            est = np.abs(q32 - q16).sum(axis=-1) * width
+            far = u1 > top
+            if far.any():    # above psi = PSI_CAP: g(top) exp(-(u - top) / q)
+                q = self._q
+                g_top, g_below = np.moveaxis(
+                    g(top[..., None] - [0.0, q * math.log(2.0)]), -1, 0)
+                share = -np.expm1(-(u1 - top) / q)
+                val = val + q * g_top * share
+                est = est + 2.0 * q * np.abs(g_top - 0.5 * g_below) * share
+            ex += val.sum(axis=0)
+            err = est.sum(axis=0)
+        return ex, err, psi[0]
+
+
+@lru_cache(maxsize=64)
+def _u_panels(n):
+    """Nodes on [0, 1] of n equal panels, 32 Gauss-Legendre nodes and then
+    16 on each, and the weights of the two rules on one panel."""
+    (x32, w32), (x16, w16) = (np.polynomial.legendre.leggauss(m) for m in (32, 16))
+    x = (np.arange(n)[:, None] + 0.5 * (np.concatenate((x32, x16)) + 1.0)) / n
+    return x.ravel(), 0.5 * w32 / n, 0.5 * w16 / n
 
 
 @lru_cache(maxsize=64)

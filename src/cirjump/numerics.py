@@ -4,7 +4,8 @@ random-variate streams.
 One quadrature rule lives here. ``panel_integral`` is order 16
 Gauss-Legendre on caller-given panels, with an error estimate from order 8
 on the same panels and a bounded number of bisections of the panels whose
-estimate is too large; the transforms call it on their time panels.
+estimate is too large; the transforms' v-rule calls it on its time panels
+(``kernels`` has the u-rule's fixed panels of its own).
 ``integrate`` serves the one-off measure integrals (certificates, masses,
 truncation diagnostics) with the same rule, on panels geometric in ``y``,
 halved toward a declared algebraic endpoint singularity and mapped by

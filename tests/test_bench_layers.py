@@ -54,11 +54,13 @@ def test_rows_and_environment(layers):
         # the 64-cell I-grid has a known bias: recorded, not judged
         assert (r["transform_passed"] is None) == (r["config"] == "jump_model_sine_a")
     # transform rows: each demo config, no ITilde transform without a jump
-    # measure
+    # measure, and lam = inf rows of Itilde and K where there is one
     got = {(r["config"], r["layer"]) for r in out["transforms"]}
     want = {(c, "laplace_" + comp)
             for c in ("classical_cir", "infinite_activity", "jump_model")
             for comp in ("K", "H", "I", "Itilde")}
+    want |= {(c, f"laplace_{comp}_inf") for c in ("infinite_activity", "jump_model")
+             for comp in ("K", "Itilde")}
     assert got == want - {("classical_cir", "laplace_Itilde")}
     for r in out["transforms"]:
         assert set(r) == {"config", "s", "t", "y", "layer", "ms_per_call",
@@ -67,7 +69,11 @@ def test_rows_and_environment(layers):
         times = r["ms_per_call_repeats"]
         assert len(times) == 3 and r["ms_per_call"] == min(times) > 0.0
         assert r["ms_per_call_median"] == sorted(times)[1]
-        assert 0.0 < r["max_error_estimate"] < 1e-6
+        if r["layer"] == "laplace_K_inf":
+            # a > 0 up to t on both: K is 0 at lam = inf, with error 0
+            assert r["max_error_estimate"] == 0.0
+        else:
+            assert 0.0 < r["max_error_estimate"] < 1e-6
     # bd rows: each demo config and the tabulated set, the table build, one
     # pair and a node array
     configs = ("classical_cir", "infinite_activity", "jump_model",

@@ -8,6 +8,7 @@ from scipy import special, stats
 from scipy.integrate import quad
 
 import cirjump as cj
+from cirjump import jumps
 from cirjump.errors import (InvalidDelta, NonIntegrable,
                             RestrictiveConditionViolated)
 from cirjump.jumps import (delta_for_budget, one_minus_exp_sum,
@@ -110,6 +111,21 @@ class TestOneMinusExp:
     def test_nonsummable_density_has_no_nodes(self):
         with pytest.raises(NonIntegrable):
             tempered_power(1.2).nodes
+
+
+@pytest.mark.parametrize("nodes", ["density", "atoms", "empty"])
+def test_blocks_keep_each_value_bit_identical(nodes, monkeypatch):
+    # c arrays of several blocks of c (x) y give each element the bits of
+    # the sum for that c alone; a small block size makes them many
+    nu = {"density": tempered_power(0.4), "empty": cj.atoms([]),
+          "atoms": cj.atoms([(0.7, 1.2), (1.8, 0.4)])}[nodes]
+    y = nu.nodes[0]
+    monkeypatch.setattr(jumps, "BLOCK_SIZE", 4 * max(y.size, 1) + 1)
+    c = np.geomspace(1e-3, 1e6, 31).reshape(-1, 1)
+    got = one_minus_exp_sum(nu.nodes, c)
+    assert got.shape == c.shape
+    assert got.tobytes() == np.array([[one_minus_exp_sum(nu.nodes, x)]
+                                      for x in c.ravel().tolist()]).tobytes()
 
 
 class TestClosedForms:

@@ -1,15 +1,19 @@
+import dataclasses
 import decimal
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
 
 import adaptive_oracle
 import cirjump as cj
+from cirjump import kernels
 from cirjump.errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
 from cirjump.kernels import DEFAULT_TOL, get_kernels
 from conftest import NAMED, named_measure
@@ -393,6 +397,204 @@ class TestLaplaceIK:
             eng.psi(0.2, 1.2, -1.0)
         with pytest.raises(ValueError):
             eng.laplace_K(0.2, 1.2, 0.5, np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("lam", [math.nan, [0.5, math.nan]])
+    def test_nan_lambda_rejected(self, pc_coeffs, two_atoms, lam):
+        # NaN used to pass the sign check and come back as a NaN transform
+        eng = get_kernels(pc_coeffs, two_atoms)
+        for call in (lambda: eng.psi(0.2, 1.2, lam),
+                     lambda: eng.laplace_H(0.2, 1.2, 0.5, lam),
+                     lambda: eng.laplace_I(0.2, 1.2, lam),
+                     lambda: eng.laplace_Itilde(0.2, 1.2, lam),
+                     lambda: eng.laplace_K(0.2, 1.2, 0.5, lam)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
+    @pytest.mark.parametrize("y", [math.inf, math.nan, -0.5])
+    def test_bad_start_rejected(self, pc_coeffs, two_atoms, lambda_grid, y):
+        # y = inf gave 0 with a NaN error and a RuntimeWarning, y = NaN a NaN
+        eng = get_kernels(pc_coeffs, two_atoms)
+        for call in (eng.laplace_H, eng.laplace_K):
+            with pytest.raises(ValueError, match="y must be finite and nonnegative"):
+                call(0.2, 1.2, y, lambda_grid)
+
+
+class TestRiccatiRoute:
+    """The u-rule (module docstring) against the v-rule it replaces where
+    both apply, and the cases that keep the v-rule."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_gamma_law_by_v_rule(self, alpha, lambda_grid):
+        # acceptance criterion 3's set: laplace_I there is the closed form,
+        # so the v-rule, which stays the route of other inputs, is checked
+        # against the Gamma(alpha, p) law here
+        a = cj.piecewise_constant([0.7], [alpha * 0.5, alpha * 1.125])
+        c = cj.CoefficientSet(a=a, a_tilde=cj.constant(0),
+                              beta=cj.piecewise_constant([0.4], [0.5, 2.0]),
+                              sigma=cj.piecewise_constant([0.7], [1.0, 1.5]),
+                              t_max=2.0)
+        eng = get_kernels(c)
+        s, t = 0.2, 1.2
+        assert eng._riccati_pieces(s, t) is not None
+        want = (1.0 + lambda_grid / eng.kernel_value(s, t).p) ** -alpha
+        ex, _ = eng._v_rule(s, t, lambda_grid, True, False)
+        assert np.max(np.abs(np.exp(-ex) / want - 1.0)) <= 1e-8
+        got, _ = eng.laplace_I(s, t, lambda_grid)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    def test_laplace_i_runs_no_quadrature(self, pc_coeffs, lambda_grid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("quadrature called")
+
+        eng = get_kernels(pc_coeffs)
+        monkeypatch.setattr(kernels, "panel_integral", refuse)
+        monkeypatch.setattr(kernels, "_u_panels", refuse)
+        for s, t in ((0.2, 1.2), (0.0, 2.0), (0.65, 0.66)):
+            vals, _ = eng.laplace_I(s, t, np.append(lambda_grid, [0.0, math.inf]))
+            assert vals[-2] == 1.0 and vals[-1] == 0.0
+
+    def test_route_of_the_demos(self):
+        for name in ("classical_cir", "infinite_activity", "jump_model"):
+            cfg = cj.load_config(os.path.join(DEMO_CONFIGS, name + ".yaml"))
+            eng = get_kernels(cfg.coeffs, cfg.nu)
+            assert eng._riccati_pieces(cfg.s, cfg.t) is not None, name
+
+    @pytest.mark.filterwarnings("ignore::cirjump.errors.BetaNotStrictlyPositiveWarning")
+    @pytest.mark.parametrize("case", ["flat_beta", "clipped_sine_atilde"])
+    def test_v_rule_cases_against_adaptive_oracle(self, case, two_atoms):
+        # beta = 0 on [0.4, 0.9): the Riccati fixed point -2 beta / sigma^2
+        # is lam = 0, inside the grid (a negative beta, whose fixed point
+        # would be positive, is refused by CoefficientSet); a clipped-sine a~
+        # on exact primitives is not piecewise constant
+        if case == "flat_beta":
+            co = flat_beta_coeffs()
+        else:
+            co = cj.CoefficientSet(a=cj.piecewise_constant([0.6], [0.3, 0.8]),
+                                   a_tilde=cj.clipped_sine(0.3, 0.4, 5.0, 1.0),
+                                   beta=cj.piecewise_constant([0.4], [0.5, 2.0]),
+                                   sigma=cj.constant(1.2), t_max=2.0)
+        eng = get_kernels(co, two_atoms)
+        assert eng.table.exact
+        lam = np.array([0.0, 0.05, 1.0, 50.0])
+        s, t = 0.2, 1.6
+        assert eng._riccati_pieces(s, t) is None
+        want = adaptive_oracle.transforms(eng, s, t, 0.6, lam)
+        got = {"I": eng.laplace_I(s, t, lam),
+               "Itilde": eng.laplace_Itilde(s, t, lam),
+               "K": eng.laplace_K(s, t, 0.6, lam)}
+        for name, (val, err) in got.items():
+            assert val[0] == 1.0
+            assert np.all(np.abs(val - want[name]) <= err + DEFAULT_TOL), name
+        if case == "flat_beta":    # an interval clear of the flat piece
+            assert eng._riccati_pieces(1.0, 1.6) is not None
+
+
+def _closed_psi_tilde(label):
+    """``int (1 - exp(-c y)) nu(dy)`` of a test density in closed form, for
+    a float c up to inf, or None: y^-(1+rho) e^-y (conftest's tempered_power
+    and infinite_activity's measure) and e^-y."""
+    m = re.fullmatch(r"tempered(?:_power)?\(rho=([0-9.]+)\)", label)
+    if m:
+        rho = float(m.group(1))
+        return lambda c: gamma_fn(-rho) * -math.expm1(rho * math.log1p(c))
+    return (lambda c: 1.0 / (1.0 + 1.0 / c)) if label == "exp" else None
+
+
+def _exponents_at_inf(eng, s, t):
+    """(int_s^t a gamma_{v,t} dv, int_s^t a~ PsiTilde(gamma_{v,t}) dv, their
+    quad error): the transform exponents at lam = inf, by scipy from the
+    definitions, piece by piece between the coefficient knots.
+
+    The continuous part is quad in v, inf where a > 0 up to t. The jump
+    part is quad in u = log gamma_{v,t}, which turns dv into du / (beta +
+    sigma^2/2 e^u), out to u = inf on t's piece (scipy's own infinite
+    tail). PsiTilde is the sum over atoms, a closed form of the test
+    densities, else the nested adaptive quadrature of adaptive_oracle.
+    Only the primitive table's unchecked ``bd`` is shared with the engine.
+    """
+    co, nu = eng.coeffs, eng.nu
+    knots = [s, *co.breakpoints(s, t).tolist(), t]
+
+    def gamma(v):
+        B, D = eng.table.bd(v, t)
+        return B / D
+
+    if nu is None:
+        psi_tilde = None
+    elif isinstance(nu, cj.DiscreteJumpMeasure):
+        def psi_tilde(c):
+            return sum(w * -math.expm1(-y * c) for y, w in nu.points)
+    else:
+        psi_tilde = _closed_psi_tilde(nu.label if nu.lower == 0.0 else "") or (
+            lambda c: float(adaptive_oracle.one_minus_exp(nu, np.array([c]))[0]))
+    ex_i = ex_it = err = 0.0
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        mid = 0.5 * (lo + hi)
+        a, at = float(co.a(mid)), float(co.a_tilde(mid))
+        beta, h = float(co.beta(mid)), 0.5 * float(co.sigma(mid)) ** 2
+        if a > 0.0:
+            if hi == t:
+                ex_i = math.inf
+            else:
+                v, e = quad(lambda v: a * gamma(v), lo, hi, epsabs=1e-13, epsrel=1e-13)
+                ex_i, err = ex_i + v, err + e
+        if at > 0.0:
+            top = math.log(gamma(hi)) if hi < t else math.inf
+
+            def f(u):
+                c = math.exp(min(u, 700.0))
+                return at * psi_tilde(c) / (beta + h * c)
+
+            v, e = quad(f, math.log(gamma(lo)), top, epsabs=1e-13, epsrel=1e-12,
+                        limit=500)
+            ex_it, err = ex_it + v, err + e
+    return ex_i, ex_it, err
+
+
+class TestInfiniteLambda:
+    """lam = inf, the mass at 0 (P(Itilde = 0), P(K = 0)), against
+    ``_exponents_at_inf``."""
+
+    SETS = ["classical_cir", "infinite_activity", "jump_model"] + [
+        "pc_coeffs-" + m for m in ("rho04", "rho07", "rho04_truncated",
+                                   "exp_density", "two_atoms", "tail_of_a")]
+
+    @pytest.mark.parametrize("label", SETS)
+    def test_against_scipy(self, request, label):
+        if "-" not in label:
+            cfg = cj.load_config(os.path.join(DEMO_CONFIGS, label + ".yaml"))
+            co, nu, intervals, y = cfg.coeffs, cfg.nu, [(cfg.s, cfg.t)], cfg.y
+        else:
+            co, measure = request.getfixturevalue("pc_coeffs"), label.split("-")[1]
+            if measure == "tail_of_a":
+                # a = 0 on t's piece: P(I = 0) > 0, so P(K = 0) is not 0
+                co = dataclasses.replace(
+                    co, a=cj.piecewise_constant([0.6, 1.3], [0.3, 0.8, 0.0]))
+                nu = request.getfixturevalue("rho04")
+            elif measure == "rho04_truncated":
+                nu = request.getfixturevalue("rho04").truncated(0.05)
+            else:
+                nu = request.getfixturevalue(measure)
+            intervals, y = [(0.2, 1.4)], 0.6
+            if measure != "rho04_truncated":    # its oracle kernel is slow
+                intervals.append((0.7, 0.70001))
+        eng = get_kernels(co, nu)
+        for s, t in intervals:
+            assert eng._riccati_pieces(s, t) is not None
+            ex_i, ex_it, slack = _exponents_at_inf(eng, s, t)
+            gamma_st = eng.kernel_value(s, t).gamma
+            want = {"K": math.exp(-(y * gamma_st + ex_i + ex_it))}
+            if nu is not None:
+                want["Itilde"] = math.exp(-ex_it)
+            for name, w in want.items():
+                val, err = (eng.laplace_K(s, t, y, math.inf) if name == "K"
+                            else eng.laplace_Itilde(s, t, math.inf))
+                gap = abs(val - w)
+                assert gap <= DEFAULT_TOL, (name, s, t, val, w)
+                assert gap <= err + slack * w, (name, s, t, gap, err)
+            if label == "infinite_activity":
+                # the v-panels gave 0.2578205 here, with an estimate of 7.3e-4
+                assert round(eng.laplace_Itilde(s, t, math.inf)[0], 7) == 0.2572202
 
 
 def clipped_sine_coeffs():

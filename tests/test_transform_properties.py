@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cirjump as cj
+from cirjump.kernels import DEFAULT_TOL
 from cirjump.samplers import COMPONENTS
 from conftest import tempered_power
 
@@ -59,6 +60,23 @@ def test_transform_shape(coeffs, nu, interval, y, lam_max):
     assert np.all(np.diff(vals) <= 1e-14)
     logs = np.log(vals)
     assert np.all(np.diff(logs, 2) >= -1e-12 * max(1.0, float(np.max(-logs))))
+
+
+@PROPERTY
+@given(coefficient_sets, measures, intervals())
+def test_u_rule_against_v_rule(coeffs, nu, interval):
+    # beta >= 0.1 in these sets, so the transforms take the u-rule; the
+    # v-rule, the route of every other input, is its oracle
+    s, t = interval
+    eng = cj.TransitionKernels(coeffs, nu)
+    assert eng._riccati_pieces(s, t) is not None
+    lam = np.array([0.0, 0.05, 1.0, 50.0, 1e6])
+    for got, inputs in ((eng.laplace_I(s, t, lam), (True, False)),
+                        (eng.laplace_Itilde(s, t, lam), (False, True))):
+        ex, err = eng._v_rule(s, t, lam, *inputs)
+        want = np.exp(-ex)
+        assert got[0][0] == 1.0
+        assert np.all(np.abs(got[0] - want) <= got[1] + want * err + DEFAULT_TOL)
 
 
 @PROPERTY

@@ -19,7 +19,9 @@ Transform rows time ``laplace_K``, ``laplace_H``, ``laplace_I`` and
 them, on every demo configuration's lambda grid at its (s, t, y): one
 measure kind each, none, atoms or a density. A row gives every repeat's
 milliseconds per call (a repeat is ``CALLS`` calls), their best and their
-median, and the largest error estimate the transform returns.
+median, and the largest error estimate the transform returns. A config
+with a jump measure also gets ``laplace_Itilde_inf`` and ``laplace_K_inf``
+rows: the same two transforms at lambda = inf alone, the mass at 0.
 
 ``bd`` rows time the kernel pair (B, D) on every demo configuration and
 on ``jump_model_tabulated``, jump_model with the smooth ``TABULATED_BETA``
@@ -80,6 +82,8 @@ LAYERS = {"sample_h": "H", "sample_i": "I", "sample_itilde": "Itilde",
           "sample_k": "K"}
 SEED = 20201019
 CALLS = 50    # transform calls timed per repeat
+# components with a lambda = inf transform row, given a jump measure
+INF_ROWS = ("Itilde", "K")
 # the clipped-sine input rate of the jump_model_sine_a row set
 SINE_A = cj.clipped_sine(0.4, 0.5, 3.0)
 # smooth beta and sigma of the jump_model_tabulated bd rows
@@ -148,21 +152,23 @@ def layer_row(cfg, layer, draws, repeats, seed, bounded=True):
             "transform_passed": bool(cmp.passed) if bounded else None}
 
 
-def transform_row(cfg, name, repeats, calls=CALLS):
+def transform_row(cfg, name, repeats, calls=CALLS, at_inf=False):
     """Milliseconds per call of every one of ``repeats`` runs of ``calls``
     calls, their best and median, and the largest error estimate of the
-    transform of component ``name`` on one configuration's lambda grid."""
+    transform of component ``name`` on one configuration's lambda grid, or
+    at lambda = inf alone (layer ``laplace_<name>_inf``) with ``at_inf``."""
     comp = cj.COMPONENTS[name]
     kernels = cj.get_kernels(cfg.coeffs, cfg.nu, tol=cfg.kernel_tol,
                              nu_tol=cfg.nu_tol)    # as ``cirjump laplace``
-    grid = np.asarray(cfg.lambda_grid, dtype=float)
+    grid = np.array([np.inf]) if at_inf else np.asarray(cfg.lambda_grid, dtype=float)
     times = []
     for _ in range(repeats):
         t0 = perf_counter()
         for _ in range(calls):
             _, err = comp.laplace(kernels, cfg.s, cfg.t, cfg.y, grid)
         times.append((perf_counter() - t0) * 1e3 / calls)
-    return {"layer": f"laplace_{name}", "ms_per_call": min(times),
+    return {"layer": f"laplace_{name}" + "_inf" * at_inf,
+            "ms_per_call": min(times),
             "ms_per_call_median": statistics.median(times),
             "ms_per_call_repeats": times,
             "max_error_estimate": float(np.max(err))}
@@ -225,6 +231,9 @@ def bench_layers(draws=10 ** 6, repeats=3, seed=SEED, calls=CALLS,
             if bounded:    # a demo config: the transform of every component
                 transforms.append({**at, **transform_row(cfg, LAYERS[layer],
                                                          repeats, calls)})
+                if LAYERS[layer] in INF_ROWS and cfg.nu is not None:
+                    transforms.append({**at, **transform_row(
+                        cfg, LAYERS[layer], repeats, calls, at_inf=True)})
     jump = cj.load_config(os.path.join(CONFIGS, "jump_model.yaml"))
     tabulated = dataclasses.replace(jump, coeffs=dataclasses.replace(
         jump.coeffs, beta=TABULATED_BETA, sigma=TABULATED_SIGMA))
