@@ -21,23 +21,31 @@ which factorizes into the three component transforms handled below
 (``laplace_H`` for the started mass, ``laplace_I`` for the continuous input,
 ``laplace_Itilde`` for the jump input).
 
-Internally everything is computed from two primitives cached on a shared
-grid: ``Lam(v) = int_0^v beta`` and ``E(v) = int_0^v sigma^2/2 exp(Lam)``,
-so that B(s,t) = exp(Lam(s) - Lam(t)), D(s,t) := B(0,t) C(s,t) =
+Internally everything is computed from ``Lam(v) = int_0^v beta`` and
+``E(v) = int_0^v sigma^2/2 exp(Lam)`` at the edges of the primitive table's
+pieces, so that B(s,t) = exp(Lam(s) - Lam(t)), D(s,t) := B(0,t) C(s,t) =
 exp(-Lam(t)) (E(t) - E(s)), p = 1/D, gamma = B/D and Psi(lam) = B lam /
-(1 + lam D), finite for t -> s. Where beta and sigma are piecewise
-constant the table is exact, and its one formula of the pair subtracts
-nothing: on a piece with constant beta and sigma, at distance gap before a
-point hi of the piece,
+(1 + lam D), finite for t -> s. The table's one formula of the pair
+subtracts nothing inside a piece: at distance gap before a point hi of
+the piece (``before``),
 
-    B = B(hi,t) exp(-beta gap),
-    D = D(hi,t) + B(hi,t) sigma^2/2 (1 - exp(-beta gap))/beta
+    B = B(hi,t) exp(Lam(hi - gap) - Lam(hi)),
+    D = D(hi,t) + B(hi,t) int_{hi-gap}^hi sigma^2/2 exp(Lam(u) - Lam(hi)) du,
 
-(sigma^2/2 gap at beta = 0), from hi = min(end of s's piece, t), whose
-pair comes from t back to its piece's start plus the E increments of the
-whole pieces between. Otherwise the primitives are tabulated by per-panel
-Gauss-Legendre quadrature with cubic-Hermite evaluation between panel
-ends, and ``bd`` subtracts them, losing digits as t - s shrinks.
+from hi = min(end of s's piece, t), whose pair comes from t back to its
+piece's start plus the E increments of the whole pieces between
+(``ends``), so D > 0 for every s < t. Where beta and sigma are piecewise
+constant the table is exact: its pieces are theirs, and ``before`` is the
+closed form B(hi,t) exp(-beta gap), D(hi,t) + B(hi,t) sigma^2/2 (1 -
+exp(-beta gap))/beta (sigma^2/2 gap at beta = 0). Otherwise it is
+tabulated: panels no wider than t_max/512 or 1/32 of the smoothness
+scale, Lam at their edges by 16-node Gauss-Legendre and inside a panel by
+its cubic Hermite, and ``before``'s integral by 16 Gauss-Legendre nodes.
+On both kinds the E increments are ``before`` over whole pieces.
+``error_scale``, the relative error of the pair, is the larger of the
+Hermite's error (at the panel midpoints, against the Gauss-Legendre rule
+over half a panel) and the rounding of the E differences, and at least
+1e-15.
 
 The time integral of the transforms takes one of two routes, picked from
 the inputs alone. The u-rule serves an exact table with piecewise-constant
@@ -100,6 +108,7 @@ PSI_CAP = 1e10           # psi above which the u-rule extrapolates its integrand
 U_PANEL = 2.0            # widest initial u-panel of the u-rule
 
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,8 @@ class KernelValue:
 
 
 class _PrimitiveTable:
-    """Primitives Lam(v) and E(v) on [0, t_max] and the pair (B, D),
-    vectorized in v (module docstring)."""
+    """Lam(v) and E(v) at the table's edges on [0, t_max] and the pair
+    (B, D) from positive terms only, vectorized in v (module docstring)."""
 
     def __init__(self, coeffs: CoefficientSet):
         beta, sigma, t_max = coeffs.beta, coeffs.sigma, coeffs.t_max
@@ -128,18 +137,15 @@ class _PrimitiveTable:
             sigma.breakpoints(0.0, t_max))))
         self.exact = beta.is_piecewise_constant and sigma.is_piecewise_constant
         if self.exact:
-            self.edges = edges = base
+            edges = base
             mids = 0.5 * (edges[:-1] + edges[1:])
             b = np.asarray(beta(mids), dtype=float)
             half_s2 = 0.5 * np.square(np.asarray(sigma(mids), dtype=float))
             # per piece -beta and sigma^2/2 over it (sigma^2/2 at beta = 0)
             self._nb, self._c = -b, half_s2 / np.where(b != 0.0, -b, 1.0)
             self._flat = (b == 0.0) if (b == 0.0).any() else None
-            self._lam = lam = np.concatenate(([0.0], np.cumsum(b * np.diff(edges))))
-            # E's increment over a piece: exp(Lam(its end)) D(piece)
-            d_piece = self.before(np.arange(b.size), np.diff(edges), 1.0, 0.0)[1]
-            self._E = np.concatenate(([0.0], np.cumsum(np.exp(lam[1:]) * d_piece)))
-            self.error_scale = 1e-15
+            lam_inc, hermite_err = b * np.diff(edges), 0.0
+            self.before = self._closed_form
         else:
             scale = coeffs.smoothness_scale()
             hmax = t_max / 512.0
@@ -151,66 +157,71 @@ class _PrimitiveTable:
                 pieces.append(np.linspace(lo, hi, n + 1)[:-1])
             edges = np.concatenate(pieces + [[t_max]])
             gx, gw = np.polynomial.legendre.leggauss(16)
-            lo = edges[:-1][:, None]
-            hi = edges[1:][:, None]
-            half = 0.5 * (hi - lo)
-            nodes = 0.5 * (hi + lo) + half * gx[None, :]
-            bw = np.asarray(beta(nodes.ravel()), float).reshape(nodes.shape)
-            lam_inc = np.sum(bw * half * gw[None, :], axis=1)
-            lam = np.concatenate(([0.0], np.cumsum(lam_inc)))
-            dlam = np.asarray(beta(edges), dtype=float)
-            ends = (lam[:-1][:, None], dlam[:-1][:, None], lam[1:][:, None],
-                    dlam[1:][:, None])
-            # exp(Lam) at panel-interior quadrature nodes via Hermite on Lam
-            lam_nodes = _hermite(_hermite_weights(nodes, lo, hi), *ends)
-            s2n = np.square(np.asarray(sigma(nodes.ravel()), float)).reshape(nodes.shape)
-            e_inc = np.sum(0.5 * s2n * np.exp(lam_nodes) * half * gw[None, :], axis=1)
-            E = np.concatenate(([0.0], np.cumsum(e_inc)))
-            # coarse re-integration gives an honest resolution estimate
-            gx8, gw8 = np.polynomial.legendre.leggauss(8)
-            nodes8 = 0.5 * (hi + lo) + half * gx8[None, :]
-            lam8 = _hermite(_hermite_weights(nodes8, lo, hi), *ends)
-            s28 = np.square(np.asarray(sigma(nodes8.ravel()), float)).reshape(nodes8.shape)
-            e_inc8 = np.sum(0.5 * s28 * np.exp(lam8) * half * gw8[None, :], axis=1)
-            err = float(np.sum(np.abs(e_inc - e_inc8)))
-            self.edges = edges
-            self._lam, self._E = lam, E
-            self._dlam = dlam
-            self._dE = 0.5 * np.square(np.asarray(sigma(edges), float)) * np.exp(lam)
-            self.error_scale = max(err / max(E[-1], 1.0), 1e-15)
-        self._inner = self.edges[1:-1]
+            # node j of a part [hi - gap, hi] at hi - gap x_j, between its
+            # ends, and the weights over a gap of 1
+            self._x = np.concatenate(([1.0], 0.5 * (1.0 - gx), [0.0]))
+            self._w = 0.5 * gw
+            self._half_s2 = lambda v: 0.5 * np.square(np.asarray(sigma(v), float))
+
+            def integral(lo, hi):    # int_lo^hi beta, elementwise
+                v = hi[..., None] - (hi - lo)[..., None] * self._x[1:-1]
+                return (np.asarray(beta(v), float) * self._w).sum(axis=-1) * (hi - lo)
+
+            lo, hi = edges[:-1], edges[1:]
+            lam_inc = integral(lo, hi)
+            self._dlam = dlam = np.asarray(beta(edges), dtype=float)
+            # Lam(mid) - Lam(lo) by the panel's cubic Hermite, lam_inc / 2 +
+            # (hi - lo)(beta(lo) - beta(hi)) / 8, against the rule over half
+            # the panel: the Hermite's error, which is largest at the midpoint
+            hermite_err = float(np.max(np.abs(
+                0.5 * lam_inc + 0.125 * (hi - lo) * (dlam[:-1] - dlam[1:])
+                - integral(lo, 0.5 * (lo + hi)))))
+            self.before = self._gauss_legendre
+        self.edges = edges
+        self._inner = edges[1:-1]
+        self._lam = lam = np.concatenate(([0.0], np.cumsum(lam_inc)))
+        # E's increment over a piece: exp(Lam(its end)) D(piece)
+        d_piece = self.before(np.arange(edges.size - 1), edges[1:], np.diff(edges),
+                              1.0, 0.0)[1]
+        self._E = E = np.concatenate(([0.0], np.cumsum(np.exp(lam[1:]) * d_piece)))
+        # relative errors of (B, D): the Hermite's, and the rounding of the E
+        # differences of ``ends``, eps E over the increment just below it
+        self.error_scale = max(hermite_err, _EPS * float(np.max(E[1:] / np.diff(E))),
+                               1e-15)
 
     def _idx(self, v):
         """Panel of every v: below 0 the first, from t_max on (and NaN) the
         last, on an interior edge the panel that starts there."""
         return self._inner.searchsorted(v, side="right")
 
-    def primitives(self, v):
-        """(Lam(v), E(v)) of a tabulated table by Hermite interpolation,
-        floats for a scalar v, arrays of v's shape else."""
-        v = np.asarray(v, dtype=float)
-        k = self._idx(v)
-        w = _hermite_weights(v, self.edges[k], self.edges[k + 1])
-        lam = _hermite(w, self._lam[k], self._dlam[k], self._lam[k + 1],
-                       self._dlam[k + 1])
-        E = _hermite(w, self._E[k], self._dE[k], self._E[k + 1], self._dE[k + 1])
-        return (lam, E) if v.ndim else (float(lam), float(E))
-
-    def before(self, k, gap, b_hi, d_hi):
-        """The pair at hi - gap from (B(hi, t), D(hi, t)), both points in
-        piece k of an exact table; exactly (b_hi, d_hi) at gap 0."""
+    def _closed_form(self, k, hi, gap, b_hi, d_hi):
+        """``before`` of an exact table: its closed form on piece k."""
         w = self._nb[k] * gap
         grow = np.expm1(w)
         if self._flat is not None:    # no mean reversion: linear growth
             grow = np.where(self._flat[k], gap, grow)
         return np.exp(w) * b_hi, d_hi + b_hi * (self._c[k] * grow)
 
+    def _gauss_legendre(self, k, hi, gap, b_hi, d_hi):
+        """``before`` of a tabulated table: B = B(hi, t) exp(Lam(lo) -
+        Lam(hi)) and D = D(hi, t) + B(hi, t) int_lo^hi sigma^2/2
+        exp(Lam(u) - Lam(hi)) du, lo = hi - gap, by 16 Gauss-Legendre
+        nodes, with Lam from the Hermite of panel k."""
+        gap = np.asarray(gap, dtype=float)[..., None]
+        v = np.asarray(hi, dtype=float)[..., None] - gap * self._x
+        k = np.asarray(k)[..., None]
+        lam = _hermite(_hermite_weights(v, self.edges[k], self.edges[k + 1]),
+                       self._lam[k], self._dlam[k], self._lam[k + 1], self._dlam[k + 1])
+        grow = np.exp(lam - lam[..., -1:])    # exp(Lam(v) - Lam(hi))
+        part = (self._half_s2(v[..., 1:-1]) * grow[..., 1:-1] * self._w).sum(axis=-1)
+        return b_hi * grow[..., 0], d_hi + b_hi * (part * gap[..., 0])
+
     def ends(self, k, t):
         """hi = min(end of piece k, t) and its pair to t, for the pieces k up
-        to t's of an exact table; exactly (t, 1.0, 0.0) for t's piece."""
+        to t's; exactly (t, 1.0, 0.0) for t's piece."""
         kt = self._idx(t)
         hi = np.minimum(self.edges[k + 1], t)
-        b_t, d_t = self.before(kt, t - np.maximum(hi, self.edges[kt]), 1.0, 0.0)
+        b_t, d_t = self.before(kt, t, t - np.maximum(hi, self.edges[kt]), 1.0, 0.0)
         j = np.minimum(k + 1, kt)
         # E(edge kt) - E(edge j): a sum of positive increments, 0 for j == kt
         d_mid = (self._E[kt] - self._E[j]) * np.exp(-self._lam[kt])
@@ -219,17 +230,10 @@ class _PrimitiveTable:
     def bd(self, s, t, ends=None):
         """(B(s,t), D(s,t)) without the interval check, ``ends`` those of
         every piece for a scalar t: floats for a scalar pair, at s == t
-        exactly (1.0, 0.0). A tabulated table's nonpositive D, which its
-        subtraction gives on intervals too short for it, is 0."""
-        if self.exact:
-            k = self._idx(s)
-            hi, b_hi, d_hi = self.ends(k, t) if ends is None else (e[k] for e in ends)
-            B, D = self.before(k, hi - s, b_hi, d_hi)
-        else:
-            lam_s, e_s = self.primitives(s)
-            lam_t, e_t = self.primitives(t)
-            B = np.exp(lam_s - lam_t)
-            D = np.maximum(np.exp(-lam_t) * (e_t - e_s), 0.0)
+        exactly (1.0, 0.0), D > 0 for every s < t."""
+        k = self._idx(s)
+        hi, b_hi, d_hi = self.ends(k, t) if ends is None else (e[k] for e in ends)
+        B, D = self.before(k, hi, hi - s, b_hi, d_hi)
         return (B, D) if np.ndim(B) else (float(B), float(D))
 
 
@@ -404,7 +408,7 @@ class TransitionKernels:
         the v-panels of ``_v_panels``, for any coefficients."""
         a, at = self.coeffs.a, self.coeffs.a_tilde
         table = self.table    # the ends of every piece to t, formed once
-        ends = table.ends(np.arange(table.edges.size - 1), t) if table.exact else None
+        ends = table.ends(np.arange(table.edges.size - 1), t)
 
         def integrand(v):
             B, D = table.bd(v, t, ends)    # nodes may round onto t: no check

@@ -33,21 +33,21 @@ converges weakly as the grid refines.
 measure on [s, t) x (delta, inf) and propagate every point (T_i, Y_i) to t
 through H. Truncation at delta is only needed for infinite-activity
 measures; the discarded sqrt-mass diagnostic controls the bias. On each
-piece [lo, hi] of [s, t] between the knots of a~, beta and sigma the
-measure is one homogeneous Poisson process per atom (y_k, w_k) of the mark
-law, of rate a~ w_k (for a density, one process with i.i.d. marks from the
-normalized restriction): the entries of the step's jump table, with
-B(hi,t) and D(hi,t). A point at distance (hi - lo)(1 - U) from hi gets
-B(T,t) and D(T,t) from them by the exact primitive table's one formula
+piece [lo, hi] of [s, t] between the knots of a~ and the edges of the
+primitive table's pieces (the knots of beta and sigma on an exact table)
+the measure is one homogeneous Poisson process per atom (y_k, w_k) of the
+mark law, of rate a~ w_k (for a density, one process with i.i.d. marks
+from the normalized restriction): the entries of the step's jump table,
+with B(hi,t) and D(hi,t). A point at distance (hi - lo)(1 - U) from hi
+gets B(T,t) and D(T,t) from them by the primitive table's ``before``
 (``kernels``). A batch of m draws of any entries is one
 Poisson(m R) total of points, R the summed entry rates, split over the
 entries by one multinomial and laid out entry by entry, each point with a
 uniform draw label in [0, m) and a uniform U: by Poisson splitting the
 counts of each entry and draw are independent Poisson, the law of m
-separate draws, and no point needs a table search. Three inputs fall back:
+separate draws, and no point needs a table search. Two inputs fall back:
 an a~ that is not piecewise constant is thinned against each piece's max,
-a tabulated primitive table gives every point B and D by subtracting its
-primitives, and a density's marks come from its mark table. One draw
+and a density's marks come from its mark table. One draw
 (``size`` None) has few points, so it pushes them through H with scalar
 calls (``_push``, as branching paths push theirs), made in the order of the
 batch's array calls: it reads the stream as a size-1 batch does and
@@ -333,9 +333,8 @@ class TransitionSampler:
     ``STEP_CACHE`` most recently used intervals. They hold exactly the
     floats the draws would compute, so cached draws keep their bits. An
     invalid interval raises ``DegenerateInterval`` on every call (errors
-    are not cached), and so does a step record where a tabulated primitive
-    table gives no positive D(s, t) or D(r1, t) of a pushed I cell (the
-    jump table needs neither).
+    are not cached); every valid one has D(s, t) > 0 and D(r1, t) > 0 of
+    each pushed I cell, which the step record divides by.
     """
 
     def __init__(self, coeffs: CoefficientSet, nu: Optional[JumpMeasure] = None,
@@ -375,20 +374,9 @@ class TransitionSampler:
                     self._marks = self.nu.mark_sampler(self.delta)
         return self._marks
 
-    def _bd_positive(self, s, t):
-        """``kernels.bd(s, t)``, refused where D(s, t), which the step
-        record divides by, is not positive: the primitive table cannot
-        resolve an interval that short."""
-        B, D = self.kernels.bd(s, t)
-        if not D > 0.0:
-            raise DegenerateInterval(
-                f"D({float(s)!r}, {float(t)!r}) = {D:g} is not positive: "
-                f"the interval is too short for the primitive table")
-        return B, D
-
     def _step_record(self, s, t) -> _Step:
         """The record ``_step`` memoizes (see the class docstring)."""
-        B, D = self._bd_positive(s, t)
+        B, D = self.kernels.bd(s, t)
         rates, log_c, scales, last = [], [], [], None
         if self.coeffs.a.max_on(s, t) > 0.0:
             grid = self.i_grid(s, t)
@@ -399,7 +387,7 @@ class TransitionSampler:
                 _, d0 = self.kernels.bd(r0, t)
                 if r1 < t:
                     _, d_cell = self.kernels.bd(r0, r1)
-                    bt, dt = self._bd_positive(r1, t)
+                    bt, dt = self.kernels.bd(r1, t)
                     log_c.append(math.log1p(d_cell * (bt / dt)))
                     rates.append(alpha * log_c[-1])
                     scales.append(d0)
@@ -416,21 +404,23 @@ class TransitionSampler:
         marks = self._mark_sampler()
         if marks.mass == 0.0:
             return _NO_JUMPS
-        edges = np.concatenate((
-            [s], co.breakpoints(s, t, which=("a_tilde", "beta", "sigma")), [t]))
+        table = self.kernels.table    # pieces within the table's pieces
+        inner = table.edges[(table.edges > s) & (table.edges < t)]
+        edges = np.concatenate(
+            ([s], np.union1d(co.a_tilde.breakpoints(s, t), inner), [t]))
         lo, hi = edges[:-1], edges[1:]
         length = hi - lo
         # hi - length must not round below lo: a jump at hi - length U' with
         # U' in (0, 1] then lies in [lo, hi]
         length = np.where(hi - length < lo, np.nextafter(length, 0.0), length)
         mids = 0.5 * (lo + hi)
-        b_hi, d_hi = self.kernels.table.bd(hi, t)    # (1.0, 0.0) at hi == t
+        b_hi, d_hi = table.bd(hi, t)    # (1.0, 0.0) at hi == t
         thin = not co.a_tilde.is_piecewise_constant
         a_tilde = np.array([co.a_tilde.max_on(a, b) for a, b in zip(lo, hi)]) \
             if thin else np.asarray(co.a_tilde(mids), dtype=float)
         sizes, weights = marks.atoms or ([], [marks.mass])
         rows = [np.repeat(r, len(weights)) for r in
-                [length, hi, self.kernels.table._idx(mids), b_hi, d_hi]
+                [length, hi, table._idx(mids), b_hi, d_hi]
                 + [a_tilde] * thin]
         if marks.atoms:
             rows.append(np.tile(sizes, lo.size))
@@ -441,7 +431,8 @@ class TransitionSampler:
         """Cells ``sample_i`` draws on: the knots of the input and volatility
         functions on [s, t], one cell per piece when ``a`` and ``sigma`` are
         piecewise constant, else each piece refined into cells no wider than
-        (t-s)/``n_cells``."""
+        (t-s)/``n_cells``, and none of zero width where [s, t] is too short
+        to split."""
         n = 1 if self.alpha_piecewise_constant else self.n_cells
         knots = self.coeffs.breakpoints(s, t, which=("a", "sigma"))
         edges = np.concatenate(([s], knots, [t]))
@@ -450,7 +441,7 @@ class TransitionSampler:
             return edges
         pieces = [np.linspace(lo, hi, max(1, int(k)) + 1)[:-1]
                   for lo, hi, k in zip(edges[:-1], edges[1:], counts)]
-        return np.concatenate(pieces + [[t]])
+        return np.unique(np.concatenate(pieces + [[t]]))
 
     def prm_points_batch(self, rng, s, t, size):
         """Flattened driving-measure realizations for ``size`` independent
@@ -480,14 +471,14 @@ class TransitionSampler:
         np.minimum(times, math.nextafter(t, -math.inf), out=times)
         if more:    # thinned against the piece's max of a~
             keep = g.random(times.size) * more[0] < self.coeffs.a_tilde(times)
-            idx, times, gap, piece, b_hi, d_hi = (
-                a[keep] for a in (idx, times, gap, piece, b_hi, d_hi))
+            idx, times, hi, gap, piece, b_hi, d_hi = (
+                a[keep] for a in (idx, times, hi, gap, piece, b_hi, d_hi))
             sizes = None if sizes is None else sizes[keep]
         if sizes is None:
             sizes = jumps.marks.sample(g, times.size)
-        table = self.kernels.table    # an exact one: from the piece's right end
-        return idx, times, sizes, *(table.before(piece.astype(np.intp), gap, b_hi, d_hi)
-                                    if table.exact else table.bd(times, t))
+        # from the piece's right end
+        return idx, times, sizes, *self.kernels.table.before(
+            piece.astype(np.intp), hi, gap, b_hi, d_hi)
 
     @staticmethod
     def _starts(y, size):

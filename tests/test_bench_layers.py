@@ -83,8 +83,11 @@ def test_rows_and_environment(layers):
                    for layer in ("table_build", "bd_pair", "bd_nodes")}
     for r in out["bd"]:
         assert set(r) == {"config", "s", "t", "layer", "exact", "us_per_call",
-                          "us_per_call_median", "us_per_call_repeats"}
+                          "us_per_call_median", "us_per_call_repeats",
+                          "d_max_rel_error"}
         assert r["exact"] == (r["config"] != "jump_model_tabulated")
+        # D against the scipy oracle, t - s from 1e-12 up, on both kinds
+        assert 0.0 <= r["d_max_rel_error"] <= 1e-13
         times = r["us_per_call_repeats"]
         assert len(times) == 3 and r["us_per_call"] == min(times) > 0.0
         assert r["us_per_call_median"] == sorted(times)[1]

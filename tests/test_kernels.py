@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 import adaptive_oracle
+import bd_oracle
 import cirjump as cj
 from cirjump import kernels
 from cirjump.errors import BetaNotStrictlyPositiveWarning, DegenerateInterval
@@ -839,6 +840,84 @@ class TestDecimalBd:
                 worst_d = max(worst_d, abs(float((Dec(D) - want_d) / want_d)))
         assert worst_d <= 1e-15
         assert worst_b <= 1e-15
+
+
+def _tabulated_jump_model():
+    """jump_model with the smooth beta and sigma of ``tools/bench_layers.py``
+    (a tabulated primitive table), and its configuration."""
+    tools = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
+    if tools not in sys.path:
+        sys.path.insert(0, tools)
+    import bench_layers
+    cfg = cj.load_config(os.path.join(DEMO_CONFIGS, "jump_model.yaml"))
+    return dataclasses.replace(cfg.coeffs, beta=bench_layers.TABULATED_BETA,
+                               sigma=bench_layers.TABULATED_SIGMA), cfg
+
+
+class TestTabulatedBd:
+    """``bd`` on a tabulated table against ``bd_oracle`` (scipy ``quad``
+    straight over [s, t]): t - s from 1e-12 to the horizon, one-ulp
+    intervals and intervals on and across beta's kink at 0.8; and the
+    reported errors of the kernel quadruple and the transforms bound the
+    gaps to the oracle."""
+
+    ENDS = (0.8, 1.2, 1.26)
+    KINK = 0.8
+
+    @classmethod
+    def _starts(cls, t):
+        starts = [t - g for g in np.geomspace(1e-12, t, 40).tolist()]
+        starts += [math.nextafter(t, 0.0), 0.0, cls.KINK, math.nextafter(cls.KINK, 0.0),
+                   math.nextafter(cls.KINK, 2.0), cls.KINK - 1e-9, cls.KINK - 0.05]
+        return sorted({s for s in starts if 0.0 <= s < t})
+
+    def test_table(self):
+        co, _ = _tabulated_jump_model()
+        table = get_kernels(co).table
+        assert not table.exact and table.edges.size - 1 == 513
+        assert self.KINK in co.beta.breakpoints(0.0, co.t_max)
+
+    @pytest.mark.parametrize("t", ENDS)
+    def test_relative_error(self, t):
+        co, _ = _tabulated_jump_model()
+        eng = get_kernels(co)
+        ends = [t, math.nextafter(t, 0.0)] if t == self.KINK else [t]
+        worst = 0.0
+        for end in ends:
+            for s in self._starts(end):
+                B, D = eng.bd(s, end)
+                want_b, want_d, _ = bd_oracle.bd(co, s, end)
+                assert D > 0.0, (s, end)
+                worst = max(worst, abs(D - want_d) / want_d)
+                assert abs(B - want_b) <= 1e-15 * want_b
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("t", ENDS)
+    def test_kernel_value_error_bounds_the_gap(self, t):
+        co, _ = _tabulated_jump_model()
+        eng = get_kernels(co)
+        b0, d0, e0 = bd_oracle.bd(co, 0.0, t)
+        for s in self._starts(t):
+            kv = eng.kernel_value(s, t)
+            b, d, e = bd_oracle.bd(co, s, t)
+            rel = e / d + e0 / d0    # the oracle's own relative error
+            for got, want in ((kv.C, d / b0), (kv.p, 1.0 / d), (kv.gamma, b / d)):
+                assert abs(got - want) <= kv.quadrature_error + rel * want, (s, t)
+
+    @pytest.mark.parametrize("t", ENDS)
+    def test_transform_errors_bound_the_gap(self, t):
+        co, cfg = _tabulated_jump_model()
+        eng = get_kernels(co, cfg.nu)
+        lam = np.asarray(cfg.lambda_grid, dtype=float)
+        atoms = [tuple(p) for p in cfg.nu.points]
+        for s in (math.nextafter(t, 0.0), t - 1e-12, t - 1e-6, t - 1e-2, 0.2, 0.0):
+            for name, got, want in (
+                    ("I", eng.laplace_I(s, t, lam),
+                     bd_oracle.transform(co, atoms, s, t, 0.0, lam, jumps=False)),
+                    ("K", eng.laplace_K(s, t, cfg.y, lam),
+                     bd_oracle.transform(co, atoms, s, t, cfg.y, lam))):
+                gap = np.abs(got[0] - want[0])
+                assert np.all(gap <= got[1] + want[1]), (name, s, t, gap, got[1])
 
 
 class TestPrimitiveIndex:

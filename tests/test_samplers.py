@@ -803,13 +803,11 @@ class TestJumpTable:
     def test_extreme_uniforms(self, name, pc_coeffs, two_atoms, exp_density):
         # U = 0 puts a jump at its piece's left end; U = 1 - 2^-53 puts it
         # within an ulp of the right end, which for the last piece rounds to
-        # t unless it is held below t. Two steps are refused, by one error
-        # line: the tabulated table forms D(T, t) as a difference of
-        # primitives, which is 0 an ulp below t (a cancellation-free bd
-        # would resolve it); and a density's top mark (U = 1 - 2^-53 again)
-        # 6e-18 before t has an H count of mean 1.1e19, past what numpy
-        # draws
-        refused = {("tabulated", 1.2), ("density", 0.4)}
+        # t unless it is held below t. Both kinds of primitive table give
+        # D(T, t) > 0 there. One step is refused, by one error line: a
+        # density's top mark (U = 1 - 2^-53 again) 6e-18 before t has an H
+        # count of mean 1.1e19, past what numpy draws
+        refused = {("density", 0.4)}
         co, nu = _fallback(name, pc_coeffs, two_atoms, exp_density)
         sampler = cj.TransitionSampler(co, nu)
         for s, t in ((0.2, 1.2), (0.0, 2.0), (0.35, 0.4)):
@@ -819,24 +817,23 @@ class TestJumpTable:
             assert times.min() >= s and times.max() < t
             assert np.isfinite(sizes).all() and (sizes > 0.0).all()
             assert np.isfinite(b).all() and (b > 0.0).all()
-            assert np.isfinite(d).all() and (d >= 0.0).all()
+            assert np.isfinite(d).all() and (d > 0.0).all()
             draw = lambda: sampler.sample_itilde(_Edges(np.random.PCG64(87)),
                                                  s, t, size=2000)
             if (name, t) in refused:
                 with pytest.raises(DegenerateInterval, match="too small"):
                     draw()
                 continue
-            assert (d > 0.0).all()
             x = draw()
             assert np.isfinite(x).all() and (x > 0.0).any()
 
     @pytest.mark.parametrize("beta", [(0.5, 2.0, 1.0), (0.5, 0.0, 1.0)],
                              ids=["positive", "flat"])
     def test_closed_forms_match_the_kernels(self, pc_coeffs, two_atoms, beta):
-        # B(T, t) and D(T, t) of every drawn point, from its piece's right
-        # end, against kernels.bd at T, which subtracts the primitives: away
-        # from t, where that difference keeps its digits, they agree to
-        # 1e-12. The flat case has beta = 0 on [0.4, 1.1)
+        # B(T, t) and D(T, t) of every drawn point, from its jump-table
+        # piece's right end, against kernels.bd at T, from the end of T's
+        # piece of the exact table: away from t they agree to 1e-12. The
+        # flat case has beta = 0 on [0.4, 1.1)
         co = dataclasses.replace(
             pc_coeffs, beta=cj.piecewise_constant([0.4, 1.1], list(beta)))
         sampler = cj.TransitionSampler(co, two_atoms)
@@ -1009,12 +1006,12 @@ class TestStepRecord:
                 assert hits == misses
                 assert [type(x) for x in hits] == [type(x) for x in misses]
 
-    def test_unresolved_d_is_refused(self):
-        # one ulp below t = 1.26 a tabulated primitive table (beta not
-        # piecewise constant) gives D = 0: the record, which divides by
-        # D(s, t) and by D(r1, t) of a pushed cell, refuses the step on
-        # every call instead of dividing by zero. An exact table resolves
-        # the same step, and samples it
+    def test_one_ulp_step_is_sampled(self):
+        # one ulp below t = 1.26 both kinds of primitive table give D > 0:
+        # the record, which divides by D(s, t) and by D(r1, t) of a pushed
+        # cell, draws the one-ulp step and the step with a one-ulp last
+        # cell, on a tabulated table (beta not piecewise constant) as on an
+        # exact one
         t = 1.26
         r1 = math.nextafter(t, 0.0)
         exact = cj.CoefficientSet(a=cj.piecewise_constant([r1], [0.3, 0.8]),
@@ -1028,17 +1025,9 @@ class TestStepRecord:
             sampler = cj.TransitionSampler(co)
             assert sampler.i_grid(0.2, t).tolist() == [0.2, r1, t]
             assert sampler.kernels.table.exact == (co is exact)
-            if co is exact:
-                assert 0.0 < sampler.kernels.bd(r1, t)[1]
-                for s in (r1, 0.2):
-                    assert np.isfinite(sampler.sample_k(g, s, t, 0.5, size=4)).all()
-                continue
-            assert sampler.kernels.bd(r1, t)[1] == 0.0 < sampler.kernels.bd(0.2, t)[1]
-            # D(s, t) = 0, then D(r1, t) = 0 of a pushed cell
+            assert 0.0 < sampler.kernels.bd(r1, t)[1] < sampler.kernels.bd(0.2, t)[1]
             for s in (r1, 0.2):
-                for _ in range(2):
-                    with pytest.raises(DegenerateInterval, match="not positive"):
-                        sampler.sample_k(g, s, t, 0.5, size=4)
+                assert np.isfinite(sampler.sample_k(g, s, t, 0.5, size=4)).all()
 
     @pytest.mark.parametrize("model", ["heavy", "two_atoms"])
     def test_scalar_itilde_is_size_one(self, pc_coeffs, two_atoms, model):

@@ -34,6 +34,23 @@ coefficient_sets = st.builds(
     step_function(0.0, 2.0), step_function(0.0, 2.0), step_function(0.1, 3.0),
     step_function(0.3, 2.0))
 
+
+def broken_line(lo, hi):
+    knots = st.lists(st.floats(0.05, T_MAX - 0.05), max_size=3, unique=True).map(
+        lambda k: [0.0] + sorted(k) + [T_MAX])
+    return knots.flatmap(lambda k: st.lists(
+        st.floats(lo, hi), min_size=len(k), max_size=len(k)).map(
+            lambda v: cj.piecewise_linear(k, v)))
+
+
+# beta, sigma or both broken lines: a tabulated primitive table
+tabulated_sets = st.builds(
+    lambda a, at, beta, sigma, which: cj.CoefficientSet(
+        a=a, a_tilde=at, beta=beta if which != "sigma" else cj.constant(1.0),
+        sigma=sigma if which != "beta" else cj.constant(1.0), t_max=T_MAX),
+    step_function(0.0, 2.0), step_function(0.0, 2.0), broken_line(0.1, 3.0),
+    broken_line(0.3, 2.0), st.sampled_from(["beta", "sigma", "both"]))
+
 atom_measures = st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 3.0)),
                          min_size=1, max_size=3).map(cj.atoms)
 measures = st.one_of(st.sampled_from(DENSITIES), atom_measures)
@@ -111,3 +128,17 @@ def test_draws_finite_and_nonnegative(coeffs, nu, interval, y, seed):
         x = comp.draw(smp, cj.RngStream(seed).generator(), s, t, y, 200)
         assert x.shape == (200,), name
         assert np.all(np.isfinite(x)) and np.all(x >= 0.0), name
+
+
+@PROPERTY
+@given(tabulated_sets, atom_measures, st.floats(0.5, T_MAX), st.floats(0.0, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_one_ulp_step_on_tabulated_tables(coeffs, nu, t, y, seed):
+    # D > 0 one ulp below t, so the step is drawn; from t = 0.5 on, y
+    # gamma stays under what numpy's Poisson draws
+    s = math.nextafter(t, 0.0)
+    smp = cj.TransitionSampler(coeffs, nu, n_cells=8)
+    assert not smp.kernels.table.exact
+    assert smp.kernels.bd(s, t)[1] > 0.0
+    x = smp.sample_k(cj.RngStream(seed).generator(), s, t, y, size=4)
+    assert x.shape == (4,) and np.all(np.isfinite(x))

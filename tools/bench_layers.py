@@ -30,7 +30,11 @@ primitive-table build, ``kernels.bd`` on the configuration's (s, t) (one
 scalar pair), and ``kernels.bd`` on ``NODES`` points of [s, t) against the
 scalar t (a node array, as a transform's integrand reads it). A row gives
 every repeat's microseconds per call (a repeat is ``BD_CALLS`` calls),
-their best and their median, and whether the table is exact.
+their best and their median, whether the table is exact, and D's largest
+relative error against the scipy oracle of ``tests/bd_oracle.py`` over the
+configuration's pair, its node array, ``GAPS`` values of t - s from 1e-12
+up and one ulp below t: a pair that is fast but wrong shows in the same
+row. The oracle needs scipy.
 
 One more row set, ``jump_model_sine_a``, times ``sample_i`` and
 ``sample_k`` on ``jump_model`` with the clipped-sine input rate ``SINE_A``:
@@ -65,12 +69,15 @@ from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
-if SRC not in sys.path:
-    sys.path.insert(0, SRC)
+TESTS = os.path.join(ROOT, "tests")
+for path in (SRC, TESTS):
+    if path not in sys.path:
+        sys.path.insert(0, path)
 
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
+import bd_oracle  # noqa: E402
 import cirjump as cj  # noqa: E402
 from cirjump.kernels import _PrimitiveTable  # noqa: E402
 from cirjump.numerics import BIT_GENERATOR  # noqa: E402
@@ -91,6 +98,7 @@ TABULATED_BETA = cj.piecewise_linear([0.0, 0.8, 2.0], [0.5, 1.5, 1.0])
 TABULATED_SIGMA = cj.clipped_sine(1.2, 0.3, 2.0, 0.4)
 BD_CALLS = 2000    # bd calls (or table builds) timed per repeat
 NODES = 128        # points of the node-array bd row
+GAPS = 24          # values of t - s from 1e-12 up in the bd rows' error
 
 
 def _git(*args):
@@ -177,9 +185,14 @@ def transform_row(cfg, name, repeats, calls=CALLS, at_inf=False):
 def bd_rows(cfg, name, repeats, calls=BD_CALLS):
     """Microseconds per call of every one of ``repeats`` runs of ``calls``
     calls, their best and median, of the primitive-table build and of
-    ``kernels.bd`` on one pair and on a node array of one configuration."""
+    ``kernels.bd`` on one pair and on a node array of one configuration,
+    with D's largest relative error against the oracle."""
     kernels = cj.get_kernels(cfg.coeffs)
     nodes = np.linspace(cfg.s, cfg.t, NODES + 1)[:-1]
+    starts = np.concatenate((nodes, cfg.t - np.geomspace(1e-12, cfg.t - cfg.s, GAPS),
+                             [np.nextafter(cfg.t, 0.0)]))
+    error = max(abs(kernels.bd(v, cfg.t)[1] / bd_oracle.bd(cfg.coeffs, v, cfg.t)[1] - 1.0)
+                for v in starts.tolist())
     work = {"table_build": lambda: _PrimitiveTable(cfg.coeffs),
             "bd_pair": lambda: kernels.bd(cfg.s, cfg.t),
             "bd_nodes": lambda: kernels.bd(nodes, cfg.t)}
@@ -195,7 +208,7 @@ def bd_rows(cfg, name, repeats, calls=BD_CALLS):
         rows.append({"config": name, "s": cfg.s, "t": cfg.t, "layer": layer,
                      "exact": kernels.table.exact, "us_per_call": min(times),
                      "us_per_call_median": statistics.median(times),
-                     "us_per_call_repeats": times})
+                     "us_per_call_repeats": times, "d_max_rel_error": error})
     return rows
 
 
@@ -265,7 +278,8 @@ def main(argv=None):
               f"max error {r['max_error_estimate']:.2g}")
     for r in result["bd"]:
         print(f"{r['config']:20s} {r['layer']:12s} {r['us_per_call']:8.2f} us/call "
-              f"(median {r['us_per_call_median']:.2f}) exact {r['exact']}")
+              f"(median {r['us_per_call_median']:.2f}) exact {r['exact']} "
+              f"D error {r['d_max_rel_error']:.2g}")
     print(f"wrote {path}")
     return 0
 
