@@ -161,7 +161,7 @@ class _PrimitiveTable:
             # ends, and the weights over a gap of 1
             self._x = np.concatenate(([1.0], 0.5 * (1.0 - gx), [0.0]))
             self._w = 0.5 * gw
-            self._half_s2 = lambda v: 0.5 * np.square(np.asarray(sigma(v), float))
+            self._sigma = sigma
 
             def integral(lo, hi):    # int_lo^hi beta, elementwise
                 v = hi[..., None] - (hi - lo)[..., None] * self._x[1:-1]
@@ -213,7 +213,8 @@ class _PrimitiveTable:
         lam = _hermite(_hermite_weights(v, self.edges[k], self.edges[k + 1]),
                        self._lam[k], self._dlam[k], self._lam[k + 1], self._dlam[k + 1])
         grow = np.exp(lam - lam[..., -1:])    # exp(Lam(v) - Lam(hi))
-        part = (self._half_s2(v[..., 1:-1]) * grow[..., 1:-1] * self._w).sum(axis=-1)
+        half_s2 = 0.5 * np.square(np.asarray(self._sigma(v[..., 1:-1]), float))
+        part = (half_s2 * grow[..., 1:-1] * self._w).sum(axis=-1)
         return b_hi * grow[..., 0], d_hi + b_hi * (part * gap[..., 0])
 
     def ends(self, k, t):

@@ -217,9 +217,8 @@ def _gamma(g, alpha, scale, size=None):
 def _push(g, y, b, d, scalar=False):
     """Masses y carried through H with their (B, D): every H count, then
     every Gamma, by array calls or by scalar calls into a list. Refused
-    where a count's mean is over ``POISSON_MEAN_MAX`` (or D is 0)."""
-    with np.errstate(divide="ignore"):   # D = 0 is refused below
-        lam = y * b / d
+    where a count's mean is over ``POISSON_MEAN_MAX``."""
+    lam = y * b / d
     if not lam.max(initial=0.0) <= POISSON_MEAN_MAX:
         raise DegenerateInterval(
             f"D(T, t) of a jump at T is too small for its H count: mean "
