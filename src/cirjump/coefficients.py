@@ -330,6 +330,11 @@ class CoefficientSet:
     def beta_strictly_positive(self) -> bool:
         return self.beta_min > 0
 
+    @property
+    def alpha_piecewise_constant(self) -> bool:
+        """Whether 2 a / sigma^2 is piecewise constant: a and sigma are."""
+        return self.a.is_piecewise_constant and self.sigma.is_piecewise_constant
+
     def alpha(self, t):
         """Input rate in units of the squared volatility: 2 a(t) / sigma^2(t)."""
         return 2.0 * self.a(t) / np.square(self.sigma(t))

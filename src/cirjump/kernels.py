@@ -47,42 +47,47 @@ Hermite's error (at the panel midpoints, against the Gauss-Legendre rule
 over half a panel) and the rounding of the E differences, and at least
 1e-15.
 
-The time integral of the transforms takes one of two routes, picked from
-the inputs alone. The u-rule serves an exact table with piecewise-constant
-a and a~ and beta > 0 on [s, t]. It cuts [s, t] at the knots of all four
-coefficients; on each piece psi(v) = Psi_{v,t}(lam) solves the Riccati
+Each term of the time integral takes one route, fixed when the engine is
+built from the coefficient kinds alone, on [s, t] cut at the knots of all
+four coefficients. As dD(v,t)/dv = -sigma^2/2 B(v,t) for any beta, on a
+piece of constant alpha = 2 a / sigma^2
+
+    int a Psi_{v,t}(lam) dv = alpha log((1 + lam D(lo,t)) / (1 + lam D(hi,t))),
+
+so the a term is this closed form, from the table's (B, D) at the cut
+points, wherever alpha is piecewise constant, on either kind of table: no
+quadrature. On an exact table with piecewise-constant a~ the a~ term takes
+the u-rule: on each piece psi(v) = Psi_{v,t}(lam) solves the Riccati
 equation d psi/dv = beta psi + sigma^2/2 psi^2, psi(t) = lam, so that
 
-    int a psi dv     = (2 a / sigma^2) log((1 + lam D(lo,t)) / (1 + lam D(hi,t)))
     int a~ PsiTilde(psi) dv = a~ int PsiTilde(e^u) / (beta + sigma^2/2 e^u) du
 
-with u = log psi between log psi(lo) and log psi(hi), limits from the
-table's (B, D) at the cut points. The first is a closed form, so
-``laplace_I`` there runs no quadrature. The second is smooth in u and
-needs no grading: equal u-panels no wider than ``U_PANEL``, order-32
-Gauss-Legendre with the difference from order 16 as the estimate,
-vectorized over pieces x lam x nodes. Above psi = ``PSI_CAP`` (where a
-density's node set stops resolving the kernel) the integrand is continued
-by its decay exp(-u / q), q = 1/(1 - rho) for an infinite-activity measure
-and 1 else, in closed form out to log psi(hi) (inf on t's piece at lam =
-inf), with 2 q |g(U) - g(U - q log 2) / 2| as that part's estimate (g the
-integrand, U its start). lam = 0 gives exactly 1 and lam = inf the mass at
-0.
+with u = log psi between log psi(lo) and log psi(hi), beta = 0 included.
+It is smooth in u and needs no grading: equal u-panels no wider than
+``U_PANEL``, order-32 Gauss-Legendre with the difference from order 16 as
+the estimate, vectorized over pieces x lam x nodes. Above psi =
+``PSI_CAP`` (where a density's node set stops resolving the kernel) the
+integrand is continued by its decay exp(-u / q), q = 1/(1 - rho) for an
+infinite-activity measure and 1 else, in closed form out to log psi(hi)
+(inf on t's piece at lam = inf), with 2 q |g(U) - g(U - q log 2) / 2| as
+that part's estimate (g the integrand, U its start). lam = 0 gives exactly
+1 and lam = inf the mass at 0.
 
-Every other input takes the v-rule (``numerics.panel_integral``): order-16
-Gauss-Legendre panels whose edges are s, t and the coefficient breakpoints,
-no wider than 1/32 of the coefficients' smoothness scale, and graded
-geometrically (ratio 2) toward v = t down to the scale ``2 / (lam_max
-sigma_max^2)`` below which ``Psi_{v,t}(lam)`` is nearly linear in v; nothing
-grades them at lam = inf. A piece with beta = 0 keeps it, since there
-beta + sigma^2/2 e^u tends to 0 with psi. The error estimate is the
-difference from order 8 on the same panels; panels above the tolerance are
-bisected a bounded number of times and the final estimate is returned as it
-is. ``PsiTilde`` at every node is ``nu.one_minus_exp_integral``: the closed
-form of a named density on (0, inf) (exponential, gamma, tempered power), or
-the fixed node-set sum for atoms, truncated measures and other densities
-(``jumps``). The engine builds that node set when it is made, and only for a
-measure that uses it.
+The v-rule (``numerics.panel_integral``), callable for every input as the
+tests' oracle, takes the rest: the a term where alpha is not piecewise
+constant, the a~ term on a tabulated table or where a~ is not piecewise
+constant. Its order-16 Gauss-Legendre panels have edges s, t and the
+coefficient breakpoints, are no wider than 1/32 of the coefficients'
+smoothness scale, and are graded geometrically (ratio 2) toward v = t down
+to the scale ``2 / (lam_max sigma_max^2)`` below which ``Psi_{v,t}(lam)``
+is nearly linear in v; nothing grades them at lam = inf. The error
+estimate is the difference from order 8 on the same panels; panels above
+the tolerance are bisected a bounded number of times and the final
+estimate is returned as it is. ``PsiTilde`` at every node is
+``nu.one_minus_exp_integral``: the closed form of a named density on (0,
+inf) (exponential, gamma, tempered power), or the fixed node-set sum for
+atoms, truncated measures and other densities (``jumps``). The engine
+builds that node set when it is made, and only for a measure that uses it.
 """
 
 from __future__ import annotations
@@ -219,10 +224,13 @@ class _PrimitiveTable:
 
     def ends(self, k, t):
         """hi = min(end of piece k, t) and its pair to t, for the pieces k up
-        to t's; exactly (t, 1.0, 0.0) for t's piece."""
+        to t's, with the pair over t's partial piece formed once per t;
+        exactly (t, 1.0, 0.0) for t's piece."""
         kt = self._idx(t)
         hi = np.minimum(self.edges[k + 1], t)
-        b_t, d_t = self.before(kt, t, t - np.maximum(hi, self.edges[kt]), 1.0, 0.0)
+        b_t, d_t = self.before(kt, t, t - self.edges[kt], 1.0, 0.0)
+        inside = k < kt    # else t's piece: exactly (1.0, 0.0)
+        b_t, d_t = np.where(inside, b_t, 1.0), np.where(inside, d_t, 0.0)
         j = np.minimum(k + 1, kt)
         # E(edge kt) - E(edge j): a sum of positive increments, 0 for j == kt
         d_mid = (self._E[kt] - self._E[j]) * np.exp(-self._lam[kt])
@@ -261,19 +269,19 @@ class TransitionKernels:
         if nu is not None:
             # builds the node set if the measure uses one; NonIntegrable here
             nu.one_minus_exp_integral(0.0)
-        # the u-rule's pieces: the knots of all four coefficients inside
-        # (0, t_max), and on each piece 2 a / sigma^2, a~, beta, sigma^2/2
-        self._pieces = None
-        if self.table.exact and coeffs.a.is_piecewise_constant \
-                and coeffs.a_tilde.is_piecewise_constant:
-            knots = coeffs.breakpoints(0.0, coeffs.t_max)
-            edges = np.concatenate(([0.0], knots, [coeffs.t_max]))
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            half_s2 = 0.5 * np.square(coeffs.sigma(mids))
-            beta = np.asarray(coeffs.beta(mids), dtype=float)
-            self._pieces = (knots, coeffs.a(mids) / half_s2,
-                            *(np.reshape(c, (-1, 1, 1)) for c in (
-                                coeffs.a_tilde(mids), beta, half_s2)), beta > 0.0)
+        # the exact routes, fixed by the coefficient kinds: the knots of all
+        # four coefficients inside (0, t_max), and on each piece alpha for
+        # the a term's closed form and a~, beta, sigma^2/2 for the u-rule
+        self._knots = knots = coeffs.breakpoints(0.0, coeffs.t_max)
+        edges = np.concatenate(([0.0], knots, [coeffs.t_max]))
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        half_s2 = 0.5 * np.square(coeffs.sigma(mids))
+        self._alpha = coeffs.a(mids) / half_s2 if coeffs.alpha_piecewise_constant \
+            else None
+        self._riccati = None
+        if self.table.exact and coeffs.a_tilde.is_piecewise_constant:
+            self._riccati = tuple(np.reshape(c, (-1, 1, 1)) for c in (
+                coeffs.a_tilde(mids), coeffs.beta(mids), half_s2))
         # decay of the u-integrand at large psi: exp(-u / q), q = 1/(1 - rho)
         self._q = 1.0 / (1.0 - nu.rho) if nu is not None and nu.infinite_activity \
             else 1.0
@@ -374,9 +382,8 @@ class TransitionKernels:
     def _transform(self, s, t, y, lam, continuous=True, jumps=True, warn=False):
         """exp(-y Psi_{s,t}(lam) - int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}]
         (lam) dv) over the inputs that are switched on, vectorized in lam; an
-        input whose rate vanishes on [s, t] adds 0. The time integral takes
-        the u-rule where ``_riccati_pieces`` gives pieces, else the v-rule
-        (module docstring)."""
+        input whose rate vanishes on [s, t] adds 0. Each term takes the route
+        the engine fixed for it (module docstring)."""
         self._check(s, t)
         self._check_lam(lam)
         if not 0.0 <= y < math.inf:
@@ -392,14 +399,30 @@ class TransitionKernels:
         if use_atilde and self.nu is None:
             raise ValueError("transform with jump input needs a jump measure")
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-        pieces = self._riccati_pieces(s, t) if use_a or use_atilde else None
-        if pieces is not None:
-            ex, err, psi = self._u_rule(t, lam_arr, *pieces, use_a, use_atilde)
-        else:
-            ex, err = (self._v_rule(s, t, lam_arr, use_a, use_atilde)
-                       if use_a or use_atilde else (np.zeros_like(lam_arr), 0.0))
-            psi = self._psi_from_bd(*self.table.bd(s, t), lam_arr)
-        val = np.exp(-(y * psi + ex))
+        # s, the knots inside (s, t), t, and the slice k of the pieces between
+        knots = self._knots
+        i0, i1 = knots.searchsorted(s, "right"), knots.searchsorted(t, "left")
+        cut, k = np.concatenate(([s], knots[i0:i1], [t])), slice(i0, i1 + 1)
+        B, D = self.table.bd(cut, t)
+        psi = self._psi_from_bd(B[:, None], D[:, None], lam_arr)    # cuts x lam
+        ex, err = np.zeros(lam_arr.shape), 0.0
+        closed = use_a and self._alpha is not None
+        if closed:    # alpha log((1 + lam D(lo)) / (1 + lam D(hi)))
+            with np.errstate(divide="ignore"):
+                grow = np.log1p((D[:-1] - D[1:])[:, None] / (1.0 / lam_arr + D[1:, None]))
+            alpha = self._alpha[k]
+            grow[alpha == 0.0] = 0.0    # not 0 * inf on t's piece at lam = inf
+            ex += alpha @ grow
+        riccati = use_atilde and self._riccati is not None
+        if riccati:
+            ex_u, err = self._u_rule(psi, k)
+            ex += ex_u
+        v_a, v_atilde = use_a and not closed, use_atilde and not riccati
+        if v_a or v_atilde:
+            ex_v, err_v = self._v_rule(s, t, lam_arr, v_a, v_atilde)
+            ex += ex_v
+            err = err + err_v
+        val = np.exp(-(y * psi[0] + ex))
         e = np.abs(val) * (err + (1.0 + y) * self.table.error_scale)
         scalar = np.ndim(lam) == 0
         return (float(val[0]), float(e[0])) if scalar else (val, e)
@@ -423,61 +446,34 @@ class TransitionKernels:
 
         return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)
 
-    def _riccati_pieces(self, s, t):
-        """(cut, k): the points that cut [s, t] at the knots of the four
-        coefficients and the slice k of the engine's pieces between them, or
-        None where the u-rule does not apply: a tabulated table, ``a`` or
-        ``a~`` not piecewise constant, or beta = 0 on a piece."""
-        if self._pieces is None:
-            return None
-        knots = self._pieces[0]
-        i0, i1 = knots.searchsorted(s, "right"), knots.searchsorted(t, "left")
-        k = slice(i0, i1 + 1)
-        if not self._pieces[-1][k].all():
-            return None
-        return np.concatenate(([s], knots[i0:i1], [t])), k
+    def _u_rule(self, psi, k):
+        """(exponent, error) of the a~ term piece by piece in u = log psi
+        (module docstring), psi at the cut points x lam, k the pieces."""
+        at, beta, half_s2 = (c[k] for c in self._riccati)
+        u = np.log(np.maximum(psi, _TINY))    # psi = 0 at lam = 0: no range
+        u0, u1 = u[:-1], u[1:]
+        top = np.minimum(u1, np.maximum(u0, math.log(PSI_CAP)))
+        width = top - u0
 
-    def _u_rule(self, t, lam, cut, k, use_a, use_atilde):
-        """(exponent, error, Psi_{s,t}(lam)) of the time integral piece by
-        piece in u = log psi (module docstring)."""
-        _, alpha, at, beta, half_s2, _ = self._pieces
-        B, D = self.table.bd(cut, t)
-        psi = self._psi_from_bd(B[:, None], D[:, None], lam)    # cuts x lam
-        ex, err = np.zeros(lam.shape), 0.0
-        if use_a:    # alpha log((1 + lam D(lo)) / (1 + lam D(hi)))
-            with np.errstate(divide="ignore"):
-                grow = np.log1p((D[:-1] - D[1:])[:, None] / (1.0 / lam + D[1:, None]))
-            alpha = alpha[k]
-            grow[alpha == 0.0] = 0.0    # not 0 * inf on t's piece at lam = inf
-            ex += alpha @ grow
-        if use_atilde:
-            at, beta, half_s2 = at[k], beta[k], half_s2[k]
-            u = np.log(np.maximum(psi, _TINY))    # psi = 0 at lam = 0: no range
-            u0, u1 = u[:-1], u[1:]
-            top = np.minimum(u1, np.maximum(u0, math.log(PSI_CAP)))
-            width = top - u0
+        def g(u):    # a~ PsiTilde(e^u) / (beta + sigma^2/2 e^u) per piece, lam
+            c = np.exp(u)
+            return self.nu.one_minus_exp_integral(c) * at / (beta + half_s2 * c)
 
-            def g(u):    # a~ PsiTilde(e^u) / (beta + sigma^2/2 e^u) per piece, lam
-                c = np.exp(u)
-                return self.nu.one_minus_exp_integral(c) * at / (beta + half_s2 * c)
-
-            n = max(1, math.ceil(width.max() / U_PANEL))
-            x, w32, w16 = _u_panels(n)
-            vals = g(u0[..., None] + width[..., None] * x).reshape(*width.shape, n, 48)
-            q32, q16 = vals[..., :32] @ w32, vals[..., 32:] @ w16    # per panel
-            val = q32.sum(axis=-1) * width
-            est = np.abs(q32 - q16).sum(axis=-1) * width
-            far = u1 > top
-            if far.any():    # above psi = PSI_CAP: g(top) exp(-(u - top) / q)
-                q = self._q
-                g_top, g_below = np.moveaxis(
-                    g(top[..., None] - [0.0, q * math.log(2.0)]), -1, 0)
-                share = -np.expm1(-(u1 - top) / q)
-                val = val + q * g_top * share
-                est = est + 2.0 * q * np.abs(g_top - 0.5 * g_below) * share
-            ex += val.sum(axis=0)
-            err = est.sum(axis=0)
-        return ex, err, psi[0]
+        n = max(1, math.ceil(width.max() / U_PANEL))
+        x, w32, w16 = _u_panels(n)
+        vals = g(u0[..., None] + width[..., None] * x).reshape(*width.shape, n, 48)
+        q32, q16 = vals[..., :32] @ w32, vals[..., 32:] @ w16    # per panel
+        val = q32.sum(axis=-1) * width
+        est = np.abs(q32 - q16).sum(axis=-1) * width
+        far = u1 > top
+        if far.any():    # above psi = PSI_CAP: g(top) exp(-(u - top) / q)
+            q = self._q
+            g_top, g_below = np.moveaxis(
+                g(top[..., None] - [0.0, q * math.log(2.0)]), -1, 0)
+            share = -np.expm1(-(u1 - top) / q)
+            val = val + q * g_top * share
+            est = est + 2.0 * q * np.abs(g_top - 0.5 * g_below) * share
+        return val.sum(axis=0), est.sum(axis=0)
 
 
 @lru_cache(maxsize=64)

@@ -344,8 +344,6 @@ class TransitionSampler:
         if self.n_cells < 1:
             raise ValueError("n_cells must be at least 1")
         self.kernels = get_kernels(coeffs, nu)
-        self.alpha_piecewise_constant = (coeffs.a.is_piecewise_constant
-                                         and coeffs.sigma.is_piecewise_constant)
         if nu is None:
             self.delta = 0.0
         elif delta is None:
@@ -379,19 +377,18 @@ class TransitionSampler:
         rates, log_c, scales, last = [], [], [], None
         if self.coeffs.a.max_on(s, t) > 0.0:
             grid = self.i_grid(s, t)
-            alphas = self.coeffs.alpha(0.5 * (grid[:-1] + grid[1:])).tolist()
-            for r0, r1, alpha in zip(grid[:-1], grid[1:], alphas):
-                if alpha <= 0.0:
-                    continue
-                _, d0 = self.kernels.bd(r0, t)
-                if r1 < t:
-                    _, d_cell = self.kernels.bd(r0, r1)
-                    bt, dt = self.kernels.bd(r1, t)
-                    log_c.append(math.log1p(d_cell * (bt / dt)))
-                    rates.append(alpha * log_c[-1])
-                    scales.append(d0)
-                else:
-                    last = (alpha, d0)
+            r0, r1 = grid[:-1], grid[1:-1]    # the cells' starts, and ends before t
+            alphas = self.coeffs.alpha(0.5 * (r0 + grid[1:])).tolist()
+            scales = self.kernels.bd(r0, t)[1].tolist()
+            if alphas[-1] > 0.0:    # the cell that ends at t
+                last = (alphas[-1], scales[-1])
+            scales.pop()
+            d_cell = self.kernels.bd(r0[:-1], r1)[1]
+            bt, dt = self.kernels.bd(r1, t)
+            # math.log1p: np.log1p differs from it in the last bit of some
+            # inputs; a cell with alpha = 0 has rate 0, which _entries drops
+            log_c = [math.log1p(c) for c in (d_cell * (bt / dt)).tolist()]
+            rates = [alpha * c for alpha, c in zip(alphas, log_c)]
         return _Step(B / D, D, _entries(rates, [log_c, scales]), last)
 
     def _jump_record(self, s, t) -> _Jumps:
@@ -432,7 +429,7 @@ class TransitionSampler:
         piecewise constant, else each piece refined into cells no wider than
         (t-s)/``n_cells``, and none of zero width where [s, t] is too short
         to split."""
-        n = 1 if self.alpha_piecewise_constant else self.n_cells
+        n = 1 if self.coeffs.alpha_piecewise_constant else self.n_cells
         knots = self.coeffs.breakpoints(s, t, which=("a", "sigma"))
         edges = np.concatenate(([s], knots, [t]))
         counts = np.ceil((edges[1:] - edges[:-1]) / ((t - s) / n))

@@ -61,6 +61,11 @@ def test_rows_and_environment(layers):
             for comp in ("K", "H", "I", "Itilde")}
     want |= {(c, f"laplace_{comp}_inf") for c in ("infinite_activity", "jump_model")
              for comp in ("K", "Itilde")}
+    # laplace_I and laplace_K on the two tabulated sets: alpha not
+    # piecewise constant, and piecewise constant (beta alone tabulated)
+    want |= {(c, "laplace_" + comp)
+             for c in ("jump_model_tabulated", "jump_model_tabulated_beta")
+             for comp in ("I", "K")}
     assert got == want - {("classical_cir", "laplace_Itilde")}
     for r in out["transforms"]:
         assert set(r) == {"config", "s", "t", "y", "layer", "ms_per_call",

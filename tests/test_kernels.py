@@ -420,12 +420,32 @@ class TestLaplaceIK:
                 call(0.2, 1.2, y, lambda_grid)
 
 
+def _refuse(monkeypatch, *names):
+    """Make the named routines of ``kernels`` raise: a transform that runs
+    with them refused takes no route through them."""
+    def refuse(*args):
+        raise AssertionError("route refused: " + ", ".join(names))
+
+    for name in names:
+        monkeypatch.setattr(kernels, name, refuse)
+
+
+def _tabulated_beta_jump_model():
+    """jump_model with ``TABULATED_BETA`` alone: a tabulated primitive table
+    whose alpha is still piecewise constant."""
+    co, cfg = _tabulated_jump_model()
+    return dataclasses.replace(co, sigma=cfg.coeffs.sigma), cfg
+
+
 class TestRiccatiRoute:
-    """The u-rule (module docstring) against the v-rule it replaces where
-    both apply, and the cases that keep the v-rule."""
+    """The routes the engine fixes per term from the coefficient kinds
+    (module docstring), each told apart by refusing the others' routines:
+    the a term's closed form wherever alpha is piecewise constant, the a~
+    term's u-rule on every exact table with piecewise-constant a~, beta = 0
+    included, and the v-rule for the rest, which is their oracle."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
-    def test_gamma_law_by_v_rule(self, alpha, lambda_grid):
+    def test_gamma_law_by_v_rule(self, alpha, lambda_grid, monkeypatch):
         # acceptance criterion 3's set: laplace_I there is the closed form,
         # so the v-rule, which stays the route of other inputs, is checked
         # against the Gamma(alpha, p) law here
@@ -436,58 +456,87 @@ class TestRiccatiRoute:
                               t_max=2.0)
         eng = get_kernels(c)
         s, t = 0.2, 1.2
-        assert eng._riccati_pieces(s, t) is not None
         want = (1.0 + lambda_grid / eng.kernel_value(s, t).p) ** -alpha
         ex, _ = eng._v_rule(s, t, lambda_grid, True, False)
         assert np.max(np.abs(np.exp(-ex) / want - 1.0)) <= 1e-8
+        _refuse(monkeypatch, "panel_integral", "_u_panels")
         got, _ = eng.laplace_I(s, t, lambda_grid)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
     def test_laplace_i_runs_no_quadrature(self, pc_coeffs, lambda_grid, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("quadrature called")
-
         eng = get_kernels(pc_coeffs)
-        monkeypatch.setattr(kernels, "panel_integral", refuse)
-        monkeypatch.setattr(kernels, "_u_panels", refuse)
+        _refuse(monkeypatch, "panel_integral", "_u_panels")
         for s, t in ((0.2, 1.2), (0.0, 2.0), (0.65, 0.66)):
             vals, _ = eng.laplace_I(s, t, np.append(lambda_grid, [0.0, math.inf]))
             assert vals[-2] == 1.0 and vals[-1] == 0.0
 
-    def test_route_of_the_demos(self):
+    def test_route_of_the_demos(self, monkeypatch):
+        _refuse(monkeypatch, "panel_integral")
         for name in ("classical_cir", "infinite_activity", "jump_model"):
             cfg = cj.load_config(os.path.join(DEMO_CONFIGS, name + ".yaml"))
             eng = get_kernels(cfg.coeffs, cfg.nu)
-            assert eng._riccati_pieces(cfg.s, cfg.t) is not None, name
+            vals, _ = eng.laplace_K(cfg.s, cfg.t, cfg.y, cfg.lambda_grid)
+            assert np.all((vals > 0.0) & (vals < 1.0)), name
 
     @pytest.mark.filterwarnings("ignore::cirjump.errors.BetaNotStrictlyPositiveWarning")
     @pytest.mark.parametrize("case", ["flat_beta", "clipped_sine_atilde"])
-    def test_v_rule_cases_against_adaptive_oracle(self, case, two_atoms):
-        # beta = 0 on [0.4, 0.9): the Riccati fixed point -2 beta / sigma^2
-        # is lam = 0, inside the grid (a negative beta, whose fixed point
-        # would be positive, is refused by CoefficientSet); a clipped-sine a~
-        # on exact primitives is not piecewise constant
+    def test_v_rule_cases_against_adaptive_oracle(self, case, two_atoms, monkeypatch):
+        # the two inputs the v-rule carried before the routes were fixed
+        # per term. beta = 0 on [0.4, 0.9): the Riccati fixed point -2 beta
+        # / sigma^2 is lam = 0, inside the grid (a negative beta, whose
+        # fixed point would be positive, is refused by CoefficientSet); it
+        # now takes the u-rule, on intervals across and inside the flat
+        # piece. A clipped-sine a~ on exact primitives is not piecewise
+        # constant: its term keeps the v-rule, and the a term, with
+        # piecewise-constant alpha, takes the closed form
         if case == "flat_beta":
-            co = flat_beta_coeffs()
+            co, intervals = flat_beta_coeffs(), ((0.2, 1.6), (0.45, 0.85))
         else:
             co = cj.CoefficientSet(a=cj.piecewise_constant([0.6], [0.3, 0.8]),
                                    a_tilde=cj.clipped_sine(0.3, 0.4, 5.0, 1.0),
                                    beta=cj.piecewise_constant([0.4], [0.5, 2.0]),
                                    sigma=cj.constant(1.2), t_max=2.0)
+            intervals = ((0.2, 1.6),)
         eng = get_kernels(co, two_atoms)
         assert eng.table.exact
         lam = np.array([0.0, 0.05, 1.0, 50.0])
-        s, t = 0.2, 1.6
-        assert eng._riccati_pieces(s, t) is None
-        want = adaptive_oracle.transforms(eng, s, t, 0.6, lam)
-        got = {"I": eng.laplace_I(s, t, lam),
-               "Itilde": eng.laplace_Itilde(s, t, lam),
-               "K": eng.laplace_K(s, t, 0.6, lam)}
-        for name, (val, err) in got.items():
-            assert val[0] == 1.0
-            assert np.all(np.abs(val - want[name]) <= err + DEFAULT_TOL), name
-        if case == "flat_beta":    # an interval clear of the flat piece
-            assert eng._riccati_pieces(1.0, 1.6) is not None
+        for s, t in intervals:
+            want = adaptive_oracle.transforms(eng, s, t, 0.6, lam)
+            with monkeypatch.context() as m:
+                _refuse(m, "panel_integral")
+                got = {"I": eng.laplace_I(s, t, lam)}
+                if case == "flat_beta":
+                    got["Itilde"] = eng.laplace_Itilde(s, t, lam)
+                    got["K"] = eng.laplace_K(s, t, 0.6, lam)
+            if case != "flat_beta":
+                with monkeypatch.context() as m:
+                    _refuse(m, "_u_panels")
+                    got["Itilde"] = eng.laplace_Itilde(s, t, lam)
+                    got["K"] = eng.laplace_K(s, t, 0.6, lam)
+            for name, (val, err) in got.items():
+                assert val[0] == 1.0
+                assert np.all(np.abs(val - want[name]) <= err + DEFAULT_TOL), name
+
+    def test_tabulated_beta_takes_the_closed_form(self, monkeypatch):
+        # alpha = 2 a / sigma^2 is piecewise constant on a tabulated table:
+        # laplace_I is the closed form on the tabulated (B, D), against the
+        # scipy oracle of tests/bd_oracle.py, and against the v-rule out to
+        # lam = 1e6
+        co, cfg = _tabulated_beta_jump_model()
+        eng = get_kernels(co, cfg.nu)
+        assert not eng.table.exact and co.alpha_piecewise_constant
+        lam = np.asarray(cfg.lambda_grid, dtype=float)
+        wide = np.array([0.0, 1.0, 1e3, 1e6])
+        for s, t in ((0.2, 1.2), (0.0, 2.0), (0.75, 0.85), (1.2 - 1e-9, 1.2)):
+            with monkeypatch.context() as m:
+                _refuse(m, "panel_integral", "_u_panels")
+                got = eng.laplace_I(s, t, lam)
+                got_wide = eng.laplace_I(s, t, wide)
+            want = bd_oracle.transform(co, [], s, t, 0.0, lam, jumps=False)
+            assert np.all(np.abs(got[0] - want[0]) <= got[1] + want[1]), (s, t)
+            ex, err = eng._v_rule(s, t, wide, True, False)
+            gap = np.abs(got_wide[0] - np.exp(-ex))
+            assert np.all(gap <= got_wide[1] + np.exp(-ex) * err + DEFAULT_TOL), (s, t)
 
 
 def _closed_psi_tilde(label):
@@ -561,7 +610,7 @@ class TestInfiniteLambda:
                                    "exp_density", "two_atoms", "tail_of_a")]
 
     @pytest.mark.parametrize("label", SETS)
-    def test_against_scipy(self, request, label):
+    def test_against_scipy(self, request, label, monkeypatch):
         if "-" not in label:
             cfg = cj.load_config(os.path.join(DEMO_CONFIGS, label + ".yaml"))
             co, nu, intervals, y = cfg.coeffs, cfg.nu, [(cfg.s, cfg.t)], cfg.y
@@ -580,8 +629,8 @@ class TestInfiniteLambda:
             if measure != "rho04_truncated":    # its oracle kernel is slow
                 intervals.append((0.7, 0.70001))
         eng = get_kernels(co, nu)
+        _refuse(monkeypatch, "panel_integral")    # the exact routes alone
         for s, t in intervals:
-            assert eng._riccati_pieces(s, t) is not None
             ex_i, ex_it, slack = _exponents_at_inf(eng, s, t)
             gamma_st = eng.kernel_value(s, t).gamma
             want = {"K": math.exp(-(y * gamma_st + ex_i + ex_it))}
@@ -776,6 +825,23 @@ class TestTableBd:
         assert all(table.bd(x, x) == (1.0, 0.0) for x in v.tolist())
         B, D = table.bd(np.array([s, t]), t)
         assert (B[1], D[1]) == (1.0, 0.0) and D[0] > 0.0
+
+    @pytest.mark.parametrize("label,coeffs,s,t", KERNEL_SETS,
+                             ids=[k[0] for k in KERNEL_SETS])
+    def test_ends_bit_identical(self, label, coeffs, s, t):
+        # ``ends`` of every piece, those past t's included (the v-rule asks
+        # for all), forms the pair over t's partial piece once; each piece
+        # keeps the bits of its own call, for one t and for a t per piece
+        table = get_kernels(coeffs).table
+        k = np.arange(table.edges.size - 1)
+        starts = np.linspace(s, t, k.size)
+        for end in (t, table.edges[k.size // 2], np.maximum(starts, table.edges[k])):
+            got = table.ends(k, end)
+            each = [table.ends(i, e) for i, e in
+                    zip(k.tolist(), np.broadcast_to(end, k.shape).tolist())]
+            for g, w in zip(got, zip(*each)):
+                assert g.shape == k.shape
+                assert g.tobytes() == np.array(w, dtype=float).tobytes()
 
 
 def _decimal_bd(coeffs, s, t):

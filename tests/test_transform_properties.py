@@ -5,10 +5,12 @@ sets and panels)."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cirjump as cj
+from cirjump import kernels
 from cirjump.kernels import DEFAULT_TOL
 from cirjump.samplers import COMPONENTS
 from conftest import tempered_power
@@ -21,10 +23,15 @@ DENSITIES = (tempered_power(0.4), tempered_power(0.7), TRUNCATED,
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
-def step_function(lo, hi):
+def _refused(*args):
+    raise AssertionError("quadrature in v refused")
+
+
+def step_function(lo, hi, values=None):
     breaks = st.lists(st.floats(0.05, T_MAX - 0.05), max_size=3, unique=True).map(sorted)
+    values = st.floats(lo, hi) if values is None else values
     return breaks.flatmap(lambda b: st.lists(
-        st.floats(lo, hi), min_size=len(b) + 1, max_size=len(b) + 1).map(
+        values, min_size=len(b) + 1, max_size=len(b) + 1).map(
             lambda v: cj.piecewise_constant(b, v)))
 
 
@@ -50,6 +57,15 @@ tabulated_sets = st.builds(
         sigma=sigma if which != "beta" else cj.constant(1.0), t_max=T_MAX),
     step_function(0.0, 2.0), step_function(0.0, 2.0), broken_line(0.1, 3.0),
     broken_line(0.3, 2.0), st.sampled_from(["beta", "sigma", "both"]))
+
+# beta with pieces where it is exactly 0, no mean reversion there, under
+# a positive a~
+flat_sets = st.builds(
+    lambda a, at, beta, sigma: cj.CoefficientSet(a=a, a_tilde=at, beta=beta,
+                                                 sigma=sigma, t_max=T_MAX),
+    step_function(0.0, 2.0), step_function(0.1, 2.0),
+    step_function(0.0, 3.0, st.one_of(st.just(0.0), st.floats(0.1, 3.0))),
+    step_function(0.3, 2.0))
 
 atom_measures = st.lists(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 3.0)),
                          min_size=1, max_size=3).map(cj.atoms)
@@ -79,21 +95,28 @@ def test_transform_shape(coeffs, nu, interval, y, lam_max):
     assert np.all(np.diff(logs, 2) >= -1e-12 * max(1.0, float(np.max(-logs))))
 
 
-@PROPERTY
-@given(coefficient_sets, measures, intervals())
+@settings(PROPERTY, max_examples=90)    # 30 a kind of coefficient set
+@given(st.one_of(coefficient_sets, tabulated_sets, flat_sets), measures, intervals())
 def test_u_rule_against_v_rule(coeffs, nu, interval):
-    # beta >= 0.1 in these sets, so the transforms take the u-rule; the
-    # v-rule, the route of every other input, is its oracle
+    # each term takes its exact route where the coefficient kinds give one:
+    # the a term the closed form where alpha is piecewise constant, the a~
+    # term the u-rule on an exact table (beta = 0 pieces included), so
+    # neither runs quadrature in v there; the v-rule, the route of every
+    # other input, is their oracle
     s, t = interval
     eng = cj.TransitionKernels(coeffs, nu)
-    assert eng._riccati_pieces(s, t) is not None
     lam = np.array([0.0, 0.05, 1.0, 50.0, 1e6])
-    for got, inputs in ((eng.laplace_I(s, t, lam), (True, False)),
-                        (eng.laplace_Itilde(s, t, lam), (False, True))):
+    for name, inputs, exact in (
+            ("laplace_I", (True, False), coeffs.alpha_piecewise_constant),
+            ("laplace_Itilde", (False, True), eng.table.exact)):
+        with pytest.MonkeyPatch.context() as m:
+            if exact:
+                m.setattr(kernels, "panel_integral", _refused)
+            val, est = getattr(eng, name)(s, t, lam)
         ex, err = eng._v_rule(s, t, lam, *inputs)
         want = np.exp(-ex)
-        assert got[0][0] == 1.0
-        assert np.all(np.abs(got[0] - want) <= got[1] + want * err + DEFAULT_TOL)
+        assert val[0] == 1.0
+        assert np.all(np.abs(val - want) <= est + want * err + DEFAULT_TOL), name
 
 
 @PROPERTY

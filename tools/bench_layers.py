@@ -21,7 +21,13 @@ measure kind each, none, atoms or a density. A row gives every repeat's
 milliseconds per call (a repeat is ``CALLS`` calls), their best and their
 median, and the largest error estimate the transform returns. A config
 with a jump measure also gets ``laplace_Itilde_inf`` and ``laplace_K_inf``
-rows: the same two transforms at lambda = inf alone, the mass at 0.
+rows: the same two transforms at lambda = inf alone, the mass at 0. Two
+sets with a tabulated primitive table get ``laplace_I`` and ``laplace_K``
+rows (``TABULATED_ROWS``) at jump_model's (s, t, y) and grid:
+``jump_model_tabulated`` (below), whose alpha = 2 a / sigma^2 is not
+piecewise constant, so both terms take the v-rule, and
+``jump_model_tabulated_beta``, jump_model with ``TABULATED_BETA`` alone,
+whose alpha is piecewise constant, so the a term is the closed form.
 
 ``bd`` rows time the kernel pair (B, D) on every demo configuration and
 on ``jump_model_tabulated``, jump_model with the smooth ``TABULATED_BETA``
@@ -91,6 +97,8 @@ SEED = 20201019
 CALLS = 50    # transform calls timed per repeat
 # components with a lambda = inf transform row, given a jump measure
 INF_ROWS = ("Itilde", "K")
+# components with a transform row on the tabulated sets
+TABULATED_ROWS = ("I", "K")
 # the clipped-sine input rate of the jump_model_sine_a row set
 SINE_A = cj.clipped_sine(0.4, 0.5, 3.0)
 # smooth beta and sigma of the jump_model_tabulated bd rows
@@ -251,6 +259,13 @@ def bench_layers(draws=10 ** 6, repeats=3, seed=SEED, calls=CALLS,
     tabulated = dataclasses.replace(jump, coeffs=dataclasses.replace(
         jump.coeffs, beta=TABULATED_BETA, sigma=TABULATED_SIGMA))
     bd += bd_rows(tabulated, "jump_model_tabulated", repeats, bd_calls)
+    beta_only = dataclasses.replace(jump, coeffs=dataclasses.replace(
+        jump.coeffs, beta=TABULATED_BETA))
+    for name, cfg in (("jump_model_tabulated", tabulated),
+                      ("jump_model_tabulated_beta", beta_only)):
+        at = {"config": name, "s": cfg.s, "t": cfg.t, "y": cfg.y}
+        transforms += [{**at, **transform_row(cfg, comp, repeats, calls)}
+                       for comp in TABULATED_ROWS]
     return {"environment": environment(), "draws": draws, "repeats": repeats,
             "seed": seed, "calls": calls, "bd_calls": bd_calls, "rows": rows,
             "transforms": transforms, "bd": bd}
