@@ -491,29 +491,25 @@ class TestRiccatiRoute:
         # piecewise-constant alpha, takes the closed form
         if case == "flat_beta":
             co, intervals = flat_beta_coeffs(), ((0.2, 1.6), (0.45, 0.85))
+            jump_refused = "panel_integral"
         else:
             co = cj.CoefficientSet(a=cj.piecewise_constant([0.6], [0.3, 0.8]),
                                    a_tilde=cj.clipped_sine(0.3, 0.4, 5.0, 1.0),
                                    beta=cj.piecewise_constant([0.4], [0.5, 2.0]),
                                    sigma=cj.constant(1.2), t_max=2.0)
-            intervals = ((0.2, 1.6),)
+            intervals, jump_refused = ((0.2, 1.6),), "_u_panels"
         eng = get_kernels(co, two_atoms)
         assert eng.table.exact
         lam = np.array([0.0, 0.05, 1.0, 50.0])
+        calls = {"I": ("panel_integral", lambda s, t: eng.laplace_I(s, t, lam)),
+                 "Itilde": (jump_refused, lambda s, t: eng.laplace_Itilde(s, t, lam)),
+                 "K": (jump_refused, lambda s, t: eng.laplace_K(s, t, 0.6, lam))}
         for s, t in intervals:
             want = adaptive_oracle.transforms(eng, s, t, 0.6, lam)
-            with monkeypatch.context() as m:
-                _refuse(m, "panel_integral")
-                got = {"I": eng.laplace_I(s, t, lam)}
-                if case == "flat_beta":
-                    got["Itilde"] = eng.laplace_Itilde(s, t, lam)
-                    got["K"] = eng.laplace_K(s, t, 0.6, lam)
-            if case != "flat_beta":
+            for name, (refused, call) in calls.items():
                 with monkeypatch.context() as m:
-                    _refuse(m, "_u_panels")
-                    got["Itilde"] = eng.laplace_Itilde(s, t, lam)
-                    got["K"] = eng.laplace_K(s, t, 0.6, lam)
-            for name, (val, err) in got.items():
+                    _refuse(m, refused)
+                    val, err = call(s, t)
                 assert val[0] == 1.0
                 assert np.all(np.abs(val - want[name]) <= err + DEFAULT_TOL), name
 
