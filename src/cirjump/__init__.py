@@ -33,6 +33,7 @@ from .errors import (
     NonPositiveSigma,
     PermanentConditionViolated,
     RestrictiveConditionViolated,
+    TooManyPoints,
 )
 from .jumps import (
     DensityJumpMeasure,

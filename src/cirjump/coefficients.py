@@ -6,17 +6,22 @@
 and the validation gate for the whole artifact.
 
 The four coefficient functions are deterministic, nonnegative and
-right-continuous on a finite horizon ``[0, t_max]``. Supported
-representations: constants, piecewise-constant and piecewise-linear
-functions on user grids, and a clipped sine as a named closed form. The
-knots of piecewise functions are exposed so that quadrature and samplers
-can treat them as forced breakpoints.
+right-continuous on a finite horizon ``[0, t_max]``: constants,
+piecewise-constant and piecewise-linear functions on user grids, and a
+clipped sine as a named closed form. A kind states only its values and
+its knots, which quadrature and samplers take as forced breakpoints; one
+rule each gives the rest. The range on ``[lo, hi]`` is that of the values
+at ``lo``, the knots inside and ``hi``, less ``hi`` for a piecewise-constant
+function, whose value at a knot ``hi`` belongs to the piece after ``[lo,
+hi)``; the clipped sine adds the sine's critical points. The integral is
+the midpoint rule between the knots, exact on constant and linear pieces;
+the clipped sine keeps its antiderivative.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -58,15 +63,25 @@ class TimeFunction:
         """Kink locations strictly inside (lo, hi)."""
         return np.empty(0)
 
+    def _edges(self, lo, hi):
+        """lo, the knots inside (lo, hi), and hi."""
+        return np.concatenate(([lo], self.breakpoints(lo, hi), [hi]))
+
+    def _extremes(self, lo, hi):
+        """Points whose values include the min and the max on [lo, hi]."""
+        return self._edges(lo, hi)
+
     def min_on(self, lo: float, hi: float) -> float:
-        raise NotImplementedError
+        return float(np.min(self(self._extremes(lo, hi))))
 
     def max_on(self, lo: float, hi: float) -> float:
-        raise NotImplementedError
+        return float(np.max(self(self._extremes(lo, hi))))
 
     def integral(self, lo: float, hi: float) -> float:
-        """Exact integral over [lo, hi] where the representation allows it."""
-        raise NotImplementedError
+        """Integral over [lo, hi] by the midpoint rule between the knots."""
+        edges = self._edges(lo, hi)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        return float(np.sum(self(mids) * np.diff(edges)))
 
     def smoothness_scale(self) -> float:
         """Characteristic length below which the function is smooth;
@@ -89,15 +104,6 @@ class Constant(TimeFunction):
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(np.float64(self.value), t.shape).copy() \
             if t.ndim else float(self.value)
-
-    def min_on(self, lo, hi):
-        return float(self.value)
-
-    def max_on(self, lo, hi):
-        return float(self.value)
-
-    def integral(self, lo, hi):
-        return float(self.value) * (hi - lo)
 
     @property
     def is_piecewise_constant(self):
@@ -137,21 +143,9 @@ class PiecewiseConstant(TimeFunction):
         b = self._b
         return b[(b > lo) & (b < hi)]
 
-    def _piece_range(self, lo, hi):
-        i0 = int(np.searchsorted(self._b, lo, side="right"))
-        i1 = int(np.searchsorted(self._b, hi, side="left"))
-        return self._v[i0:i1 + 1]
-
-    def min_on(self, lo, hi):
-        return float(self._piece_range(lo, hi).min())
-
-    def max_on(self, lo, hi):
-        return float(self._piece_range(lo, hi).max())
-
-    def integral(self, lo, hi):
-        edges = np.concatenate(([lo], self.breakpoints(lo, hi), [hi]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.sum(self(mids) * np.diff(edges)))
+    def _extremes(self, lo, hi):
+        # right-continuous: the value at hi belongs to the piece after [lo, hi)
+        return self._edges(lo, hi)[:-1]
 
     @property
     def is_piecewise_constant(self):
@@ -190,19 +184,6 @@ class PiecewiseLinear(TimeFunction):
         k = self._k
         return k[(k > lo) & (k < hi)]
 
-    def min_on(self, lo, hi):
-        cand = np.concatenate(([lo], self.breakpoints(lo, hi), [hi]))
-        return float(np.min(self(cand)))
-
-    def max_on(self, lo, hi):
-        cand = np.concatenate(([lo], self.breakpoints(lo, hi), [hi]))
-        return float(np.max(self(cand)))
-
-    def integral(self, lo, hi):
-        edges = np.concatenate(([lo], self.breakpoints(lo, hi), [hi]))
-        vals = self(edges)
-        return float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(edges)))
-
 
 @dataclass(frozen=True)
 class ClippedSine(TimeFunction):
@@ -235,30 +216,21 @@ class ClippedSine(TimeFunction):
                     out.append(t)
         return np.sort(np.asarray(out))
 
-    def _crossings(self, lo, hi):
-        # solutions of offset + amplitude sin(x) = 0 mapped back to t
+    def breakpoints(self, lo, hi):
+        # the clip crossings: offset + amplitude sin(x) = 0 mapped back to t
         m = -self.offset / self.amplitude if self.amplitude else 1.0
         if abs(m) >= 1:
             return np.empty(0)
         x1 = math.asin(m)
         return self._roots((x1, math.pi - x1), lo, hi)
 
-    def breakpoints(self, lo, hi):
-        return self._crossings(lo, hi)
-
-    def _candidates(self, lo, hi):
-        # endpoints, clip crossings and interior critical points of the sine
-        return np.concatenate(([lo, hi], self._crossings(lo, hi),
+    def _extremes(self, lo, hi):
+        # the edges and the interior critical points of the sine
+        return np.concatenate((self._edges(lo, hi),
                                self._roots((math.pi / 2, 3 * math.pi / 2), lo, hi)))
 
-    def min_on(self, lo, hi):
-        return float(np.min(self(self._candidates(lo, hi))))
-
-    def max_on(self, lo, hi):
-        return float(np.max(self(self._candidates(lo, hi))))
-
     def integral(self, lo, hi):
-        edges = np.concatenate(([lo], self._crossings(lo, hi), [hi]))
+        edges = self._edges(lo, hi)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             if self((a + b) / 2) <= 0:
@@ -315,8 +287,7 @@ class CoefficientSet:
         if not (self.t_max > 0):
             raise ValueError("t_max must be positive")
         for name in ("a", "a_tilde", "beta"):
-            fn = getattr(self, name)
-            if fn.min_on(0.0, self.t_max) < 0:
+            if getattr(self, name).min_on(0.0, self.t_max) < 0:
                 raise ValueError(f"{name} must be nonnegative on [0, t_max]")
         if self.sigma.min_on(0.0, self.t_max) <= 0:
             raise NonPositiveSigma(
@@ -342,8 +313,7 @@ class CoefficientSet:
     def breakpoints(self, lo: float, hi: float,
                     which: Tuple[str, ...] = ("a", "a_tilde", "beta", "sigma")) -> np.ndarray:
         pts = [getattr(self, name).breakpoints(lo, hi) for name in which]
-        merged = np.unique(np.concatenate(pts)) if pts else np.empty(0)
-        return merged
+        return np.unique(np.concatenate(pts)) if pts else np.empty(0)
 
     def smoothness_scale(self) -> float:
         return min(fn.smoothness_scale()
@@ -358,16 +328,6 @@ class CheckResult:
     value: Optional[float] = None
     error_estimate: Optional[float] = None
     detail: str = ""
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "severity": self.severity,
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -388,7 +348,7 @@ class ValidationReport:
                    if c.name == "restrictive_condition")
 
     def as_dict(self):
-        return {"checks": [c.as_dict() for c in self.checks],
+        return {"checks": [asdict(c) for c in self.checks],
                 "hard_ok": self.hard_ok,
                 "samplers_available": self.samplers_available}
 
@@ -408,9 +368,10 @@ def validate(coeffs: CoefficientSet, nu, raise_on_error: bool = True) -> Validat
 
     The report lists each assumption with pass/fail; integral conditions
     carry the numerically evaluated certificate and its error estimate.
-    A violated summability condition (or nonpositive volatility) raises by
-    default; a violated square-root condition only flags the report and
-    disables the exact samplers for infinite-activity measures.
+    A violated summability condition raises by default (a nonpositive
+    volatility cannot reach here: ``CoefficientSet`` refuses it); a
+    violated square-root condition only flags the report and disables the
+    exact samplers for infinite-activity measures.
     """
     checks = []
     smin = coeffs.sigma.min_on(0.0, coeffs.t_max)
@@ -441,11 +402,7 @@ def validate(coeffs: CoefficientSet, nu, raise_on_error: bool = True) -> Validat
                "infinite-activity measures"))
 
     report = ValidationReport(tuple(checks))
-    if raise_on_error:
-        if smin <= 0:
-            raise NonPositiveSigma(
-                "sigma must be strictly positive on [0, t_max]")
-        if not math.isfinite(cert.summable_value):
-            raise PermanentConditionViolated(
-                "jump measure has non-summable small jumps", report)
+    if raise_on_error and not math.isfinite(cert.summable_value):
+        raise PermanentConditionViolated(
+            "jump measure has non-summable small jumps", report)
     return report

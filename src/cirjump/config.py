@@ -69,6 +69,8 @@ from .coefficients import (CoefficientSet, TimeFunction, clipped_sine,
                            constant, piecewise_constant, piecewise_linear)
 from .errors import ConfigError
 from .jumps import DensityJumpMeasure, JumpMeasure, atoms
+from .kernels import DEFAULT_NU_TOL, DEFAULT_TOL
+from .samplers import DEFAULT_CELLS
 from .verify import DEFAULT_LAMBDA_GRID
 
 __all__ = ["RunConfig", "check_run", "load_config", "parse_config"]
@@ -275,11 +277,11 @@ def parse_config(doc) -> RunConfig:
             workers=int(run.get("workers", 1)),
             lambda_grid=tuple(_floats(run.get("lambda_grid", DEFAULT_LAMBDA_GRID),
                                       "run.lambda_grid")),
-            n_cells=int(controls.get("n_cells", 64)),
+            n_cells=int(controls.get("n_cells", DEFAULT_CELLS)),
             delta=delta,
             step=float(controls.get("step", 0.125)),
-            kernel_tol=float(tols.get("kernel_tol", 1e-9)),
-            nu_tol=float(tols.get("nu_tol", 1e-8)),
+            kernel_tol=float(tols.get("kernel_tol", DEFAULT_TOL)),
+            nu_tol=float(tols.get("nu_tol", DEFAULT_NU_TOL)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid run parameters: {exc}") from exc

@@ -35,6 +35,10 @@ class InvalidDelta(CirJumpError):
     """Truncation level must be strictly positive."""
 
 
+class TooManyPoints(CirJumpError):
+    """A batch draw expects more points than one call lays out."""
+
+
 class DegenerateInterval(CirJumpError):
     """Kernel quantities need a nondegenerate time interval s < t."""
 

@@ -280,7 +280,7 @@ class DiscreteJumpMeasure(JumpMeasure):
         keep = (self._y > lo) & (self._y <= hi)
         value = float(np.sum(self._w[keep]
                              * np.asarray(g(self._y[keep]), dtype=float)))
-        return value if what is not None else QuadratureResult(value, 0.0, 1)
+        return value if what is not None else QuadratureResult(value, 0.0)
 
     @property
     def nodes(self):

@@ -381,9 +381,11 @@ class TransitionKernels:
 
     def _transform(self, s, t, y, lam, continuous=True, jumps=True, warn=False):
         """exp(-y Psi_{s,t}(lam) - int_s^t [a Psi_{v,t} + a~ PsiTilde_{v,t}]
-        (lam) dv) over the inputs that are switched on, vectorized in lam; an
-        input whose rate vanishes on [s, t] adds 0. Each term takes the route
-        the engine fixed for it (module docstring)."""
+        (lam) dv) over the inputs that are switched on, vectorized in lam,
+        each term by the route the engine fixed for it (module docstring).
+        A rate that vanishes on [s, t] adds exactly 0 on every route: the
+        closed form and the v-rule zero their terms where the rate is 0,
+        and the u-rule integrand carries the rate as a factor."""
         self._check(s, t)
         self._check_lam(lam)
         if not 0.0 <= y < math.inf:
@@ -393,10 +395,8 @@ class TransitionKernels:
                 "mean reversion is not strictly positive; the transform "
                 "formula is applied outside its proved hypothesis",
                 BetaNotStrictlyPositiveWarning, stacklevel=3)
-        a, at = self.coeffs.a, self.coeffs.a_tilde
-        use_a = continuous and a.max_on(s, t) > 0.0
-        use_atilde = jumps and at.max_on(s, t) > 0.0
-        if use_atilde and self.nu is None:
+        use_a, use_atilde = continuous, jumps and self.nu is not None
+        if jumps and self.nu is None and self.coeffs.a_tilde.max_on(s, t) > 0.0:
             raise ValueError("transform with jump input needs a jump measure")
         lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
         # s, the knots inside (s, t), t, and the slice k of the pieces between
@@ -430,18 +430,20 @@ class TransitionKernels:
     def _v_rule(self, s, t, lam, use_a, use_atilde):
         """(exponent, error) of the time integral by ``panel_integral`` on
         the v-panels of ``_v_panels``, for any coefficients."""
-        a, at = self.coeffs.a, self.coeffs.a_tilde
-        table = self.table    # the ends of every piece to t, formed once
-        ends = table.ends(np.arange(table.edges.size - 1), t)
+        a, at, table = self.coeffs.a, self.coeffs.a_tilde, self.table
+        ends = table.ends(np.arange(table.edges.size - 1), t)    # formed once
 
         def integrand(v):
             B, D = table.bd(v, t, ends)    # nodes may round onto t: no check
             psi_v = self._psi_from_bd(B[:, None], D[:, None], lam)
             out = np.zeros_like(psi_v)
+            # a rate of 0 adds 0, also at a node on t, where lam = inf gives inf
             if use_a:
-                out += a(v)[:, None] * psi_v
+                rate = a(v)[:, None]
+                out += rate * np.where(rate > 0.0, psi_v, 0.0)
             if use_atilde:
-                out += at(v)[:, None] * self.nu.one_minus_exp_integral(psi_v)
+                rate = at(v)[:, None]
+                out += rate * np.where(rate > 0.0, self.nu.one_minus_exp_integral(psi_v), 0.0)
             return out
 
         return panel_integral(integrand, self._v_panels(s, t, lam), self.tol)

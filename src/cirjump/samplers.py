@@ -106,7 +106,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet
-from .errors import DegenerateInterval, InvalidDelta
+from .errors import DegenerateInterval, InvalidDelta, TooManyPoints
 from .jumps import JumpMeasure, MarkSampler, delta_for_budget
 from .kernels import get_kernels
 from .numerics import _as_generator, seeded_generator
@@ -125,7 +125,7 @@ __all__ = [
 DELTA_BUDGET = 4.0 ** -8   # default sqrt-tail budget for the truncation level
 DEFAULT_CELLS = 64         # I-grid refinement of a non-piecewise-constant alpha
 STEP_CACHE = 4096          # (s, t) step records a sampler keeps (LRU)
-MAX_POINTS = 2 ** 26       # expected driving-measure points of one batch call
+MAX_POINTS = 2 ** 26       # expected points of one batch call, of I or of the jumps
 # largest Poisson mean numpy's generator accepts
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max
                          - 10.0 * np.sqrt(np.iinfo(np.int64).max))
@@ -253,15 +253,22 @@ def _entries(rates, rows) -> _Entries:
     return _Entries(rate, p, cols)
 
 
-def _lay_out(g, entries, tot, m):
-    """The ``tot`` points, a Poisson(m rate) total, of ``m`` draws of
-    ``entries``: split over the entries by one multinomial and laid out
-    entry by entry, each with a uniform draw label in [0, m) and a uniform
-    U on [0, 1). By Poisson splitting the counts of each entry and draw are
-    independent Poisson(rate p_e), the law of separate draws. Returns the
-    entry constants per point (the rows of ``cols``; read-only views that
-    repeat nothing for a one-entry table, whose multinomial would read no
-    stream), the labels and U."""
+def _lay_out(g, entries, m, refuse):
+    """The points of ``m`` draws of ``entries``, None without any: a
+    Poisson(m rate) total, refused by ``raise refuse(rate)`` before it
+    reads the stream where m rate > ``MAX_POINTS``, split over the entries
+    by one multinomial and laid out entry by entry, each with a uniform
+    draw label in [0, m) and a uniform U on [0, 1). By Poisson splitting
+    the counts of each entry and draw are independent Poisson(rate p_e),
+    the law of separate draws. Returns the entry constants per point (the
+    rows of ``cols``; read-only views that repeat nothing for a one-entry
+    table, whose multinomial would read no stream), the labels and U."""
+    mean = entries.rate * m
+    if mean > MAX_POINTS:
+        raise refuse(entries.rate)
+    tot = g.poisson(mean) if mean else 0    # a rate of 0 reads no stream
+    if not tot:
+        return None
     if entries.p.size == 1:
         cols = np.broadcast_to(entries.cols, (entries.cols.shape[0], tot))
     else:
@@ -448,17 +455,15 @@ class TransitionSampler:
         :class:`InvalidDelta` before any draw when more than ``MAX_POINTS``
         points are expected."""
         g = _as_generator(rng)
-        jumps, m = self._jumps(s, t), 1 if size is None else size
-        mean = jumps.entries.rate
-        if mean * m > MAX_POINTS:
-            raise InvalidDelta(
-                f"truncation level delta={self.delta:g} gives {mean:.3g} "
-                f"expected jumps per draw, over {MAX_POINTS} points per call")
-        tot = g.poisson(mean * m) if mean else 0   # a rate of 0 reads no stream
-        if not tot:
+        jumps = self._jumps(s, t)
+        drawn = _lay_out(g, jumps.entries, 1 if size is None else size,
+                         lambda rate: InvalidDelta(
+                             f"truncation level delta={self.delta:g} gives "
+                             f"{rate:.3g} expected jumps per draw, over "
+                             f"{MAX_POINTS} points per call"))
+        if drawn is None:
             return _NO_POINTS
-        (length, hi, piece, b_hi, d_hi, *more), idx, u = \
-            _lay_out(g, jumps.entries, tot, m)
+        (length, hi, piece, b_hi, d_hi, *more), idx, u = drawn
         sizes = more.pop() if jumps.marks is None else None
         gap = 1.0 - u    # distance to the piece's right end, in (0, length]
         gap *= length
@@ -505,8 +510,9 @@ class TransitionSampler:
         points of the cells [r0, r1] that end before t, Poisson(alpha L)
         a cell with L = log1p(c), each of value D(r0, t) exp(-L U) E. The
         points of all cells and draws are laid out cell by cell from one
-        Poisson total (module docstring). One draw (``size`` None) is a
-        batch of one that returns a float."""
+        Poisson total (module docstring), refused as :class:`TooManyPoints`
+        over ``MAX_POINTS``. One draw (``size`` None) is a batch of one that
+        returns a float."""
         g = _as_generator(rng)
         size = None if size is None else int(size)
         m = 1 if size is None else size
@@ -515,10 +521,11 @@ class TransitionSampler:
             x = _gamma(g, *step.last, size)
         else:
             x = 0.0 if size is None else np.zeros(m)
-        rate = step.cells.rate
-        tot = g.poisson(rate * m) if rate else 0
-        if tot:
-            (log_c, scales), idx, u = _lay_out(g, step.cells, tot, m)
+        drawn = _lay_out(g, step.cells, m, lambda rate: TooManyPoints(
+            f"input rate a gives {rate:.3g} expected points of I per draw, "
+            f"over {MAX_POINTS} points per call"))
+        if drawn is not None:
+            (log_c, scales), idx, u = drawn
             u *= log_c
             np.negative(u, out=u)
             v = np.exp(u, out=u)

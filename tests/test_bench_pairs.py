@@ -137,3 +137,27 @@ def test_both_checkouts_get_the_same_bytecode_caches(pairs, tmp_path, capsys):
         for d in ("src/pkg", "perfbench"):
             assert list((tmp_path / side / d / "__pycache__").glob(f"*.{tag}.pyc"))
     assert out.index("compiled") < out.index("pair 1 ")
+
+
+def test_source_lines_of_both_checkouts(pairs, tmp_path, capsys):
+    # the package of the parent has 12 lines in two files; the change drops
+    # two lines of one file, adds a file of 1 line and deletes the other
+    sizes = {"parent": {"a.py": 10, "b.py": 2}, "change": {"a.py": 8, "c.py": 1}}
+    sides = {}
+    for side, files in sizes.items():
+        sides[side] = _fake_checkout(tmp_path / side, True)
+        pkg = tmp_path / side / "src" / "cirjump"
+        pkg.mkdir(parents=True)
+        for name, n in files.items():
+            (pkg / name).write_text("x = 1\n" * n)
+        (pkg / "notes.txt").write_text("not counted\n")
+    assert pairs.source_lines(sides["parent"]) == sizes["parent"]
+    assert pairs.main([sides["parent"], sides["change"], "--workload",
+                       "paths_jump", "--pairs", "1", "--seconds", "1",
+                       "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("src/cirjump/*.py lines 12 -> 9 (-3)\n"
+                          "  a.py 10 -> 8 (-2)\n"
+                          "  b.py 2 -> 0 (-2)\n"
+                          "  c.py 0 -> 1 (+1)\n")
+    assert out.index("lines") < out.index("pair 1 ")

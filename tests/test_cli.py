@@ -809,6 +809,16 @@ def _address_space_limit():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
+def _bounded_child(argv):
+    """The CLI run in a child with a bounded address space, so a missing
+    guard cannot exhaust memory."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cirjump.cli"] + argv,
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=_address_space_limit)
+
+
 class TestTruncationLevels:
     def test_small_delta_samples(self, tmp_path, capsys):
         # 187 expected jumps per draw; the mass of the restriction used to
@@ -820,15 +830,9 @@ class TestTruncationLevels:
 
     @pytest.mark.parametrize("delta", ["auto", "1.0e-20"])
     def test_unsamplable_delta_exits_1(self, tmp_path, delta):
-        # 1.4e23 and 7.5e7 expected jumps per draw; run in a child with a
-        # bounded address space, so a missing guard cannot exhaust memory
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cirjump.cli", "sample",
-             _with_delta(tmp_path, delta), "--component", "Itilde", "--n", "1"],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=_address_space_limit)
+        # 1.4e23 and 7.5e7 expected jumps per draw
+        proc = _bounded_child(["sample", _with_delta(tmp_path, delta),
+                               "--component", "Itilde", "--n", "1"])
         assert proc.returncode == 1
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: InvalidDelta:")
@@ -855,3 +859,23 @@ class TestTruncationLevels:
         err = capsys.readouterr().err
         if flags[:2] == ["--component", "Itilde"]:
             assert err.startswith("n=2000 mean=0 variance=0 zero_fraction=1")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("sample", ["--component", "I", "--n", "10"]),
+    ("sample", ["--component", "K", "--n", "10"]),
+    ("verify", ["--suite", "sampler-I"]),
+])
+def test_unsamplable_input_rate_exits_1(tmp_path, command, flags):
+    # a = 1e12 expects about 9.5e11 pushed points of I per draw: refused
+    # before they are drawn, with no word about a truncation level
+    p = tmp_path / "big_a.yaml"
+    p.write_text(CLASSICAL.replace(
+        "a:       {kind: constant, value: 1.6}",
+        "a:       {kind: piecewise_constant, breaks: [0.5], "
+        "values: [1.0e12, 1.0e12]}"))
+    proc = _bounded_child([command, str(p)] + flags)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: TooManyPoints:")
+    assert "expected points of I per draw" in err[0]

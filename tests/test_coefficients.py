@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cirjump as cj
-from cirjump.coefficients import validate
+from cirjump.coefficients import ClippedSine, PiecewiseConstant, validate
 from cirjump.errors import NonPositiveSigma, PermanentConditionViolated
 from cirjump.numerics import integrate
 
@@ -64,6 +66,62 @@ class TestTimeFunctions:
         f = cj.clipped_sine(0.2, 1.0, 3.0, 0.7)
         for b in f.breakpoints(0.0, 4.0):
             assert abs(0.2 + math.sin(3 * b + 0.7)) < 1e-9
+
+    def test_piecewise_constant_range_at_a_knot(self):
+        # [0.5, 0.5] holds only the value at the knot, that of the piece after it
+        f = cj.piecewise_constant([0.5], [1.0, 2.0])
+        assert f.max_on(0.5, 0.5) == 2.0
+        assert f.min_on(0.5, 0.5) == 2.0
+
+
+_VALUE = st.floats(-3.0, 3.0)
+_KNOTS = st.lists(st.floats(0.05, 1.95), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def _time_functions(draw):
+    """A time function of any kind on [0, 2], and its knots."""
+    kind = draw(st.sampled_from(["constant", "piecewise_constant",
+                                 "piecewise_linear", "clipped_sine"]))
+    if kind == "constant":
+        return cj.constant(draw(_VALUE))
+    if kind == "clipped_sine":
+        return cj.clipped_sine(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.1, 2.0)),
+                               draw(st.floats(0.5, 20.0)), draw(st.floats(0.0, 6.3)))
+    knots = sorted(draw(_KNOTS))
+    if kind == "piecewise_constant":
+        values = draw(st.lists(_VALUE, min_size=len(knots) + 1, max_size=len(knots) + 1))
+        return cj.piecewise_constant(knots, values)
+    knots = sorted(set(knots) | {0.0, 2.0})
+    values = draw(st.lists(_VALUE, min_size=len(knots), max_size=len(knots)))
+    return cj.piecewise_linear(knots, values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_time_functions(), st.data())
+def test_range_and_integral_follow_the_one_rule(f, data):
+    # the range matches the values on a dense grid plus the knots (on [lo,
+    # hi) for a right-continuous step function), and the integral matches
+    # the quadrature rule with the knots as breakpoints
+    ends = st.floats(0.0, 2.0)
+    knots = list(f.breakpoints(0.0, 2.0))
+    if knots:
+        ends = st.one_of(ends, st.sampled_from(knots))
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    inside = f.breakpoints(lo, hi)
+    grid = np.linspace(lo, hi, 2001)
+    if isinstance(f, PiecewiseConstant) and hi > lo:
+        grid = grid[:-1]
+    values = f(np.concatenate((grid, inside)))
+    slack = 1e-12
+    if isinstance(f, ClippedSine):    # the grid may miss a peak
+        slack += f.amplitude * (f.omega * (hi - lo) / 2000) ** 2
+    assert f.max_on(lo, hi) == pytest.approx(values.max(), abs=slack)
+    assert f.min_on(lo, hi) == pytest.approx(values.min(), abs=slack)
+    assert values.max() <= f.max_on(lo, hi) + 1e-12
+    assert values.min() >= f.min_on(lo, hi) - 1e-12
+    ref = integrate(f, lo, hi, tol=1e-12, breakpoints=list(inside))
+    assert f.integral(lo, hi) == pytest.approx(ref.value, abs=1e-10)
 
 
 class TestCoefficientSet:

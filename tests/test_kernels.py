@@ -303,6 +303,20 @@ class TestLaplaceIK:
         vals, _ = get_kernels(c, two_atoms).laplace_Itilde(0.1, 1.4, lambda_grid)
         assert np.allclose(vals, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("gap", [1e-3, 1e-14, 4.4e-16])
+    def test_vanishing_rates_add_nothing(self, rho04, gap):
+        # clipped sines vanish on [1.9 - gap, 1.9] and take the v-rule; at
+        # lam = inf a node of a short interval rounds onto t, where Psi and
+        # the jump kernel of rho04 are inf
+        zero = cj.clipped_sine(-0.5, 1.0, 2.0)
+        c = cj.CoefficientSet(a=zero, a_tilde=zero, beta=cj.constant(1.0),
+                              sigma=cj.constant(1.0), t_max=2.0)
+        assert zero.max_on(1.9 - gap, 1.9) == 0.0
+        eng = get_kernels(c, rho04)
+        for transform in (eng.laplace_I, eng.laplace_Itilde):
+            vals, errs = transform(1.9 - gap, 1.9, np.array([0.5, 20.0, math.inf]))
+            assert np.array_equal(vals, np.ones(3)) and np.all(np.isfinite(errs))
+
     def test_itilde_single_atom_brute_force(self, pc_coeffs):
         # independent route: scalar quadrature of a_tilde(v) (1 - e^{-y0 Psi})
         nu = cj.atoms([(0.9, 1.3)])

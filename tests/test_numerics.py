@@ -39,6 +39,14 @@ class TestIntegrate:
             res = integrate(lambda x: np.polyval(coefs[::-1], x), 0.0, 1.0)
             assert abs(res.value - exact) <= 1e-12 * max(1.0, abs(exact))
 
+    def test_subnormal_lower_end(self):
+        # hi / lo overflows: the geometric panels are counted from the logs
+        for lo in (5e-324, 1e-320):
+            res = integrate(lambda x: 1.0, lo, 2.0)
+            assert res.value == pytest.approx(2.0, abs=1e-14)
+            res = integrate(lambda x: np.exp(-x), lo, math.inf, tol=1e-12)
+            assert res.value == pytest.approx(1.0, abs=1e-12)
+
     def test_breakpoints_respected(self):
         f = lambda x: np.where(x < 0.3, 1.0, 2.0)
         res = integrate(f, 0.0, 1.0, breakpoints=[0.3], tol=1e-12)

@@ -15,7 +15,7 @@ from scipy import stats
 
 import cirjump as cj
 from cirjump.errors import (DegenerateInterval, InvalidDelta,
-                            RestrictiveConditionViolated)
+                            RestrictiveConditionViolated, TooManyPoints)
 from cirjump.kernels import get_kernels
 from cirjump.numerics import RngStream, seeded_generator
 from cirjump import samplers
@@ -915,6 +915,24 @@ class TestPrmAndGates:
         with pytest.raises(InvalidDelta, match="expected jumps per draw"):
             sampler.sample_itilde(g, 0.2, 1.2, size=4)
         assert np.array_equal(g.random(4), RngStream(62).generator().random(4))
+
+    def test_unsamplable_input_rate_rejected_before_drawing(self, pc_coeffs):
+        # a = 1e12 pushes about 9e11 points of I a draw from [0.2, 0.6]: the
+        # pushed total is refused before it reads the stream, for one draw
+        # and for a batch, and not as a truncation level
+        co = dataclasses.replace(pc_coeffs, a=cj.piecewise_constant(
+            [0.6], [1e12, 1e12]))
+        sampler = cj.TransitionSampler(co)
+        for size in (None, 1, 10):
+            g = RngStream(64).generator()
+            want = RngStream(64).generator()
+            with pytest.raises(TooManyPoints, match="expected points of I per draw"):
+                sampler.sample_i(g, 0.2, 1.2, size=size)
+            # only the Gamma of the cell that ends at t was drawn
+            samplers._gamma(want, *sampler._step(0.2, 1.2).last, size)
+            assert np.array_equal(g.random(4), want.random(4))
+        with pytest.raises(TooManyPoints):
+            sampler.sample_k(RngStream(65).generator(), 0.2, 1.2, 0.8, size=10)
 
     def test_no_points_are_shared_and_read_only(self, pc_coeffs, two_atoms):
         # no jump intensity: every call returns the one empty triple

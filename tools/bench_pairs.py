@@ -2,11 +2,14 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
 
-Before the first pair it compiles ``src/`` and ``perfbench/`` of both
-checkouts (``compileall``, with this interpreter), so both start with the
-same up-to-date bytecode caches: ``setup_s`` times ``import cirjump`` in a
-fresh interpreter, and a checkout without a cache would otherwise compile
-every module on every run under ``PYTHONDONTWRITEBYTECODE=1``.
+Before the first pair it prints the line count of ``src/cirjump/*.py`` in
+both checkouts, in total and for every file whose count differs, with the
+change's difference from the parent. It also compiles ``src/`` and
+``perfbench/`` of both checkouts (``compileall``, with this interpreter),
+so both start with the same up-to-date bytecode caches: ``setup_s`` times
+``import cirjump`` in a fresh interpreter, and a checkout without a cache
+would otherwise compile every module on every run under
+``PYTHONDONTWRITEBYTECODE=1``.
 
 Pair i runs ``perfbench/run.py --workload W --seed K+i --seconds S --trace 0``
 in both checkouts, one after the other; even pairs run the parent first, odd
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import glob
 import json
 import os
 import statistics
@@ -54,6 +58,29 @@ def failed_checks(report_line):
         label + ":" + "".join(f" {k}={v:.3g}" if isinstance(v, float) else f" {k}={v}"
                               for k, v in check.items() if k != "passed")
         for label, check in checks.items() if not check.get("passed", True))
+
+
+def source_lines(checkout):
+    """Line count of every ``src/cirjump/*.py`` in ``checkout``, by file name."""
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "cirjump", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            counts[os.path.basename(path)] = sum(1 for _ in fh)
+    return counts
+
+
+def size_report(parent, change):
+    """Lines of the package in both checkouts, total first, then every file
+    whose count differs: ``name parent -> change (difference)``."""
+    def line(name, p, c):
+        return f"{name} {p} -> {c} ({c - p:+d})"
+
+    rows = [line("src/cirjump/*.py lines", sum(parent.values()), sum(change.values()))]
+    for name in sorted(set(parent) | set(change)):
+        p, c = parent.get(name, 0), change.get(name, 0)
+        if p != c:
+            rows.append("  " + line(name, p, c))
+    return rows
 
 
 def compile_caches(checkout):
@@ -134,6 +161,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    for row in size_report(*(source_lines(c) for c in sides.values())):
+        print(row, flush=True)
     for side, checkout in sides.items():
         dirs = compile_caches(checkout)
         print(f"compiled {', '.join(d + '/' for d in dirs) or 'nothing'} of "
